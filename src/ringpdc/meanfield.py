@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (
-    MixingAngles,
-    degenerate_polarization_vectors,
-    polarization_vectors,
-)
-from .observables import OCCUPATION_FLOOR
+from .observables import OCCUPATION_FLOOR, column_names
 from .photon import FockMode
 from .propagator import (
     NORM_TOL,
@@ -98,30 +93,6 @@ class MeanFieldSystem:
         lam = self.lams
         e = self.pols
         return np.outer(lam, lam) * (e @ e.T)
-
-
-def nondegenerate_system(h_matter, px, py, modes, angles: MixingAngles) -> MeanFieldSystem:
-    """Three-mode system with pump along x and signal polarizations from the angles."""
-    if len(modes) != 3:
-        raise ValueError("the non-degenerate geometry takes exactly three modes")
-    vecs = polarization_vectors(angles)
-    dressed = tuple(
-        FockMode(m.omega, m.n_max, m.lam, (float(v[0]), float(v[1])))
-        for m, v in zip(modes, vecs)
-    )
-    return MeanFieldSystem(h_matter, px, py, dressed)
-
-
-def degenerate_system(h_matter, px, py, modes, theta1: float) -> MeanFieldSystem:
-    """Two-mode system with the pump tilted by theta1 and the signal along y."""
-    if len(modes) != 2:
-        raise ValueError("the degenerate geometry takes exactly two modes")
-    vecs = degenerate_polarization_vectors(theta1)
-    dressed = tuple(
-        FockMode(m.omega, m.n_max, m.lam, (float(v[0]), float(v[1])))
-        for m, v in zip(modes, vecs)
-    )
-    return MeanFieldSystem(h_matter, px, py, dressed)
 
 
 def coherent_initials(xi: complex, omega: float) -> tuple[float, float]:
@@ -272,23 +243,25 @@ def mf_ladder_amplitude(state: MeanFieldState, system: MeanFieldSystem, mode: in
 
 
 def mf_observables(state: MeanFieldState, system: MeanFieldSystem) -> dict[str, float]:
-    """Mean-field series row: n, Q, purity, H per mode and pairwise g2.
+    """Mean-field series row: the column_names columns without Fock populations.
 
     Q and g2 are emitted as the literal constants 0 and 1 (NaN below the
     occupation floor): the c-number algebra makes them identically so, and
     computed noise would misrepresent the method.  The factorized ansatz
     likewise fixes every subsystem purity at exactly 1.
     """
-    out: dict[str, float] = {}
-    occs = [mf_mode_occupation(state, system, m) for m in range(len(system.modes))]
-    for m, n in enumerate(occs):
-        w = system.modes[m].omega
-        out[f"n{m + 1}"] = n
-        out[f"Q{m + 1}"] = 0.0 if n >= OCCUPATION_FLOOR else float("nan")
-        out[f"gamma{m + 1}"] = 1.0
-        out[f"H{m + 1}"] = w * (n + 0.5)
-    for a in range(len(occs)):
-        for b in range(a + 1, len(occs)):
-            defined = occs[a] >= OCCUPATION_FLOOR and occs[b] >= OCCUPATION_FLOOR
-            out[f"g2_{a + 1}{b + 1}"] = 1.0 if defined else float("nan")
-    return out
+    n_modes = len(system.modes)
+    occs = [mf_mode_occupation(state, system, m) for m in range(n_modes)]
+    defined = [n >= OCCUPATION_FLOOR for n in occs]
+    row = (
+        occs
+        + [0.0 if d else float("nan") for d in defined]
+        + [
+            1.0 if defined[a] and defined[b] else float("nan")
+            for a in range(n_modes)
+            for b in range(a + 1, n_modes)
+        ]
+        + [1.0] * n_modes
+        + [m.omega * (n + 0.5) for m, n in zip(system.modes, occs)]
+    )
+    return dict(zip(column_names(n_modes, fock_levels=()), row))

@@ -12,7 +12,7 @@ numerically meaningless; those are reported as NaN gaps, never as zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,12 +32,47 @@ def _mode_axis(basis: CoupledBasis, mode: int) -> int:
     return 1 + mode
 
 
+def _probs(psi, basis: CoupledBasis) -> np.ndarray:
+    return np.abs(_amps(psi).reshape(basis.shape)) ** 2
+
+
+def _marginal(probs: np.ndarray, *axes: int) -> np.ndarray:
+    """|psi|^2 summed over every tensor axis but `axes` (kept in ascending order)."""
+    return probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in axes))
+
+
+def _mean_n(marg: np.ndarray) -> float:
+    return float(np.dot(np.arange(len(marg)), marg))
+
+
+def _mandel(marg: np.ndarray) -> float:
+    n = _mean_n(marg)
+    if n < OCCUPATION_FLOOR:
+        return float("nan")
+    k = np.arange(len(marg))
+    nn = float(np.dot(k * (k - 1), marg))
+    return (nn - n * n) / n
+
+
+def _g2(joint: np.ndarray) -> float:
+    ka = np.arange(joint.shape[0])
+    kb = np.arange(joint.shape[1])
+    na = float(ka @ joint.sum(axis=1))
+    nb = float(joint.sum(axis=0) @ kb)
+    if na < OCCUPATION_FLOOR or nb < OCCUPATION_FLOOR:
+        return float("nan")
+    return float(ka @ joint @ kb) / (na * nb)
+
+
+def _purity(tensor: np.ndarray, axis: int) -> float:
+    flat = np.moveaxis(tensor, axis, 0).reshape(tensor.shape[axis], -1)
+    rho = flat @ flat.conj().T
+    return float(np.real(np.sum(np.abs(rho) ** 2)))
+
+
 def mode_marginal(psi, basis: CoupledBasis, mode: int) -> np.ndarray:
     """Probability of each Fock level of one mode (all else traced out)."""
-    axis = _mode_axis(basis, mode)
-    probs = np.abs(_amps(psi).reshape(basis.shape)) ** 2
-    other = tuple(i for i in range(probs.ndim) if i != axis)
-    return probs.sum(axis=other)
+    return _marginal(_probs(psi, basis), _mode_axis(basis, mode))
 
 
 def joint_marginal(psi, basis: CoupledBasis, alpha: int, beta: int) -> np.ndarray:
@@ -45,15 +80,12 @@ def joint_marginal(psi, basis: CoupledBasis, alpha: int, beta: int) -> np.ndarra
     if alpha == beta:
         raise ValueError("joint marginal needs two distinct modes")
     ax_a, ax_b = _mode_axis(basis, alpha), _mode_axis(basis, beta)
-    probs = np.abs(_amps(psi).reshape(basis.shape)) ** 2
-    other = tuple(i for i in range(probs.ndim) if i not in (ax_a, ax_b))
-    out = probs.sum(axis=other)
+    out = _marginal(_probs(psi, basis), ax_a, ax_b)
     return out if ax_a < ax_b else out.T
 
 
 def mode_occupation(psi, basis: CoupledBasis, mode: int) -> float:
-    p = mode_marginal(psi, basis, mode)
-    return float(np.dot(np.arange(len(p)), p))
+    return _mean_n(mode_marginal(psi, basis, mode))
 
 
 def fock_population(psi, basis: CoupledBasis, mode: int, k: int) -> float:
@@ -65,43 +97,25 @@ def fock_population(psi, basis: CoupledBasis, mode: int, k: int) -> float:
 
 def mandel_q(psi, basis: CoupledBasis, mode: int) -> float:
     """(<n(n-1)> - <n>^2) / <n>; NaN below the occupation floor."""
-    p = mode_marginal(psi, basis, mode)
-    k = np.arange(len(p))
-    n = float(np.dot(k, p))
-    if n < OCCUPATION_FLOOR:
-        return float("nan")
-    nn = float(np.dot(k * (k - 1), p))
-    return (nn - n * n) / n
+    return _mandel(mode_marginal(psi, basis, mode))
 
 
 def g2_cross(psi, basis: CoupledBasis, alpha: int, beta: int) -> float:
     """<n_a n_b> / (<n_a><n_b>); NaN when either occupation is floored."""
-    joint = joint_marginal(psi, basis, alpha, beta)
-    ka = np.arange(joint.shape[0])
-    kb = np.arange(joint.shape[1])
-    na = float(ka @ joint.sum(axis=1))
-    nb = float(joint.sum(axis=0) @ kb)
-    if na < OCCUPATION_FLOOR or nb < OCCUPATION_FLOOR:
-        return float("nan")
-    nanb = float(ka @ joint @ kb)
-    return nanb / (na * nb)
+    return _g2(joint_marginal(psi, basis, alpha, beta))
 
 
 def purity(psi, basis: CoupledBasis, subsystem) -> float:
     """Tr(rho^2) of one tensor factor: "matter", a mode slot, or "bath"."""
-    shape = basis.shape
     if subsystem == "matter":
         axis = 0
     elif subsystem == "bath":
         if basis.bath is None:
             raise ValueError("basis has no bath sector")
-        axis = len(shape) - 1
+        axis = len(basis.shape) - 1
     else:
         axis = _mode_axis(basis, int(subsystem))
-    tensor = np.moveaxis(_amps(psi).reshape(shape), axis, 0)
-    flat = tensor.reshape(shape[axis], -1)
-    rho = flat @ flat.conj().T
-    return float(np.real(np.sum(np.abs(rho) ** 2)))
+    return _purity(_amps(psi).reshape(basis.shape), axis)
 
 
 def photon_energy(psi, basis: CoupledBasis, mode: int, omega: float) -> float:
@@ -125,75 +139,75 @@ class ObservableSeries:
     purities: dict[int, np.ndarray]
     energies: dict[int, np.ndarray]
     method: str = "quantum"
-    extras: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_modes(self) -> int:
         return len(self.occupations)
 
 
+def column_names(
+    n_modes: int, fock_levels: Sequence[int] = (1, 2, 3), first_mode: int = 1
+) -> list[str]:
+    """Series columns in file order: n, P per mode, Q, g2 pairs, gamma, H.
+
+    Modes carry their physical numbers, starting at first_mode.
+    """
+    modes = range(first_mode, first_mode + n_modes)
+    return (
+        [f"n{m}" for m in modes]
+        + [f"P{k}_{m}" for m in modes for k in fock_levels]
+        + [f"Q{m}" for m in modes]
+        + [f"g2_{a}{b}" for a in modes for b in modes if a < b]
+        + [f"gamma{m}" for m in modes]
+        + [f"H{m}" for m in modes]
+    )
+
+
 def snapshot_columns(
-    basis: CoupledBasis, omegas: Sequence[float], fock_levels: Sequence[int] = (1, 2, 3)
+    basis: CoupledBasis,
+    omegas: Sequence[float],
+    fock_levels: Sequence[int] = (1, 2, 3),
+    first_mode: int = 1,
 ) -> tuple[list[str], Callable]:
     """One propagate() observer computing every series column at once.
 
     Returns (names, observer); the observer emits one float vector per
-    snapshot, sharing the |psi|^2 tensor across all columns instead of
-    recomputing it per observable.
+    snapshot in the order of column_names, sharing the |psi|^2 tensor
+    across all columns instead of recomputing it per observable.
     """
     n_modes = len(basis.mode_dims)
     if len(omegas) != n_modes:
         raise ValueError("one frequency per quantized mode required")
-    names: list[str] = []
-    for m in range(n_modes):
-        names.append(f"n{m + 1}")
-        names.extend(f"P{k}_{m + 1}" for k in fock_levels)
-        names.append(f"Q{m + 1}")
-        names.append(f"gamma{m + 1}")
-        names.append(f"H{m + 1}")
-    for a in range(n_modes):
-        for b in range(a + 1, n_modes):
-            names.append(f"g2_{a + 1}{b + 1}")
+    axes = [1 + m for m in range(n_modes)]
 
     def observer(state) -> np.ndarray:
-        amps = _amps(state)
-        tensor = amps.reshape(basis.shape)
+        tensor = _amps(state).reshape(basis.shape)
         probs = np.abs(tensor) ** 2
-        row: list[float] = []
-        for m in range(n_modes):
-            axis = 1 + m
-            other = tuple(i for i in range(probs.ndim) if i != axis)
-            marg = probs.sum(axis=other)
-            k = np.arange(len(marg))
-            n = float(np.dot(k, marg))
-            row.append(n)
-            for lvl in fock_levels:
-                row.append(float(marg[lvl]) if lvl < len(marg) else 0.0)
-            if n < OCCUPATION_FLOOR:
-                row.append(float("nan"))
-            else:
-                nn = float(np.dot(k * (k - 1), marg))
-                row.append((nn - n * n) / n)
-            flat = np.moveaxis(tensor, axis, 0).reshape(basis.shape[axis], -1)
-            rho = flat @ flat.conj().T
-            row.append(float(np.real(np.sum(np.abs(rho) ** 2))))
-            row.append(omegas[m] * (n + 0.5))
-        for a in range(n_modes):
-            for b in range(a + 1, n_modes):
-                ax_a, ax_b = 1 + a, 1 + b
-                other = tuple(i for i in range(probs.ndim) if i not in (ax_a, ax_b))
-                joint = probs.sum(axis=other)
-                ka = np.arange(joint.shape[0])
-                kb = np.arange(joint.shape[1])
-                na = float(ka @ joint.sum(axis=1))
-                nb = float(joint.sum(axis=0) @ kb)
-                if na < OCCUPATION_FLOOR or nb < OCCUPATION_FLOOR:
-                    row.append(float("nan"))
-                else:
-                    row.append(float(ka @ joint @ kb) / (na * nb))
-        return np.asarray(row)
+        margs = [_marginal(probs, axis) for axis in axes]
+        occs = [_mean_n(p) for p in margs]
+        return np.asarray(
+            occs
+            + [float(p[k]) if k < len(p) else 0.0 for p in margs for k in fock_levels]
+            + [_mandel(p) for p in margs]
+            + [_g2(_marginal(probs, a, b)) for a in axes for b in axes if a < b]
+            + [_purity(tensor, axis) for axis in axes]
+            + [w * (n + 0.5) for w, n in zip(omegas, occs)]
+        )
 
-    return names, observer
+    return column_names(n_modes, fock_levels, first_mode), observer
+
+
+def edge_observer(basis: CoupledBasis) -> Callable:
+    """propagate() observer: highest-Fock-level population per quantized mode
+    (the truncation monitor)."""
+
+    axes = [1 + m for m in range(len(basis.mode_dims))]
+
+    def observer(state) -> np.ndarray:
+        probs = _probs(state, basis)
+        return np.asarray([float(_marginal(probs, axis)[-1]) for axis in axes])
+
+    return observer
 
 
 def series_from_records(

@@ -56,14 +56,14 @@ from .hamiltonian import (
 )
 from .matter import GridSpec, RingPotentialParams, solve_ring, transition_matrices
 from .meanfield import (
-    degenerate_system,
+    MeanFieldSystem,
     initial_state as mean_field_initial,
     mf_observables,
-    nondegenerate_system,
     propagate_mf,
 )
 from .observables import (
     ObservableSeries,
+    edge_observer,
     efficiency_eta,
     series_extrema,
     series_from_records,
@@ -768,32 +768,32 @@ def _time_grid(config: ScenarioConfig, units: UnitSystem) -> tuple[float, float,
     return dt, n_steps * dt, n_steps
 
 
-def _drive_spec(config: ScenarioConfig, units: UnitSystem, kind: str) -> DriveSpec:
+def _resolved_drive(
+    config: ScenarioConfig, matter, tm, modes, units: UnitSystem, calibrate: bool
+) -> DriveSpec:
+    """The configured drive, with j0 bisected on the quantized-pump reference
+    when calibrate is set.  The reference run drives the quantized pump with
+    the current itself, so a field drive takes over the calibrated amplitude."""
     d = config.drive
     omega_mev = d.omega_mev if d.omega_mev is not None else config.modes[0].omega_mev
-    return DriveSpec(
-        kind=kind,
+    drive = DriveSpec(
+        kind="classical_field" if config.kind == "field_driven" else "classical_current",
         j0=d.j0,
         t0=ps_to_eff(d.t0_ps, units),
         tau=ps_to_eff(d.tau_ps, units),
         omega1=energy_to_eff(omega_mev, units),
     )
-
-
-def _resolved_drive(
-    config: ScenarioConfig, matter, tm, modes, units: UnitSystem, kind: str
-) -> DriveSpec:
-    drive = _drive_spec(config, units, kind)
-    if config.drive.calibrate:
-        drive = calibrate_current_drive(
+    if calibrate:
+        current = calibrate_current_drive(
             matter,
             tm,
             modes[0],
-            drive,
-            t_check=ps_to_eff(config.drive.t_check_ps, units),
-            target=config.drive.target_n1,
-            tol=config.drive.tolerance,
+            replace(drive, kind="classical_current"),
+            t_check=ps_to_eff(d.t_check_ps, units),
+            target=d.target_n1,
+            tol=d.tolerance,
         )
+        drive = replace(drive, j0=current.j0)
     return drive
 
 
@@ -808,17 +808,7 @@ def calibrate_drive(
         raise ConfigError("config has no drive section")
     u = units if units is not None else default_units()
     matter, tm = prepare_matter(config.matter, u, matter_store)
-    modes = _build_modes(config, u)
-    kind = "classical_field" if config.kind == "field_driven" else "classical_current"
-    drive = calibrate_current_drive(
-        matter,
-        tm,
-        modes[0],
-        _drive_spec(config, u, kind),
-        t_check=ps_to_eff(config.drive.t_check_ps, u),
-        target=config.drive.target_n1,
-        tol=config.drive.tolerance,
-    )
+    drive = _resolved_drive(config, matter, tm, _build_modes(config, u), u, calibrate=True)
     return {
         "kind": drive.kind,
         "j0": drive.j0,
@@ -827,53 +817,6 @@ def calibrate_drive(
         "tolerance": config.drive.tolerance,
         "omega_meV": energy_to_mev(drive.omega1, u),
     }
-
-
-def _edge_observer(basis: CoupledBasis):
-    """Highest-Fock-level population per quantized mode (truncation monitor)."""
-
-    def observer(state) -> np.ndarray:
-        amps = np.asarray(getattr(state, "amplitudes", state))
-        probs = np.abs(amps.reshape(basis.shape)) ** 2
-        out = []
-        for m in range(len(basis.mode_dims)):
-            axis = 1 + m
-            marg = probs.sum(axis=tuple(i for i in range(probs.ndim) if i != axis))
-            out.append(float(marg[-1]))
-        return np.asarray(out)
-
-    return observer
-
-
-_RENUMBER_PATTERNS = (
-    re.compile(r"^n(\d+)$"),
-    re.compile(r"^Q(\d+)$"),
-    re.compile(r"^gamma(\d+)$"),
-    re.compile(r"^H(\d+)$"),
-)
-
-
-def _renumber_mode_names(names: Sequence[str], offset: int = 1) -> list[str]:
-    """Shift mode numbers in column names (slot 1 -> physical mode 1+offset)."""
-    out = []
-    for name in names:
-        for pat in _RENUMBER_PATTERNS:
-            m = pat.match(name)
-            if m:
-                k = int(m.group(1)) + offset
-                out.append(name[: m.start(1)] + str(k))
-                break
-        else:
-            m = re.match(r"^P(\d+)_(\d+)$", name)
-            if m:
-                out.append(f"P{m.group(1)}_{int(m.group(2)) + offset}")
-                continue
-            m = re.match(r"^g2_(\d)(\d)$", name)
-            if m:
-                out.append(f"g2_{int(m.group(1)) + offset}{int(m.group(2)) + offset}")
-                continue
-            out.append(name)
-    return out
 
 
 def _ground_index(config: ScenarioConfig) -> int:
@@ -930,7 +873,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         quantized = modes[1:]
         basis = CoupledBasis(matter.n_states, tuple(m.dim for m in quantized))
         h = assemble_signal_pair(basis, matter, tm, quantized, angles)
-        drive = _resolved_drive(config, matter, tm, modes, units, "classical_field")
+        drive = _resolved_drive(config, matter, tm, modes, units, config.drive.calibrate)
         info["drive"] = drive
         t_grid = np.arange(0.0, t_final + 2.0 * dt, dt)
         terms = field_drive_terms(basis, tm, quantized, angles, modes[0], drive, t_grid)
@@ -955,7 +898,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
             else:
                 h = assemble_system(basis, matter, tm, modes, angles)
         if config.kind == "current_driven":
-            drive = _resolved_drive(config, matter, tm, modes, units, "classical_current")
+            drive = _resolved_drive(config, matter, tm, modes, units, config.drive.calibrate)
             info["drive"] = drive
             terms = current_drive_terms(basis, modes[0], drive, slot=0)
 
@@ -969,7 +912,10 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
             product_state(basis, matter_vec, _initial_photon_vectors(config, quantized)), 0.0
         )
 
-    names, observer = snapshot_columns(basis, [m.omega for m in quantized])
+    first_mode = 2 if config.kind == "field_driven" else 1
+    names, observer = snapshot_columns(
+        basis, [m.omega for m in quantized], first_mode=first_mode
+    )
     pconfig = PropagatorConfig(
         dt=dt,
         krylov_dim=p.krylov_dim,
@@ -982,14 +928,13 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         t_final,
         pconfig,
         terms=terms,
-        observables={"row": observer, "edge": _edge_observer(basis)},
+        observables={"row": observer, "edge": edge_observer(basis)},
         basis_shape=basis.shape,
     )
     rows = np.real(np.asarray(result.records["row"]))
     edges = np.real(np.asarray(result.records["edge"]))
-    first_slot = 2 if config.kind == "field_driven" else 1
     info["truncation_drift"] = {
-        f"mode_{first_slot + m}": float(np.max(edges[:, m])) for m in range(edges.shape[1])
+        f"mode_{first_mode + m}": float(np.max(edges[:, m])) for m in range(edges.shape[1])
     }
     info["norm_drift"] = abs(float(np.linalg.norm(result.final.amplitudes)) - 1.0)
     info["dims"] = {
@@ -998,8 +943,6 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         "bath": bath_basis.size if bath_basis is not None else None,
         "total": basis.dim,
     }
-    if config.kind == "field_driven":
-        names = _renumber_mode_names(names)
     return names, result.times, rows, info
 
 
@@ -1007,12 +950,7 @@ def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     p = config.propagation
     dt, t_final, _ = _time_grid(config, units)
     modes = _build_modes(config, units)
-    if config.kind == "degenerate":
-        system = degenerate_system(
-            matter.h_matrix(), tm.px, tm.py, modes, math.radians(config.theta1_deg)
-        )
-    else:
-        system = nondegenerate_system(matter.h_matrix(), tm.px, tm.py, modes, _angles(config))
+    system = MeanFieldSystem(matter.h_matrix(), tm.px, tm.py, modes)
     matter_vec = np.zeros(matter.n_states, dtype=complex)
     matter_vec[0] = 1.0
     xis = [config.initial.xi1] + [0.0] * (len(modes) - 1)
@@ -1021,10 +959,8 @@ def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     _, times, snaps = propagate_mf(
         state, system, t_final, dt, config=pconfig, record_stride=p.record_stride
     )
-    names = list(mf_observables(snaps[0], system).keys())
-    rows = np.asarray(
-        [[mf_observables(s, system)[k] for k in names] for s in snaps], dtype=float
-    )
+    names = list(mf_observables(snaps[0], system))
+    rows = np.asarray([list(mf_observables(s, system).values()) for s in snaps], dtype=float)
     info = {
         "truncation_drift": {},
         "dims": {"matter": matter.n_states, "modes": [], "bath": None, "total": matter.n_states},
@@ -1078,7 +1014,7 @@ def run_scenario(
         "samples": int(len(times)),
         "t_final_ps": float(times_ps[-1]),
         "dt_fs": config.propagation.dt_fs,
-        "columns": ["time_ps"] + _csv_order(names),
+        "columns": ["time_ps"] + names,
         "extrema": {
             "n2_max": extrema.n2_max,
             "t_n2_max_ps": eff_to_ps(extrema.t_n2_max, u),
@@ -1126,46 +1062,16 @@ def run_scenario(
 # output files
 
 
-_COLUMN_GROUPS = (
-    re.compile(r"^n(\d+)$"),
-    re.compile(r"^P(\d+)_(\d+)$"),
-    re.compile(r"^Q(\d+)$"),
-    re.compile(r"^g2_(\d)(\d)$"),
-    re.compile(r"^gamma(\d+)$"),
-    re.compile(r"^H(\d+)$"),
-)
-
-
-def _csv_order(names: Sequence[str]) -> list[str]:
-    """Column order for files: n, P per mode, Q, g2 pairs, gamma, H."""
-
-    def rank(name: str):
-        for group, pat in enumerate(_COLUMN_GROUPS):
-            m = pat.match(name)
-            if m:
-                nums = tuple(int(g) for g in m.groups())
-                if group == 1:
-                    # populations sort by mode first, then Fock level
-                    return (group, nums[1], nums[0])
-                return (group,) + nums
-        return (len(_COLUMN_GROUPS), 0, 0)
-
-    return sorted(names, key=rank)
-
-
 def _fmt_cell(value: float) -> str:
     return format(float(value), ".12g") if math.isfinite(value) else ""
 
 
 def write_series_csv(path, times_ps, names: Sequence[str], rows: np.ndarray) -> None:
     """One row per snapshot; sub-floor (NaN) cells are left empty."""
-    ordered = _csv_order(names)
-    index = [list(names).index(n) for n in ordered]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["time_ps"] + ordered) + "\n")
+        fh.write(",".join(["time_ps", *names]) + "\n")
         for t, row in zip(times_ps, rows):
-            cells = [_fmt_cell(t)] + [_fmt_cell(row[i]) for i in index]
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(_fmt_cell(v) for v in (t, *row)) + "\n")
 
 
 def _jsonable(obj):
@@ -1427,7 +1333,7 @@ def compare_methods(
         res = runs[m]
         cols = dict(zip(res.names, res.rows.T))
         entries = []
-        for name in _csv_order([n for n in res.names if n in ref_cols]):
+        for name in (n for n in res.names if n in ref_cols):
             a, b = ref_cols[name], cols[name]
             mask = np.isfinite(a) & np.isfinite(b)
             if not mask.any():
@@ -1456,18 +1362,9 @@ def compare_methods(
 
 def _write_comparison_table(path, order: Sequence[str], labels: dict, runs: dict) -> None:
     ref = runs[order[0]]
-    header = ["time_ps"]
-    blocks = []
-    for m in order:
-        res = runs[m]
-        ordered = _csv_order(res.names)
-        index = [res.names.index(n) for n in ordered]
-        header.extend(f"{n}.{labels[m]}" for n in ordered)
-        blocks.append((res, index))
+    header = ["time_ps"] + [f"{n}.{labels[m]}" for m in order for n in runs[m].names]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for k, t in enumerate(ref.times_ps):
-            cells = [_fmt_cell(t)]
-            for res, index in blocks:
-                cells.extend(_fmt_cell(res.rows[k][i]) for i in index)
-            fh.write(",".join(cells) + "\n")
+            cells = [t] + [v for m in order for v in runs[m].rows[k]]
+            fh.write(",".join(_fmt_cell(v) for v in cells) + "\n")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from ringpdc.meanfield import (
     MeanFieldSystem,
     coherent_initials,
     currents,
-    degenerate_system,
     energy_functional,
     initial_state,
     mf_ladder_amplitude,
@@ -32,12 +32,12 @@ from ringpdc.meanfield import (
     mf_observables,
     momentum_expectation,
     ms_step,
-    nondegenerate_system,
     propagate_mf,
 )
 from ringpdc.observables import series_from_records
 from ringpdc.photon import FockMode, coherent_state, number_op, quadratures
 from ringpdc.propagator import CoupledState, PropagatorConfig, propagate
+from ringpdc import scenarios as sc
 
 U = default_units()
 W1_DEG = energy_to_eff(1.413, U)
@@ -65,10 +65,16 @@ def ground3() -> np.ndarray:
     return g
 
 
+def mf_system(matter, modes, vecs) -> MeanFieldSystem:
+    """Mean-field system over `matter` with each mode dressed by its polarization."""
+    m, tm = matter
+    dressed = tuple(replace(mode, polarization=v) for mode, v in zip(modes, vecs))
+    return MeanFieldSystem(m.h_matrix(), tm.px, tm.py, dressed)
+
+
 def degenerate_mf(matter3, lam=0.017, theta1_deg=60.0) -> MeanFieldSystem:
-    m3, tm3 = matter3
     modes = (FockMode(W1_DEG, 2, lam), FockMode(0.5 * W1_DEG, 2, lam))
-    return degenerate_system(m3.h_matrix(), tm3.px, tm3.py, modes, math.radians(theta1_deg))
+    return mf_system(matter3, modes, degenerate_polarization_vectors(math.radians(theta1_deg)))
 
 
 class TestMeanFieldState:
@@ -85,28 +91,31 @@ class TestMeanFieldState:
         assert st.n_modes == 3
 
 
+def scenario_modes(kind, omegas, **angles) -> tuple[FockMode, ...]:
+    """The mode table a scenario run hands the mean-field method."""
+    cfg = sc.ScenarioConfig(
+        kind=kind,
+        modes=tuple(sc.ModeSpec(w, 2, 0.02) for w in omegas),
+        propagation=sc.PropagationSpec(t_final_ps=1.0, dt_fs=1.0),
+        **angles,
+    )
+    return sc._build_modes(cfg, U)
+
+
 class TestSystems:
-    def test_nondegenerate_polarizations(self, matter3):
-        m3, tm3 = matter3
+    def test_nondegenerate_polarizations(self):
+        modes = scenario_modes(
+            "nondegenerate_coherent", (24.65, 1.36, 23.29), theta2_deg=60.0, theta3_deg=36.0
+        )
         angles = MixingAngles(theta2=math.pi / 3, theta3=math.pi / 5)
-        modes = tuple(FockMode(w, 2, 0.02) for w in (W1, W2, W3))
-        system = nondegenerate_system(m3.h_matrix(), tm3.px, tm3.py, modes, angles)
-        assert np.allclose(system.pols, polarization_vectors(angles), atol=1e-12)
+        pols = [m.polarization for m in modes]
+        assert np.allclose(pols, polarization_vectors(angles), atol=1e-12)
 
-    def test_degenerate_polarizations(self, matter3):
-        m3, tm3 = matter3
-        modes = (FockMode(W1_DEG, 2, 0.017), FockMode(0.5 * W1_DEG, 2, 0.017))
-        system = degenerate_system(m3.h_matrix(), tm3.px, tm3.py, modes, 0.4)
-        assert np.allclose(system.pols, degenerate_polarization_vectors(0.4), atol=1e-12)
-
-    def test_mode_count_enforced(self, matter3):
-        m3, tm3 = matter3
-        two = tuple(FockMode(w, 2, 0.02) for w in (W1, W2))
-        with pytest.raises(ValueError, match="three modes"):
-            nondegenerate_system(m3.h_matrix(), tm3.px, tm3.py, two, MixingAngles())
-        three = tuple(FockMode(w, 2, 0.02) for w in (W1, W2, W3))
-        with pytest.raises(ValueError, match="two modes"):
-            degenerate_system(m3.h_matrix(), tm3.px, tm3.py, three, 0.0)
+    def test_degenerate_polarizations(self):
+        theta1_deg = math.degrees(0.4)
+        modes = scenario_modes("degenerate", (1.413, 0.7065), theta1_deg=theta1_deg)
+        pols = [m.polarization for m in modes]
+        assert np.allclose(pols, degenerate_polarization_vectors(0.4), atol=1e-12)
 
     def test_coupling_matrix_geometry(self, matter3):
         theta1 = math.radians(35.0)
@@ -118,12 +127,11 @@ class TestSystems:
         assert np.allclose(system.coupling_matrix(), expected, atol=1e-14)
 
     def test_coupling_matrix_three_modes(self, matter3):
-        m3, tm3 = matter3
         t2, t3 = math.pi / 3, math.pi / 5
         angles = MixingAngles(theta2=t2, theta3=t3)
         lams = (0.014, 0.02, 0.026)
         modes = tuple(FockMode(w, 2, l) for w, l in zip((W1, W2, W3), lams))
-        system = nondegenerate_system(m3.h_matrix(), tm3.px, tm3.py, modes, angles)
+        system = mf_system(matter3, modes, polarization_vectors(angles))
         g = system.coupling_matrix()
         assert g[0, 1] == pytest.approx(-lams[0] * lams[1] * math.sin(t2), abs=1e-14)
         assert g[0, 2] == pytest.approx(lams[0] * lams[2] * math.sin(t3), abs=1e-14)
@@ -358,7 +366,7 @@ class TestAgainstQuantum:
         dt = 0.02
 
         modes = (FockMode(W1_DEG, 2, lam), FockMode(0.5 * W1_DEG, 2, lam))
-        system = degenerate_system(m3.h_matrix(), tm3.px, tm3.py, modes, theta1)
+        system = mf_system(matter3, modes, degenerate_polarization_vectors(theta1))
         st = initial_state(ground3(), system, [20.0, 0.0])
         mf_peak = 0.0
         while st.time < t5ps:
@@ -424,7 +432,7 @@ class TestAgainstQuantum:
             )
             quantum_peak = float(np.max(np.abs(np.real(res.records["q3"]))))
 
-            system = nondegenerate_system(m4.h_matrix(), tm4.px, tm4.py, modes, angles)
+            system = MeanFieldSystem(m4.h_matrix(), tm4.px, tm4.py, modes)
             st = initial_state(g, system, [xi, 0.0, 0.0])
             mf_peak = 0.0
             while st.time < t2ps:

@@ -1,5 +1,7 @@
 """Experiment layer: config parsing, validation, runs, sweeps, comparison, CLI."""
 
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -181,6 +183,8 @@ class TestValidation:
         cfg = tiny_degenerate(kind="nondegenerate_fock")
         with pytest.raises(sc.ConfigError, match="exactly 3 modes"):
             sc.validate_config(cfg)
+        with pytest.raises(sc.ConfigError, match="exactly 2 modes"):
+            sc.validate_config(tiny_nondegenerate(kind="degenerate"))
 
     def test_fock_level_inside_truncation(self):
         cfg = tiny_degenerate(initial=sc.InitialSpec(kind="fock", fock_k=7))
@@ -265,7 +269,7 @@ class TestRunScenario:
         assert set(data["truncation_drift"]) == {"mode_1", "mode_2"}
         assert data["norm_drift"] < 1e-10
         assert data["runtime_s"] >= 0.0
-        assert data["columns"][0] == "time_ps"
+        assert data["columns"] == res.csv_path.read_text().splitlines()[0].split(",")
 
     def test_bit_identical_reruns(self, tmp_path):
         # fresh matter stores: both runs solve the ring from scratch
@@ -350,31 +354,47 @@ class TestRunScenario:
         assert res.summary["truncation_drift"] == {}
 
 
+def tiny_calibrated(kind: str) -> sc.ScenarioConfig:
+    return tiny_nondegenerate(
+        kind=kind,
+        initial=sc.InitialSpec(kind="ground"),
+        modes=(
+            sc.ModeSpec(10.0, 6, 0.05),
+            sc.ModeSpec(4.0, 2, 0.0),
+            sc.ModeSpec(6.0, 2, 0.0),
+        ),
+        drive=sc.DriveParams(
+            j0=0.05,
+            t0_ps=0.02,
+            tau_ps=0.01,
+            calibrate=True,
+            target_n1=1.0,
+            t_check_ps=0.05,
+            tolerance=0.2,
+        ),
+        label=f"tinycal_{kind}",
+    )
+
+
 class TestCalibration:
     def test_calibrate_drive_reports_amplitude(self, store):
-        cfg = tiny_nondegenerate(
-            kind="current_driven",
-            initial=sc.InitialSpec(kind="ground"),
-            modes=(
-                sc.ModeSpec(10.0, 6, 0.05),
-                sc.ModeSpec(4.0, 2, 0.0),
-                sc.ModeSpec(6.0, 2, 0.0),
-            ),
-            drive=sc.DriveParams(
-                j0=0.05,
-                t0_ps=0.02,
-                tau_ps=0.01,
-                calibrate=True,
-                target_n1=1.0,
-                t_check_ps=0.05,
-                tolerance=0.2,
-            ),
-            label="tinycal",
-        )
-        report = sc.calibrate_drive(cfg, matter_store=store)
+        report = sc.calibrate_drive(tiny_calibrated("current_driven"), matter_store=store)
         assert report["kind"] == "classical_current"
         assert report["j0"] > 0.0
         assert report["target_n1"] == 1.0
+
+    def test_field_drive_takes_the_current_calibration(self, store):
+        # the reference run drives the quantized pump with the current; the
+        # classical field it generates keeps that amplitude
+        current = sc.calibrate_drive(tiny_calibrated("current_driven"), matter_store=store)
+        field_cfg = tiny_calibrated("field_driven")
+        report = sc.calibrate_drive(field_cfg, matter_store=store)
+        assert report["kind"] == "classical_field"
+        assert report["j0"] == current["j0"]
+        res = sc.run_scenario(field_cfg, matter_store=store, write_files=False)
+        assert res.summary["drive"]["kind"] == "classical_field"
+        assert res.summary["drive"]["calibrated"] is True
+        assert res.summary["drive"]["j0"] == current["j0"]
 
 
 class TestSweeps:
@@ -451,8 +471,16 @@ class TestCompareMethods:
         for t in times.values():
             assert np.allclose(t, res.runs["full"].times_ps, atol=1e-9)
         header = res.table_path.read_text().splitlines()[0].split(",")
-        assert header[0] == "time_ps"
-        assert "n1.full" in header and "n1.few_level3" in header and "n1.mean_field" in header
+        quantum = (
+            "n1,n2,P1_1,P2_1,P3_1,P1_2,P2_2,P3_2,Q1,Q2,g2_12,gamma1,gamma2,H1,H2".split(",")
+        )
+        mean_field = "n1,n2,Q1,Q2,g2_12,gamma1,gamma2,H1,H2".split(",")
+        assert header == (
+            ["time_ps"]
+            + [f"{n}.full" for n in quantum]
+            + [f"{n}.few_level3" for n in quantum]
+            + [f"{n}.mean_field" for n in mean_field]
+        )
         data = json.loads(res.json_path.read_text())
         assert set(data["methods"]) == {"few_level3", "mean_field"}
         for entries in data["methods"].values():
@@ -549,3 +577,53 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 2
+
+
+def smoke_config(name: str) -> sc.ScenarioConfig:
+    """A shipped preset on the tiny grid: three steps, small truncations, two sweep values."""
+    cfg = sc.load_preset(name)
+    pump = cfg.modes[0]
+    if cfg.initial.kind == "coherent":
+        # the smallest truncation the Poisson tail guard accepts
+        pump = replace(pump, n_max=sc._min_coherent_fock(cfg.initial.xi1))
+    elif cfg.initial.kind == "fock":
+        pump = replace(pump, n_max=min(pump.n_max, cfg.initial.fock_k + 1))
+    # a driven pump keeps its truncation: the calibration must reach target_n1
+    signals = tuple(replace(m, n_max=min(m.n_max, 2)) for m in cfg.modes[1:])
+    p = cfg.propagation
+    cfg = replace(
+        cfg,
+        matter=TINY_MATTER,
+        modes=(pump, *signals),
+        propagation=replace(p, t_final_ps=3 * p.dt_fs * 1e-3),
+    )
+    if cfg.sweep is not None:
+        cfg = replace(cfg, sweep=replace(cfg.sweep, values=cfg.sweep.values[:2]))
+    return cfg
+
+
+@pytest.mark.parametrize("name", [name for name, _ in sc.list_presets()])
+def test_every_preset_runs(name, tmp_path, store):
+    cfg = smoke_config(name)
+    if cfg.sweep is None:
+        res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
+        assert res.summary["samples"] >= 2
+    else:
+        swept = sc.run_sweep(cfg, matter_store=store, out_dir=tmp_path, max_workers=1)
+        assert [row["error"] for row in swept.rows] == [None, None]
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer swaps these scenarios globals by name and binds
+    # propagate's arguments by keyword
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"
+    )
+    assert traced
+    for _, name in traced:
+        assert callable(getattr(sc, name, None)), name
+    params = inspect.signature(sc.propagate).parameters
+    assert {"h", "state", "t_final", "config", "observables"} <= set(params)
