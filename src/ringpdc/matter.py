@@ -9,6 +9,15 @@ Derivatives use centered finite-difference stencils; the wavefunction is
 clamped to zero at the box edge (hard wall), which the confining potential
 makes harmless for the low-lying states of interest.
 
+The grid is odd and centred, the stencils are symmetric, V(r) is even and
+the hard wall is symmetric, so H_el commutes with the reflections x -> -x
+and y -> -y.  The eigensolve therefore splits into four (x-parity,
+y-parity) sectors: each sector block is exactly P^T H_el P for the
+orthonormal fold P = kron(P_x, P_y), whose even columns are the centre
+point and pairs (e_+k + e_-k)/sqrt(2) and whose odd columns are pairs
+(e_+k - e_-k)/sqrt(2).  Four quarter-size shift-invert solves replace one
+full-grid solve; a guard rejects a Hamiltonian without that symmetry.
+
 Degenerate (+l, -l) eigenstate pairs returned by the real-symmetric solver
 are arbitrary real combinations; classify_angular_momentum rotates each
 degenerate cluster into complex eigenstates of L_z = -i (x d/dy - y d/dx)
@@ -178,13 +187,78 @@ def momentum_operators(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return sp.kron(d1x, iy, format="csr"), sp.kron(ix, d1y, format="csr")
 
 
+def _parity_folds(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Orthonormal (even, odd) folds of an odd, centred 1D grid of n points.
+
+    Even columns: the centre point, then (e_+k + e_-k)/sqrt(2); odd columns:
+    (e_+k - e_-k)/sqrt(2), k = 1 .. (n - 1)/2 counted from the centre.
+    """
+    c = (n - 1) // 2
+    k = np.arange(1, c + 1)
+    s = np.full(c, np.sqrt(0.5))
+    even = sp.csr_matrix(
+        (np.r_[1.0, s, s], (np.r_[c, c + k, c - k], np.r_[0, k, k])), shape=(n, c + 1)
+    )
+    odd = sp.csr_matrix((np.r_[s, -s], (np.r_[c + k, c - k], np.r_[k - 1, k - 1])), shape=(n, c))
+    return even, odd
+
+
+def _check_reflection_symmetry(h: sp.csr_matrix, grid: GridSpec) -> None:
+    """Raise unless h commutes with the grid reflections x -> -x and y -> -y."""
+    idx = np.arange(grid.size).reshape(grid.nx, grid.ny)
+    scale = abs(h).max()
+    for axis, flip in (("x", idx[::-1, :].ravel()), ("y", idx[:, ::-1].ravel())):
+        if abs(h[flip][:, flip] - h).max() > 1e-12 * scale:
+            raise ValueError(
+                f"H does not commute with the grid reflection {axis} -> -{axis}; "
+                "the parity-sector eigensolve needs an even potential"
+            )
+
+
+# Sectors up to this dimension, or with no room for ARPACK's k < dim - 1,
+# are diagonalized densely.
+_DENSE_SECTOR_DIM = 256
+
+
+def _sector_eigenpairs(
+    h: sp.csr_matrix, n_states: int, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_states eigenpairs of h (unit-norm columns on the full grid),
+    solved per (x-parity, y-parity) sector and merged by energy."""
+    _check_reflection_symmetry(h, grid)
+    vals, vecs = [], []
+    for px in _parity_folds(grid.nx):
+        for py in _parity_folds(grid.ny):
+            fold = sp.kron(px, py, format="csr")
+            block = fold.T @ h @ fold
+            block = 0.5 * (block + block.T)
+            dim = block.shape[0]
+            if dim <= max(n_states + 1, _DENSE_SECTOR_DIM):
+                w, v = np.linalg.eigh(block.toarray())
+                w, v = w[:n_states], v[:, :n_states]
+            else:
+                # fixed ARPACK start so repeated solves return bit-identical states
+                start = np.random.default_rng(0).standard_normal(dim)
+                w, v = eigsh(block.tocsc(), k=n_states, sigma=0.0, which="LM", v0=start)
+            vals.append(w)
+            vecs.append(fold @ v)
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")[:n_states]
+    return vals[order], np.hstack(vecs)[:, order]
+
+
 def solve_eigenstates(
     h: sp.csr_matrix,
     n_states: int,
     grid: GridSpec,
     cluster_tol: float = 2e-2,
 ) -> MatterEigenbasis:
-    """Lowest n_states eigenpairs, shift-inverted Lanczos, grid-normalized.
+    """Lowest n_states eigenpairs, grid-normalized.
+
+    h must commute with the grid reflections x -> -x and y -> -y (ValueError
+    otherwise); each (x-parity, y-parity) sector block P^T h P is solved on
+    its own by shift-inverted Lanczos (dense eigh when the sector is tiny),
+    and the sector spectra are merged by energy.
 
     Degenerate clusters (within cluster_tol, which must cover the grid's
     anisotropy splitting but stay below physical level gaps) are rotated to
@@ -194,12 +268,8 @@ def solve_eigenstates(
     """
     if n_states < 1 or n_states > h.shape[0]:
         raise ValueError(f"n_states={n_states} out of range for dim {h.shape[0]}")
-    # fixed ARPACK start so repeated solves return bit-identical states
-    start = np.random.default_rng(0).standard_normal(h.shape[0])
-    vals, vecs = eigsh(h.tocsc(), k=n_states, sigma=0.0, which="LM", v0=start)
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order].astype(complex) / np.sqrt(grid.weight)
+    vals, vecs = _sector_eigenpairs(h, n_states, grid)
+    vecs = vecs.astype(complex) / np.sqrt(grid.weight)
     basis = MatterEigenbasis(
         energies=vals,
         states=vecs.T.copy(),
@@ -403,7 +473,11 @@ def solve_ring(
     n_states: int,
     cache_path=None,
 ) -> MatterEigenbasis:
-    """Diagonalize the ring, reusing a cached eigenbasis when it matches."""
+    """Diagonalize the ring, reusing a cached eigenbasis when it matches.
+
+    Like a fresh solve, a cache hit raises RuntimeError when n_states would
+    cut a degenerate level of the cached basis.
+    """
     if cache_path is not None:
         try:
             cached, cached_pot = load_eigenbasis(cache_path)
@@ -417,6 +491,12 @@ def solve_ring(
                 and abs(cached_pot.v0 - pot.v0) < 1e-12
             )
             if same_grid and same_pot and cached.n_states >= n_states:
+                cut = cached.j_labels[n_states - 1]
+                if n_states < cached.n_states and cached.j_labels[n_states] == cut:
+                    raise RuntimeError(
+                        f"{n_states} of the {cached.n_states} cached states truncate "
+                        f"degenerate level {cut}; request enough states to complete it."
+                    )
                 return MatterEigenbasis(
                     energies=cached.energies[:n_states],
                     states=cached.states[:n_states],

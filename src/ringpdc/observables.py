@@ -145,6 +145,30 @@ class ObservableSeries:
         return len(self.occupations)
 
 
+# ObservableSeries fields that hold one series per mode or mode pair.
+_SERIES_FIELDS = ("occupations", "populations", "mandel", "g2", "purities", "energies")
+
+
+def _column_table(
+    n_modes: int, fock_levels: Sequence[int], first_mode: int
+) -> list[tuple[str, str, int | tuple[int, int]]]:
+    """(name, ObservableSeries field, key) of every series column, in file order.
+
+    Names carry physical mode numbers from first_mode on; keys are the
+    0-based physical mode index (a (mode, level) or (mode, mode) pair for
+    populations and g2).
+    """
+    modes = range(first_mode - 1, first_mode - 1 + n_modes)
+    return (
+        [(f"n{m + 1}", "occupations", m) for m in modes]
+        + [(f"P{k}_{m + 1}", "populations", (m, k)) for m in modes for k in fock_levels]
+        + [(f"Q{m + 1}", "mandel", m) for m in modes]
+        + [(f"g2_{a + 1}{b + 1}", "g2", (a, b)) for a in modes for b in modes if a < b]
+        + [(f"gamma{m + 1}", "purities", m) for m in modes]
+        + [(f"H{m + 1}", "energies", m) for m in modes]
+    )
+
+
 def column_names(
     n_modes: int, fock_levels: Sequence[int] = (1, 2, 3), first_mode: int = 1
 ) -> list[str]:
@@ -152,15 +176,7 @@ def column_names(
 
     Modes carry their physical numbers, starting at first_mode.
     """
-    modes = range(first_mode, first_mode + n_modes)
-    return (
-        [f"n{m}" for m in modes]
-        + [f"P{k}_{m}" for m in modes for k in fock_levels]
-        + [f"Q{m}" for m in modes]
-        + [f"g2_{a}{b}" for a in modes for b in modes if a < b]
-        + [f"gamma{m}" for m in modes]
-        + [f"H{m}" for m in modes]
-    )
+    return [name for name, _, _ in _column_table(n_modes, fock_levels, first_mode)]
 
 
 def snapshot_columns(
@@ -214,34 +230,23 @@ def series_from_records(
     times: np.ndarray,
     names: Sequence[str],
     rows: np.ndarray,
+    n_modes: int,
     fock_levels: Sequence[int] = (1, 2, 3),
+    first_mode: int = 1,
     method: str = "quantum",
 ) -> ObservableSeries:
-    """Assemble an ObservableSeries from the matrix a snapshot observer built."""
-    data = {name: np.real(rows[:, i]) for i, name in enumerate(names)}
-    modes = sorted(
-        int(name[1:]) - 1 for name in names if name.startswith("n") and name[1:].isdigit()
-    )
-    return ObservableSeries(
-        times=np.asarray(times, dtype=float),
-        occupations={m: data[f"n{m + 1}"] for m in modes},
-        populations={
-            (m, k): data[f"P{k}_{m + 1}"]
-            for m in modes
-            for k in fock_levels
-            if f"P{k}_{m + 1}" in data
-        },
-        mandel={m: data[f"Q{m + 1}"] for m in modes},
-        g2={
-            (a, b): data[f"g2_{a + 1}{b + 1}"]
-            for a in modes
-            for b in modes
-            if a < b and f"g2_{a + 1}{b + 1}" in data
-        },
-        purities={m: data[f"gamma{m + 1}"] for m in modes},
-        energies={m: data[f"H{m + 1}"] for m in modes},
-        method=method,
-    )
+    """Assemble an ObservableSeries from the matrix a snapshot observer built.
+
+    The columns are looked up by the names column_names gives for the same
+    n_modes, fock_levels and first_mode.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    fields: dict[str, dict] = {f: {} for f in _SERIES_FIELDS}
+    for name, field_name, key in _column_table(n_modes, fock_levels, first_mode):
+        if name not in index:
+            raise ValueError(f"series records lack column {name!r}")
+        fields[field_name][key] = np.real(rows[:, index[name]])
+    return ObservableSeries(times=np.asarray(times, dtype=float), method=method, **fields)
 
 
 def efficiency_eta(series: ObservableSeries) -> float:

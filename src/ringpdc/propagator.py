@@ -17,8 +17,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
-CHECKPOINT_FORMAT_VERSION = "ringpdc-checkpoint-v1"
-
 NORM_TOL = 1e-10
 
 
@@ -66,8 +64,6 @@ class PropagatorConfig:
     krylov_tol: float = 1e-10
     record_stride: int = 1
     renorm_tol: float = 1e-8
-    checkpoint_stride: int = 0
-    checkpoint_path: str | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -78,8 +74,6 @@ class PropagatorConfig:
             raise ValueError("krylov_tol must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
-        if self.checkpoint_stride < 0:
-            raise ValueError("checkpoint_stride must be non-negative")
 
 
 @dataclass
@@ -178,26 +172,6 @@ def krylov_step(h, state: CoupledState, dt: float, config: PropagatorConfig) -> 
     return CoupledState(psi / norm, state.time + dt)
 
 
-def save_checkpoint(path: str, state: CoupledState, shape: Sequence[int] | None = None) -> None:
-    np.savez_compressed(
-        path,
-        format_version=CHECKPOINT_FORMAT_VERSION,
-        amplitudes=state.amplitudes,
-        time=state.time,
-        shape=np.asarray(shape if shape is not None else (state.dim,), dtype=int),
-    )
-
-
-def load_checkpoint(path: str) -> tuple[CoupledState, tuple[int, ...]]:
-    with np.load(path) as data:
-        version = str(data["format_version"])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint container version {version!r}")
-        state = CoupledState(data["amplitudes"], float(data["time"]))
-        shape = tuple(int(n) for n in data["shape"])
-    return state, shape
-
-
 def propagate(
     h,
     state: CoupledState,
@@ -205,7 +179,6 @@ def propagate(
     config: PropagatorConfig,
     terms: Sequence = (),
     observables: Mapping[str, Callable[[CoupledState], complex]] | None = None,
-    basis_shape: Sequence[int] | None = None,
 ) -> CoupledState | PropagationResult:
     """Propagate to t_final with fixed dt (one trailing short step if needed).
 
@@ -214,8 +187,8 @@ def propagate(
     record_stride steps (plus start and end) and a PropagationResult is
     returned; otherwise just the final CoupledState.
 
-    A non-finite amplitude aborts with the last recorded checkpoint noted
-    (and written, when checkpointing is configured).
+    A non-finite amplitude aborts with the time of the failed step and of
+    the last good state.
     """
     apply_static = _as_apply(h)
     span = t_final - state.time
@@ -238,7 +211,6 @@ def propagate(
 
     if record:
         snapshot(state)
-    last_checkpoint = state
 
     for k in range(n_steps):
         dt_k = config.dt if k < n_full else remainder
@@ -258,19 +230,12 @@ def propagate(
         try:
             state = krylov_step(apply, state, dt_k, config)
         except NonFiniteAmplitudes:
-            if config.checkpoint_path:
-                save_checkpoint(config.checkpoint_path, last_checkpoint, basis_shape)
             raise RuntimeError(
                 f"non-finite amplitudes at t = {state.time + dt_k:.6f}; "
-                f"last good state at t = {last_checkpoint.time:.6f}"
-                + (f" saved to {config.checkpoint_path}" if config.checkpoint_path else "")
+                f"last good state at t = {state.time:.6f}"
             ) from None
         if record and ((k + 1) % config.record_stride == 0 or k + 1 == n_steps):
             snapshot(state)
-        if config.checkpoint_stride and (k + 1) % config.checkpoint_stride == 0:
-            last_checkpoint = state
-            if config.checkpoint_path:
-                save_checkpoint(config.checkpoint_path, state, basis_shape)
 
     if not record:
         return state

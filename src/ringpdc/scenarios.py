@@ -857,7 +857,7 @@ class ScenarioResult:
 
 
 def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
-    """Assemble, propagate and record; returns (names, times, rows, info)."""
+    """Assemble, propagate and record; returns (names, rows, series, info)."""
     p = config.propagation
     dt, t_final, _ = _time_grid(config, units)
     modes = _build_modes(config, units)
@@ -929,7 +929,6 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         pconfig,
         terms=terms,
         observables={"row": observer, "edge": edge_observer(basis)},
-        basis_shape=basis.shape,
     )
     rows = np.real(np.asarray(result.records["row"]))
     edges = np.real(np.asarray(result.records["edge"]))
@@ -943,7 +942,8 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         "bath": bath_basis.size if bath_basis is not None else None,
         "total": basis.dim,
     }
-    return names, result.times, rows, info
+    series = series_from_records(result.times, names, rows, len(quantized), first_mode=first_mode)
+    return names, rows, series, info
 
 
 def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
@@ -966,7 +966,10 @@ def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         "dims": {"matter": matter.n_states, "modes": [], "bath": None, "total": matter.n_states},
         "norm_drift": abs(float(np.linalg.norm(snaps[-1].amplitudes)) - 1.0),
     }
-    return names, times, rows, info
+    series = series_from_records(
+        times, names, rows, len(modes), fock_levels=(), method="mean_field"
+    )
+    return names, rows, series, info
 
 
 def run_scenario(
@@ -986,13 +989,11 @@ def run_scenario(
     matter, tm = prepare_matter(config.matter, u, matter_store)
 
     if config.method.kind == "mean_field":
-        names, times, rows, info = _mean_field_series(config, matter, tm, u)
-        series = series_from_records(times, names, rows, fock_levels=(), method="mean_field")
+        names, rows, series, info = _mean_field_series(config, matter, tm, u)
     else:
-        names, times, rows, info = _quantum_series(config, matter, tm, u)
-        series = series_from_records(times, names, rows, method="quantum")
+        names, rows, series, info = _quantum_series(config, matter, tm, u)
 
-    times_ps = np.asarray([eff_to_ps(t, u) for t in times])
+    times_ps = np.asarray([eff_to_ps(t, u) for t in series.times])
     extrema = series_extrema(series)
     try:
         eta = float(efficiency_eta(series))
@@ -1011,7 +1012,7 @@ def run_scenario(
         "theta_deg": [config.theta1_deg, config.theta2_deg, config.theta3_deg],
         "v0_meV": config.matter.v0_mev,
         "dims": info["dims"],
-        "samples": int(len(times)),
+        "samples": int(len(series.times)),
         "t_final_ps": float(times_ps[-1]),
         "dt_fs": config.propagation.dt_fs,
         "columns": ["time_ps"] + names,

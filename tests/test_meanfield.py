@@ -346,7 +346,7 @@ class TestMfObservables:
             times.append(st.time)
             rows.append([mf_observables(st, system)[k] for k in names])
         series = series_from_records(
-            times, names, np.asarray(rows), fock_levels=(), method="mean_field"
+            times, names, np.asarray(rows), 2, fock_levels=(), method="mean_field"
         )
         assert series.method == "mean_field"
         assert series.n_modes == 2

@@ -12,6 +12,7 @@ from ringpdc.hamiltonian import CoupledBasis, embed, product_state
 from ringpdc.observables import (
     ObservableSeries,
     SeriesExtrema,
+    column_names,
     efficiency_eta,
     fock_population,
     g2_cross,
@@ -398,7 +399,7 @@ class TestSnapshotColumns:
         names, observer = snapshot_columns(basis, omegas, fock_levels=levels)
         states = [random_state(basis, s) for s in (1, 2, 3)]
         rows = np.asarray([observer(p) for p in states])
-        series = series_from_records([0.0, 0.5, 1.0], names, rows, fock_levels=levels)
+        series = series_from_records([0.0, 0.5, 1.0], names, rows, 2, fock_levels=levels)
         assert series.n_modes == 2
         assert series.method == "quantum"
         for m, dim in ((0, 5), (1, 4)):
@@ -414,6 +415,49 @@ class TestSnapshotColumns:
                 assert series.energies[m][i] == pytest.approx(
                     omegas[m] * (series.occupations[m][i] + 0.5), abs=1e-12
                 )
+
+    def test_field_driven_numbering_keeps_physical_keys(self):
+        # a field-driven run quantizes modes 2 and 3 only: the names carry the
+        # physical numbers and the series keys the 0-based physical index, so
+        # the signal mode stays key 1 and the missing pump (key 0) has no eta
+        basis = CoupledBasis(2, (4, 3))
+        omegas = (0.45, 0.5)
+        times = [0.0, 1.0, 2.0]
+        names, observer = snapshot_columns(basis, omegas, first_mode=2)
+        assert names == column_names(2, first_mode=2)
+        assert names[:2] == ["n2", "n3"] and "P3_3" in names and "g2_23" in names
+        states = [random_state(basis, s) for s in (4, 5, 6)]
+        rows = np.asarray([observer(p) for p in states])
+        series = series_from_records(times, names, rows, 2, first_mode=2)
+        assert sorted(series.occupations) == [1, 2]
+        assert sorted(series.populations) == [(m, k) for m in (1, 2) for k in (1, 2, 3)]
+        assert list(series.g2) == [(1, 2)]
+        for slot, key in ((0, 1), (1, 2)):
+            occ = np.array([mode_occupation(p, basis, slot) for p in states])
+            assert np.allclose(series.occupations[key], occ, atol=1e-12)
+            assert np.allclose(series.energies[key], omegas[slot] * (occ + 0.5), atol=1e-12)
+            assert np.allclose(
+                series.mandel[key], [mandel_q(p, basis, slot) for p in states], atol=1e-12
+            )
+        ex = series_extrema(series)
+        signal = series.occupations[1]
+        assert ex.n2_max == signal.max()
+        assert ex.t_n2_max == times[int(np.argmax(signal))]
+        with pytest.raises(ValueError, match="pump"):
+            efficiency_eta(series)
+
+    def test_series_looks_columns_up_by_name(self):
+        basis = CoupledBasis(1, (3, 3))
+        names, observer = snapshot_columns(basis, (1.0, 0.5))
+        rows = np.asarray([observer(random_state(basis, 9))])
+        order = np.arange(len(names))[::-1]
+        shuffled = series_from_records([0.0], [names[i] for i in order], rows[:, order], 2)
+        plain = series_from_records([0.0], names, rows, 2)
+        for m in (0, 1):
+            assert shuffled.occupations[m][0] == plain.occupations[m][0]
+            assert shuffled.purities[m][0] == plain.purities[m][0]
+        with pytest.raises(ValueError, match="H2"):
+            series_from_records([0.0], names[:-1], rows[:, :-1], 2)
 
     def test_propagation_of_decoupled_modes_keeps_purity(self):
         # uncoupled evolution generates no entanglement: gamma stays 1, n stays
@@ -433,7 +477,7 @@ class TestSnapshotColumns:
             config=PropagatorConfig(dt=0.25),
             observables={"row": observer},
         )
-        series = series_from_records(result.times, names, result.records["row"])
+        series = series_from_records(result.times, names, result.records["row"], 2)
         assert np.allclose(series.purities[0], 1.0, atol=1e-10)
         assert np.allclose(series.purities[1], 1.0, atol=1e-10)
         assert np.allclose(series.occupations[0], 1.0, atol=1e-9)
