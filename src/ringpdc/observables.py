@@ -188,29 +188,36 @@ def snapshot_columns(
     """One propagate() observer computing every series column at once.
 
     Returns (names, observer); the observer emits one float vector per
-    snapshot in the order of column_names, sharing the |psi|^2 tensor
-    across all columns instead of recomputing it per observable.
+    snapshot, one value per (field, key) of _column_table in its order,
+    sharing the |psi|^2 tensor across all columns instead of recomputing it
+    per observable.
     """
     n_modes = len(basis.mode_dims)
     if len(omegas) != n_modes:
         raise ValueError("one frequency per quantized mode required")
-    axes = [1 + m for m in range(n_modes)]
+    table = _column_table(n_modes, fock_levels, first_mode)
+    # table keys are physical mode indices; slot s lies on tensor axis 1 + s
+    axis = {m: 1 + s for s, m in enumerate(range(first_mode - 1, first_mode - 1 + n_modes))}
+    omega = dict(zip(axis, omegas))
 
     def observer(state) -> np.ndarray:
         tensor = _amps(state).reshape(basis.shape)
         probs = np.abs(tensor) ** 2
-        margs = [_marginal(probs, axis) for axis in axes]
-        occs = [_mean_n(p) for p in margs]
-        return np.asarray(
-            occs
-            + [float(p[k]) if k < len(p) else 0.0 for p in margs for k in fock_levels]
-            + [_mandel(p) for p in margs]
-            + [_g2(_marginal(probs, a, b)) for a in axes for b in axes if a < b]
-            + [_purity(tensor, axis) for axis in axes]
-            + [w * (n + 0.5) for w, n in zip(omegas, occs)]
-        )
+        margs = {m: _marginal(probs, ax) for m, ax in axis.items()}
+        occs = {m: _mean_n(p) for m, p in margs.items()}
+        value = {
+            "occupations": lambda m: occs[m],
+            "populations": lambda mk: (
+                float(margs[mk[0]][mk[1]]) if mk[1] < len(margs[mk[0]]) else 0.0
+            ),
+            "mandel": lambda m: _mandel(margs[m]),
+            "g2": lambda ab: _g2(_marginal(probs, axis[ab[0]], axis[ab[1]])),
+            "purities": lambda m: _purity(tensor, axis[m]),
+            "energies": lambda m: omega[m] * (occs[m] + 0.5),
+        }
+        return np.asarray([value[field](key) for _, field, key in table])
 
-    return column_names(n_modes, fock_levels, first_mode), observer
+    return [name for name, _, _ in table], observer
 
 
 def edge_observer(basis: CoupledBasis) -> Callable:

@@ -30,7 +30,7 @@ import threading
 import time
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -936,6 +936,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         f"mode_{first_mode + m}": float(np.max(edges[:, m])) for m in range(edges.shape[1])
     }
     info["norm_drift"] = abs(float(np.linalg.norm(result.final.amplitudes)) - 1.0)
+    info["krylov"] = asdict(result.krylov)
     info["dims"] = {
         "matter": basis.shape[0],
         "modes": list(basis.mode_dims),
@@ -1027,6 +1028,7 @@ def run_scenario(
         "eta": eta,
         "truncation_drift": info["truncation_drift"],
         "norm_drift": info["norm_drift"],
+        "krylov": info.get("krylov"),
         "runtime_s": round(time.perf_counter() - started, 3),
     }
     if "drive" in info:

@@ -379,6 +379,31 @@ class TestSnapshotColumns:
                 )
         assert row["g2_12"] == pytest.approx(g2_cross(psi, basis, 0, 1), abs=1e-12)
 
+    @pytest.mark.parametrize("first_mode", [1, 2])
+    def test_every_column_by_name(self, first_mode):
+        # three modes, one truncated below the third Fock level; every column
+        # is checked under its own name against the standalone statistic
+        basis = CoupledBasis(2, (4, 3, 5))
+        omegas = (0.9, 0.45, 0.3)
+        names, observer = snapshot_columns(basis, omegas, first_mode=first_mode)
+        psi = random_state(basis, 29)
+        expect = {}
+        for s, w in enumerate(omegas):
+            m = first_mode + s
+            marg = mode_marginal(psi, basis, s)
+            expect[f"n{m}"] = mode_occupation(psi, basis, s)
+            for k in (1, 2, 3):
+                expect[f"P{k}_{m}"] = marg[k] if k < len(marg) else 0.0
+            expect[f"Q{m}"] = mandel_q(psi, basis, s)
+            expect[f"gamma{m}"] = purity(psi, basis, s)
+            expect[f"H{m}"] = photon_energy(psi, basis, s, w)
+            for t in range(s + 1, len(omegas)):
+                expect[f"g2_{m}{first_mode + t}"] = g2_cross(psi, basis, s, t)
+        row = observer(psi)
+        assert sorted(names) == sorted(expect) and len(row) == len(names)
+        for name, value in zip(names, row):
+            assert value == pytest.approx(expect[name], abs=1e-12), name
+
     def test_level_beyond_truncation_is_exact_zero(self):
         # a two-level mode holds no 3-photon component, so P_3 is identically 0
         basis = CoupledBasis(1, (2, 4))

@@ -1,5 +1,6 @@
 """Propagation tests: dense-exponential oracles, analytic oscillator motion,
-midpoint handling of drives, drift invariants, ground states."""
+record-to-record step control, midpoint handling of drives, drift
+invariants, ground states."""
 
 import math
 
@@ -13,6 +14,7 @@ from ringpdc.matter import transition_matrices
 from ringpdc.photon import FockMode, coherent_state, number_op, quadratures
 from ringpdc.propagator import (
     CoupledState,
+    KrylovStats,
     PropagatorConfig,
     ground_state,
     krylov_step,
@@ -196,6 +198,26 @@ class TestPropagate:
             observables={"one": lambda s: 1.0},
         )
         assert list(res.times) == [0.0]
+        assert list(res.records["one"]) == [1.0]
+        assert res.krylov == KrylovStats()
+
+    @pytest.mark.parametrize("drive", [0.0, 0.2])
+    def test_trailing_partial_step_lands_on_t_final(self, drive):
+        # record grid 0, 0.3, 0.6, 0.9 and the end; undriven and driven alike
+        h = ham.SparseHermitianOp(sp.diags([1.0, 2.0]).tocsr())
+        sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        res = propagate(
+            h,
+            CoupledState(np.array([0.8, 0.6], dtype=complex)),
+            1.05,
+            PropagatorConfig(dt=0.1, record_stride=3),
+            terms=[(sx, lambda t: drive)] if drive else (),
+            observables={"t": lambda s: s.time},
+        )
+        assert list(res.times) == [0.0, 0.1 * 3, 0.1 * 6, 0.1 * 9, 1.05]
+        assert res.final.time == 1.05
+        exact = expm(-1j * 1.05 * (np.diag([1.0, 2.0]) + drive * sx.toarray())) @ [0.8, 0.6]
+        assert np.linalg.norm(res.final.amplitudes - exact) < 1e-12
 
     def test_midpoint_drive_matches_commuting_oracle(self):
         # H(t) = f(t) sx with linear f: midpoint quadrature is exact, the
@@ -230,6 +252,97 @@ class TestPropagate:
                 PropagatorConfig(dt=0.1),
                 terms=[(pattern, bad)],
             )
+
+
+class TestStepControl:
+    """Undriven runs step from record time to record time."""
+
+    def test_shortened_steps_match_dense_exponential(self):
+        # a 12-vector cap cannot span a whole record interval of this wide
+        # spectrum, so steps get shortened; every record still matches expm
+        hm = random_hermitian(64, seed=7)
+        rng = np.random.default_rng(11)
+        psi0 = rng.normal(size=64) + 1j * rng.normal(size=64)
+        psi0 /= np.linalg.norm(psi0)
+        res = propagate(
+            sp.csr_matrix(hm),
+            CoupledState(psi0.copy()),
+            3.0,
+            PropagatorConfig(dt=0.1, krylov_dim=12, record_stride=10),
+            observables={"psi": lambda s: s.amplitudes.copy()},
+        )
+        assert np.allclose(res.times, [0.0, 1.0, 2.0, 3.0], rtol=0, atol=1e-15)
+        assert res.krylov.steps > len(res.times) - 1
+        assert res.krylov.max_dim == 12
+        for t, psi in zip(res.times, res.records["psi"]):
+            assert np.linalg.norm(psi - expm(-1j * t * hm) @ psi0) < 1e-10
+
+    def test_cap_that_fails_a_fixed_step_completes(self):
+        # the krylov_step cap of test_nonconvergence_advises_smaller_dt
+        hm = np.diag(np.linspace(-50.0, 50.0, 64))
+        psi0 = np.full(64, 1 / 8.0, dtype=complex)
+        cfg = PropagatorConfig(dt=5.0, krylov_dim=4)
+        with pytest.raises(RuntimeError, match="reduce dt"):
+            krylov_step(sp.csr_matrix(hm), CoupledState(psi0), 0.01, cfg)
+        res = propagate(sp.csr_matrix(hm), CoupledState(psi0), 0.01, cfg, observables={})
+        assert res.final.time == 0.01
+        assert res.krylov.max_error <= cfg.krylov_tol
+        exact = np.exp(-1j * 0.01 * np.diag(hm)) * psi0
+        assert np.linalg.norm(res.final.amplitudes - exact) < 1e-10
+
+    def test_crawling_steps_fail(self):
+        # the same cap over a whole dt would need about 5e5 steps
+        hm = np.diag(np.linspace(-50.0, 50.0, 64))
+        psi0 = np.full(64, 1 / 8.0, dtype=complex)
+        with pytest.raises(RuntimeError, match="raise krylov_dim"):
+            propagate(
+                sp.csr_matrix(hm), CoupledState(psi0), 5.0, PropagatorConfig(dt=5.0, krylov_dim=4)
+            )
+
+    def test_fewer_matvecs_than_fixed_dt_steps(self, coupled_pair):
+        _, systems = coupled_pair
+        basis, _, h = systems[0.02]
+        psi0 = ham.product_state(basis, np.array([0, 1.0, 0]), [np.eye(7)[1]])
+        cfg = PropagatorConfig(dt=0.05, record_stride=20)
+        counts = {"fixed": 0, "record": 0}
+
+        def counted(key):
+            def apply(v):
+                counts[key] += 1
+                return h.matrix @ v
+
+            return apply
+
+        state = CoupledState(psi0.copy())
+        for _ in range(200):
+            state = krylov_step(counted("fixed"), state, cfg.dt, cfg)
+        res = propagate(
+            counted("record"), CoupledState(psi0.copy()), 200 * cfg.dt, cfg, observables={}
+        )
+        assert res.krylov.matvecs == counts["record"]
+        assert counts["record"] < counts["fixed"] / 2
+        assert np.linalg.norm(res.final.amplitudes - state.amplitudes) < 1e-9
+
+    def test_telemetry_fields(self):
+        hm = random_hermitian(16, seed=3)
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return hm @ v
+
+        res = propagate(
+            counted,
+            CoupledState.normalized(np.ones(16, dtype=complex)),
+            1.0,
+            PropagatorConfig(dt=0.1, record_stride=5),
+            observables={},
+        )
+        stats = res.krylov
+        assert isinstance(stats.steps, int) and stats.steps >= 2
+        assert isinstance(stats.matvecs, int) and stats.matvecs == len(calls)
+        assert isinstance(stats.max_dim, int) and 2 <= stats.max_dim <= 20
+        assert isinstance(stats.max_error, float) and 0.0 <= stats.max_error < 1e-10
 
 
 @pytest.fixture(scope="module")

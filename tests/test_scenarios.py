@@ -3,6 +3,7 @@
 import ast
 import inspect
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 
 from ringpdc import cli
 from ringpdc import scenarios as sc
+from ringpdc.propagator import PropagationResult, krylov_step
 
 # Coarse grid and shallow spectrum: enough structure to exercise every code
 # path while keeping each propagation in the millisecond range.
@@ -270,6 +272,12 @@ class TestRunScenario:
         assert data["norm_drift"] < 1e-10
         assert data["runtime_s"] >= 0.0
         assert data["columns"] == res.csv_path.read_text().splitlines()[0].split(",")
+        krylov = data["krylov"]
+        assert set(krylov) == {"steps", "matvecs", "max_dim", "max_error"}
+        assert all(isinstance(krylov[k], int) for k in ("steps", "matvecs", "max_dim"))
+        assert isinstance(krylov["max_error"], float)
+        assert krylov["steps"] >= 1 and krylov["matvecs"] >= krylov["steps"]
+        assert 1 <= krylov["max_dim"] <= 20 and 0.0 <= krylov["max_error"] < 1e-10
 
     def test_bit_identical_reruns(self, tmp_path):
         # fresh matter stores: both runs solve the ring from scratch
@@ -611,6 +619,51 @@ def test_every_preset_runs(name, tmp_path, store):
     else:
         swept = sc.run_sweep(cfg, matter_store=store, out_dir=tmp_path, max_workers=1)
         assert [row["error"] for row in swept.rows] == [None, None]
+
+
+def fixed_dt_propagate(h, state, t_final, config, terms=(), observables=None):
+    """Reference propagation: krylov_step by dt (one short tail step),
+    recording every record_stride steps and at the end."""
+    assert not terms
+    n_full = int(math.floor((t_final - state.time) / config.dt + 1e-9))
+    remainder = t_final - state.time - n_full * config.dt
+    steps = [config.dt] * n_full + ([remainder] if remainder >= 1e-9 * config.dt else [])
+    times, records = [], {name: [] for name in observables}
+
+    def snapshot(s):
+        times.append(s.time)
+        for name, func in observables.items():
+            records[name].append(func(s))
+
+    snapshot(state)
+    for k, dt in enumerate(steps):
+        state = krylov_step(h, state, dt, config)
+        if (k + 1) % config.record_stride == 0 or k + 1 == len(steps):
+            snapshot(state)
+    return PropagationResult(
+        final=state,
+        times=np.asarray(times),
+        records={name: np.asarray(vals) for name, vals in records.items()},
+    )
+
+
+@pytest.mark.parametrize("name", ["degenerate", "single_photon"])
+def test_record_stepping_matches_fixed_dt(name, monkeypatch, store):
+    # two and a half record intervals plus a short tail step on the tiny grid
+    cfg = smoke_config(name)
+    p = cfg.propagation
+    span = (2.5 * p.record_stride + 0.4) * p.dt_fs * 1e-3
+    cfg = replace(cfg, propagation=replace(p, t_final_ps=span))
+    stepped = sc.run_scenario(cfg, matter_store=store, write_files=False)
+    monkeypatch.setattr(sc, "propagate", fixed_dt_propagate)
+    fixed = sc.run_scenario(cfg, matter_store=store, write_files=False)
+    assert stepped.names == fixed.names and len(stepped.times_ps) == 4
+    assert np.allclose(stepped.times_ps, fixed.times_ps, rtol=1e-12, atol=0.0)
+    # 1e-8 absolute; the relative term covers g2 between occupations just above
+    # the 1e-6 floor, where 1e-15 roundoff in the joint population of ~3e-8
+    # is already 3e-8 relative (single_photon g2_23 = 38.7)
+    np.testing.assert_allclose(stepped.rows, fixed.rows, rtol=1e-7, atol=1e-8, equal_nan=True)
+    assert stepped.summary["krylov"]["steps"] < 2.5 * p.record_stride
 
 
 def test_benchmark_tracer_names_resolve():
