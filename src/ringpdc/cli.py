@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import scenarios as sc
 
@@ -53,13 +52,7 @@ def _print_run(res: sc.ScenarioResult) -> None:
 def _cmd_run(args) -> int:
     config = _load(args)
     if args.method:
-        levels = config.method.levels or (0, 1, 2)
-        config = replace(
-            config,
-            method=sc.MethodSpec(
-                kind=args.method, levels=levels if args.method == "few_level" else ()
-            ),
-        )
+        config = sc.with_method(config, args.method)
     res = sc.run_scenario(config, out_dir=args.output_dir)
     _print_run(res)
     return 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import OCCUPATION_FLOOR, column_names
+from .observables import OCCUPATION_FLOOR, _column_table
 from .photon import FockMode
 from .propagator import (
     NORM_TOL,
@@ -253,15 +253,11 @@ def mf_observables(state: MeanFieldState, system: MeanFieldSystem) -> dict[str, 
     n_modes = len(system.modes)
     occs = [mf_mode_occupation(state, system, m) for m in range(n_modes)]
     defined = [n >= OCCUPATION_FLOOR for n in occs]
-    row = (
-        occs
-        + [0.0 if d else float("nan") for d in defined]
-        + [
-            1.0 if defined[a] and defined[b] else float("nan")
-            for a in range(n_modes)
-            for b in range(a + 1, n_modes)
-        ]
-        + [1.0] * n_modes
-        + [m.omega * (n + 0.5) for m, n in zip(system.modes, occs)]
-    )
-    return dict(zip(column_names(n_modes, fock_levels=()), row))
+    value = {
+        "occupations": lambda m: occs[m],
+        "mandel": lambda m: 0.0 if defined[m] else float("nan"),
+        "g2": lambda ab: 1.0 if defined[ab[0]] and defined[ab[1]] else float("nan"),
+        "purities": lambda m: 1.0,
+        "energies": lambda m: system.modes[m].omega * (occs[m] + 0.5),
+    }
+    return {name: value[field](key) for name, field, key in _column_table(n_modes, (), 1)}

@@ -11,17 +11,20 @@ per row; compare_methods runs the same scenario under the full, few-level
 and mean-field methods on a shared time grid and reports signed
 deviations.
 
-Config keys carry their unit as a suffix (omega_meV, t_final_ps, dt_fs)
-and unknown keys are rejected.  Before anything is assembled the state
-memory is estimated and refused against a budget (PDC_MEMORY_BUDGET_MB,
-default 4096).  Sweep rows and method runs go through a thread pool sized
-by PDC_MAX_WORKERS; everything inside one run is sequential in time, so
-identical configs write bit-identical CSV files.
+The config dataclasses are the schema: each YAML key is a field name
+(a _mev suffix spelled _meV, lam spelled lambda), so keys carry their unit
+as a suffix (omega_meV, t_final_ps, dt_fs), defaults live only in the
+dataclasses, and unknown keys are rejected.  Before anything is assembled
+the state memory is estimated and refused against a budget
+(PDC_MEMORY_BUDGET_MB, default 4096).  Sweep rows and method runs go
+through a thread pool sized by PDC_MAX_WORKERS; everything inside one run
+is sequential in time, so identical configs write bit-identical CSV files.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -33,6 +36,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
+from types import UnionType
+from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -155,11 +160,19 @@ class DriveParams:
     tolerance: float = 0.05
 
 
+class BathWindow(NamedTuple):
+    """count bath modes spaced evenly over [low_mev, high_mev]."""
+
+    low_mev: float
+    high_mev: float
+    count: int
+
+
 @dataclass(frozen=True)
 class BathParams:
     lam: float
+    windows: tuple[BathWindow, ...]
     sector: int = 2
-    windows: tuple[tuple[float, float, int], ...] = ()
 
     @property
     def count(self) -> int:
@@ -213,256 +226,80 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: the dataclasses above are the schema
+
+# YAML sections without a class of their own; parse_config lifts their keys
+# into ScenarioConfig
+_LIFTED = {"scenario": ("kind", "label"), "angles": ("theta1_deg", "theta2_deg", "theta3_deg")}
+_SCALARS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
 
 
-_TOP_KEYS = {
-    "scenario",
-    "description",
-    "matter",
-    "modes",
-    "angles",
-    "initial",
-    "drive",
-    "bath",
-    "propagation",
-    "method",
-    "output",
-    "sweep",
-}
+def _yaml_key(name: str) -> str:
+    """YAML spelling of a field name: lam is lambda, a _mev suffix is _meV."""
+    if name == "lam":
+        return "lambda"
+    return name[: -len("_mev")] + "_meV" if name.endswith("_mev") else name
 
 
-def _section(data: Mapping, name: str, allowed: set[str], required: Sequence[str] = ()):
-    raw = data.get(name)
+def _record(raw, cls, where: str, names=None) -> dict:
+    """Checked keyword arguments of cls (only those in names, if given) from
+    the mapping raw; null means every default."""
+    place = where or "config root"
     if raw is None:
         raw = {}
     if not isinstance(raw, Mapping):
-        raise ConfigError(f"section '{name}' must be a mapping")
-    unknown = sorted(set(raw) - allowed)
+        raise ConfigError(f"{place} must be a mapping, got {raw!r}")
+    hints = get_type_hints(cls)
+    params = {
+        _yaml_key(p.name): p
+        for p in inspect.signature(cls).parameters.values()
+        if names is None or p.name in names
+    }
+    unknown = sorted(str(k) for k in raw.keys() - params.keys())
     if unknown:
-        raise ConfigError(f"unknown keys in '{name}': {', '.join(unknown)}")
-    missing = sorted(set(required) - set(raw))
+        raise ConfigError(f"unknown keys in {place}: {', '.join(unknown)}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in raw]
     if missing:
-        raise ConfigError(f"missing required keys in '{name}': {', '.join(missing)}")
-    return raw
+        raise ConfigError(f"missing required keys in {place}: {', '.join(missing)}")
+    return {
+        p.name: _value(raw[key], hints[p.name], f"{where}.{key}" if where else key)
+        for key, p in params.items()
+        if key in raw
+    }
 
 
-def _as_float(raw, where: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {raw!r}")
-    return float(raw)
-
-
-def _as_int(raw, where: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{where} must be an integer, got {raw!r}")
-    return int(raw)
-
-
-def _as_bool(raw, where: str) -> bool:
-    if not isinstance(raw, bool):
-        raise ConfigError(f"{where} must be a boolean, got {raw!r}")
-    return raw
-
-
-def _as_str(raw, where: str) -> str:
-    if not isinstance(raw, str):
-        raise ConfigError(f"{where} must be a string, got {raw!r}")
-    return raw
-
-
-def _parse_modes(data: Mapping) -> tuple[ModeSpec, ...]:
-    raw = data.get("modes")
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
-        raise ConfigError("'modes' must be a non-empty list of mode mappings")
-    specs = []
-    for i, entry in enumerate(raw, start=1):
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"mode {i} must be a mapping")
-        unknown = sorted(set(entry) - {"omega_meV", "n_max", "lambda"})
-        if unknown:
-            raise ConfigError(f"unknown keys in mode {i}: {', '.join(unknown)}")
-        for key in ("omega_meV", "n_max", "lambda"):
-            if key not in entry:
-                raise ConfigError(f"mode {i} is missing '{key}'")
-        specs.append(
-            ModeSpec(
-                omega_mev=_as_float(entry["omega_meV"], f"mode {i} omega_meV"),
-                n_max=_as_int(entry["n_max"], f"mode {i} n_max"),
-                lam=_as_float(entry["lambda"], f"mode {i} lambda"),
-            )
-        )
-    return tuple(specs)
-
-
-def _parse_bath(data: Mapping) -> BathParams | None:
-    if "bath" not in data or data["bath"] is None:
-        return None
-    raw = _section(data, "bath", {"lambda", "sector", "windows"}, required=("lambda", "windows"))
-    windows_raw = raw["windows"]
-    if not isinstance(windows_raw, Sequence) or isinstance(windows_raw, (str, bytes)) or not windows_raw:
-        raise ConfigError("'bath.windows' must be a non-empty list of window mappings")
-    windows = []
-    for i, entry in enumerate(windows_raw, start=1):
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"bath window {i} must be a mapping")
-        unknown = sorted(set(entry) - {"low_meV", "high_meV", "count"})
-        if unknown:
-            raise ConfigError(f"unknown keys in bath window {i}: {', '.join(unknown)}")
-        for key in ("low_meV", "high_meV", "count"):
-            if key not in entry:
-                raise ConfigError(f"bath window {i} is missing '{key}'")
-        windows.append(
-            (
-                _as_float(entry["low_meV"], f"bath window {i} low_meV"),
-                _as_float(entry["high_meV"], f"bath window {i} high_meV"),
-                _as_int(entry["count"], f"bath window {i} count"),
-            )
-        )
-    return BathParams(
-        lam=_as_float(raw["lambda"], "bath lambda"),
-        sector=_as_int(raw.get("sector", 2), "bath sector"),
-        windows=tuple(windows),
-    )
-
-
-def _parse_sweep(data: Mapping) -> SweepSpec | None:
-    if "sweep" not in data or data["sweep"] is None:
-        return None
-    raw = _section(data, "sweep", {"parameter", "values"}, required=("parameter", "values"))
-    values_raw = raw["values"]
-    if not isinstance(values_raw, Sequence) or isinstance(values_raw, (str, bytes)):
-        raise ConfigError("'sweep.values' must be a list of numbers")
-    values = tuple(_as_float(v, "sweep value") for v in values_raw)
-    return SweepSpec(parameter=_as_str(raw["parameter"], "sweep.parameter"), values=values)
+def _value(raw, hint, where: str):
+    """raw checked against one field type: a scalar, X | None, tuple[X, ...]
+    from a YAML list, or a nested record."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        if raw is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _value(raw, hint, where)
+    if origin is tuple:
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {raw!r}")
+        return tuple(_value(v, args[0], f"{where}[{i}]") for i, v in enumerate(raw))
+    if hint in _SCALARS:
+        # bool is an int subclass; an int is a valid float, nothing else converts
+        ok = (int, float) if hint is float else hint
+        if not isinstance(raw, ok) or (isinstance(raw, bool) and hint is not bool):
+            raise ConfigError(f"{where} must be {_SCALARS[hint]}, got {raw!r}")
+        return hint(raw)
+    return hint(**_record(raw, hint, where))
 
 
 def parse_config(data) -> ScenarioConfig:
     """Build a ScenarioConfig from a key-value tree; unknown keys are errors."""
     if not isinstance(data, Mapping):
-        raise ConfigError("config root must be a mapping")
-    unknown = sorted(set(data) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {', '.join(unknown)}")
-
-    scen = _section(data, "scenario", {"kind", "label"}, required=("kind",))
-    kind = _as_str(scen["kind"], "scenario.kind")
-    if kind not in SCENARIO_KINDS:
-        raise ConfigError(
-            f"unknown scenario kind {kind!r}; choose from {', '.join(SCENARIO_KINDS)}"
-        )
-
-    mat = _section(
-        data,
-        "matter",
-        {"v0_meV", "omega0_meV", "d_nm", "grid_points", "grid_step_nm", "n_levels", "cache"},
-    )
-    defaults = MatterSpec()
-    matter = MatterSpec(
-        v0_mev=_as_float(mat.get("v0_meV", defaults.v0_mev), "matter.v0_meV"),
-        omega0_mev=_as_float(mat.get("omega0_meV", defaults.omega0_mev), "matter.omega0_meV"),
-        d_nm=_as_float(mat.get("d_nm", defaults.d_nm), "matter.d_nm"),
-        grid_points=_as_int(mat.get("grid_points", defaults.grid_points), "matter.grid_points"),
-        grid_step_nm=_as_float(
-            mat.get("grid_step_nm", defaults.grid_step_nm), "matter.grid_step_nm"
-        ),
-        n_levels=_as_int(mat.get("n_levels", defaults.n_levels), "matter.n_levels"),
-        cache=_as_str(mat["cache"], "matter.cache") if mat.get("cache") is not None else None,
-    )
-
-    ang = _section(data, "angles", {"theta1_deg", "theta2_deg", "theta3_deg"})
-    ini = _section(data, "initial", {"kind", "fock_k", "xi1"})
-    initial = InitialSpec(
-        kind=_as_str(ini.get("kind", "fock"), "initial.kind"),
-        fock_k=_as_int(ini.get("fock_k", 1), "initial.fock_k"),
-        xi1=_as_float(ini.get("xi1", 0.0), "initial.xi1"),
-    )
-
-    drive = None
-    if "drive" in data and data["drive"] is not None:
-        drv = _section(
-            data,
-            "drive",
-            {
-                "j0",
-                "t0_ps",
-                "tau_ps",
-                "omega_meV",
-                "calibrate",
-                "target_n1",
-                "t_check_ps",
-                "tolerance",
-            },
-        )
-        d = DriveParams()
-        drive = DriveParams(
-            j0=_as_float(drv.get("j0", d.j0), "drive.j0"),
-            t0_ps=_as_float(drv.get("t0_ps", d.t0_ps), "drive.t0_ps"),
-            tau_ps=_as_float(drv.get("tau_ps", d.tau_ps), "drive.tau_ps"),
-            omega_mev=(
-                _as_float(drv["omega_meV"], "drive.omega_meV")
-                if drv.get("omega_meV") is not None
-                else None
-            ),
-            calibrate=_as_bool(drv.get("calibrate", d.calibrate), "drive.calibrate"),
-            target_n1=_as_float(drv.get("target_n1", d.target_n1), "drive.target_n1"),
-            t_check_ps=_as_float(drv.get("t_check_ps", d.t_check_ps), "drive.t_check_ps"),
-            tolerance=_as_float(drv.get("tolerance", d.tolerance), "drive.tolerance"),
-        )
-
-    prop = _section(
-        data,
-        "propagation",
-        {"t_final_ps", "dt_fs", "record_stride", "krylov_dim", "krylov_tol"},
-        required=("t_final_ps", "dt_fs"),
-    )
-    p = PropagationSpec(t_final_ps=1.0, dt_fs=1.0)
-    propagation = PropagationSpec(
-        t_final_ps=_as_float(prop["t_final_ps"], "propagation.t_final_ps"),
-        dt_fs=_as_float(prop["dt_fs"], "propagation.dt_fs"),
-        record_stride=_as_int(
-            prop.get("record_stride", p.record_stride), "propagation.record_stride"
-        ),
-        krylov_dim=_as_int(prop.get("krylov_dim", p.krylov_dim), "propagation.krylov_dim"),
-        krylov_tol=_as_float(prop.get("krylov_tol", p.krylov_tol), "propagation.krylov_tol"),
-    )
-
-    met = _section(data, "method", {"kind", "levels"})
-    levels_raw = met.get("levels", [])
-    if not isinstance(levels_raw, Sequence) or isinstance(levels_raw, (str, bytes)):
-        raise ConfigError("'method.levels' must be a list of integers")
-    method = MethodSpec(
-        kind=_as_str(met.get("kind", "full"), "method.kind"),
-        levels=tuple(_as_int(v, "method level") for v in levels_raw),
-    )
-
-    out = _section(data, "output", {"directory", "basename"})
-    output = OutputSpec(
-        directory=_as_str(out.get("directory", "."), "output.directory"),
-        basename=(
-            _as_str(out["basename"], "output.basename")
-            if out.get("basename") is not None
-            else None
-        ),
-    )
-
-    return ScenarioConfig(
-        kind=kind,
-        label=_as_str(scen.get("label", ""), "scenario.label"),
-        description=_as_str(data.get("description", ""), "description"),
-        matter=matter,
-        modes=_parse_modes(data),
-        theta1_deg=_as_float(ang.get("theta1_deg", 0.0), "angles.theta1_deg"),
-        theta2_deg=_as_float(ang.get("theta2_deg", 90.0), "angles.theta2_deg"),
-        theta3_deg=_as_float(ang.get("theta3_deg", 90.0), "angles.theta3_deg"),
-        initial=initial,
-        drive=drive,
-        bath=_parse_bath(data),
-        propagation=propagation,
-        method=method,
-        output=output,
-        sweep=_parse_sweep(data),
-    )
+        raise ConfigError(f"config root must be a mapping, got {data!r}")
+    lifted = {}
+    for section, names in _LIFTED.items():
+        lifted.update(_record(data.get(section), ScenarioConfig, section, names))
+    own = inspect.signature(ScenarioConfig).parameters.keys() - set().union(*_LIFTED.values())
+    rest = {k: v for k, v in data.items() if k not in _LIFTED}
+    return ScenarioConfig(**lifted, **_record(rest, ScenarioConfig, "", own))
 
 
 def load_config(path) -> ScenarioConfig:
@@ -523,6 +360,13 @@ def _method_label(method: MethodSpec) -> str:
     if method.kind == "few_level":
         return f"few_level{len(method.levels)}"
     return method.kind
+
+
+def with_method(config: ScenarioConfig, kind: str) -> ScenarioConfig:
+    """config run by another method; few-level keeps the configured levels,
+    or the lowest three if there are none."""
+    levels = (config.method.levels or (0, 1, 2)) if kind == "few_level" else ()
+    return replace(config, method=MethodSpec(kind, levels))
 
 
 def _quantized_mode_specs(config: ScenarioConfig) -> tuple[ModeSpec, ...]:
@@ -804,6 +648,7 @@ def calibrate_drive(
     matter_store: dict | None = None,
 ) -> dict:
     """Bisect the drive amplitude against the quantized-pump reference run."""
+    validate_config(config)
     if config.drive is None:
         raise ConfigError("config has no drive section")
     u = units if units is not None else default_units()
@@ -1293,18 +1138,14 @@ def compare_methods(
     for m in requested:
         if m not in METHOD_KINDS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHOD_KINDS)}")
-    levels = config.method.levels or (0, 1, 2)
     u = units if units is not None else default_units()
     store = matter_store if matter_store is not None else {}
     base_name = _safe_name(config.output.basename or config.label or config.kind)
 
     def method_config(m: str) -> ScenarioConfig:
-        spec = MethodSpec(kind=m, levels=levels if m == "few_level" else ())
-        return replace(
-            config,
-            method=spec,
-            output=replace(config.output, basename=f"{base_name}_{_method_label(spec)}"),
-        )
+        cfg = with_method(config, m)
+        label = _method_label(cfg.method)
+        return replace(cfg, output=replace(config.output, basename=f"{base_name}_{label}"))
 
     def one(m: str) -> ScenarioResult:
         return run_scenario(

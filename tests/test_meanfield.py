@@ -34,7 +34,7 @@ from ringpdc.meanfield import (
     ms_step,
     propagate_mf,
 )
-from ringpdc.observables import series_from_records
+from ringpdc.observables import column_names, series_from_records
 from ringpdc.photon import FockMode, coherent_state, number_op, quadratures
 from ringpdc.propagator import CoupledState, PropagatorConfig, propagate
 from ringpdc import scenarios as sc
@@ -318,15 +318,30 @@ class TestMfObservables:
             n_ladder = abs(mf_ladder_amplitude(st, system, m)) ** 2
             assert n_energy == pytest.approx(n_ladder, abs=1e-12)
 
-    def test_literal_statistics(self, matter3):
-        system = degenerate_mf(matter3)
-        st = initial_state(ground3(), system, [2.0, 1.0])
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    def test_literal_statistics(self, matter3, n_modes):
+        if n_modes == 2:
+            system = degenerate_mf(matter3)
+        else:
+            modes = (FockMode(W1, 2, 0.014), FockMode(W2, 2, 0.014), FockMode(W3, 2, 0.014))
+            system = mf_system(matter3, modes, polarization_vectors(MixingAngles()))
+        st = initial_state(ground3(), system, [2.0, 1.0, 0.0][:n_modes])
         row = mf_observables(st, system)
-        assert row["Q1"] == 0.0 and row["Q2"] == 0.0
-        assert row["g2_12"] == 1.0
-        assert row["gamma1"] == 1.0 and row["gamma2"] == 1.0
-        assert row["n1"] == pytest.approx(4.0, abs=1e-12)
-        assert row["H1"] == pytest.approx(W1_DEG * 4.5, abs=1e-12)
+        w = [m.omega for m in system.modes]
+        expected = {
+            "n1": 4.0, "n2": 1.0, "Q1": 0.0, "Q2": 0.0, "g2_12": 1.0,
+            "gamma1": 1.0, "gamma2": 1.0, "H1": w[0] * 4.5, "H2": w[1] * 1.5,
+        }
+        if n_modes == 3:
+            # the empty third mode sits below the floor: its Q and g2 are undefined
+            nan = float("nan")
+            expected.update(
+                {"n3": 0.0, "Q3": nan, "g2_13": nan, "g2_23": nan, "gamma3": 1.0, "H3": w[2] * 0.5}
+            )
+        assert list(row) == column_names(n_modes, fock_levels=())
+        assert row.keys() == expected.keys()
+        for name, value in expected.items():
+            assert row[name] == pytest.approx(value, abs=1e-12, nan_ok=True), name
 
     def test_floor_marks_undefined(self, matter3):
         system = degenerate_mf(matter3)

@@ -1,16 +1,19 @@
 """Experiment layer: config parsing, validation, runs, sweeps, comparison, CLI."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import math
 import subprocess
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from ringpdc import cli
 from ringpdc import scenarios as sc
@@ -74,6 +77,61 @@ propagation:
   dt_fs: 4.0
   record_stride: 5
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
+EVERY_KEY = ROOT / "tests" / "configs" / "every_key.yaml"
+REQUIRED = inspect.Parameter.empty
+
+
+def base_data(**sections) -> dict:
+    """BASE_YAML as a key-value tree, with whole sections replaced."""
+    return {**yaml.safe_load(BASE_YAML), **sections}
+
+
+def schema_keys(cls=sc.ScenarioConfig, section="(root)") -> dict:
+    """{(section, YAML key): default or REQUIRED} of every scalar or
+    scalar-list key, walking the config dataclasses as parse_config does."""
+    lifted = {name: sec for sec, names in sc._LIFTED.items() for name in names}
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for name, param in inspect.signature(cls).parameters.items():
+        key, hint = sc._yaml_key(name), hints[name]
+        record = next(
+            (
+                t
+                for t in (hint, *typing.get_args(hint))
+                if dataclasses.is_dataclass(t) or hasattr(t, "_fields")
+            ),
+            None,
+        )
+        if record is None:
+            where = lifted.get(name, section) if cls is sc.ScenarioConfig else section
+            keys[(where, key)] = param.default
+        else:
+            path = key if section == "(root)" else f"{section}.{key}"
+            listed = typing.get_origin(hint) is tuple
+            keys.update(schema_keys(record, path + ("[]" if listed else "")))
+    return keys
+
+
+def yaml_keys(tree: dict, section="(root)") -> dict:
+    """{(section, key): value} of a config tree, in schema_keys' spelling."""
+    keys = {}
+    for key, value in tree.items():
+        path = key if section == "(root)" else f"{section}.{key}"
+        if isinstance(value, dict):
+            keys.update(yaml_keys(value, path))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for entry in value:
+                keys.update(yaml_keys(entry, path + "[]"))
+        else:
+            keys[(section, key)] = value
+    return keys
+
+
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
 class TestParsing:
@@ -150,6 +208,119 @@ class TestParsing:
     def test_sweep_parameter_whitelisted(self):
         with pytest.raises(sc.ConfigError, match="xi2"):
             sc.validate_sweep(sc.SweepSpec("xi2", (1.0, 2.0)))
+
+    def test_every_key_parses(self):
+        expected = sc.ScenarioConfig(
+            kind="field_driven",
+            label="every key",
+            description="Every key of every section set off its default.",
+            matter=sc.MatterSpec(
+                v0_mev=150.0,
+                omega0_mev=8.0,
+                d_nm=12.0,
+                grid_points=41,
+                grid_step_nm=2.1,
+                n_levels=5,
+                cache="ring.npz",
+            ),
+            modes=(sc.ModeSpec(24.0, 4, 0.02), sc.ModeSpec(10.0, 3, 0.01), sc.ModeSpec(14.0, 2, 0.03)),
+            theta1_deg=10.0,
+            theta2_deg=20.0,
+            theta3_deg=30.0,
+            initial=sc.InitialSpec(kind="coherent", fock_k=2, xi1=1.5),
+            drive=sc.DriveParams(
+                j0=0.3,
+                t0_ps=0.1,
+                tau_ps=0.02,
+                omega_mev=24.5,
+                calibrate=True,
+                target_n1=2.0,
+                t_check_ps=0.2,
+                tolerance=0.01,
+            ),
+            bath=sc.BathParams(lam=0.005, sector=1, windows=((0.5, 2.0, 3), (10.0, 20.0, 4))),
+            propagation=sc.PropagationSpec(
+                t_final_ps=2.5, dt_fs=3.0, record_stride=7, krylov_dim=12, krylov_tol=1e-9
+            ),
+            method=sc.MethodSpec(kind="few_level", levels=(0, 2, 3)),
+            output=sc.OutputSpec(directory="out", basename="every_key"),
+            sweep=sc.SweepSpec(parameter="xi1", values=(1.0, 2.0)),
+        )
+        cfg = sc.load_config(EVERY_KEY)
+        assert cfg == expected
+        assert all(type(w) is sc.BathWindow for w in cfg.bath.windows)
+        # integers given for number keys arrive as floats
+        assert type(cfg.theta1_deg) is float and type(cfg.bath.windows[1].high_mev) is float
+
+    def test_every_key_set_off_its_default(self):
+        # the config above covers the whole schema, each key away from its default
+        tree = yaml.safe_load(EVERY_KEY.read_text())
+        given = yaml_keys(tree)
+        schema = schema_keys()
+        assert given.keys() == schema.keys()
+        for key, default in schema.items():
+            if default is not REQUIRED:
+                assert _plain(given[key]) != _plain(default), key
+
+    def test_null_section_means_defaults(self):
+        cfg = sc.parse_config(
+            base_data(matter=None, angles=None, initial=None, drive=None, method=None, output=None)
+        )
+        assert cfg.matter == sc.MatterSpec()
+        assert (cfg.theta1_deg, cfg.theta2_deg, cfg.theta3_deg) == (0.0, 90.0, 90.0)
+        assert cfg.initial == sc.InitialSpec()
+        assert cfg.drive is None
+        assert cfg.method == sc.MethodSpec() and cfg.output == sc.OutputSpec()
+        with pytest.raises(sc.ConfigError, match="missing required keys in scenario: kind"):
+            sc.parse_config(base_data(scenario=None))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("modes", 0, "n_max"), True, r"modes\[0\]\.n_max must be an integer, got True"),
+            (("propagation", "record_stride"), 2.0, r"record_stride must be an integer, got 2\.0"),
+            (("propagation", "dt_fs"), True, r"propagation\.dt_fs must be a number, got True"),
+            (("method", "levels"), 2, r"method\.levels must be a list, got 2"),
+            (("angles", "theta1_deg"), "ten", r"angles\.theta1_deg must be a number, got 'ten'"),
+            (("modes", 1, "omega_meV"), "ten", r"modes\[1\]\.omega_meV must be a number"),
+            (("bath", "windows", 2, "count"), "two", r"bath\.windows\[2\]\.count must be an integer"),
+            (("bath", "windows", 2), [3.0, 4.0, 2], r"bath\.windows\[2\] must be a mapping"),
+            (("drive", "calibrate"), 1, r"drive\.calibrate must be a boolean, got 1"),
+            (("output", "basename"), 3, r"output\.basename must be a string, got 3"),
+        ],
+    )
+    def test_wrong_type_names_the_yaml_location(self, path, value, message):
+        window = {"low_meV": 1.0, "high_meV": 2.0, "count": 1}
+        data = base_data(
+            bath={"lambda": 0.01, "windows": [dict(window) for _ in range(3)]},
+            drive={},
+            method={"kind": "few_level", "levels": [0, 1]},
+            output={},
+        )
+        node = data
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        with pytest.raises(sc.ConfigError, match=message):
+            sc.parse_config(data)
+
+    def test_lifted_keys_only_in_their_sections(self):
+        # whether or not the section sets them
+        with pytest.raises(sc.ConfigError, match="unknown keys in config root: label"):
+            sc.parse_config(base_data(label="top"))
+        with pytest.raises(sc.ConfigError, match="unknown keys in config root: theta2_deg"):
+            sc.parse_config(base_data(theta2_deg=45.0))
+        with pytest.raises(sc.ConfigError, match="unknown keys in angles: kind"):
+            sc.parse_config(base_data(angles={"kind": "degenerate"}))
+
+    def test_kind_and_mode_count_left_to_validation(self):
+        cfg = sc.parse_config(base_data(scenario={"kind": "degenerat"}))
+        with pytest.raises(sc.ConfigError, match="unknown scenario kind 'degenerat'"):
+            sc.validate_config(cfg)
+        cfg = sc.parse_config(base_data(modes=[]))
+        assert cfg.modes == ()
+        with pytest.raises(sc.ConfigError, match="exactly 2 modes, got 0"):
+            sc.validate_config(cfg)
 
     def test_unknown_preset_lists_available(self):
         with pytest.raises(sc.ConfigError, match="degenerate"):
@@ -523,9 +694,27 @@ class TestCompareMethods:
                     run.series.occupations[m], ref.occupations[m], atol=1e-10
                 ), name
 
+    def test_with_method_keeps_or_defaults_levels(self):
+        cfg = tiny_degenerate()
+        assert sc.with_method(cfg, "few_level").method == sc.MethodSpec("few_level", (0, 1, 2))
+        few = replace(cfg, method=sc.MethodSpec("few_level", (0, 2)))
+        assert sc.with_method(few, "few_level").method == sc.MethodSpec("few_level", (0, 2))
+        assert sc.with_method(few, "mean_field").method == sc.MethodSpec("mean_field", ())
+        assert sc.with_method(few, "full") == replace(few, method=sc.MethodSpec())
+
     def test_unknown_method_rejected(self, store):
         with pytest.raises(sc.ConfigError, match="semiclassical"):
             sc.compare_methods(tiny_degenerate(), ["full", "semiclassical"])
+
+
+DRIVEN_YAML = """
+scenario: {kind: current_driven}
+matter: {v0_meV: 200.0, n_levels: 3, grid_points: 31, grid_step_nm: 2.8}
+modes: [{omega_meV: 10.0, n_max: 3, lambda: 0.05}, {omega_meV: 4.0, n_max: 2, lambda: 0.05}, {omega_meV: 6.0, n_max: 2, lambda: 0.05}]
+initial: {kind: ground}
+drive: {t0_ps: 0.05, tau_ps: 0.02, calibrate: true, target_n1: 1.0, t_check_ps: 0.05, tolerance: 0.2}
+propagation: {t_final_ps: 0.1, dt_fs: 4.0}
+"""
 
 
 class TestCli:
@@ -577,6 +766,30 @@ class TestCli:
         assert cli.main(["list-presets"]) == 0
         out = capsys.readouterr().out
         assert "degenerate" in out and "reduced_bath" in out
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("drive", "tau_ps", 0, "drive tau_ps must be positive"),
+            ("scenario", "kind", "current_drive", "unknown scenario kind"),
+            (None, "modes", [], "exactly 3 modes, got 0"),
+        ],
+    )
+    def test_calibrate_drive_validates_first(self, tmp_path, capsys, section, key, value, message):
+        data = yaml.safe_load(DRIVEN_YAML)
+        (data if section is None else data[section])[key] = value
+        path = tmp_path / "drive.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["calibrate-drive", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert cli.main(["validate-config", "--config", str(path)]) == 2
+
+    def test_run_method_override(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text(BASE_YAML)
+        argv = ["run", "--config", str(path), "--output-dir", str(tmp_path), "--method", "few_level"]
+        assert cli.main(argv) == 0
+        assert "parsed [few_level3]" in capsys.readouterr().out
 
     def test_console_entry_point(self):
         proc = subprocess.run(
@@ -680,3 +893,29 @@ def test_benchmark_tracer_names_resolve():
         assert callable(getattr(sc, name, None)), name
     params = inspect.signature(sc.propagate).parameters
     assert {"h", "state", "t_final", "config", "observables"} <= set(params)
+
+
+def test_readme_config_table_matches_parser():
+    # the README's config table documents exactly the keys the parser reads,
+    # with the defaults of the config dataclasses and the units of the suffixes
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        for line in block.splitlines()
+        if line.startswith("| ") and not line.startswith("| section ")
+    ]
+    documented = {(section, key): default for section, key, _, default in rows}
+    assert len(documented) == len(rows)
+    schema = schema_keys()
+    assert documented.keys() == schema.keys()
+    for key, default in schema.items():
+        cell = documented[key]
+        if default is REQUIRED:
+            assert cell == "required", key
+        else:
+            assert yaml.safe_load(cell) == _plain(default), key
+    for section, key, unit, _ in rows:
+        suffix = key.rsplit("_", 1)[-1]
+        if suffix in ("meV", "nm", "ps", "fs", "deg"):
+            assert unit == suffix, (section, key)
