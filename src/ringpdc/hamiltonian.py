@@ -9,10 +9,16 @@ couplings lambda_alpha entering
         - (e/m) (sum_a lam_a q_a e_a) . p
         + (e^2/2m) (sum_a lam_a q_a e_a)^2
 
-in effective atomic units (e = m = hbar = 1).  Bilinear and diamagnetic
-terms therefore always carry consistent pairwise geometry factors e_a . e_b;
-published variants that spell the cross terms with inconsistent signs are
-reproduced up to those misprints.
+in effective atomic units (e = m = hbar = 1).  Each e_a is read from
+FockMode.polarization, the one geometry source, so bilinear and diamagnetic
+terms always carry consistent pairwise geometry factors e_a . e_b; published
+variants that spell the cross terms with inconsistent signs are reproduced up
+to those misprints.
+
+Every term is a real coefficient times a Kronecker product of factors, and
+embed checks each factor it lifts for Hermiticity.  The running sum of the
+terms is then Hermitian by construction; the builders return the csr_matrix
+itself.
 
 The matter factor is the truncated ring eigenbasis (h_matrix plus momentum
 matrices), never the raw grid.  Bath modes live in a restricted few-photon
@@ -70,31 +76,6 @@ class CoupledBasis:
         return tuple(int(i) for i in np.unravel_index(index, self.shape))
 
 
-class SparseHermitianOp:
-    """Sparse operator with a construction-time Hermiticity certificate."""
-
-    def __init__(self, matrix: sp.spmatrix):
-        matrix = matrix.tocsr()
-        defect = abs(matrix - matrix.conjugate().T)
-        defect_max = defect.max() if defect.nnz else 0.0
-        if defect_max >= HERMITICITY_TOL:
-            raise ValueError(f"Hermiticity defect {defect_max:.3e} >= {HERMITICITY_TOL}")
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __matmul__(self, other):
-        return self.matrix @ other
-
-    def __add__(self, other: "SparseHermitianOp") -> "SparseHermitianOp":
-        return SparseHermitianOp(self.matrix + other.matrix)
-
-    def expectation(self, vec: np.ndarray) -> float:
-        return float(np.real(np.vdot(vec, self.matrix @ vec)))
-
-
 @dataclass(frozen=True)
 class MixingAngles:
     """Polarization angles (radians).  The reproduction scenarios stay within
@@ -124,13 +105,27 @@ def degenerate_polarization_vectors(theta1: float) -> tuple[tuple[float, float],
     return ((math.cos(theta1), math.sin(theta1)), (0.0, 1.0))
 
 
+def _hermitian_factor(op: sp.spmatrix, where: str) -> sp.spmatrix:
+    defect = abs(op - op.conjugate().T)
+    defect_max = defect.max() if defect.nnz else 0.0
+    if defect_max >= HERMITICITY_TOL:
+        raise ValueError(
+            f"Hermiticity defect {defect_max:.3e} >= {HERMITICITY_TOL} in the {where}"
+        )
+    return op
+
+
 def embed(
     basis: CoupledBasis,
     matter_op: np.ndarray | sp.spmatrix | None = None,
     mode_ops: dict[int, sp.spmatrix] | None = None,
     bath_op: sp.spmatrix | None = None,
 ) -> sp.csr_matrix:
-    """Kronecker-lift factor operators onto the full product space."""
+    """Kronecker-lift Hermitian factor operators onto the full product space.
+
+    Each supplied factor must be Hermitian within HERMITICITY_TOL, so a real
+    combination of lifted products is Hermitian without a whole-matrix check.
+    """
     factors: list[sp.spmatrix] = []
     if matter_op is not None:
         matter_op = sp.csr_matrix(matter_op)
@@ -139,7 +134,7 @@ def embed(
                 f"matter operator shape {matter_op.shape} != "
                 f"{(basis.matter_dim, basis.matter_dim)}"
             )
-        factors.append(matter_op)
+        factors.append(_hermitian_factor(matter_op, "matter operator"))
     else:
         factors.append(sp.identity(basis.matter_dim, format="csr", dtype=complex))
     mode_ops = mode_ops or {}
@@ -150,12 +145,12 @@ def embed(
         else:
             if op.shape != (d, d):
                 raise ValueError(f"mode {slot} operator shape {op.shape} != {(d, d)}")
-            factors.append(op)
+            factors.append(_hermitian_factor(op, f"mode {slot} operator"))
     if basis.bath is not None:
         if bath_op is None:
             factors.append(sp.identity(basis.bath.size, format="csr", dtype=complex))
         else:
-            factors.append(bath_op)
+            factors.append(_hermitian_factor(bath_op, "bath operator"))
     elif bath_op is not None:
         raise ValueError("bath operator supplied but basis has no bath sector")
     out = factors[0]
@@ -241,31 +236,18 @@ def restrict_levels(
     return sub_basis, sub_tm
 
 
-def _check_polarizations(
-    modes: Sequence[FockMode], evecs: Sequence[tuple[float, float]]
-) -> None:
-    for k, (mode, e) in enumerate(zip(modes, evecs)):
-        if math.hypot(mode.polarization[0] - e[0], mode.polarization[1] - e[1]) > 1e-9:
-            raise ValueError(
-                f"mode {k + 1} polarization {mode.polarization} inconsistent with "
-                f"the geometry vector {e}; construct modes with matching polarization"
-            )
-
-
 def _assemble(
     basis: CoupledBasis,
     h_matter: np.ndarray,
-    px: np.ndarray,
-    py: np.ndarray,
+    tm: TransitionMatrices,
     modes: Sequence[FockMode],
-    evecs: Sequence[tuple[float, float]],
-) -> SparseHermitianOp:
+) -> sp.csr_matrix:
     if len(modes) != len(basis.mode_dims):
         raise ValueError("mode count does not match the coupled basis")
     for mode, d in zip(modes, basis.mode_dims):
         if mode.dim != d:
             raise ValueError("mode truncation does not match the coupled basis")
-    terms = [embed(basis, matter_op=h_matter)]
+    total = embed(basis, matter_op=h_matter)
     quads = []
     for slot, mode in enumerate(modes):
         q, _ = quadratures(mode)
@@ -273,40 +255,23 @@ def _assemble(
         # exact diagonal w (n + 1/2); the quadrature form of the same energy
         # picks up an edge defect at the Fock truncation boundary
         h_ph = mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim))
-        terms.append(embed(basis, mode_ops={slot: h_ph.tocsr()}))
-    for slot, (mode, e) in enumerate(zip(modes, evecs)):
+        total = total + embed(basis, mode_ops={slot: h_ph.tocsr()})
+    for slot, mode in enumerate(modes):
         if mode.lam == 0.0:
             continue
-        proj = _momentum_projection_dense(px, py, e)
-        if proj is not None:
-            terms.append(
-                -mode.lam * embed(basis, matter_op=proj, mode_ops={slot: quads[slot]})
-            )
-        terms.append(
-            0.5
-            * mode.lam**2
-            * embed(basis, mode_ops={slot: (quads[slot] @ quads[slot]).tocsr()})
+        proj = _momentum_projection(tm, mode.polarization)
+        total = total - mode.lam * embed(basis, matter_op=proj, mode_ops={slot: quads[slot]})
+        total = total + 0.5 * mode.lam**2 * embed(
+            basis, mode_ops={slot: (quads[slot] @ quads[slot]).tocsr()}
         )
     for a in range(len(modes)):
         for b in range(a + 1, len(modes)):
-            dot = evecs[a][0] * evecs[b][0] + evecs[a][1] * evecs[b][1]
-            coeff = modes[a].lam * modes[b].lam * dot
+            ea, eb = modes[a].polarization, modes[b].polarization
+            coeff = modes[a].lam * modes[b].lam * (ea[0] * eb[0] + ea[1] * eb[1])
             if coeff == 0.0:
                 continue
-            terms.append(coeff * embed(basis, mode_ops={a: quads[a], b: quads[b]}))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return SparseHermitianOp(total)
-
-
-def _momentum_projection_dense(
-    px: np.ndarray, py: np.ndarray, e: tuple[float, float]
-) -> np.ndarray | None:
-    proj = e[0] * px + e[1] * py
-    if np.abs(proj).max() == 0.0:
-        return None
-    return proj
+            total = total + coeff * embed(basis, mode_ops={a: quads[a], b: quads[b]})
+    return total
 
 
 def assemble_system(
@@ -314,16 +279,11 @@ def assemble_system(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
-    angles: MixingAngles,
-) -> SparseHermitianOp:
-    """Full pump + two signal modes with the three-mode polarization geometry."""
+) -> sp.csr_matrix:
+    """Full pump + two signal modes."""
     if len(modes) != 3:
         raise ValueError("the three-mode system takes exactly three modes")
-    evecs = polarization_vectors(angles)
-    _check_polarizations(modes, evecs)
-    return _assemble(
-        basis, matter.h_matrix(), tm.px, tm.py, modes, evecs
-    )
+    return _assemble(basis, matter.h_matrix(), tm, modes)
 
 
 def assemble_degenerate(
@@ -331,14 +291,11 @@ def assemble_degenerate(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
-    theta1: float,
-) -> SparseHermitianOp:
-    """Pump plus one degenerate signal mode (signal polarization fixed to y)."""
+) -> sp.csr_matrix:
+    """Pump plus one degenerate signal mode."""
     if len(modes) != 2:
         raise ValueError("the degenerate system takes exactly two modes")
-    evecs = degenerate_polarization_vectors(theta1)
-    _check_polarizations(modes, evecs)
-    return _assemble(basis, matter.h_matrix(), tm.px, tm.py, modes, evecs)
+    return _assemble(basis, matter.h_matrix(), tm, modes)
 
 
 def assemble_signal_pair(
@@ -346,15 +303,12 @@ def assemble_signal_pair(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
-    angles: MixingAngles,
-) -> SparseHermitianOp:
+) -> sp.csr_matrix:
     """Signal modes 2 and 3 only; the static part of the classical-field pump
     scheme, where mode 1 is replaced by an external field."""
     if len(modes) != 2:
         raise ValueError("the signal pair takes exactly two modes")
-    evecs = polarization_vectors(angles)[1:]
-    _check_polarizations(modes, evecs)
-    return _assemble(basis, matter.h_matrix(), tm.px, tm.py, modes, evecs)
+    return _assemble(basis, matter.h_matrix(), tm, modes)
 
 
 def assemble_few_level(
@@ -362,15 +316,12 @@ def assemble_few_level(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
-    angles: MixingAngles,
     basis: CoupledBasis | None = None,
-) -> tuple[SparseHermitianOp, CoupledBasis]:
+) -> tuple[sp.csr_matrix, CoupledBasis]:
     """Same assembly with matter truncated to the selected levels.
 
     Levels must come in complete degenerate pairs so the truncated basis
-    stays closed under the ring's symmetry.  Dispatches on the mode count:
-    three modes use the pump-along-x geometry, two modes the degenerate one
-    (signal along y, pump tilted by theta1).
+    stays closed under the ring's symmetry.
     """
     sub_matter, sub_tm = restrict_levels(matter, tm, levels)
     if basis is None:
@@ -379,17 +330,7 @@ def assemble_few_level(
         )
     if basis.matter_dim != sub_matter.n_states:
         raise ValueError("coupled basis does not match the level selection")
-    if len(modes) == 3:
-        evecs = polarization_vectors(angles)
-    elif len(modes) == 2:
-        evecs = degenerate_polarization_vectors(angles.theta1)
-    else:
-        raise ValueError("few-level assembly supports two or three modes")
-    _check_polarizations(modes, evecs)
-    return (
-        _assemble(basis, sub_matter.h_matrix(), sub_tm.px, sub_tm.py, modes, evecs),
-        basis,
-    )
+    return _assemble(basis, sub_matter.h_matrix(), sub_tm, modes), basis
 
 
 def assemble_bath_terms(
@@ -398,7 +339,7 @@ def assemble_bath_terms(
     tm: TransitionMatrices,
     main_modes: Sequence[FockMode],
     bath_modes: Sequence[FockMode],
-) -> SparseHermitianOp:
+) -> sp.csr_matrix:
     """Bath energy, bath-matter bilinear, and all diamagnetic cross terms.
 
     Added on top of assemble_system.  Bath operators act on the restricted
@@ -424,7 +365,7 @@ def assemble_bath_terms(
         for k in range(bath.n_modes)
     )
     zero_point = 0.5 * sum(m.omega for m in bath_modes)
-    terms = [embed(basis, bath_op=(n_total + zero_point * eye).astype(complex))]
+    total = embed(basis, bath_op=(n_total + zero_point * eye).astype(complex))
 
     # collective displacement per polarization group: sum_k c_k (b_k + b_k^dag)
     # with c_k = lam_k / sqrt(2 w_k), so A_bath . e = sum over groups
@@ -441,9 +382,7 @@ def assemble_bath_terms(
         weights[pol] = w
 
     for pol, op in disp.items():
-        proj = _momentum_projection_dense(tm.px, tm.py, pol)
-        if proj is not None:
-            terms.append(-1.0 * embed(basis, matter_op=proj, bath_op=op))
+        total = total - embed(basis, matter_op=_momentum_projection(tm, pol), bath_op=op)
 
     # diamagnetic main x bath cross terms: lam_a (e_a . e_B) q_a (x) A_B
     for slot, mode in enumerate(main_modes):
@@ -454,7 +393,7 @@ def assemble_bath_terms(
             dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
             if dot == 0.0:
                 continue
-            terms.append(mode.lam * dot * embed(basis, mode_ops={slot: q}, bath_op=op))
+            total = total + mode.lam * dot * embed(basis, mode_ops={slot: q}, bath_op=op)
 
     # diamagnetic bath x bath: (1/2) sum_{k,l} c_k c_l (e_k . e_l) (b+b^dag)_k (b+b^dag)_l
     # normal-ordered: B B' + B'^dag B + B^dag B' + B^dag B'^dag + delta, with
@@ -480,12 +419,7 @@ def assemble_bath_terms(
             if pa == pb:
                 prod = prod + sum(c * c for c in weights[pa].values()) * eye
             bath_quad = bath_quad + 0.5 * dot * prod
-    terms.append(embed(basis, bath_op=bath_quad))
-
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return SparseHermitianOp(total)
+    return total + embed(basis, bath_op=bath_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +506,6 @@ def field_drive_terms(
     basis: CoupledBasis,
     tm: TransitionMatrices,
     signal_modes: Sequence[FockMode],
-    angles: MixingAngles,
     mode1: FockMode,
     drive: DriveSpec,
     t_grid: np.ndarray,
@@ -580,16 +513,17 @@ def field_drive_terms(
     """Classical-field pump: mode 1 leaves the quantized basis and enters as
     A1(t) = lam1 q1(t) with q1 integrated from the drive current.
 
-    H_ext(t) = -A1(t) p_x + (1/2)[A1(t)^2 + 2 A1(t) lam2 (e1.e2) q2
-                                  + 2 A1(t) lam3 (e1.e3) q3].
+    H_ext(t) = -A1(t) e1.p + (1/2)[A1(t)^2 + 2 A1(t) lam2 (e1.e2) q2
+                                   + 2 A1(t) lam3 (e1.e3) q3],
+
+    with every e_a read from the modes' polarization.
     """
     if len(basis.mode_dims) != 2 or len(signal_modes) != 2:
         raise ValueError(
             "classical-field pump requires mode 1 removed from the quantized "
             "basis (two signal modes only)"
         )
-    e1, e2, e3 = polarization_vectors(angles)
-    _check_polarizations(signal_modes, (e2, e3))
+    e1 = mode1.polarization
     q1 = classical_pump_field(drive, mode1, t_grid)
     a1 = mode1.lam * q1
     t_ref = np.asarray(t_grid, dtype=float)
@@ -607,8 +541,8 @@ def field_drive_terms(
             coeff=lambda t: 0.5 * a1_at(t) ** 2,
         ),
     ]
-    for slot, (mode, e) in enumerate(zip(signal_modes, (e2, e3))):
-        dot = e1[0] * e[0] + e1[1] * e[1]
+    for slot, mode in enumerate(signal_modes):
+        dot = e1[0] * mode.polarization[0] + e1[1] * mode.polarization[1]
         if mode.lam == 0.0 or dot == 0.0:
             continue
         q, _ = quadratures(mode)
@@ -619,17 +553,6 @@ def field_drive_terms(
             )
         )
     return terms
-
-
-def assemble_drive_term(terms: Sequence[TimeDependentTerm], t: float) -> SparseHermitianOp:
-    """Evaluate the time-dependent increment at time t (diagnostic helper;
-    propagation applies the terms matrix-free)."""
-    if not terms:
-        raise ValueError("no drive terms supplied")
-    total = terms[0].coeff(t) * terms[0].op
-    for term in terms[1:]:
-        total = total + term.coeff(t) * term.op
-    return SparseHermitianOp(total)
 
 
 def calibrate_current_drive(
@@ -645,8 +568,8 @@ def calibrate_current_drive(
 ) -> DriveSpec:
     """Bisect the current amplitude j0 so the pump occupation hits the target.
 
-    Reference run: matter coupled to mode 1 alone (pump along x), started in
-    the coupled ground state and driven until t_check; n1(t_check) grows
+    Reference run: matter coupled to mode 1 alone (pump along mode 1's
+    polarization), started in the coupled ground state and driven until t_check; n1(t_check) grows
     monotonically with j0 in the calibration regime.  Returns the drive with
     j0 replaced by the calibrated value.
     """
@@ -659,8 +582,7 @@ def calibrate_current_drive(
     if not (0.0 < tol < target):
         raise ValueError("tolerance must be positive and below the target")
     basis = CoupledBasis(matter.n_states, (mode1.dim,))
-    _check_polarizations([mode1], ((1.0, 0.0),))
-    h = _assemble(basis, matter.h_matrix(), tm.px, tm.py, [mode1], ((1.0, 0.0),))
+    h = _assemble(basis, matter.h_matrix(), tm, [mode1])
     _, psi0 = ground_state(h)
     n1_op = embed(basis, mode_ops={0: number_op(mode1).tocsr()})
     config = PropagatorConfig(dt=dt)

@@ -100,16 +100,13 @@ class BathSpec:
     """Sampled photon bath: spectral windows in meV, shared coupling, sector cap.
 
     energy_windows holds (low_meV, high_meV, n_modes) triples sampled with
-    equal spacing.  polarizations, one unit vector per window, default to x;
-    the reproduction scenarios pass the polarization of the main mode each
-    window surrounds.
+    equal spacing.  Every bath mode is polarized along x.
     """
 
     count: int
     energy_windows: tuple[tuple[float, float, int], ...]
     lambda_bath: float
     sector: int = 2
-    polarizations: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if self.sector not in (0, 1, 2):
@@ -137,10 +134,6 @@ class BathSpec:
             raise ValueError(
                 f"count = {self.count} but windows hold {total} modes in total"
             )
-        if self.polarizations is not None and len(self.polarizations) != len(
-            self.energy_windows
-        ):
-            raise ValueError("need one polarization per window")
 
 
 @dataclass(frozen=True)
@@ -209,18 +202,18 @@ def bath_ladder(basis: BathBasis, k: int) -> sp.csr_matrix:
 def sample_bath(
     spec: BathSpec, units: UnitSystem | None = None
 ) -> tuple[list[FockMode], BathBasis]:
-    """Equally spaced bath modes per spectral window plus the restricted basis."""
+    """Equally spaced bath modes per spectral window, all polarized along x,
+    plus the restricted basis."""
     u = units if units is not None else default_units()
-    pols = spec.polarizations or tuple((1.0, 0.0) for _ in spec.energy_windows)
     modes = []
-    for (low, high, n), pol in zip(spec.energy_windows, pols):
+    for low, high, n in spec.energy_windows:
         for omega_mev in np.linspace(low, high, n):
             modes.append(
                 FockMode(
                     omega=energy_to_eff(float(omega_mev), u),
                     n_max=max(spec.sector, 1),
                     lam=spec.lambda_bath,
-                    polarization=pol,
+                    polarization=(1.0, 0.0),
                 )
             )
     return modes, enumerate_bath_basis(len(modes), spec.sector)

@@ -112,9 +112,6 @@ class PropagationResult:
 
 
 def _as_apply(h) -> Callable[[np.ndarray], np.ndarray]:
-    matrix = getattr(h, "matrix", None)
-    if matrix is not None:
-        return lambda v: matrix @ v
     if callable(h):
         return h
     return lambda v: h @ v
@@ -266,7 +263,8 @@ def propagate(
 ) -> CoupledState | PropagationResult:
     """Propagate to t_final through the record grid of `config`.
 
-    Undriven runs (no `terms`) step from record time to record time,
+    `h` is the static Hamiltonian as a sparse matrix, or a callable that
+    returns `h @ v`.  Undriven runs (no `terms`) step from record time to record time,
     shortening a step only when krylov_dim vectors cannot reach krylov_tol.
     `terms` are (op, coeff) pairs added to h with coeff evaluated at each
     step midpoint; driven runs step by dt (one trailing short step if
@@ -342,18 +340,18 @@ def propagate(
 
 
 def ground_state(h, tol: float = 0.0) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair by iterative Hermitian solve, residual below 1e-9."""
-    matrix = getattr(h, "matrix", h)
-    if matrix.shape[0] == 1:
-        return float(np.real(matrix[0, 0])), np.ones(1, dtype=complex)
+    """Lowest eigenpair of the sparse Hermitian matrix h by iterative solve,
+    residual below 1e-9."""
+    if h.shape[0] == 1:
+        return float(np.real(h[0, 0])), np.ones(1, dtype=complex)
     try:
-        vals, vecs = eigsh(matrix, k=1, which="SA", tol=tol)
+        vals, vecs = eigsh(h, k=1, which="SA", tol=tol)
     except Exception as exc:
         raise RuntimeError(f"ground-state solve did not converge: {exc}") from exc
     energy = float(vals[0])
     vec = vecs[:, 0].astype(complex)
     vec /= np.linalg.norm(vec)
-    residual = np.linalg.norm(matrix @ vec - energy * vec)
+    residual = np.linalg.norm(h @ vec - energy * vec)
     if residual >= 1e-9:
         raise RuntimeError(
             f"ground-state residual {residual:.3e} above 1e-9; solver did not converge"

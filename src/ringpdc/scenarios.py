@@ -706,22 +706,21 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     p = config.propagation
     dt, t_final, _ = _time_grid(config, units)
     modes = _build_modes(config, units)
-    angles = _angles(config)
     info: dict = {}
     terms: list = []
     bath_basis = None
 
     if config.method.kind == "few_level":
-        h, basis = assemble_few_level(config.method.levels, matter, tm, modes, angles)
+        h, basis = assemble_few_level(config.method.levels, matter, tm, modes)
         quantized = modes
     elif config.kind == "field_driven":
         quantized = modes[1:]
         basis = CoupledBasis(matter.n_states, tuple(m.dim for m in quantized))
-        h = assemble_signal_pair(basis, matter, tm, quantized, angles)
+        h = assemble_signal_pair(basis, matter, tm, quantized)
         drive = _resolved_drive(config, matter, tm, modes, units, config.drive.calibrate)
         info["drive"] = drive
         t_grid = np.arange(0.0, t_final + 2.0 * dt, dt)
-        terms = field_drive_terms(basis, tm, quantized, angles, modes[0], drive, t_grid)
+        terms = field_drive_terms(basis, tm, quantized, modes[0], drive, t_grid)
     else:
         quantized = modes
         if config.bath is not None:
@@ -733,15 +732,15 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
             )
             bath_modes, bath_basis = sample_bath(spec, units)
             basis = CoupledBasis(matter.n_states, tuple(m.dim for m in modes), bath_basis)
-            h = assemble_system(basis, matter, tm, modes, angles) + assemble_bath_terms(
+            h = assemble_system(basis, matter, tm, modes) + assemble_bath_terms(
                 basis, matter, tm, modes, bath_modes
             )
         else:
             basis = CoupledBasis(matter.n_states, tuple(m.dim for m in modes))
             if config.kind == "degenerate":
-                h = assemble_degenerate(basis, matter, tm, modes, angles.theta1)
+                h = assemble_degenerate(basis, matter, tm, modes)
             else:
-                h = assemble_system(basis, matter, tm, modes, angles)
+                h = assemble_system(basis, matter, tm, modes)
         if config.kind == "current_driven":
             drive = _resolved_drive(config, matter, tm, modes, units, config.drive.calibrate)
             info["drive"] = drive

@@ -394,7 +394,7 @@ class TestAgainstQuantum:
             FockMode(0.5 * W1_DEG, 12, lam, (float(e2[0]), float(e2[1]))),
         )
         cb = CoupledBasis(3, (501, 13))
-        op = assemble_degenerate(cb, m3, tm3, qmodes, theta1)
+        op = assemble_degenerate(cb, m3, tm3, qmodes)
         vac = np.zeros(13, dtype=complex)
         vac[0] = 1.0
         psi0 = product_state(cb, ground3(), [coherent_state(20.0, 500), vac])
@@ -429,7 +429,7 @@ class TestAgainstQuantum:
                 for w, n, e in zip((W1, W2, W3), (n1, 6, 6), evecs)
             )
             cb = CoupledBasis(4, tuple(m.dim for m in modes))
-            op = assemble_system(cb, m4, tm4, modes, angles)
+            op = assemble_system(cb, m4, tm4, modes)
             g = np.zeros(4, dtype=complex)
             g[0] = 1.0
             vac = np.zeros(7, dtype=complex)

@@ -133,13 +133,6 @@ def test_bath_spec_validation():
         BathSpec(count=2, energy_windows=((1.0, 2.0, 2),), lambda_bath=-0.1)
     with pytest.raises(ValueError):
         BathSpec(count=2, energy_windows=((1.0, 2.0, 2),), lambda_bath=0.007, sector=3)
-    with pytest.raises(ValueError):
-        BathSpec(
-            count=2,
-            energy_windows=((1.0, 2.0, 2),),
-            lambda_bath=0.007,
-            polarizations=((1.0, 0.0), (0.0, 1.0)),
-        )
 
 
 def test_basis_sizes():
@@ -197,7 +190,6 @@ def test_sample_bath_windows():
         count=70,
         energy_windows=((0.113, 4.521, 20), (11.303, 27.128, 50)),
         lambda_bath=0.007,
-        polarizations=((0.0, 1.0), (1.0, 0.0)),
     )
     modes, basis = sample_bath(spec, U)
     assert len(modes) == 70
@@ -210,6 +202,5 @@ def test_sample_bath_windows():
     # equal spacing inside each window
     assert np.allclose(np.diff(mevs[:20]), np.diff(mevs[:20])[0])
     assert np.allclose(np.diff(mevs[20:]), np.diff(mevs[20:])[0])
-    assert all(m.polarization == (0.0, 1.0) for m in modes[:20])
-    assert all(m.polarization == (1.0, 0.0) for m in modes[20:])
+    assert all(m.polarization == (1.0, 0.0) for m in modes)
     assert all(m.lam == 0.007 for m in modes)
