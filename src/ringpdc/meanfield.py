@@ -12,13 +12,13 @@ cross terms.  These currents are exactly the gradients of the conserved
 functional  <H_el> - A.<p> + |A|^2/2 + sum_a (p_a^2 + w_a^2 q_a^2)/2,
 so undriven energy conservation doubles as the integrator's oracle.
 
-One step interleaves a symplectic kick-drift update of (q, p) with a Krylov
-step of the matter factor taken at the classical midpoint; the drift is the
-exact free-oscillator rotation, so the scheme is second-order overall and
-keeps the oscillator energy structure over long runs.
-The matter factor may live in the eigenbasis (dense operators, default) or
-on the grid (sparse operators, validation mode); the coefficients are the
-same either way.
+One step interleaves a symplectic kick-drift update of (q, p) with an exact
+step of the matter factor under the midpoint Hamiltonian: the matter lives in
+the ring eigenbasis, so H_MS is a small dense Hermitian matrix and the step is
+exp(-i H_MS dt) from its eigendecomposition.  The drift is the exact
+free-oscillator rotation, so the scheme is second-order overall and keeps the
+oscillator energy structure over long runs.  Mean-field runs record the same
+named series columns as the quantum methods, less the Fock populations.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ import numpy as np
 
 from .observables import OCCUPATION_FLOOR, _column_table
 from .photon import FockMode
-from .propagator import (
-    NORM_TOL,
-    CoupledState,
-    NonFiniteAmplitudes,
-    PropagatorConfig,
-    krylov_step,
-)
+from .propagator import NORM_TOL, NonFiniteAmplitudes
 
 
 @dataclass
@@ -170,41 +164,37 @@ def _free_rotation(q: np.ndarray, p: np.ndarray, omegas: np.ndarray, dt: float):
     return q * c + (p / omegas) * s, p * c - omegas * q * s
 
 
-def ms_step(
-    state: MeanFieldState,
-    system: MeanFieldSystem,
-    dt: float,
-    config: PropagatorConfig | None = None,
-) -> MeanFieldState:
+def ms_step(state: MeanFieldState, system: MeanFieldSystem, dt: float) -> MeanFieldState:
     """One second-order step of the coupled quantum-classical system.
 
-    Symplectic kick-drift for (q, p) around a midpoint Krylov step of the
+    Symplectic kick-drift for (q, p) around an exact midpoint step of the
     matter factor: half kick with the current (the exact gradient of the
     frozen interaction potential -q.b + q^T G q / 2), half drift as the
-    exact free-oscillator rotation, quantum step at the midpoint
-    coordinates, second half drift, half kick with the refreshed momentum
-    expectation.  With all couplings zero the classical flow is exact.
+    exact free-oscillator rotation, matter step exp(-i H_MS(q_mid) dt) by
+    eigendecomposition, second half drift, half kick with the refreshed
+    momentum expectation.  With all couplings zero the classical flow is exact.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    cfg = config or PropagatorConfig(dt=dt)
 
     p_exp = momentum_expectation(system, state.amplitudes)
     p_kicked = state.p + 0.5 * dt * currents(system, p_exp, state.q)
     q_mid, p_mid = _free_rotation(state.q, p_kicked, system.omegas, 0.5 * dt)
+    if not np.all(np.isfinite(q_mid)):
+        raise NonFiniteAmplitudes(f"classical coordinates went non-finite at t = {state.time}")
 
-    h_mid = ms_hamiltonian(system, q_mid)
-    stepped = krylov_step(h_mid, CoupledState(state.amplitudes, state.time), dt, cfg)
+    energies, vecs = np.linalg.eigh(ms_hamiltonian(system, q_mid))
+    amplitudes = vecs @ (np.exp(-1j * dt * energies) * (vecs.conj().T @ state.amplitudes))
 
     q_new, p_rot = _free_rotation(q_mid, p_mid, system.omegas, 0.5 * dt)
     if not np.all(np.isfinite(q_new)):
         raise NonFiniteAmplitudes(f"classical coordinates went non-finite at t = {state.time}")
-    p_exp_new = momentum_expectation(system, stepped.amplitudes)
+    p_exp_new = momentum_expectation(system, amplitudes)
     p_new = p_rot + 0.5 * dt * currents(system, p_exp_new, q_new)
     if not np.all(np.isfinite(p_new)):
         raise NonFiniteAmplitudes(f"classical momenta went non-finite at t = {state.time}")
 
-    return MeanFieldState(stepped.amplitudes, q_new, p_new, state.time + dt)
+    return MeanFieldState(amplitudes, q_new, p_new, state.time + dt)
 
 
 def propagate_mf(
@@ -212,7 +202,6 @@ def propagate_mf(
     system: MeanFieldSystem,
     t_final: float,
     dt: float,
-    config: PropagatorConfig | None = None,
     record_stride: int = 1,
 ) -> tuple[MeanFieldState, np.ndarray, list[MeanFieldState]]:
     """Step to t_final recording every record_stride-th state (plus both ends)."""
@@ -222,7 +211,7 @@ def propagate_mf(
     times = [state.time]
     snaps = [state]
     for k in range(n_steps):
-        state = ms_step(state, system, dt, config)
+        state = ms_step(state, system, dt)
         if (k + 1) % record_stride == 0 or k == n_steps - 1:
             times.append(state.time)
             snaps.append(state)

@@ -6,6 +6,11 @@ joint two-mode marginals, subsystem purity by index-sliced contraction
 (the full density matrix is never materialized), and the photonic energies
 w (n + 1/2).
 
+A series is held only as sample times, column names and one row of values
+per sample: snapshot_columns names the columns and its observer emits the
+rows.  There is no series container; efficiency_eta and series_extrema read
+the columns they need by name.
+
 Samples where an occupation sits below OCCUPATION_FLOOR make Q and g2
 numerically meaningless; those are reported as NaN gaps, never as zeros.
 """
@@ -13,7 +18,7 @@ numerically meaningless; those are reported as NaN gaps, never as zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -122,37 +127,10 @@ def photon_energy(psi, basis: CoupledBasis, mode: int, omega: float) -> float:
     return omega * (mode_occupation(psi, basis, mode) + 0.5)
 
 
-@dataclass
-class ObservableSeries:
-    """Per-snapshot photon statistics for every quantized mode.
-
-    Keys are mode slots (0-based); NaN entries mark samples below the
-    occupation floor.  Times stay in effective atomic units; callers
-    convert for presentation.
-    """
-
-    times: np.ndarray
-    occupations: dict[int, np.ndarray]
-    populations: dict[tuple[int, int], np.ndarray]
-    mandel: dict[int, np.ndarray]
-    g2: dict[tuple[int, int], np.ndarray]
-    purities: dict[int, np.ndarray]
-    energies: dict[int, np.ndarray]
-    method: str = "quantum"
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.occupations)
-
-
-# ObservableSeries fields that hold one series per mode or mode pair.
-_SERIES_FIELDS = ("occupations", "populations", "mandel", "g2", "purities", "energies")
-
-
 def _column_table(
     n_modes: int, fock_levels: Sequence[int], first_mode: int
 ) -> list[tuple[str, str, int | tuple[int, int]]]:
-    """(name, ObservableSeries field, key) of every series column, in file order.
+    """(name, statistic, key) of every series column, in file order.
 
     Names carry physical mode numbers from first_mode on; keys are the
     0-based physical mode index (a (mode, level) or (mode, mode) pair for
@@ -188,7 +166,7 @@ def snapshot_columns(
     """One propagate() observer computing every series column at once.
 
     Returns (names, observer); the observer emits one float vector per
-    snapshot, one value per (field, key) of _column_table in its order,
+    snapshot, one value per (statistic, key) of _column_table in its order,
     sharing the |psi|^2 tensor across all columns instead of recomputing it
     per observable.
     """
@@ -233,37 +211,17 @@ def edge_observer(basis: CoupledBasis) -> Callable:
     return observer
 
 
-def series_from_records(
-    times: np.ndarray,
-    names: Sequence[str],
-    rows: np.ndarray,
-    n_modes: int,
-    fock_levels: Sequence[int] = (1, 2, 3),
-    first_mode: int = 1,
-    method: str = "quantum",
-) -> ObservableSeries:
-    """Assemble an ObservableSeries from the matrix a snapshot observer built.
+def efficiency_eta(columns: Mapping[str, np.ndarray]) -> float:
+    """max_t H_2(t) / H_1(t0): down-converted photon energy over the pump's.
 
-    The columns are looked up by the names column_names gives for the same
-    n_modes, fock_levels and first_mode.
+    columns maps series column names to their values over the snapshots.
     """
-    index = {name: i for i, name in enumerate(names)}
-    fields: dict[str, dict] = {f: {} for f in _SERIES_FIELDS}
-    for name, field_name, key in _column_table(n_modes, fock_levels, first_mode):
-        if name not in index:
-            raise ValueError(f"series records lack column {name!r}")
-        fields[field_name][key] = np.real(rows[:, index[name]])
-    return ObservableSeries(times=np.asarray(times, dtype=float), method=method, **fields)
-
-
-def efficiency_eta(series: ObservableSeries) -> float:
-    """max_t H_2(t) / H_1(t0): down-converted photon energy over the pump's."""
-    if 0 not in series.energies or 1 not in series.energies:
+    if "H1" not in columns or "H2" not in columns:
         raise ValueError("series lacks pump or signal photon energies")
-    h1_start = series.energies[0][0]
+    h1_start = columns["H1"][0]
     if not np.isfinite(h1_start) or h1_start <= 0.0:
         raise ValueError("no pump energy at the start of the series")
-    return float(np.nanmax(series.energies[1]) / h1_start)
+    return float(np.nanmax(columns["H2"]) / h1_start)
 
 
 @dataclass(frozen=True)
@@ -274,25 +232,23 @@ class SeriesExtrema:
     t_q2_min: float
 
 
-def series_extrema(series: ObservableSeries, t_max: float | None = None) -> SeriesExtrema:
-    """Signal-mode occupation maximum and Mandel-Q minimum with their times."""
-    if 1 not in series.occupations:
+def series_extrema(times: np.ndarray, columns: Mapping[str, np.ndarray]) -> SeriesExtrema:
+    """Signal-mode occupation maximum and Mandel-Q minimum with their times.
+
+    columns maps series column names to their values at `times`; the times
+    come back in the unit they are given in.
+    """
+    if "n2" not in columns:
         raise ValueError("series has no signal mode")
-    times = series.times
-    mask = np.ones(len(times), dtype=bool) if t_max is None else times <= t_max
-    if not mask.any():
-        raise ValueError("window excludes every sample")
-    t_w = times[mask]
-    n2 = series.occupations[1][mask]
-    q2 = series.mandel[1][mask]
+    n2 = columns["n2"]
     i_n = int(np.nanargmax(n2))
     # an unpopulated mode carries no statistics; count those epochs as Q = 0
     # so the minimum of an always-super-Poissonian signal reads 0, not +inf
-    q2 = np.where(np.isfinite(q2), q2, 0.0)
+    q2 = np.where(np.isfinite(columns["Q2"]), columns["Q2"], 0.0)
     i_q = int(np.argmin(q2))
     return SeriesExtrema(
         n2_max=float(n2[i_n]),
-        t_n2_max=float(t_w[i_n]),
+        t_n2_max=float(times[i_n]),
         q2_min=float(q2[i_q]),
-        t_q2_min=float(t_w[i_q]),
+        t_q2_min=float(times[i_q]),
     )

@@ -66,14 +66,7 @@ from .meanfield import (
     mf_observables,
     propagate_mf,
 )
-from .observables import (
-    ObservableSeries,
-    edge_observer,
-    efficiency_eta,
-    series_extrema,
-    series_from_records,
-    snapshot_columns,
-)
+from .observables import edge_observer, efficiency_eta, series_extrema, snapshot_columns
 from .photon import COHERENT_TAIL_TOL, BathSpec, FockMode, coherent_state, sample_bath
 from .propagator import CoupledState, PropagatorConfig, ground_state, propagate
 from .units import (
@@ -604,12 +597,11 @@ def _build_modes(config: ScenarioConfig, units: UnitSystem) -> tuple[FockMode, .
     )
 
 
-def _time_grid(config: ScenarioConfig, units: UnitSystem) -> tuple[float, float, int]:
-    """(dt, t_final, n_steps) in effective units, t_final snapped to the grid."""
+def _time_grid(config: ScenarioConfig, units: UnitSystem) -> tuple[float, float]:
+    """(dt, t_final) in effective units, t_final snapped to the grid."""
     dt = time_to_eff(config.propagation.dt_fs, units)
     span = ps_to_eff(config.propagation.t_final_ps, units)
-    n_steps = max(1, int(round(span / dt)))
-    return dt, n_steps * dt, n_steps
+    return dt, max(1, int(round(span / dt))) * dt
 
 
 def _resolved_drive(
@@ -692,7 +684,6 @@ def _initial_photon_vectors(config: ScenarioConfig, modes: Sequence[FockMode]):
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
-    series: ObservableSeries
     names: list[str]
     times_ps: np.ndarray
     rows: np.ndarray
@@ -702,9 +693,9 @@ class ScenarioResult:
 
 
 def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
-    """Assemble, propagate and record; returns (names, rows, series, info)."""
+    """Assemble, propagate and record; returns (names, times, rows, info)."""
     p = config.propagation
-    dt, t_final, _ = _time_grid(config, units)
+    dt, t_final = _time_grid(config, units)
     modes = _build_modes(config, units)
     info: dict = {}
     terms: list = []
@@ -787,23 +778,19 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         "bath": bath_basis.size if bath_basis is not None else None,
         "total": basis.dim,
     }
-    series = series_from_records(result.times, names, rows, len(quantized), first_mode=first_mode)
-    return names, rows, series, info
+    return names, result.times, rows, info
 
 
 def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     p = config.propagation
-    dt, t_final, _ = _time_grid(config, units)
+    dt, t_final = _time_grid(config, units)
     modes = _build_modes(config, units)
     system = MeanFieldSystem(matter.h_matrix(), tm.px, tm.py, modes)
     matter_vec = np.zeros(matter.n_states, dtype=complex)
     matter_vec[0] = 1.0
     xis = [config.initial.xi1] + [0.0] * (len(modes) - 1)
     state = mean_field_initial(matter_vec, system, xis)
-    pconfig = PropagatorConfig(dt=dt, krylov_dim=p.krylov_dim, krylov_tol=p.krylov_tol)
-    _, times, snaps = propagate_mf(
-        state, system, t_final, dt, config=pconfig, record_stride=p.record_stride
-    )
+    _, times, snaps = propagate_mf(state, system, t_final, dt, record_stride=p.record_stride)
     names = list(mf_observables(snaps[0], system))
     rows = np.asarray([list(mf_observables(s, system).values()) for s in snaps], dtype=float)
     info = {
@@ -811,10 +798,7 @@ def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         "dims": {"matter": matter.n_states, "modes": [], "bath": None, "total": matter.n_states},
         "norm_drift": abs(float(np.linalg.norm(snaps[-1].amplitudes)) - 1.0),
     }
-    series = series_from_records(
-        times, names, rows, len(modes), fock_levels=(), method="mean_field"
-    )
-    return names, rows, series, info
+    return names, times, rows, info
 
 
 def run_scenario(
@@ -834,14 +818,15 @@ def run_scenario(
     matter, tm = prepare_matter(config.matter, u, matter_store)
 
     if config.method.kind == "mean_field":
-        names, rows, series, info = _mean_field_series(config, matter, tm, u)
+        names, times, rows, info = _mean_field_series(config, matter, tm, u)
     else:
-        names, rows, series, info = _quantum_series(config, matter, tm, u)
+        names, times, rows, info = _quantum_series(config, matter, tm, u)
 
-    times_ps = np.asarray([eff_to_ps(t, u) for t in series.times])
-    extrema = series_extrema(series)
+    times_ps = np.asarray([eff_to_ps(t, u) for t in times])
+    columns = dict(zip(names, rows.T))
+    extrema = series_extrema(times_ps, columns)
     try:
-        eta = float(efficiency_eta(series))
+        eta = efficiency_eta(columns)
     except ValueError:
         eta = None
 
@@ -857,17 +842,15 @@ def run_scenario(
         "theta_deg": [config.theta1_deg, config.theta2_deg, config.theta3_deg],
         "v0_meV": config.matter.v0_mev,
         "dims": info["dims"],
-        "samples": int(len(series.times)),
+        "samples": len(times_ps),
         "t_final_ps": float(times_ps[-1]),
         "dt_fs": config.propagation.dt_fs,
         "columns": ["time_ps"] + names,
         "extrema": {
             "n2_max": extrema.n2_max,
-            "t_n2_max_ps": eff_to_ps(extrema.t_n2_max, u),
+            "t_n2_max_ps": extrema.t_n2_max,
             "q2_min": extrema.q2_min,
-            "t_q2_min_ps": (
-                eff_to_ps(extrema.t_q2_min, u) if math.isfinite(extrema.t_q2_min) else float("nan")
-            ),
+            "t_q2_min_ps": extrema.t_q2_min,
         },
         "eta": eta,
         "truncation_drift": info["truncation_drift"],
@@ -888,7 +871,6 @@ def run_scenario(
 
     result = ScenarioResult(
         config=config,
-        series=series,
         names=list(names),
         times_ps=times_ps,
         rows=rows,

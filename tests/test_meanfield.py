@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ringpdc.units import default_units, energy_to_eff, time_to_fs
 from ringpdc.matter import transition_matrices
@@ -31,12 +32,13 @@ from ringpdc.meanfield import (
     mf_mode_occupation,
     mf_observables,
     momentum_expectation,
+    ms_hamiltonian,
     ms_step,
     propagate_mf,
 )
-from ringpdc.observables import column_names, series_from_records
+from ringpdc.observables import column_names
 from ringpdc.photon import FockMode, coherent_state, number_op, quadratures
-from ringpdc.propagator import CoupledState, PropagatorConfig, propagate
+from ringpdc.propagator import CoupledState, NonFiniteAmplitudes, PropagatorConfig, propagate
 from ringpdc import scenarios as sc
 
 U = default_units()
@@ -283,6 +285,27 @@ class TestConservation:
         err_fine = np.linalg.norm(final_q(0.05) - ref)
         assert 3.0 < err_coarse / err_fine < 5.3
 
+    def test_matter_step_is_midpoint_exponential(self, matter3):
+        # the matter factor moves by exp(-i H_MS(q_mid) dt) exactly, with q_mid
+        # the coordinates after the half kick and the half drift
+        system = degenerate_mf(matter3, lam=0.017, theta1_deg=60.0)
+        st = initial_state(ground3(), system, [2.0, 0.5j])
+        dt = 0.3
+        p_half = st.p + 0.5 * dt * currents(
+            system, momentum_expectation(system, st.amplitudes), st.q
+        )
+        w = system.omegas
+        q_mid = st.q * np.cos(0.5 * w * dt) + (p_half / w) * np.sin(0.5 * w * dt)
+        ref = expm(-1j * dt * ms_hamiltonian(system, q_mid)) @ st.amplitudes
+        assert np.allclose(ms_step(st, system, dt).amplitudes, ref, atol=1e-13)
+
+    def test_non_finite_coordinates_raise(self, matter3):
+        system = degenerate_mf(matter3)
+        st = initial_state(ground3(), system, [1.0, 0.0])
+        st.q[0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteAmplitudes, match="coord"):
+            ms_step(st, system, 0.05)
+
     def test_dt_validated(self, matter3):
         system = degenerate_mf(matter3)
         st = initial_state(ground3(), system, [1.0, 0.0])
@@ -350,23 +373,6 @@ class TestMfObservables:
         assert math.isnan(row["Q2"])
         assert math.isnan(row["g2_12"])
         assert row["n2"] == 0.0
-
-    def test_series_interop(self, matter3):
-        system = degenerate_mf(matter3, lam=0.017, theta1_deg=60.0)
-        st = initial_state(ground3(), system, [2.0, 0.0])
-        names = list(mf_observables(st, system))
-        rows, times = [], []
-        for _ in range(5):
-            st = ms_step(st, system, 0.05)
-            times.append(st.time)
-            rows.append([mf_observables(st, system)[k] for k in names])
-        series = series_from_records(
-            times, names, np.asarray(rows), 2, fock_levels=(), method="mean_field"
-        )
-        assert series.method == "mean_field"
-        assert series.n_modes == 2
-        assert np.allclose(series.purities[0], 1.0)
-        assert np.all(np.isfinite(series.occupations[1]))
 
 
 @pytest.mark.slow

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ringpdc.hamiltonian import CoupledBasis, embed, product_state
 from ringpdc.observables import (
-    ObservableSeries,
     SeriesExtrema,
     column_names,
     efficiency_eta,
@@ -23,7 +22,6 @@ from ringpdc.observables import (
     photon_energy,
     purity,
     series_extrema,
-    series_from_records,
     snapshot_columns,
 )
 from ringpdc.photon import FockMode, coherent_state, number_op
@@ -272,93 +270,78 @@ class TestPhotonEnergy:
         assert h / omega - 0.5 == pytest.approx(mode_occupation(psi, basis, 1), abs=1e-12)
 
 
-def hand_series(times, n2, q2, h1, h2) -> ObservableSeries:
-    zeros = np.zeros(len(times))
-    return ObservableSeries(
-        times=np.asarray(times, dtype=float),
-        occupations={0: zeros + 1.0, 1: np.asarray(n2, dtype=float)},
-        populations={},
-        mandel={0: zeros, 1: np.asarray(q2, dtype=float)},
-        g2={},
-        purities={0: zeros + 1.0, 1: zeros + 1.0},
-        energies={0: np.asarray(h1, dtype=float), 1: np.asarray(h2, dtype=float)},
-    )
+def hand_columns(n2, q2, h1, h2) -> dict[str, np.ndarray]:
+    """Named two-mode series columns with a constant unit pump occupation."""
+    ones = np.ones(len(n2))
+    return {
+        "n1": ones,
+        "n2": np.asarray(n2, dtype=float),
+        "Q1": 0.0 * ones,
+        "Q2": np.asarray(q2, dtype=float),
+        "gamma1": ones,
+        "gamma2": ones,
+        "H1": np.asarray(h1, dtype=float),
+        "H2": np.asarray(h2, dtype=float),
+    }
 
 
 class TestEfficiency:
     def test_flat_signal_equals_one(self):
-        s = hand_series([0, 1, 2], [0, 0, 0], [0, 0, 0], [2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
+        s = hand_columns([0, 0, 0], [0, 0, 0], [2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
         assert efficiency_eta(s) == pytest.approx(1.0, abs=1e-14)
 
     def test_max_over_times(self):
-        s = hand_series([0, 1, 2], [0, 0, 0], [0, 0, 0], [2.0, 1.9, 1.8], [0.5, 1.5, 1.0])
+        s = hand_columns([0, 0, 0], [0, 0, 0], [2.0, 1.9, 1.8], [0.5, 1.5, 1.0])
         assert efficiency_eta(s) == pytest.approx(0.75, abs=1e-14)
 
     def test_linearity_in_signal_energy(self):
         h2 = [0.5, 1.5, 1.0]
-        s1 = hand_series([0, 1, 2], [0] * 3, [0] * 3, [2.0] * 3, h2)
-        s2 = hand_series([0, 1, 2], [0] * 3, [0] * 3, [2.0] * 3, [2 * v for v in h2])
+        s1 = hand_columns([0] * 3, [0] * 3, [2.0] * 3, h2)
+        s2 = hand_columns([0] * 3, [0] * 3, [2.0] * 3, [2 * v for v in h2])
         assert efficiency_eta(s2) == pytest.approx(2 * efficiency_eta(s1), abs=1e-14)
 
     def test_no_pump_energy_rejected(self):
-        s = hand_series([0, 1], [0, 0], [0, 0], [0.0, 1.0], [0.5, 0.5])
+        s = hand_columns([0, 0], [0, 0], [0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="pump energy"):
             efficiency_eta(s)
 
     def test_missing_mode_rejected(self):
-        s = hand_series([0, 1], [0, 0], [0, 0], [1.0, 1.0], [0.5, 0.5])
-        del s.energies[1]
+        s = hand_columns([0, 0], [0, 0], [1.0, 1.0], [0.5, 0.5])
+        del s["H2"]
         with pytest.raises(ValueError, match="photon energies"):
             efficiency_eta(s)
 
 
 class TestSeriesExtrema:
     def test_basic_extrema(self):
-        s = hand_series(
-            [0.0, 1.0, 2.0, 3.0],
-            [0.0, 0.05, 0.02, 0.04],
-            [math.nan, -0.01, -0.04, -0.02],
-            [1.0] * 4,
-            [0.0] * 4,
+        s = hand_columns(
+            [0.0, 0.05, 0.02, 0.04], [math.nan, -0.01, -0.04, -0.02], [1.0] * 4, [0.0] * 4
         )
-        ex = series_extrema(s)
+        ex = series_extrema(np.array([0.0, 1.0, 2.0, 3.0]), s)
         assert ex == SeriesExtrema(n2_max=0.05, t_n2_max=1.0, q2_min=-0.04, t_q2_min=2.0)
 
     def test_constant_series_reports_window_start(self):
-        s = hand_series([0.0, 1.0, 2.0], [0.3] * 3, [0.1] * 3, [1.0] * 3, [0.0] * 3)
-        ex = series_extrema(s)
+        s = hand_columns([0.3] * 3, [0.1] * 3, [1.0] * 3, [0.0] * 3)
+        ex = series_extrema(np.array([0.0, 1.0, 2.0]), s)
         assert ex.n2_max == 0.3 and ex.t_n2_max == 0.0
         assert ex.q2_min == 0.1 and ex.t_q2_min == 0.0
 
-    def test_window_restriction(self):
-        s = hand_series(
-            [0.0, 1.0, 2.0, 3.0],
-            [0.0, 0.02, 0.05, 0.08],
-            [0.0, -0.01, -0.02, -0.05],
-            [1.0] * 4,
-            [0.0] * 4,
-        )
-        ex = series_extrema(s, t_max=2.0)
-        assert ex.n2_max == 0.05 and ex.t_n2_max == 2.0
-        assert ex.q2_min == -0.02
-
     def test_unpopulated_mode_counts_as_poissonian(self):
         # no statistics while the mode is empty: those samples enter as Q = 0
-        s = hand_series([0.0, 1.0], [0.0, 0.0], [math.nan, math.nan], [1.0] * 2, [0.0] * 2)
-        ex = series_extrema(s)
+        s = hand_columns([0.0, 0.0], [math.nan, math.nan], [1.0] * 2, [0.0] * 2)
+        ex = series_extrema(np.array([0.0, 1.0]), s)
         assert ex.q2_min == 0.0 and ex.t_q2_min == 0.0
 
     def test_positive_mandel_minimum_is_the_empty_epoch(self):
-        s = hand_series(
-            [0.0, 1.0, 2.0], [0.0, 0.01, 0.02], [math.nan, 0.4, 0.9], [1.0] * 3, [0.0] * 3
-        )
-        ex = series_extrema(s)
+        s = hand_columns([0.0, 0.01, 0.02], [math.nan, 0.4, 0.9], [1.0] * 3, [0.0] * 3)
+        ex = series_extrema(np.array([0.0, 1.0, 2.0]), s)
         assert ex.q2_min == 0.0 and ex.t_q2_min == 0.0
 
-    def test_empty_window_rejected(self):
-        s = hand_series([1.0, 2.0], [0.1, 0.2], [0.0, 0.0], [1.0] * 2, [0.0] * 2)
-        with pytest.raises(ValueError, match="window"):
-            series_extrema(s, t_max=0.5)
+    def test_missing_signal_rejected(self):
+        s = hand_columns([0.1], [0.0], [1.0], [0.0])
+        del s["n2"]
+        with pytest.raises(ValueError, match="no signal mode"):
+            series_extrema(np.array([0.0]), s)
 
 
 class TestSnapshotColumns:
@@ -424,27 +407,21 @@ class TestSnapshotColumns:
         names, observer = snapshot_columns(basis, omegas, fock_levels=levels)
         states = [random_state(basis, s) for s in (1, 2, 3)]
         rows = np.asarray([observer(p) for p in states])
-        series = series_from_records([0.0, 0.5, 1.0], names, rows, 2, fock_levels=levels)
-        assert series.n_modes == 2
-        assert series.method == "quantum"
+        assert names == column_names(2, fock_levels=levels)
+        cols = dict(zip(names, rows.T))
         for m, dim in ((0, 5), (1, 4)):
+            pops = {k: cols[f"P{k}_{m + 1}"] for k in levels if k < dim}
+            n, energy = cols[f"n{m + 1}"], cols[f"H{m + 1}"]
             for i in range(3):
-                mass = sum(
-                    series.populations[(m, k)][i] for k in levels if k < dim
-                ) + fock_population(states[i], basis, m, 0)
+                mass = sum(p[i] for p in pops.values()) + fock_population(states[i], basis, m, 0)
                 assert mass <= 1.0 + 1e-10
-                weighted = sum(
-                    k * series.populations[(m, k)][i] for k in levels if k < dim
-                )
-                assert series.occupations[m][i] == pytest.approx(weighted, abs=1e-8)
-                assert series.energies[m][i] == pytest.approx(
-                    omegas[m] * (series.occupations[m][i] + 0.5), abs=1e-12
-                )
+                assert n[i] == pytest.approx(sum(k * p[i] for k, p in pops.items()), abs=1e-8)
+                assert energy[i] == pytest.approx(omegas[m] * (n[i] + 0.5), abs=1e-12)
 
     def test_field_driven_numbering_keeps_physical_keys(self):
         # a field-driven run quantizes modes 2 and 3 only: the names carry the
-        # physical numbers and the series keys the 0-based physical index, so
-        # the signal mode stays key 1 and the missing pump (key 0) has no eta
+        # physical numbers, so the signal mode stays n2 and the missing pump
+        # (no H1 column) has no eta
         basis = CoupledBasis(2, (4, 3))
         omegas = (0.45, 0.5)
         times = [0.0, 1.0, 2.0]
@@ -453,36 +430,24 @@ class TestSnapshotColumns:
         assert names[:2] == ["n2", "n3"] and "P3_3" in names and "g2_23" in names
         states = [random_state(basis, s) for s in (4, 5, 6)]
         rows = np.asarray([observer(p) for p in states])
-        series = series_from_records(times, names, rows, 2, first_mode=2)
-        assert sorted(series.occupations) == [1, 2]
-        assert sorted(series.populations) == [(m, k) for m in (1, 2) for k in (1, 2, 3)]
-        assert list(series.g2) == [(1, 2)]
-        for slot, key in ((0, 1), (1, 2)):
+        cols = dict(zip(names, rows.T))
+        assert [n for n in names if n.startswith("P")] == [
+            f"P{k}_{m}" for m in (2, 3) for k in (1, 2, 3)
+        ]
+        assert [n for n in names if n.startswith("g2")] == ["g2_23"]
+        for slot, m in ((0, 2), (1, 3)):
             occ = np.array([mode_occupation(p, basis, slot) for p in states])
-            assert np.allclose(series.occupations[key], occ, atol=1e-12)
-            assert np.allclose(series.energies[key], omegas[slot] * (occ + 0.5), atol=1e-12)
+            assert np.allclose(cols[f"n{m}"], occ, atol=1e-12)
+            assert np.allclose(cols[f"H{m}"], omegas[slot] * (occ + 0.5), atol=1e-12)
             assert np.allclose(
-                series.mandel[key], [mandel_q(p, basis, slot) for p in states], atol=1e-12
+                cols[f"Q{m}"], [mandel_q(p, basis, slot) for p in states], atol=1e-12
             )
-        ex = series_extrema(series)
-        signal = series.occupations[1]
+        ex = series_extrema(np.asarray(times), cols)
+        signal = cols["n2"]
         assert ex.n2_max == signal.max()
         assert ex.t_n2_max == times[int(np.argmax(signal))]
         with pytest.raises(ValueError, match="pump"):
-            efficiency_eta(series)
-
-    def test_series_looks_columns_up_by_name(self):
-        basis = CoupledBasis(1, (3, 3))
-        names, observer = snapshot_columns(basis, (1.0, 0.5))
-        rows = np.asarray([observer(random_state(basis, 9))])
-        order = np.arange(len(names))[::-1]
-        shuffled = series_from_records([0.0], [names[i] for i in order], rows[:, order], 2)
-        plain = series_from_records([0.0], names, rows, 2)
-        for m in (0, 1):
-            assert shuffled.occupations[m][0] == plain.occupations[m][0]
-            assert shuffled.purities[m][0] == plain.purities[m][0]
-        with pytest.raises(ValueError, match="H2"):
-            series_from_records([0.0], names[:-1], rows[:, :-1], 2)
+            efficiency_eta(cols)
 
     def test_propagation_of_decoupled_modes_keeps_purity(self):
         # uncoupled evolution generates no entanglement: gamma stays 1, n stays
@@ -502,10 +467,10 @@ class TestSnapshotColumns:
             config=PropagatorConfig(dt=0.25),
             observables={"row": observer},
         )
-        series = series_from_records(result.times, names, result.records["row"], 2)
-        assert np.allclose(series.purities[0], 1.0, atol=1e-10)
-        assert np.allclose(series.purities[1], 1.0, atol=1e-10)
-        assert np.allclose(series.occupations[0], 1.0, atol=1e-9)
-        assert np.allclose(series.mandel[1], -1.0, atol=1e-10)
-        assert np.all(np.abs(series.mandel[0]) < 1e-6)
-        assert np.allclose(series.g2[(0, 1)], 1.0, atol=1e-9)
+        cols = dict(zip(names, np.real(result.records["row"]).T))
+        assert np.allclose(cols["gamma1"], 1.0, atol=1e-10)
+        assert np.allclose(cols["gamma2"], 1.0, atol=1e-10)
+        assert np.allclose(cols["n1"], 1.0, atol=1e-9)
+        assert np.allclose(cols["Q2"], -1.0, atol=1e-10)
+        assert np.all(np.abs(cols["Q1"]) < 1e-6)
+        assert np.allclose(cols["g2_12"], 1.0, atol=1e-9)

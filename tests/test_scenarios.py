@@ -461,19 +461,22 @@ class TestRunScenario:
             modes=(sc.ModeSpec(10.0, 3, 0.0), sc.ModeSpec(5.0, 3, 0.0)), label="lam0"
         )
         res = sc.run_scenario(cfg, matter_store=store, write_files=False)
-        assert np.allclose(res.series.occupations[0], 1.0, atol=1e-12)
-        assert np.allclose(res.series.occupations[1], 0.0, atol=1e-12)
+        cols = dict(zip(res.names, res.rows.T))
+        assert np.allclose(cols["n1"], 1.0, atol=1e-12)
+        assert np.allclose(cols["n2"], 0.0, atol=1e-12)
         few = sc.run_scenario(
             replace(cfg, method=sc.MethodSpec(kind="few_level", levels=(0, 1, 2))),
             matter_store=store,
             write_files=False,
         )
-        assert np.allclose(few.series.occupations[0], res.series.occupations[0], atol=1e-12)
-        assert np.allclose(few.series.occupations[1], res.series.occupations[1], atol=1e-12)
+        few_cols = dict(zip(few.names, few.rows.T))
+        for name in ("n1", "n2"):
+            assert np.allclose(few_cols[name], cols[name], atol=1e-12)
 
     def test_nondegenerate_photon_splitting(self, store):
         res = sc.run_scenario(tiny_nondegenerate(), matter_store=store, write_files=False)
-        n1, n2, n3 = (res.series.occupations[m] for m in range(3))
+        cols = dict(zip(res.names, res.rows.T))
+        n1, n2, n3 = cols["n1"], cols["n2"], cols["n3"]
         assert n1[0] == pytest.approx(1.0, abs=1e-12)
         # the pump dips while both signals rise
         assert n1.min() < 1.0 - 1e-6
@@ -506,7 +509,7 @@ class TestRunScenario:
         res = sc.run_scenario(cfg, matter_store=store, write_files=False)
         assert res.summary["drive"]["kind"] == "classical_current"
         assert res.summary["drive"]["calibrated"] is False
-        assert res.series.occupations[0].max() > 1e-4
+        assert dict(zip(res.names, res.rows.T))["n1"].max() > 1e-4
 
     def test_bath_sector_runs(self, store):
         cfg = tiny_nondegenerate(
@@ -519,18 +522,53 @@ class TestRunScenario:
         assert res.summary["dims"]["total"] == 3 * 27 * 4
 
     def test_mean_field_series(self, store):
-        cfg = tiny_degenerate(
-            initial=sc.InitialSpec(kind="coherent", xi1=0.6),
-            modes=(sc.ModeSpec(10.0, 8, 0.05), sc.ModeSpec(5.0, 8, 0.05)),
-            method=sc.MethodSpec(kind="mean_field"),
-            label="tinymf",
-        )
-        res = sc.run_scenario(cfg, matter_store=store, write_files=False)
-        assert res.series.method == "mean_field"
-        assert res.series.occupations[0][0] == pytest.approx(0.36, abs=1e-9)
-        q = res.series.mandel[0]
+        res = sc.run_scenario(tiny_mean_field(), matter_store=store, write_files=False)
+        cols = dict(zip(res.names, res.rows.T))
+        assert res.summary["method"] == "mean_field"
+        assert cols["n1"][0] == pytest.approx(0.36, abs=1e-9)
+        q = cols["Q1"]
         assert np.all((q == 0.0) | np.isnan(q))
         assert res.summary["truncation_drift"] == {}
+
+
+def tiny_mean_field(**over) -> sc.ScenarioConfig:
+    return tiny_degenerate(
+        initial=sc.InitialSpec(kind="coherent", xi1=0.6),
+        modes=(sc.ModeSpec(10.0, 8, 0.05), sc.ModeSpec(5.0, 8, 0.05)),
+        method=sc.MethodSpec(kind="mean_field"),
+        label="tinymf",
+        **over,
+    )
+
+
+def read_series_csv(path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(time_ps, name -> column) of a written series CSV; empty cells read as NaN."""
+    header, *lines = Path(path).read_text().splitlines()
+    cells = [[float(c) if c else math.nan for c in line.split(",")] for line in lines]
+    columns = dict(zip(header.split(","), np.asarray(cells).T))
+    return columns.pop("time_ps"), columns
+
+
+@pytest.mark.parametrize("make", [tiny_degenerate, tiny_mean_field], ids=["full", "mean_field"])
+def test_json_headlines_match_csv(make, tmp_path, store):
+    # eta and the signal extrema in the JSON summary, recomputed from the CSV
+    # alone: an empty Q2 cell (unpopulated signal) counts as Q = 0
+    res = sc.run_scenario(make(), matter_store=store, out_dir=tmp_path)
+    data = json.loads(res.json_path.read_text())
+    t, cols = read_series_csv(res.csv_path)
+    q2 = np.nan_to_num(cols["Q2"], nan=0.0)
+    i_n, i_q = int(np.argmax(cols["n2"])), int(np.argmin(q2))
+    expect = {
+        "n2_max": cols["n2"][i_n],
+        "t_n2_max_ps": t[i_n],
+        "q2_min": q2[i_q],
+        "t_q2_min_ps": t[i_q],
+    }
+    assert data["extrema"].keys() == expect.keys()
+    for key, value in expect.items():
+        assert data["extrema"][key] == pytest.approx(value, rel=1e-11, abs=0.0), key
+    assert data["eta"] == pytest.approx(cols["H2"].max() / cols["H1"][0], rel=1e-11, abs=0.0)
+    assert data["samples"] == len(t)
 
 
 def tiny_calibrated(kind: str) -> sc.ScenarioConfig:
@@ -673,10 +711,10 @@ class TestCompareMethods:
         res = sc.compare_methods(
             cfg, ["full", "mean_field"], matter_store=store, write_files=False
         )
-        mf = res.runs["mean_field"].series
-        for q in mf.mandel.values():
-            finite = q[np.isfinite(q)]
-            assert np.all(finite == 0.0)
+        mf = res.runs["mean_field"]
+        for name in ("Q1", "Q2"):
+            q = mf.rows[:, mf.names.index(name)]
+            assert np.all(q[np.isfinite(q)] == 0.0)
 
     def test_decoupled_methods_agree(self, store):
         cfg = tiny_degenerate(
@@ -687,12 +725,11 @@ class TestCompareMethods:
         res = sc.compare_methods(
             cfg, ["full", "few_level", "mean_field"], matter_store=store, write_files=False
         )
-        ref = res.runs["full"].series
+        ref = dict(zip(res.runs["full"].names, res.runs["full"].rows.T))
         for name, run in res.runs.items():
-            for m in range(2):
-                assert np.allclose(
-                    run.series.occupations[m], ref.occupations[m], atol=1e-10
-                ), name
+            cols = dict(zip(run.names, run.rows.T))
+            for n in ("n1", "n2"):
+                assert np.allclose(cols[n], ref[n], atol=1e-10), name
 
     def test_with_method_keeps_or_defaults_levels(self):
         cfg = tiny_degenerate()
@@ -761,6 +798,27 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "theta1 = 0" in out and "theta1 = 30" in out
+
+    def test_compare_verb(self, tmp_path, capsys):
+        data = base_data(
+            modes=[
+                {"omega_meV": 10.0, "n_max": 8, "lambda": 0.05},
+                {"omega_meV": 5.0, "n_max": 8, "lambda": 0.05},
+            ],
+            initial={"kind": "coherent", "xi1": 0.6},
+        )
+        path = tmp_path / "cmp.yaml"
+        path.write_text(yaml.safe_dump(data))
+        argv = [
+            "compare", "--config", str(path), "--methods", "full,mean_field",
+            "--output-dir", str(tmp_path),
+        ]
+        assert cli.main(argv) == 0
+        assert "mean_field vs full" in capsys.readouterr().out
+        assert (tmp_path / "parsed_methods.csv").exists()
+        assert set(json.loads((tmp_path / "parsed_methods.json").read_text())["methods"]) == {
+            "mean_field"
+        }
 
     def test_list_presets_verb(self, capsys):
         assert cli.main(["list-presets"]) == 0
