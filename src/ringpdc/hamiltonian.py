@@ -21,9 +21,11 @@ terms is then Hermitian by construction; the builders return the csr_matrix
 itself.
 
 The matter factor is the truncated ring eigenbasis (h_matrix plus momentum
-matrices), never the raw grid.  Bath modes live in a restricted few-photon
-sector; their operators are assembled normal-ordered so that single-operator
-restrictions stay exact (see photon.bath_ladder).
+matrices), or its reflection-even sector when every mode shares one
+polarization axis (matter.reflection_even), never the raw grid.  Bath modes
+live in a restricted few-photon sector; their operators are assembled
+normal-ordered so that single-operator restrictions stay exact (see
+photon.bath_ladder).
 """
 
 from __future__ import annotations
@@ -74,35 +76,6 @@ class CoupledBasis:
 
     def unflatten(self, index: int) -> tuple[int, ...]:
         return tuple(int(i) for i in np.unravel_index(index, self.shape))
-
-
-@dataclass(frozen=True)
-class MixingAngles:
-    """Polarization angles (radians).  The reproduction scenarios stay within
-    [0, pi/2]; other values are allowed and simply tilt the vectors."""
-
-    theta1: float = 0.0
-    theta2: float = math.pi / 2.0
-    theta3: float = math.pi / 2.0
-
-    def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-def polarization_vectors(angles: MixingAngles) -> tuple[tuple[float, float], ...]:
-    """Three-mode geometry: pump along x, signal vectors tilted by theta2/theta3."""
-    return (
-        (1.0, 0.0),
-        (-math.sin(angles.theta2), math.cos(angles.theta2)),
-        (math.sin(angles.theta3), math.cos(angles.theta3)),
-    )
-
-
-def degenerate_polarization_vectors(theta1: float) -> tuple[tuple[float, float], ...]:
-    """Two-mode geometry: pump tilted by theta1, signal fixed along y."""
-    return ((math.cos(theta1), math.sin(theta1)), (0.0, 1.0))
 
 
 def _hermitian_factor(op: sp.spmatrix, where: str) -> sp.spmatrix:
@@ -513,10 +486,10 @@ def field_drive_terms(
     """Classical-field pump: mode 1 leaves the quantized basis and enters as
     A1(t) = lam1 q1(t) with q1 integrated from the drive current.
 
-    H_ext(t) = -A1(t) e1.p + (1/2)[A1(t)^2 + 2 A1(t) lam2 (e1.e2) q2
-                                   + 2 A1(t) lam3 (e1.e3) q3],
+    H_ext(t) = -A1(t) e1.p + A1(t) [lam2 (e1.e2) q2 + lam3 (e1.e3) q3],
 
-    with every e_a read from the modes' polarization.
+    with every e_a read from the modes' polarization.  The diamagnetic
+    c-number A1(t)^2 / 2 is left out: it only shifts the global phase.
     """
     if len(basis.mode_dims) != 2 or len(signal_modes) != 2:
         raise ValueError(
@@ -535,10 +508,6 @@ def field_drive_terms(
         TimeDependentTerm(
             op=embed(basis, matter_op=_momentum_projection(tm, e1)),
             coeff=lambda t: -a1_at(t),
-        ),
-        TimeDependentTerm(
-            op=embed(basis),
-            coeff=lambda t: 0.5 * a1_at(t) ** 2,
         ),
     ]
     for slot, mode in enumerate(signal_modes):

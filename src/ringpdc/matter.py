@@ -22,6 +22,13 @@ Degenerate (+l, -l) eigenstate pairs returned by the real-symmetric solver
 are arbitrary real combinations; classify_angular_momentum rotates each
 degenerate cluster into complex eigenstates of L_z = -i (x d/dy - y d/dx)
 so that the dipole selection rule |delta l| = 1 holds elementwise.
+
+When every photon mode is polarized along one axis, the reflection of the
+other axis commutes with the coupled Hamiltonian and acts on the matter
+factor alone.  reflection_even then keeps the reflection-even sector of a
+solved basis (each singlet and one cos(l phi)-like member of each +-l pair,
+7 of the lowest 12 states), energy-diagonal, with its transition matrices;
+a run that starts in the even ground state never leaves it.
 """
 
 from __future__ import annotations
@@ -203,11 +210,21 @@ def _parity_folds(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return even, odd
 
 
+def _reflection_index(grid: GridSpec, axis: str) -> np.ndarray:
+    """Flattened-grid index map of the reflection axis -> -axis: (R psi) = psi[flip]."""
+    idx = np.arange(grid.size).reshape(grid.nx, grid.ny)
+    if axis == "x":
+        return idx[::-1, :].ravel()
+    if axis == "y":
+        return idx[:, ::-1].ravel()
+    raise ValueError(f"reflection axis must be 'x' or 'y', got {axis!r}")
+
+
 def _check_reflection_symmetry(h: sp.csr_matrix, grid: GridSpec) -> None:
     """Raise unless h commutes with the grid reflections x -> -x and y -> -y."""
-    idx = np.arange(grid.size).reshape(grid.nx, grid.ny)
     scale = abs(h).max()
-    for axis, flip in (("x", idx[::-1, :].ravel()), ("y", idx[:, ::-1].ravel())):
+    for axis in ("x", "y"):
+        flip = _reflection_index(grid, axis)
         if abs(h[flip][:, flip] - h).max() > 1e-12 * scale:
             raise ValueError(
                 f"H does not commute with the grid reflection {axis} -> -{axis}; "
@@ -418,6 +435,59 @@ def transition_matrices(basis: MatterEigenbasis) -> TransitionMatrices:
         return 0.5 * (a + a.conj().T)
 
     return TransitionMatrices(herm(x_dip), herm(y_dip), herm(px), herm(py))
+
+
+# A solved basis is closed under a grid reflection to about the eigensolver
+# accuracy; a cut degenerate pair misses by O(1).
+_CLOSURE_TOL = 1e-8
+
+
+def reflection_even(
+    basis: MatterEigenbasis, tm: TransitionMatrices, axis: str
+) -> tuple[MatterEigenbasis, TransitionMatrices]:
+    """The sector of the basis that is even under the reflection axis -> -axis.
+
+    S_ij = <phi_i|R phi_j> must be unitary (the span closed under R), or
+    ValueError.  The kept states span S's +1 eigenspace and diagonalize h_el
+    there, energy-ascending, so h_el comes back diagonal; each state's
+    largest coefficient is real positive.  State 0 of the input must be even
+    and stays state 0, so the ground level keeps its index.  l_labels hold
+    |l| and j_labels the level of each kept state's largest component.
+    """
+    n = basis.n_states
+    flip = _reflection_index(basis.grid, axis)
+    s = basis.states.conj() @ basis.states[:, flip].T * basis.grid.weight
+    defect = np.abs(s @ s.conj().T - np.eye(n)).max()
+    if defect > _CLOSURE_TOL:
+        raise ValueError(
+            f"the {n}-state basis is not closed under {axis} -> -{axis} "
+            f"(|S S^+ - 1| = {defect:.2e}); keep every +-l pair whole"
+        )
+    sign, vecs = np.linalg.eigh(0.5 * (s + s.conj().T))
+    even = vecs[:, sign > 0]
+    energies, rot = np.linalg.eigh(even.conj().T @ basis.h_matrix() @ even)
+    u = even @ rot
+    lead = np.argmax(np.abs(u), axis=0)
+    phase = u[lead, np.arange(u.shape[1])]
+    u = u * (np.abs(phase) / phase)
+    if lead[0] != 0 or abs(u[0, 0] - 1.0) > _CLOSURE_TOL:
+        raise ValueError(f"the ground state is not even under {axis} -> -{axis}")
+
+    def rotate(a: np.ndarray) -> np.ndarray:
+        b = u.conj().T @ a @ u
+        return 0.5 * (b + b.conj().T)
+
+    kept = MatterEigenbasis(
+        energies=energies,
+        states=u.T @ basis.states,
+        l_labels=np.abs(basis.l_labels[lead]),
+        j_labels=basis.j_labels[lead],
+        grid=basis.grid,
+        h_el=np.diag(energies).astype(complex),
+    )
+    return kept, TransitionMatrices(
+        rotate(tm.x_dip), rotate(tm.y_dip), rotate(tm.px), rotate(tm.py)
+    )
 
 
 def save_eigenbasis(path, basis: MatterEigenbasis, pot: RingPotentialParams) -> None:

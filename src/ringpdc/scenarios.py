@@ -5,7 +5,9 @@ preset) picks the scenario kind, matter parameters, mode table, initial
 state, method and propagation window; run_scenario turns it into solved
 matter, an assembled Hamiltonian, a propagated state and two output files:
 a CSV of photon-statistics columns and a JSON summary with the extrema,
-the conversion efficiency and a truncation-drift report.  run_sweep
+the conversion efficiency and a truncation-drift report.  When every mode
+is polarized along one axis, a full run propagates only the
+reflection-even matter sector (matter.reflection_even).  run_sweep
 repeats the pipeline over one swept parameter and tabulates the extrema
 per row; compare_methods runs the same scenario under the full, few-level
 and mean-field methods on a shared time grid and reports signed
@@ -46,7 +48,6 @@ from scipy.stats import poisson
 from .hamiltonian import (
     CoupledBasis,
     DriveSpec,
-    MixingAngles,
     assemble_bath_terms,
     assemble_degenerate,
     assemble_few_level,
@@ -54,12 +55,16 @@ from .hamiltonian import (
     assemble_system,
     calibrate_current_drive,
     current_drive_terms,
-    degenerate_polarization_vectors,
     field_drive_terms,
-    polarization_vectors,
     product_state,
 )
-from .matter import GridSpec, RingPotentialParams, solve_ring, transition_matrices
+from .matter import (
+    GridSpec,
+    RingPotentialParams,
+    reflection_even,
+    solve_ring,
+    transition_matrices,
+)
 from .meanfield import (
     MeanFieldSystem,
     initial_state as mean_field_initial,
@@ -572,12 +577,46 @@ def prepare_matter(spec: MatterSpec, units: UnitSystem, store: dict | None = Non
     return matter, tm
 
 
+@dataclass(frozen=True)
+class MixingAngles:
+    """Polarization angles (radians).  The reproduction scenarios stay within
+    [0, pi/2]; other values are allowed and simply tilt the vectors."""
+
+    theta1: float = 0.0
+    theta2: float = math.pi / 2.0
+    theta3: float = math.pi / 2.0
+
+    def __post_init__(self):
+        for name in ("theta1", "theta2", "theta3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
+
+def polarization_vectors(angles: MixingAngles) -> tuple[tuple[float, float], ...]:
+    """Three-mode geometry: pump along x, signal vectors tilted by theta2/theta3."""
+    return (
+        (1.0, 0.0),
+        (-math.sin(angles.theta2), math.cos(angles.theta2)),
+        (math.sin(angles.theta3), math.cos(angles.theta3)),
+    )
+
+
+def degenerate_polarization_vectors(theta1: float) -> tuple[tuple[float, float], ...]:
+    """Two-mode geometry: pump tilted by theta1, signal fixed along y."""
+    return ((math.cos(theta1), math.sin(theta1)), (0.0, 1.0))
+
+
 def _angles(config: ScenarioConfig) -> MixingAngles:
     return MixingAngles(
         theta1=math.radians(config.theta1_deg),
         theta2=math.radians(config.theta2_deg),
         theta3=math.radians(config.theta3_deg),
     )
+
+
+# Polarization components at or below this are zeros that the trigonometry
+# missed (cos 90 deg = 6e-17); _build_modes sets them to exactly 0.
+POLARIZATION_TOL = 1e-12
 
 
 def _build_modes(config: ScenarioConfig, units: UnitSystem) -> tuple[FockMode, ...]:
@@ -591,10 +630,20 @@ def _build_modes(config: ScenarioConfig, units: UnitSystem) -> tuple[FockMode, .
             omega=energy_to_eff(m.omega_mev, units),
             n_max=m.n_max,
             lam=m.lam,
-            polarization=(float(e[0]), float(e[1])),
+            polarization=tuple(0.0 if abs(c) <= POLARIZATION_TOL else float(c) for c in e),
         )
         for m, e in zip(config.modes, evecs)
     )
+
+
+def _matter_reflection(modes: Sequence[FockMode]) -> str | None:
+    """Axis a of a grid reflection a -> -a that commutes with H on the matter
+    factor alone: no mode (pump, signals, bath, classical pump) has an a
+    component, so no coupling e . p contains the odd momentum p_a."""
+    for axis, comp in (("x", 0), ("y", 1)):
+        if all(abs(m.polarization[comp]) <= POLARIZATION_TOL for m in modes):
+            return axis
+    return None
 
 
 def _time_grid(config: ScenarioConfig, units: UnitSystem) -> tuple[float, float]:
@@ -699,7 +748,22 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     modes = _build_modes(config, units)
     info: dict = {}
     terms: list = []
-    bath_basis = None
+    bath_modes, bath_basis = (), None
+    if config.bath is not None:
+        spec = BathSpec(
+            count=config.bath.count,
+            energy_windows=config.bath.windows,
+            lambda_bath=config.bath.lam,
+            sector=config.bath.sector,
+        )
+        bath_modes, bath_basis = sample_bath(spec, units)
+    # a matter-only reflection confines the run to the even matter sector;
+    # few-level levels index the l-basis, so only the full method is reduced
+    n_configured = matter.n_states
+    full = config.method.kind == "full"
+    reflection = _matter_reflection((*modes, *bath_modes)) if full else None
+    if reflection is not None:
+        matter, tm = reflection_even(matter, tm, reflection)
 
     if config.method.kind == "few_level":
         h, basis = assemble_few_level(config.method.levels, matter, tm, modes)
@@ -714,14 +778,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         terms = field_drive_terms(basis, tm, quantized, modes[0], drive, t_grid)
     else:
         quantized = modes
-        if config.bath is not None:
-            spec = BathSpec(
-                count=config.bath.count,
-                energy_windows=config.bath.windows,
-                lambda_bath=config.bath.lam,
-                sector=config.bath.sector,
-            )
-            bath_modes, bath_basis = sample_bath(spec, units)
+        if bath_basis is not None:
             basis = CoupledBasis(matter.n_states, tuple(m.dim for m in modes), bath_basis)
             h = assemble_system(basis, matter, tm, modes) + assemble_bath_terms(
                 basis, matter, tm, modes, bath_modes
@@ -772,11 +829,18 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     }
     info["norm_drift"] = abs(float(np.linalg.norm(result.final.amplitudes)) - 1.0)
     info["krylov"] = asdict(result.krylov)
+    # dims is the configured product space; symmetry what was propagated
+    n_matter = basis.matter_dim if reflection is None else n_configured
     info["dims"] = {
-        "matter": basis.shape[0],
+        "matter": n_matter,
         "modes": list(basis.mode_dims),
         "bath": bath_basis.size if bath_basis is not None else None,
-        "total": basis.dim,
+        "total": n_matter * (basis.dim // basis.matter_dim),
+    }
+    info["symmetry"] = {
+        "reflection": reflection,
+        "matter_states": basis.matter_dim,
+        "total_dim": basis.dim,
     }
     return names, result.times, rows, info
 
@@ -796,6 +860,11 @@ def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     info = {
         "truncation_drift": {},
         "dims": {"matter": matter.n_states, "modes": [], "bath": None, "total": matter.n_states},
+        "symmetry": {
+            "reflection": None,
+            "matter_states": matter.n_states,
+            "total_dim": matter.n_states,
+        },
         "norm_drift": abs(float(np.linalg.norm(snaps[-1].amplitudes)) - 1.0),
     }
     return names, times, rows, info
@@ -842,6 +911,7 @@ def run_scenario(
         "theta_deg": [config.theta1_deg, config.theta2_deg, config.theta3_deg],
         "v0_meV": config.matter.v0_mev,
         "dims": info["dims"],
+        "symmetry": info["symmetry"],
         "samples": len(times_ps),
         "t_final_ps": float(times_ps[-1]),
         "dt_fs": config.propagation.dt_fs,

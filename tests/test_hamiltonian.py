@@ -18,6 +18,7 @@ from ringpdc.photon import (
     quadratures,
     sample_bath,
 )
+from ringpdc.scenarios import MixingAngles, degenerate_polarization_vectors, polarization_vectors
 from ringpdc.units import default_units, energy_to_eff
 
 U = default_units()
@@ -38,7 +39,7 @@ def tm_full(ring200):
 
 
 def default_modes(n_max=4, lam=0.02):
-    e1, e2, e3 = ham.polarization_vectors(ham.MixingAngles())
+    e1, e2, e3 = polarization_vectors(MixingAngles())
     return [
         FockMode(W1, n_max, lam, e1),
         FockMode(W2, n_max, lam, e2),
@@ -85,26 +86,26 @@ class TestCoupledBasis:
 
 class TestGeometry:
     def test_three_mode_vectors_at_ninety(self):
-        e1, e2, e3 = ham.polarization_vectors(ham.MixingAngles())
+        e1, e2, e3 = polarization_vectors(MixingAngles())
         assert e1 == (1.0, 0.0)
         assert abs(e2[0] + 1.0) < 1e-15 and abs(e2[1]) < 1e-15
         assert abs(e3[0] - 1.0) < 1e-15 and abs(e3[1]) < 1e-15
 
     def test_three_mode_vectors_at_zero(self):
-        ang = ham.MixingAngles(theta2=0.0, theta3=0.0)
-        _, e2, e3 = ham.polarization_vectors(ang)
+        ang = MixingAngles(theta2=0.0, theta3=0.0)
+        _, e2, e3 = polarization_vectors(ang)
         assert e2 == (0.0, 1.0)
         assert e3 == (0.0, 1.0)
 
     def test_degenerate_vectors(self):
-        e1, e2 = ham.degenerate_polarization_vectors(0.0)
+        e1, e2 = degenerate_polarization_vectors(0.0)
         assert e1 == (1.0, 0.0) and e2 == (0.0, 1.0)
-        e1, _ = ham.degenerate_polarization_vectors(math.pi / 2)
+        e1, _ = degenerate_polarization_vectors(math.pi / 2)
         assert abs(e1[0]) < 1e-15 and abs(e1[1] - 1.0) < 1e-15
 
     def test_angle_validation(self):
         with pytest.raises(ValueError):
-            ham.MixingAngles(theta2=math.inf)
+            MixingAngles(theta2=math.inf)
 
 
 class TestEmbed:
@@ -290,7 +291,7 @@ class TestGeometryFactors:
     def test_degenerate_orthogonal_pump_has_no_cross_term(self, matter3):
         mb, tm = matter3
         for theta1, expect_zero in ((0.0, True), (math.pi / 3, False)):
-            e1, e2 = ham.degenerate_polarization_vectors(theta1)
+            e1, e2 = degenerate_polarization_vectors(theta1)
             modes = [FockMode(W2, 3, 0.017, e1), FockMode(W2 / 2, 3, 0.017, e2)]
             basis = ham.CoupledBasis(3, (4, 4))
             h = ham.assemble_degenerate(basis, mb, tm, modes)
@@ -345,7 +346,7 @@ class TestDenseOracle:
     def test_degenerate_assembly_matches_dense(self, matter3):
         mb, tm = matter3
         theta1 = math.pi / 6
-        e1, e2 = ham.degenerate_polarization_vectors(theta1)
+        e1, e2 = degenerate_polarization_vectors(theta1)
         modes = [FockMode(W2, 2, 0.017, e1), FockMode(W2 / 2, 2, 0.017, e2)]
         basis = ham.CoupledBasis(3, (3, 3))
         h = ham.assemble_degenerate(basis, mb, tm, modes)
@@ -360,8 +361,8 @@ class TestDenseOracle:
 
     def test_three_mode_assembly_matches_dense(self, matter3):
         mb, tm = matter3
-        ang = ham.MixingAngles(theta2=math.pi / 3, theta3=math.pi / 5)
-        evecs = ham.polarization_vectors(ang)
+        ang = MixingAngles(theta2=math.pi / 3, theta3=math.pi / 5)
+        evecs = polarization_vectors(ang)
         modes = [
             FockMode(W1, 2, 0.014, evecs[0]),
             FockMode(W2, 2, 0.020, evecs[1]),
@@ -383,7 +384,7 @@ class TestDenseOracle:
 def bath_setup(matter3):
     mb, tm = matter3
     theta1 = math.pi / 6
-    e1, e2 = ham.degenerate_polarization_vectors(theta1)
+    e1, e2 = degenerate_polarization_vectors(theta1)
     main = [FockMode(W2, 2, 0.017, e1), FockMode(W2 / 2, 2, 0.017, e2)]
     spec = BathSpec(count=2, energy_windows=((1.0, 2.0, 2),), lambda_bath=0.007)
     bath_modes, bath_basis = sample_bath(spec, U)
@@ -422,7 +423,7 @@ class TestBathAssembly:
     def test_zero_bath_coupling_is_block_diagonal(self, matter3):
         mb, tm = matter3
         theta1 = math.pi / 6
-        e1, e2 = ham.degenerate_polarization_vectors(theta1)
+        e1, e2 = degenerate_polarization_vectors(theta1)
         main = [FockMode(W2, 2, 0.017, e1), FockMode(W2 / 2, 2, 0.017, e2)]
         spec = BathSpec(count=3, energy_windows=((1.0, 2.0, 3),), lambda_bath=0.0)
         bath_modes, bath_basis = sample_bath(spec, U)
@@ -446,12 +447,12 @@ class TestBathAssembly:
 
 
 def degenerate_modes(theta1=math.pi / 6):
-    e1, e2 = ham.degenerate_polarization_vectors(theta1)
+    e1, e2 = degenerate_polarization_vectors(theta1)
     return [FockMode(W2, 2, 0.017, e1), FockMode(W2 / 2, 2, 0.017, e2)]
 
 
 def signal_modes():
-    _, e2, e3 = ham.polarization_vectors(ham.MixingAngles())
+    _, e2, e3 = polarization_vectors(MixingAngles())
     return [FockMode(W2, 2, 0.020, e2), FockMode(W3, 2, 0.026, e3)]
 
 
@@ -504,7 +505,7 @@ class TestHermitianByConstruction:
 class TestSignalPair:
     def test_matches_dense_reference(self, matter3):
         mb, tm = matter3
-        _, e2, e3 = ham.polarization_vectors(ham.MixingAngles())
+        _, e2, e3 = polarization_vectors(MixingAngles())
         modes = [FockMode(W2, 2, 0.020, e2), FockMode(W3, 2, 0.020, e3)]
         basis = ham.CoupledBasis(3, (3, 3))
         h = ham.assemble_signal_pair(basis, mb, tm, modes)
@@ -614,7 +615,7 @@ class TestFieldDrive:
 
     def test_terms_reproduce_manual_expansion(self, matter3):
         mb, tm = matter3
-        _, e2, e3 = ham.polarization_vectors(ham.MixingAngles())
+        _, e2, e3 = polarization_vectors(MixingAngles())
         signal = [FockMode(W2, 2, 0.020, e2), FockMode(W3, 2, 0.026, e3)]
         mode1 = FockMode(W1, 2, 0.014, (1.0, 0.0))
         basis = ham.CoupledBasis(3, (3, 3))
@@ -626,9 +627,9 @@ class TestFieldDrive:
             a1 = mode1.lam * float(np.interp(t_probe, t_grid, q1))
             q2 = quadratures(signal[0])[0]
             q3 = quadratures(signal[1])[0]
+            # the c-number (1/2) a1^2 is left out: it only shifts the global phase
             manual = (
                 -a1 * ham.embed(basis, matter_op=tm.px)
-                + 0.5 * a1 * a1 * ham.embed(basis)
                 + a1 * signal[0].lam * (e2[0] * 1.0) * ham.embed(basis, mode_ops={0: q2.tocsr()})
                 + a1 * signal[1].lam * (e3[0] * 1.0) * ham.embed(basis, mode_ops={1: q3.tocsr()})
             )

@@ -1,5 +1,5 @@
-"""Parity-sector ring eigensolve against a full-grid oracle, and the cache's
-truncation check."""
+"""Parity-sector ring eigensolve against a full-grid oracle, the cache's
+truncation check, and the reflection-even sector of a solved basis."""
 from __future__ import annotations
 
 import numpy as np
@@ -11,6 +11,7 @@ from ringpdc import matter
 from ringpdc.matter import (
     GridSpec,
     build_ring_hamiltonian,
+    reflection_even,
     save_eigenbasis,
     solve_eigenstates,
     solve_ring,
@@ -100,3 +101,61 @@ def test_cache_hit_rejects_a_cut_level(ring200, paper_grid, units, tmp_path):
         solve_ring(paper_grid, pot, 4)
     sub = solve_ring(paper_grid, pot, 5, cache_path=path)
     assert sub.l_labels.tolist() == [0, -1, 1, -2, 2]
+
+
+@pytest.fixture(scope="module")
+def tm200(ring200):
+    return transition_matrices(ring200)
+
+
+@pytest.mark.parametrize("axis, odd", [("x", "px"), ("y", "py")])
+def test_reflection_even_sector(ring200, tm200, units, axis, odd):
+    kept, tm = reflection_even(ring200, tm200, axis)
+    grid = ring200.grid
+    # each singlet and one member of each +-l pair: 7 of the lowest 12
+    assert kept.n_states == 7
+    assert kept.l_labels.tolist() == [0, 1, 2, 3, 4, 0, 1]
+    assert kept.j_labels.tolist() == [1, 2, 3, 4, 5, 6, 7]
+    # closed under R: every kept state is its own mirror image
+    flip = matter._reflection_index(grid, axis)
+    s = kept.states.conj() @ kept.states[:, flip].T * grid.weight
+    assert np.abs(s - np.eye(7)).max() <= 1e-10
+    # energy-diagonal, and h_el is the grid Hamiltonian in the kept states
+    assert np.array_equal(kept.h_el, np.diag(np.diag(kept.h_el)))
+    h = build_ring_hamiltonian(grid, make_ring_potential(units, 200.0))
+    h_grid = kept.states.conj() @ (h @ kept.states.T) * grid.weight
+    assert np.abs(h_grid - kept.h_el).max() <= 1e-10
+    # the ground state keeps index 0
+    unit = np.sqrt(grid.weight)
+    assert np.abs(kept.states[0] - ring200.states[0]).max() * unit <= 1e-10
+    # the rotated transition matrices are those of the kept states
+    want = transition_matrices(kept)
+    for name in ("x_dip", "y_dip", "px", "py"):
+        assert np.abs(getattr(tm, name) - getattr(want, name)).max() <= 1e-10, name
+    # the momentum along the flipped axis is odd and has no even-even block
+    assert np.abs(getattr(tm, odd)).max() <= 1e-12
+
+
+def test_reflection_even_rejects_a_cut_pair(ring200, tm200):
+    def subset(idx):
+        block = np.ix_(idx, idx)
+        basis = matter.MatterEigenbasis(
+            energies=ring200.energies[idx],
+            states=ring200.states[idx],
+            l_labels=ring200.l_labels[idx],
+            j_labels=ring200.j_labels[idx],
+            grid=ring200.grid,
+            h_el=ring200.h_el[block],
+        )
+        names = ("x_dip", "y_dip", "px", "py")
+        tm = matter.TransitionMatrices(*(getattr(tm200, f)[block] for f in names))
+        return basis, tm
+
+    # l = 0 and l = -1 without its +1 partner
+    with pytest.raises(ValueError, match="not closed"):
+        reflection_even(*subset([0, 1]), "y")
+    # the l = +-1 pair alone is closed, but its state 0 is not even
+    with pytest.raises(ValueError, match="ground state"):
+        reflection_even(*subset([1, 2]), "y")
+    with pytest.raises(ValueError, match="axis"):
+        reflection_even(ring200, tm200, "z")

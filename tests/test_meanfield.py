@@ -12,12 +12,9 @@ from ringpdc.units import default_units, energy_to_eff, time_to_fs
 from ringpdc.matter import transition_matrices
 from ringpdc.hamiltonian import (
     CoupledBasis,
-    MixingAngles,
     assemble_degenerate,
     assemble_system,
-    degenerate_polarization_vectors,
     embed,
-    polarization_vectors,
     product_state,
     restrict_levels,
 )
@@ -40,6 +37,7 @@ from ringpdc.observables import column_names
 from ringpdc.photon import FockMode, coherent_state, number_op, quadratures
 from ringpdc.propagator import CoupledState, NonFiniteAmplitudes, PropagatorConfig, propagate
 from ringpdc import scenarios as sc
+from ringpdc.scenarios import MixingAngles, degenerate_polarization_vectors, polarization_vectors
 
 U = default_units()
 W1_DEG = energy_to_eff(1.413, U)

@@ -20,6 +20,7 @@ from ringpdc.propagator import (
     krylov_step,
     propagate,
 )
+from ringpdc.scenarios import MixingAngles, degenerate_polarization_vectors, polarization_vectors
 from ringpdc.units import default_units, energy_to_eff, time_to_fs
 
 U = default_units()
@@ -114,7 +115,7 @@ class TestKrylovStep:
     def test_coupled_system_against_dense(self, matter3):
         # physics Hamiltonian of dimension 81 vs the dense exponential
         mb, tm = matter3
-        evecs = ham.polarization_vectors(ham.MixingAngles())
+        evecs = polarization_vectors(MixingAngles())
         modes = [
             FockMode(W1, 2, 0.026, evecs[0]),
             FockMode(W2, 2, 0.026, evecs[1]),
@@ -437,7 +438,7 @@ class TestStepHalving:
         # degenerate-pair scenario at lam = 0.017, coherent pump xi = 2
         tm = transition_matrices(ring200)
         theta1 = math.pi / 3
-        e1, e2 = ham.degenerate_polarization_vectors(theta1)
+        e1, e2 = degenerate_polarization_vectors(theta1)
         w1 = energy_to_eff(1.413, U)
         modes = [FockMode(w1, 20, 0.017, e1), FockMode(w1 / 2, 20, 0.017, e2)]
         basis = ham.CoupledBasis(12, (21, 21))

@@ -16,8 +16,9 @@ import pytest
 import yaml
 
 from ringpdc import cli
+from ringpdc import hamiltonian as ham
 from ringpdc import scenarios as sc
-from ringpdc.propagator import PropagationResult, krylov_step
+from ringpdc.propagator import PropagationResult, ground_state, krylov_step
 
 # Coarse grid and shallow spectrum: enough structure to exercise every code
 # path while keeping each propagation in the millisecond range.
@@ -935,6 +936,135 @@ def test_record_stepping_matches_fixed_dt(name, monkeypatch, store):
     # is already 3e-8 relative (single_photon g2_23 = 38.7)
     np.testing.assert_allclose(stepped.rows, fixed.rows, rtol=1e-7, atol=1e-8, equal_nan=True)
     assert stepped.summary["krylov"]["steps"] < 2.5 * p.record_stride
+
+
+def unreduced_run(cfg, monkeypatch, store):
+    """The same run assembled on the whole (matter, tm), no reflection used."""
+    with monkeypatch.context() as m:
+        m.setattr(sc, "_matter_reflection", lambda modes: None)
+        return sc.run_scenario(cfg, matter_store=store, write_files=False)
+
+
+def assert_same_series(got, want, atol=1e-10):
+    assert got.names == want.names
+    assert np.array_equal(got.times_ps, want.times_ps)
+    assert np.array_equal(np.isnan(got.rows), np.isnan(want.rows))
+    finite = ~np.isnan(want.rows)
+    assert np.abs(got.rows[finite] - want.rows[finite]).max() <= atol
+
+
+def tiny_coherent(**over) -> sc.ScenarioConfig:
+    n_max = sc._min_coherent_fock(0.6)
+    return tiny_nondegenerate(
+        kind="nondegenerate_coherent",
+        initial=sc.InitialSpec(kind="coherent", xi1=0.6),
+        modes=(
+            sc.ModeSpec(10.0, n_max, 0.05),
+            sc.ModeSpec(4.0, 2, 0.05),
+            sc.ModeSpec(6.0, 2, 0.05),
+        ),
+        label="tinycoh",
+        **over,
+    )
+
+
+def tiny_bath(**over) -> sc.ScenarioConfig:
+    return tiny_nondegenerate(
+        kind="nondegenerate_bath",
+        bath=sc.BathParams(lam=0.02, sector=1, windows=((3.0, 5.0, 3),)),
+        label="tinybath",
+        **over,
+    )
+
+
+class TestMatterReflection:
+    """Runs whose modes all lie along x propagate only the y -> -y even matter
+    sector; the tiny grid's 3 levels (l = 0, -1, 1) keep 2."""
+
+    def test_symmetry_block(self, tmp_path, store):
+        res = sc.run_scenario(tiny_nondegenerate(), matter_store=store, out_dir=tmp_path)
+        data = json.loads(res.json_path.read_text())
+        assert data["symmetry"] == {"reflection": "y", "matter_states": 2, "total_dim": 2 * 27}
+        assert data["dims"]["matter"] == 3 and data["dims"]["total"] == 3 * 27
+        tilted = sc.run_scenario(tiny_degenerate(), matter_store=store, out_dir=tmp_path)
+        data = json.loads(tilted.json_path.read_text())
+        assert data["symmetry"] == {"reflection": None, "matter_states": 3, "total_dim": 3 * 16}
+        assert isinstance(data["symmetry"]["matter_states"], int)
+        assert isinstance(data["symmetry"]["total_dim"], int)
+        mf = sc.run_scenario(tiny_mean_field(), matter_store=store, write_files=False)
+        assert mf.summary["symmetry"] == {"reflection": None, "matter_states": 3, "total_dim": 3}
+
+    @pytest.mark.parametrize(
+        "make", [tiny_nondegenerate, tiny_coherent, tiny_bath], ids=["fock", "coherent", "bath"]
+    )
+    def test_reduced_run_matches_unreduced(self, make, monkeypatch, store):
+        reduced = sc.run_scenario(make(), matter_store=store, write_files=False)
+        full = unreduced_run(make(), monkeypatch, store)
+        assert reduced.summary["symmetry"]["reflection"] == "y"
+        assert reduced.summary["symmetry"]["matter_states"] == 2
+        assert full.summary["symmetry"]["matter_states"] == 3
+        assert reduced.summary["dims"] == full.summary["dims"]
+        assert_same_series(reduced, full)
+
+    def test_current_driven_ground_start_matches_unreduced(self, monkeypatch, store):
+        cfg = tiny_nondegenerate(
+            kind="current_driven",
+            initial=sc.InitialSpec(kind="ground"),
+            drive=sc.DriveParams(j0=2.0, t0_ps=0.05, tau_ps=0.02),
+            label="tinycurrent",
+        )
+        energies = []
+
+        def recorded(h):
+            e, vec = ground_state(h)
+            energies.append(e)
+            return e, vec
+
+        monkeypatch.setattr(sc, "ground_state", recorded)
+        reduced = sc.run_scenario(cfg, matter_store=store, write_files=False)
+        full = unreduced_run(cfg, monkeypatch, store)
+        assert reduced.summary["symmetry"]["total_dim"] == 2 * 27
+        assert len(energies) == 2 and abs(energies[0] - energies[1]) <= 1e-10
+        assert_same_series(reduced, full)
+
+    def test_tilted_signal_keeps_the_full_basis(self, store):
+        cfg = tiny_nondegenerate(theta2_deg=60.0)
+        res = sc.run_scenario(cfg, matter_store=store, write_files=False)
+        assert res.summary["symmetry"]["reflection"] is None
+        assert res.summary["symmetry"]["total_dim"] == res.summary["dims"]["total"] == 3 * 27
+
+    def test_near_zero_components_snap_to_zero(self, units):
+        modes = sc._build_modes(tiny_nondegenerate(), units)
+        assert [m.polarization for m in modes] == [(1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)]
+        assert sc._matter_reflection(modes) == "y"
+        ninety = sc._build_modes(tiny_degenerate(theta1_deg=90.0), units)
+        assert sc._matter_reflection(ninety) == "x"
+
+
+def test_field_drive_c_number_only_shifts_the_phase(monkeypatch, store):
+    # the dropped (1/2) A1(t)^2 term, put back as an explicit identity term
+    cfg = tiny_nondegenerate(
+        kind="field_driven",
+        initial=sc.InitialSpec(kind="ground"),
+        drive=sc.DriveParams(j0=0.05, t0_ps=0.05, tau_ps=0.02),
+        label="tinyfield",
+    )
+    without = sc.run_scenario(cfg, matter_store=store, write_files=False)
+    original = sc.field_drive_terms
+    peak = []
+
+    def with_c_number(basis, tm, signal_modes, mode1, drive, t_grid):
+        a1 = mode1.lam * ham.classical_pump_field(drive, mode1, t_grid)
+        peak.append(np.abs(a1).max())
+        c_number = ham.TimeDependentTerm(
+            op=ham.embed(basis), coeff=lambda t: 0.5 * float(np.interp(t, t_grid, a1)) ** 2
+        )
+        return [*original(basis, tm, signal_modes, mode1, drive, t_grid), c_number]
+
+    monkeypatch.setattr(sc, "field_drive_terms", with_c_number)
+    with_term = sc.run_scenario(cfg, matter_store=store, write_files=False)
+    assert peak and peak[0] > 0.0
+    assert_same_series(without, with_term)
 
 
 def test_benchmark_tracer_names_resolve():
