@@ -9,14 +9,19 @@ Derivatives use centered finite-difference stencils; the wavefunction is
 clamped to zero at the box edge (hard wall), which the confining potential
 makes harmless for the low-lying states of interest.
 
-The grid is odd and centred, the stencils are symmetric, V(r) is even and
-the hard wall is symmetric, so H_el commutes with the reflections x -> -x
-and y -> -y.  The eigensolve therefore splits into four (x-parity,
-y-parity) sectors: each sector block is exactly P^T H_el P for the
-orthonormal fold P = kron(P_x, P_y), whose even columns are the centre
-point and pairs (e_+k + e_-k)/sqrt(2) and whose odd columns are pairs
-(e_+k - e_-k)/sqrt(2).  Four quarter-size shift-invert solves replace one
-full-grid solve; a guard rejects a Hamiltonian without that symmetry.
+The grid is odd, centred and square, the stencils are symmetric, V(r) is
+even and the hard wall is symmetric, so H_el commutes with the reflections
+x -> -x and y -> -y and with the mirror x <-> y.  The eigensolve therefore
+splits into four (x-parity, y-parity) sectors: each sector block is exactly
+P^T H_el P for the orthonormal fold P = kron(P_x, P_y), whose even columns
+are the centre point and pairs (e_+k + e_-k)/sqrt(2) and whose odd columns
+are pairs (e_+k - e_-k)/sqrt(2).  The mirror maps the (even, odd) sector
+onto the (odd, even) one, so three quarter-size solves replace one
+full-grid solve and the fourth sector's states are grid transposes.  Each
+block is symmetric positive definite (the hard-wall kinetic term is, and
+V >= 0) with bandwidth (stencil reach) x (sector ny) in row-major order, so
+shift-invert Lanczos about 0 runs on its banded Cholesky factor.  A guard
+rejects a non-square grid or a Hamiltonian without these symmetries.
 
 Degenerate (+l, -l) eigenstate pairs returned by the real-symmetric solver
 are arbitrary real combinations; classify_angular_momentum rotates each
@@ -37,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 # Centered finite-difference coefficients, offsets 0..order/2 (symmetric).
 # Second derivative: f'' ~ (1/h^2) sum_k c2[k] (f[i+k] + f[i-k]), c2[0] counted once.
@@ -221,14 +227,21 @@ def _reflection_index(grid: GridSpec, axis: str) -> np.ndarray:
 
 
 def _check_reflection_symmetry(h: sp.csr_matrix, grid: GridSpec) -> None:
-    """Raise unless h commutes with the grid reflections x -> -x and y -> -y."""
+    """Raise unless the grid is square and h commutes with the grid reflections
+    x -> -x, y -> -y and the mirror x <-> y."""
+    if grid.nx != grid.ny or grid.dx != grid.dy:
+        raise ValueError(
+            f"the parity-sector eigensolve needs a square grid, got {grid.nx}x{grid.ny} "
+            f"points of {grid.dx:g} x {grid.dy:g}"
+        )
     scale = abs(h).max()
-    for axis in ("x", "y"):
-        flip = _reflection_index(grid, axis)
-        if abs(h[flip][:, flip] - h).max() > 1e-12 * scale:
+    maps = {f"{a} -> -{a}": _reflection_index(grid, a) for a in ("x", "y")}
+    maps["x <-> y"] = np.arange(grid.size).reshape(grid.nx, grid.ny).T.ravel()
+    for name, perm in maps.items():
+        if abs(h[perm][:, perm] - h).max() > 1e-12 * scale:
             raise ValueError(
-                f"H does not commute with the grid reflection {axis} -> -{axis}; "
-                "the parity-sector eigensolve needs an even potential"
+                f"H does not commute with the grid reflection {name}; the parity-sector "
+                "eigensolve needs a potential even in x and y and symmetric under x <-> y"
             )
 
 
@@ -237,28 +250,58 @@ def _check_reflection_symmetry(h: sp.csr_matrix, grid: GridSpec) -> None:
 _DENSE_SECTOR_DIM = 256
 
 
+def _lowest_spd_eigenpairs(block: sp.csr_matrix, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_states eigenpairs of a sparse symmetric positive definite block:
+    shift-invert Lanczos about 0, each inverse one banded Cholesky solve."""
+    dim = block.shape[0]
+    # LAPACK lower band storage: band[i - j, j] = block[i, j]
+    low = sp.tril(block, format="coo")
+    band = np.zeros((int((low.row - low.col).max()) + 1, dim))
+    band[low.row - low.col, low.col] = low.data
+    try:
+        # the one finiteness check of the block; the per-iteration solves skip it
+        factor = cholesky_banded(band, lower=True)
+    except LinAlgError as exc:
+        raise ValueError(
+            "a parity-sector block of H is not positive definite; the shift-invert "
+            "solve about 0 needs H > 0 (a hard-wall kinetic term and V >= 0)"
+        ) from exc
+    inverse = LinearOperator(
+        (dim, dim),
+        matvec=lambda b: cho_solve_banded((factor, True), b, check_finite=False),
+        dtype=float,
+    )
+    # fixed ARPACK start so repeated solves return bit-identical states
+    start = np.random.default_rng(0).standard_normal(dim)
+    return eigsh(block, k=n_states, sigma=0.0, which="LM", v0=start, OPinv=inverse)
+
+
 def _sector_eigenpairs(
     h: sp.csr_matrix, n_states: int, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest n_states eigenpairs of h (unit-norm columns on the full grid),
-    solved per (x-parity, y-parity) sector and merged by energy."""
+    solved per (x-parity, y-parity) sector and merged by energy.  Three
+    sectors are solved: the mirror x <-> y maps (even, odd) onto (odd, even)."""
     _check_reflection_symmetry(h, grid)
+    even, odd = _parity_folds(grid.nx)
     vals, vecs = [], []
-    for px in _parity_folds(grid.nx):
-        for py in _parity_folds(grid.ny):
-            fold = sp.kron(px, py, format="csr")
-            block = fold.T @ h @ fold
-            block = 0.5 * (block + block.T)
-            dim = block.shape[0]
-            if dim <= max(n_states + 1, _DENSE_SECTOR_DIM):
-                w, v = np.linalg.eigh(block.toarray())
-                w, v = w[:n_states], v[:, :n_states]
-            else:
-                # fixed ARPACK start so repeated solves return bit-identical states
-                start = np.random.default_rng(0).standard_normal(dim)
-                w, v = eigsh(block.tocsc(), k=n_states, sigma=0.0, which="LM", v0=start)
-            vals.append(w)
-            vecs.append(fold @ v)
+    for px, py in ((even, even), (even, odd), (odd, odd)):
+        fold = sp.kron(px, py, format="csr")
+        block = fold.T @ h @ fold
+        block = 0.5 * (block + block.T)
+        if block.shape[0] <= max(n_states + 1, _DENSE_SECTOR_DIM):
+            w, v = np.linalg.eigh(block.toarray())
+            w, v = w[:n_states], v[:, :n_states]
+        else:
+            w, v = _lowest_spd_eigenpairs(block, n_states)
+        if not (np.isfinite(w).all() and np.isfinite(v).all()):
+            raise ValueError("a parity-sector solve returned non-finite eigenpairs")
+        vals.append(w)
+        vecs.append(fold @ v)
+    # (odd, even) is the grid transpose of (even, odd), with the same energies
+    n, k = grid.nx, vecs[1].shape[1]
+    vals.append(vals[1])
+    vecs.append(vecs[1].reshape(n, n, k).transpose(1, 0, 2).reshape(n * n, k))
     vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")[:n_states]
     return vals[order], np.hstack(vecs)[:, order]
@@ -272,10 +315,14 @@ def solve_eigenstates(
 ) -> MatterEigenbasis:
     """Lowest n_states eigenpairs, grid-normalized.
 
-    h must commute with the grid reflections x -> -x and y -> -y (ValueError
-    otherwise); each (x-parity, y-parity) sector block P^T h P is solved on
-    its own by shift-inverted Lanczos (dense eigh when the sector is tiny),
-    and the sector spectra are merged by energy.
+    The grid must be square and h must commute with the grid reflections
+    x -> -x and y -> -y and the mirror x <-> y (ValueError otherwise).  The
+    (even, even), (even, odd) and (odd, odd) parity-sector blocks P^T h P
+    are solved on their own by shift-invert Lanczos about 0 on a banded
+    Cholesky factor (dense eigh when the sector is tiny), so h must be
+    positive definite (ValueError otherwise); the (odd, even) states are
+    the grid transposes of the (even, odd) ones.  The sector spectra are
+    merged by energy.
 
     Degenerate clusters (within cluster_tol, which must cover the grid's
     anisotropy splitting but stay below physical level gaps) are rotated to

@@ -5,7 +5,8 @@ preset) picks the scenario kind, matter parameters, mode table, initial
 state, method and propagation window; run_scenario turns it into solved
 matter, an assembled Hamiltonian, a propagated state and two output files:
 a CSV of photon-statistics columns and a JSON summary with the extrema,
-the conversion efficiency and a truncation-drift report.  When every mode
+the conversion efficiency, a truncation-drift report and the wall time of
+each phase (matter, assembly, propagation).  When every mode
 is polarized along one axis, a full run propagates only the
 reflection-even matter sector (matter.reflection_even).  run_sweep
 repeats the pipeline over one swept parameter and tabulates the extrema
@@ -743,6 +744,7 @@ class ScenarioResult:
 
 def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     """Assemble, propagate and record; returns (names, times, rows, info)."""
+    started = time.perf_counter()
     p = config.propagation
     dt, t_final = _time_grid(config, units)
     modes = _build_modes(config, units)
@@ -803,6 +805,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         psi0 = CoupledState(
             product_state(basis, matter_vec, _initial_photon_vectors(config, quantized)), 0.0
         )
+    assembled = time.perf_counter()
 
     first_mode = 2 if config.kind == "field_driven" else 1
     names, observer = snapshot_columns(
@@ -822,6 +825,10 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         terms=terms,
         observables={"row": observer, "edge": edge_observer(basis)},
     )
+    info["timings"] = {
+        "assemble_s": assembled - started,
+        "propagate_s": time.perf_counter() - assembled,
+    }
     rows = np.real(np.asarray(result.records["row"]))
     edges = np.real(np.asarray(result.records["edge"]))
     info["truncation_drift"] = {
@@ -846,6 +853,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
 
 
 def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
+    started = time.perf_counter()
     p = config.propagation
     dt, t_final = _time_grid(config, units)
     modes = _build_modes(config, units)
@@ -854,6 +862,7 @@ def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     matter_vec[0] = 1.0
     xis = [config.initial.xi1] + [0.0] * (len(modes) - 1)
     state = mean_field_initial(matter_vec, system, xis)
+    assembled = time.perf_counter()
     _, times, snaps = propagate_mf(state, system, t_final, dt, record_stride=p.record_stride)
     names = list(mf_observables(snaps[0], system))
     rows = np.asarray([list(mf_observables(s, system).values()) for s in snaps], dtype=float)
@@ -866,6 +875,10 @@ def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
             "total_dim": matter.n_states,
         },
         "norm_drift": abs(float(np.linalg.norm(snaps[-1].amplitudes)) - 1.0),
+        "timings": {
+            "assemble_s": assembled - started,
+            "propagate_s": time.perf_counter() - assembled,
+        },
     }
     return names, times, rows, info
 
@@ -885,6 +898,7 @@ def run_scenario(
     u = units if units is not None else default_units()
     started = time.perf_counter()
     matter, tm = prepare_matter(config.matter, u, matter_store)
+    matter_s = time.perf_counter() - started
 
     if config.method.kind == "mean_field":
         names, times, rows, info = _mean_field_series(config, matter, tm, u)
@@ -926,6 +940,11 @@ def run_scenario(
         "truncation_drift": info["truncation_drift"],
         "norm_drift": info["norm_drift"],
         "krylov": info.get("krylov"),
+        # phase wall times cut to whole ms, so they never sum past runtime_s
+        "timings": {
+            name: math.floor(seconds * 1000.0) / 1000.0
+            for name, seconds in {"matter_s": matter_s, **info["timings"]}.items()
+        },
         "runtime_s": round(time.perf_counter() - started, 3),
     }
     if "drive" in info:

@@ -1,5 +1,6 @@
-"""Parity-sector ring eigensolve against a full-grid oracle, the cache's
-truncation check, and the reflection-even sector of a solved basis."""
+"""Parity-sector ring eigensolve against a full-grid oracle, its x <-> y
+mirror and input guards, the cache's truncation check, and the
+reflection-even sector of a solved basis."""
 from __future__ import annotations
 
 import numpy as np
@@ -88,6 +89,57 @@ def test_asymmetric_potential_is_rejected(small_grid, units, axis):
     tilt = (xx, yy)[axis].ravel()
     with pytest.raises(ValueError, match="reflection"):
         solve_eigenstates(h + sp.diags(1e-3 * tilt), 10, small_grid)
+
+
+def sector_of(vec, grid):
+    """(x-parity, y-parity) of a full-grid vector, +1 even and -1 odd."""
+    parities = []
+    for axis in ("x", "y"):
+        flipped = vec[matter._reflection_index(grid, axis)]
+        sign = 1 if np.abs(flipped - vec).max() <= 1e-10 else -1
+        assert np.abs(flipped - sign * vec).max() <= 1e-10
+        parities.append(sign)
+    return tuple(parities)
+
+
+def test_mirror_sector_is_the_transposed_solve(small_grid, units):
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
+    # sectors of 21 x 21, 21 x 20 and 20 x 20 points take the banded Cholesky path
+    assert 20 * 20 > matter._DENSE_SECTOR_DIM
+    vals, vecs = matter._sector_eigenpairs(h, 16, small_grid)
+    assert np.abs(vecs.T @ vecs - np.eye(16)).max() <= 1e-12
+    assert np.abs(h @ vecs - vecs * vals).max() <= 1e-10
+    sectors = [sector_of(v, small_grid) for v in vecs.T]
+    even_odd = [i for i, s in enumerate(sectors) if s == (1, -1)]
+    odd_even = [i for i, s in enumerate(sectors) if s == (-1, 1)]
+    assert len(even_odd) == len(odd_even) >= 2
+    assert np.array_equal(vals[even_odd], vals[odd_even])
+    n = small_grid.nx
+    transposed = vecs[:, even_odd].reshape(n, n, -1).transpose(1, 0, 2).reshape(n * n, -1)
+    assert np.array_equal(transposed, vecs[:, odd_even])
+
+
+def test_potential_without_the_mirror_is_rejected(small_grid, units):
+    # x^2 - y^2 is even under both reflections but odd under x <-> y
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
+    xx, yy = np.meshgrid(small_grid.x, small_grid.y, indexing="ij")
+    with pytest.raises(ValueError, match="reflection"):
+        solve_eigenstates(h + sp.diags(1e-3 * (xx**2 - yy**2).ravel()), 10, small_grid)
+
+
+@pytest.mark.parametrize("shape", [(41, 43, 1.0), (41, 41, 1.1)], ids=["points", "step"])
+def test_non_square_grid_is_rejected(small_grid, units, shape):
+    nx, ny, stretch = shape
+    grid = GridSpec(nx=nx, ny=ny, dx=small_grid.dx, dy=stretch * small_grid.dy)
+    h = build_ring_hamiltonian(grid, make_ring_potential(units, 150.0))
+    with pytest.raises(ValueError, match="square"):
+        solve_eigenstates(h, 10, grid)
+
+
+def test_indefinite_block_is_rejected(small_grid, units):
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
+    with pytest.raises(ValueError, match="positive definite"):
+        solve_eigenstates(h - 10.0 * sp.identity(small_grid.size), 10, small_grid)
 
 
 def test_cache_hit_rejects_a_cut_level(ring200, paper_grid, units, tmp_path):

@@ -450,6 +450,14 @@ class TestRunScenario:
         assert isinstance(krylov["max_error"], float)
         assert krylov["steps"] >= 1 and krylov["matvecs"] >= krylov["steps"]
         assert 1 <= krylov["max_dim"] <= 20 and 0.0 <= krylov["max_error"] < 1e-10
+        timings = data["timings"]
+        assert set(timings) == {"matter_s", "assemble_s", "propagate_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        # whole milliseconds, compared as integers
+        spent = sum(round(v * 1000) for v in timings.values())
+        assert spent <= round(data["runtime_s"] * 1000)
+        mf = sc.run_scenario(tiny_mean_field(), matter_store=store, write_files=False)
+        assert set(mf.summary["timings"]) == set(timings)
 
     def test_bit_identical_reruns(self, tmp_path):
         # fresh matter stores: both runs solve the ring from scratch
@@ -672,6 +680,17 @@ class TestSweeps:
         assert cfg.modes[1].omega_mev == pytest.approx(0.5 * cfg.modes[0].omega_mev)
         with pytest.raises(sc.ConfigError, match="degenerate"):
             sc.sweep_row_config(tiny_nondegenerate(), "V0", 150.0)
+
+    @pytest.mark.slow
+    def test_efficiency_rises_with_lambda_at_full_size(self):
+        """The shipped efficiency_lambda_sweep preset, unchanged: eta rises
+        strictly with lambda over all five rows (about 16 s on 2 CPUs)."""
+        cfg = sc.load_preset("efficiency_lambda_sweep")
+        swept = sc.run_sweep(cfg, write_files=False)
+        assert [r["error"] for r in swept.rows] == [None] * 5
+        assert list(swept.values) == sorted(swept.values)
+        etas = [r["eta"] for r in swept.rows]
+        assert all(b > a for a, b in zip(etas, etas[1:])), etas
 
 
 class TestCompareMethods:
@@ -945,12 +964,15 @@ def unreduced_run(cfg, monkeypatch, store):
         return sc.run_scenario(cfg, matter_store=store, write_files=False)
 
 
-def assert_same_series(got, want, atol=1e-10):
+def assert_same_series(got, want, tol=1e-10):
+    # |diff| <= tol * max(1, |want|): g2 cells reach ~4e3 on near-empty modes,
+    # where roundoff in a degenerate cluster's rotation is amplified
     assert got.names == want.names
     assert np.array_equal(got.times_ps, want.times_ps)
     assert np.array_equal(np.isnan(got.rows), np.isnan(want.rows))
     finite = ~np.isnan(want.rows)
-    assert np.abs(got.rows[finite] - want.rows[finite]).max() <= atol
+    diff = np.abs(got.rows[finite] - want.rows[finite])
+    assert (diff <= tol * np.maximum(1.0, np.abs(want.rows[finite]))).all(), diff.max()
 
 
 def tiny_coherent(**over) -> sc.ScenarioConfig:
