@@ -327,71 +327,42 @@ def assemble_bath_terms(
     size = bath.size
     eye = sp.identity(size, format="csr", dtype=complex)
 
-    # group modes by polarization so the matter factor is shared
-    groups: dict[tuple[float, float], list[int]] = {}
-    for k, mode in enumerate(bath_modes):
-        groups.setdefault(mode.polarization, []).append(k)
+    # every bath mode shares one polarization, so one collective operator
+    # carries the whole bath-matter coupling
+    pols = {mode.polarization for mode in bath_modes}
+    if len(pols) != 1:
+        raise ValueError(f"bath modes must share one polarization, got {sorted(pols)}")
+    (pol,) = pols
 
-    lowering = {k: bath_ladder(bath, k) for k in range(bath.n_modes)}
-    n_total = sum(
-        (lowering[k].T @ lowering[k]) * bath_modes[k].omega
-        for k in range(bath.n_modes)
-    )
+    lowering = [bath_ladder(bath, k) for k in range(bath.n_modes)]
+    n_total = sum((low.T @ low) * mode.omega for low, mode in zip(lowering, bath_modes))
     zero_point = 0.5 * sum(m.omega for m in bath_modes)
     total = embed(basis, bath_op=(n_total + zero_point * eye).astype(complex))
 
-    # collective displacement per polarization group: sum_k c_k (b_k + b_k^dag)
-    # with c_k = lam_k / sqrt(2 w_k), so A_bath . e = sum over groups
-    disp = {}
-    weights = {}
-    for pol, members in groups.items():
-        op = sp.csr_matrix((size, size), dtype=float)
-        w = {}
-        for k in members:
-            c = bath_modes[k].lam / math.sqrt(2.0 * bath_modes[k].omega)
-            op = op + c * (lowering[k] + lowering[k].T)
-            w[k] = c
-        disp[pol] = op.astype(complex)
-        weights[pol] = w
-
-    for pol, op in disp.items():
-        total = total - embed(basis, matter_op=_momentum_projection(tm, pol), bath_op=op)
+    # collective displacement sum_k c_k (b_k + b_k^dag) with c_k = lam_k / sqrt(2 w_k),
+    # so A_bath = disp e
+    weights = [mode.lam / math.sqrt(2.0 * mode.omega) for mode in bath_modes]
+    disp = sp.csr_matrix((size, size), dtype=float)
+    for c, low in zip(weights, lowering):
+        disp = disp + c * (low + low.T)
+    disp = disp.astype(complex)
+    total = total - embed(basis, matter_op=_momentum_projection(tm, pol), bath_op=disp)
 
     # diamagnetic main x bath cross terms: lam_a (e_a . e_B) q_a (x) A_B
     for slot, mode in enumerate(main_modes):
-        if mode.lam == 0.0:
+        dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
+        if mode.lam == 0.0 or dot == 0.0:
             continue
         q, _ = quadratures(mode)
-        for pol, op in disp.items():
-            dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
-            if dot == 0.0:
-                continue
-            total = total + mode.lam * dot * embed(basis, mode_ops={slot: q}, bath_op=op)
+        total = total + mode.lam * dot * embed(basis, mode_ops={slot: q}, bath_op=disp)
 
-    # diamagnetic bath x bath: (1/2) sum_{k,l} c_k c_l (e_k . e_l) (b+b^dag)_k (b+b^dag)_l
-    # normal-ordered: B B' + B'^dag B + B^dag B' + B^dag B'^dag + delta, with
-    # collective B_w = sum_k c_k b_k per polarization group
-    coll = {
-        pol: sum(weights[pol][k] * lowering[k] for k in groups[pol])
-        for pol in groups
-    }
-    pols = list(groups)
-    bath_quad = sp.csr_matrix((size, size), dtype=complex)
-    for pa in pols:
-        for pb in pols:
-            dot = pa[0] * pb[0] + pa[1] * pb[1]
-            if dot == 0.0:
-                continue
-            ba, bb = coll[pa], coll[pb]
-            prod = (
-                ba @ bb
-                + bb.T @ ba
-                + ba.T @ bb
-                + ba.T @ bb.T
-            ).astype(complex)
-            if pa == pb:
-                prod = prod + sum(c * c for c in weights[pa].values()) * eye
-            bath_quad = bath_quad + 0.5 * dot * prod
+    # diamagnetic bath x bath: (1/2) sum_{k,l} c_k c_l (b+b^dag)_k (b+b^dag)_l,
+    # normal-ordered with the collective B = sum_k c_k b_k:
+    # B B + B^dag B + B^dag B + B^dag B^dag + sum_k c_k^2
+    coll = sum(c * low for c, low in zip(weights, lowering))
+    prod = (coll @ coll + coll.T @ coll + coll.T @ coll + coll.T @ coll.T).astype(complex)
+    prod = prod + sum(c * c for c in weights) * eye
+    bath_quad = 0.5 * (pol[0] * pol[0] + pol[1] * pol[1]) * prod
     return total + embed(basis, bath_op=bath_quad)
 
 

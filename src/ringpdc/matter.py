@@ -4,10 +4,12 @@ The ring is a single effective electron in a mexican-hat potential
 
     H_el = -1/2 (d^2/dx^2 + d^2/dy^2) + 1/2 omega0^2 r^2 + V0 exp(-r^2/d^2)
 
-on a uniform real-space grid (effective atomic units, hbar = m = 1).
-Derivatives use centered finite-difference stencils; the wavefunction is
-clamped to zero at the box edge (hard wall), which the confining potential
-makes harmless for the low-lying states of interest.
+on a uniform square real-space grid (effective atomic units, hbar = m = 1):
+GridSpec holds one odd point count and one step shared by both axes, so
+the grid is square by type.  Derivatives use centered order-8
+finite-difference stencils; the wavefunction is clamped to zero at the box
+edge (hard wall), which the confining potential makes harmless for the
+low-lying states of interest.
 
 The grid is odd, centred and square, the stencils are symmetric, V(r) is
 even and the hard wall is symmetric, so H_el commutes with the reflections
@@ -19,9 +21,11 @@ are pairs (e_+k - e_-k)/sqrt(2).  The mirror maps the (even, odd) sector
 onto the (odd, even) one, so three quarter-size solves replace one
 full-grid solve and the fourth sector's states are grid transposes.  Each
 block is symmetric positive definite (the hard-wall kinetic term is, and
-V >= 0) with bandwidth (stencil reach) x (sector ny) in row-major order, so
+V >= 0) with bandwidth (stencil reach) x (sector width) in row-major order, so
 shift-invert Lanczos about 0 runs on its banded Cholesky factor.  A guard
-rejects a non-square grid or a Hamiltonian without these symmetries.
+rejects a Hamiltonian without these symmetries.  A solve takes about half
+a second on the paper's 127 x 127 grid, so there is no on-disk cache:
+solved bases are reused only in memory (scenarios.prepare_matter's store).
 
 Degenerate (+l, -l) eigenstate pairs returned by the real-symmetric solver
 are arbitrary real combinations; classify_angular_momentum rotates each
@@ -39,72 +43,60 @@ a run that starts in the even ground state never leaves it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-# Centered finite-difference coefficients, offsets 0..order/2 (symmetric).
-# Second derivative: f'' ~ (1/h^2) sum_k c2[k] (f[i+k] + f[i-k]), c2[0] counted once.
-_C2 = {
-    2: [-2.0, 1.0],
-    4: [-5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0],
-    6: [-49.0 / 18.0, 3.0 / 2.0, -3.0 / 20.0, 1.0 / 90.0],
-    8: [-205.0 / 72.0, 8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0],
-}
-# First derivative: f' ~ (1/h) sum_{k>0} c1[k] (f[i+k] - f[i-k]).
-_C1 = {
-    2: [0.0, 1.0 / 2.0],
-    4: [0.0, 2.0 / 3.0, -1.0 / 12.0],
-    6: [0.0, 3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0],
-    8: [0.0, 4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0],
-}
+# Centered order-8 finite-difference coefficients, offsets 0..4 (symmetric).
+# Second derivative: f'' ~ (1/h^2) sum_k _C2[k] (f[i+k] + f[i-k]), _C2[0] counted once.
+_C2 = (-205.0 / 72.0, 8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0)
+# First derivative: f' ~ (1/h) sum_{k>0} _C1[k] (f[i+k] - f[i-k]).
+_C1 = (0.0, 4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
+_REACH = len(_C2) - 1
 
-BASIS_FORMAT_VERSION = "ringpdc-matter-v1"
+# States whose energies lie within this many Ha* of a level's lowest state
+# belong to that degenerate level: wide enough for the grid's anisotropy
+# splitting, below the physical level gaps.
+CLUSTER_TOL = 2e-2
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform 2D grid. nx odd keeps the origin on a grid point."""
+    """Uniform square grid of points x points, spacing step on both axes.
+    An odd point count keeps the origin on a grid point."""
 
-    nx: int
-    ny: int
-    dx: float
-    dy: float
-    stencil_order: int = 8
+    points: int
+    step: float
 
     def __post_init__(self):
-        if self.stencil_order not in _C2:
-            raise ValueError(f"unsupported stencil order {self.stencil_order}")
-        reach = self.stencil_order // 2
-        if self.nx < 2 * reach + 1 or self.ny < 2 * reach + 1:
-            raise ValueError(
-                f"grid {self.nx}x{self.ny} too small for order-{self.stencil_order} stencil"
-            )
-        if self.dx <= 0 or self.dy <= 0:
+        if self.points < 2 * _REACH + 1:
+            raise ValueError(f"{self.points} grid points are too few for the order-8 stencil")
+        if self.step <= 0:
             raise ValueError("grid spacing must be positive")
-        if self.nx % 2 == 0 or self.ny % 2 == 0:
-            # odd counts keep the origin (and the phi = 0 reference axis used
-            # for phase fixing) on the grid
-            raise ValueError("nx and ny must be odd")
+        if self.points % 2 == 0:
+            # an odd count keeps the origin (and the phi = 0 reference axis
+            # used for phase fixing) on the grid
+            raise ValueError("the grid point count must be odd")
 
-    @property
-    def x(self) -> np.ndarray:
-        return (np.arange(self.nx) - (self.nx - 1) / 2.0) * self.dx
-
-    @property
-    def y(self) -> np.ndarray:
-        return (np.arange(self.ny) - (self.ny - 1) / 2.0) * self.dy
+    @cached_property
+    def xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of every point of the flattened (row-major (ix, iy)) grid,
+        centred on the origin."""
+        axis = (np.arange(self.points) - (self.points - 1) / 2.0) * self.step
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        return xx.ravel(), yy.ravel()
 
     @property
     def size(self) -> int:
-        return self.nx * self.ny
+        return self.points * self.points
 
     @property
     def weight(self) -> float:
         """Quadrature weight of the grid inner product."""
-        return self.dx * self.dy
+        return self.step * self.step
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ class MatterEigenbasis:
     """Lowest eigenstates of the ring, energy-ascending.
 
     states[k] is the k-th wavefunction flattened row-major over (ix, iy),
-    normalized under the grid inner product sum(|psi|^2) * dx * dy = 1.
+    normalized under the grid inner product sum(|psi|^2) * step^2 = 1.
     l_labels hold the angular momentum per state (0 for singlets), j_labels
     the 1-based energy-level index, so state k is phi_{j}^{l}.
 
@@ -154,10 +146,10 @@ class MatterEigenbasis:
         return np.diag(self.energies).astype(complex)
 
 
-def _deriv_matrix(n: int, h: float, order: int, kind: int) -> sp.csr_matrix:
+def _deriv_matrix(n: int, h: float, kind: int) -> sp.csr_matrix:
     """1D derivative matrix, centered stencil, hard-wall boundary (rows near
     the edge simply lose their outside neighbors)."""
-    coeff = (_C1 if kind == 1 else _C2)[order]
+    coeff = _C1 if kind == 1 else _C2
     scale = 1.0 / h if kind == 1 else 1.0 / h**2
     diags, offsets = [], []
     for k, c in enumerate(coeff):
@@ -175,15 +167,18 @@ def _deriv_matrix(n: int, h: float, order: int, kind: int) -> sp.csr_matrix:
     return sp.diags(diags, offsets, shape=(n, n), format="csr")
 
 
+def _on_both_axes(d: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """A 1D operator acting on x and on y of the flattened grid."""
+    eye = sp.identity(d.shape[0], format="csr")
+    return sp.kron(d, eye, format="csr"), sp.kron(eye, d, format="csr")
+
+
 def build_ring_hamiltonian(grid: GridSpec, pot: RingPotentialParams) -> sp.csr_matrix:
     """Sparse real-symmetric H_el on the flattened grid."""
-    d2x = _deriv_matrix(grid.nx, grid.dx, grid.stencil_order, kind=2)
-    d2y = _deriv_matrix(grid.ny, grid.dy, grid.stencil_order, kind=2)
-    ix = sp.identity(grid.nx, format="csr")
-    iy = sp.identity(grid.ny, format="csr")
-    kinetic = -0.5 * (sp.kron(d2x, iy, format="csr") + sp.kron(ix, d2y, format="csr"))
-    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
-    r2 = (xx**2 + yy**2).ravel()
+    d2x, d2y = _on_both_axes(_deriv_matrix(grid.points, grid.step, kind=2))
+    kinetic = -0.5 * (d2x + d2y)
+    x, y = grid.xy
+    r2 = x**2 + y**2
     v = 0.5 * pot.omega0**2 * r2 + pot.v0 * np.exp(-r2 / pot.d**2)
     return (kinetic + sp.diags(v, format="csr")).tocsr()
 
@@ -193,11 +188,7 @@ def momentum_operators(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
     Returned matrices are the real derivative parts; callers multiply by -1j.
     """
-    d1x = _deriv_matrix(grid.nx, grid.dx, grid.stencil_order, kind=1)
-    d1y = _deriv_matrix(grid.ny, grid.dy, grid.stencil_order, kind=1)
-    ix = sp.identity(grid.nx, format="csr")
-    iy = sp.identity(grid.ny, format="csr")
-    return sp.kron(d1x, iy, format="csr"), sp.kron(ix, d1y, format="csr")
+    return _on_both_axes(_deriv_matrix(grid.points, grid.step, kind=1))
 
 
 def _parity_folds(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -218,7 +209,7 @@ def _parity_folds(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 def _reflection_index(grid: GridSpec, axis: str) -> np.ndarray:
     """Flattened-grid index map of the reflection axis -> -axis: (R psi) = psi[flip]."""
-    idx = np.arange(grid.size).reshape(grid.nx, grid.ny)
+    idx = np.arange(grid.size).reshape(grid.points, grid.points)
     if axis == "x":
         return idx[::-1, :].ravel()
     if axis == "y":
@@ -227,16 +218,11 @@ def _reflection_index(grid: GridSpec, axis: str) -> np.ndarray:
 
 
 def _check_reflection_symmetry(h: sp.csr_matrix, grid: GridSpec) -> None:
-    """Raise unless the grid is square and h commutes with the grid reflections
-    x -> -x, y -> -y and the mirror x <-> y."""
-    if grid.nx != grid.ny or grid.dx != grid.dy:
-        raise ValueError(
-            f"the parity-sector eigensolve needs a square grid, got {grid.nx}x{grid.ny} "
-            f"points of {grid.dx:g} x {grid.dy:g}"
-        )
+    """Raise unless h commutes with the grid reflections x -> -x, y -> -y and
+    the mirror x <-> y."""
     scale = abs(h).max()
     maps = {f"{a} -> -{a}": _reflection_index(grid, a) for a in ("x", "y")}
-    maps["x <-> y"] = np.arange(grid.size).reshape(grid.nx, grid.ny).T.ravel()
+    maps["x <-> y"] = np.arange(grid.size).reshape(grid.points, grid.points).T.ravel()
     for name, perm in maps.items():
         if abs(h[perm][:, perm] - h).max() > 1e-12 * scale:
             raise ValueError(
@@ -283,7 +269,7 @@ def _sector_eigenpairs(
     solved per (x-parity, y-parity) sector and merged by energy.  Three
     sectors are solved: the mirror x <-> y maps (even, odd) onto (odd, even)."""
     _check_reflection_symmetry(h, grid)
-    even, odd = _parity_folds(grid.nx)
+    even, odd = _parity_folds(grid.points)
     vals, vecs = [], []
     for px, py in ((even, even), (even, odd), (odd, odd)):
         fold = sp.kron(px, py, format="csr")
@@ -299,7 +285,7 @@ def _sector_eigenpairs(
         vals.append(w)
         vecs.append(fold @ v)
     # (odd, even) is the grid transpose of (even, odd), with the same energies
-    n, k = grid.nx, vecs[1].shape[1]
+    n, k = grid.points, vecs[1].shape[1]
     vals.append(vals[1])
     vecs.append(vecs[1].reshape(n, n, k).transpose(1, 0, 2).reshape(n * n, k))
     vals = np.concatenate(vals)
@@ -307,28 +293,21 @@ def _sector_eigenpairs(
     return vals[order], np.hstack(vecs)[:, order]
 
 
-def solve_eigenstates(
-    h: sp.csr_matrix,
-    n_states: int,
-    grid: GridSpec,
-    cluster_tol: float = 2e-2,
-) -> MatterEigenbasis:
+def solve_eigenstates(h: sp.csr_matrix, n_states: int, grid: GridSpec) -> MatterEigenbasis:
     """Lowest n_states eigenpairs, grid-normalized.
 
-    The grid must be square and h must commute with the grid reflections
-    x -> -x and y -> -y and the mirror x <-> y (ValueError otherwise).  The
-    (even, even), (even, odd) and (odd, odd) parity-sector blocks P^T h P
-    are solved on their own by shift-invert Lanczos about 0 on a banded
-    Cholesky factor (dense eigh when the sector is tiny), so h must be
-    positive definite (ValueError otherwise); the (odd, even) states are
-    the grid transposes of the (even, odd) ones.  The sector spectra are
-    merged by energy.
+    h must commute with the grid reflections x -> -x and y -> -y and the
+    mirror x <-> y (ValueError otherwise).  The (even, even), (even, odd)
+    and (odd, odd) parity-sector blocks P^T h P are solved on their own by
+    shift-invert Lanczos about 0 on a banded Cholesky factor (dense eigh
+    when the sector is tiny), so h must be positive definite (ValueError
+    otherwise); the (odd, even) states are the grid transposes of the
+    (even, odd) ones.  The sector spectra are merged by energy.
 
-    Degenerate clusters (within cluster_tol, which must cover the grid's
-    anisotropy splitting but stay below physical level gaps) are rotated to
-    definite angular momentum and each state's phase is fixed so its value
-    on the positive x axis is real positive (making -l states the complex
-    conjugates of +l states).
+    Degenerate clusters (within CLUSTER_TOL) are rotated to definite angular
+    momentum and each state's phase is fixed so its value on the positive x
+    axis is real positive (making -l states the complex conjugates of +l
+    states).
     """
     if n_states < 1 or n_states > h.shape[0]:
         raise ValueError(f"n_states={n_states} out of range for dim {h.shape[0]}")
@@ -341,7 +320,7 @@ def solve_eigenstates(
         j_labels=np.zeros(n_states, dtype=int),
         grid=grid,
     )
-    basis = classify_angular_momentum(basis, cluster_tol=cluster_tol)
+    basis = classify_angular_momentum(basis)
     block = basis.states.T
     h_el = basis.states.conj() @ (h @ block) * grid.weight
     h_el = 0.5 * (h_el + h_el.conj().T)
@@ -371,9 +350,7 @@ def _energy_clusters(energies: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def classify_angular_momentum(
-    basis: MatterEigenbasis, cluster_tol: float = 2e-2
-) -> MatterEigenbasis:
+def classify_angular_momentum(basis: MatterEigenbasis) -> MatterEigenbasis:
     """Rotate degenerate clusters into L_z eigenstates and label them.
 
     Raises if any rotated state's <L_z> sits farther than 0.1 from an
@@ -382,8 +359,7 @@ def classify_angular_momentum(
     """
     grid = basis.grid
     dxm, dym = momentum_operators(grid)
-    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
-    xr, yr = xx.ravel(), yy.ravel()
+    xr, yr = grid.xy
 
     def lz_apply(block: np.ndarray) -> np.ndarray:
         # L_z psi = -i (x d/dy - y d/dx) psi, block shape (npts, k)
@@ -392,7 +368,7 @@ def classify_angular_momentum(
     states = basis.states.copy()
     l_labels = np.zeros(basis.n_states, dtype=int)
     j_labels = np.zeros(basis.n_states, dtype=int)
-    for j, cluster in enumerate(_energy_clusters(basis.energies, cluster_tol), start=1):
+    for j, cluster in enumerate(_energy_clusters(basis.energies, CLUSTER_TOL), start=1):
         block = states[cluster].T
         lz_block = lz_apply(block)
         m = block.conj().T @ lz_block * grid.weight
@@ -440,9 +416,8 @@ def classify_angular_momentum(
 def _fix_phase(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Make psi real positive at its largest-magnitude point on the x >= 0 half
     of the y = 0 row (phi = 0 axis, where f(r) e^{i l phi} is real)."""
-    iy0 = (grid.ny - 1) // 2
-    row = psi.reshape(grid.nx, grid.ny)[:, iy0]
-    half = row[(grid.nx - 1) // 2 :]
+    c = (grid.points - 1) // 2
+    half = psi.reshape(grid.points, grid.points)[c:, c]
     k = int(np.argmax(np.abs(half)))
     ref = half[k]
     if abs(ref) < 1e-12:
@@ -467,8 +442,7 @@ class TransitionMatrices:
 
 def transition_matrices(basis: MatterEigenbasis) -> TransitionMatrices:
     grid = basis.grid
-    xx, yy = np.meshgrid(grid.x, grid.y, indexing="ij")
-    xr, yr = xx.ravel(), yy.ravel()
+    xr, yr = grid.xy
     block = basis.states.T  # (npts, n)
     conj = basis.states.conj()  # (n, npts)
     w = grid.weight
@@ -537,93 +511,6 @@ def reflection_even(
     )
 
 
-def save_eigenbasis(path, basis: MatterEigenbasis, pot: RingPotentialParams) -> None:
-    """Versioned container so propagation runs can skip re-diagonalization."""
-    np.savez_compressed(
-        path,
-        format_version=BASIS_FORMAT_VERSION,
-        nx=basis.grid.nx,
-        ny=basis.grid.ny,
-        dx=basis.grid.dx,
-        dy=basis.grid.dy,
-        stencil_order=basis.grid.stencil_order,
-        omega0=pot.omega0,
-        d=pot.d,
-        v0=pot.v0,
-        energies=basis.energies,
-        states=basis.states,
-        l_labels=basis.l_labels,
-        j_labels=basis.j_labels,
-        h_el=basis.h_matrix(),
-    )
-
-
-def load_eigenbasis(path) -> tuple[MatterEigenbasis, RingPotentialParams]:
-    data = np.load(path, allow_pickle=False)
-    version = str(data["format_version"])
-    if version != BASIS_FORMAT_VERSION:
-        raise ValueError(f"unsupported eigenbasis container version {version!r}")
-    grid = GridSpec(
-        nx=int(data["nx"]),
-        ny=int(data["ny"]),
-        dx=float(data["dx"]),
-        dy=float(data["dy"]),
-        stencil_order=int(data["stencil_order"]),
-    )
-    pot = RingPotentialParams(
-        omega0=float(data["omega0"]), d=float(data["d"]), v0=float(data["v0"])
-    )
-    basis = MatterEigenbasis(
-        energies=data["energies"],
-        states=data["states"],
-        l_labels=data["l_labels"],
-        j_labels=data["j_labels"],
-        grid=grid,
-        h_el=data["h_el"],
-    )
-    return basis, pot
-
-
-def solve_ring(
-    grid: GridSpec,
-    pot: RingPotentialParams,
-    n_states: int,
-    cache_path=None,
-) -> MatterEigenbasis:
-    """Diagonalize the ring, reusing a cached eigenbasis when it matches.
-
-    Like a fresh solve, a cache hit raises RuntimeError when n_states would
-    cut a degenerate level of the cached basis.
-    """
-    if cache_path is not None:
-        try:
-            cached, cached_pot = load_eigenbasis(cache_path)
-        except (OSError, ValueError, KeyError):
-            cached = None
-        else:
-            same_grid = cached.grid == grid
-            same_pot = (
-                abs(cached_pot.omega0 - pot.omega0) < 1e-12
-                and abs(cached_pot.d - pot.d) < 1e-12
-                and abs(cached_pot.v0 - pot.v0) < 1e-12
-            )
-            if same_grid and same_pot and cached.n_states >= n_states:
-                cut = cached.j_labels[n_states - 1]
-                if n_states < cached.n_states and cached.j_labels[n_states] == cut:
-                    raise RuntimeError(
-                        f"{n_states} of the {cached.n_states} cached states truncate "
-                        f"degenerate level {cut}; request enough states to complete it."
-                    )
-                return MatterEigenbasis(
-                    energies=cached.energies[:n_states],
-                    states=cached.states[:n_states],
-                    l_labels=cached.l_labels[:n_states],
-                    j_labels=cached.j_labels[:n_states],
-                    grid=cached.grid,
-                    h_el=cached.h_matrix()[:n_states, :n_states],
-                )
-    h = build_ring_hamiltonian(grid, pot)
-    basis = solve_eigenstates(h, n_states, grid)
-    if cache_path is not None:
-        save_eigenbasis(cache_path, basis, pot)
-    return basis
+def solve_ring(grid: GridSpec, pot: RingPotentialParams, n_states: int) -> MatterEigenbasis:
+    """Build and diagonalize the ring: its lowest n_states, labelled."""
+    return solve_eigenstates(build_ring_hamiltonian(grid, pot), n_states, grid)

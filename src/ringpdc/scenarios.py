@@ -133,7 +133,6 @@ class MatterSpec:
     grid_points: int = 127
     grid_step_nm: float = 0.7052
     n_levels: int = 12
-    cache: str | None = None
 
 
 @dataclass(frozen=True)
@@ -440,8 +439,20 @@ def validate_config(config: ScenarioConfig) -> dict:
                 f"omega2 + omega3 = {omegas[1] + omegas[2]} meV within {RESONANCE_RTOL:.1%}"
             )
 
-    if config.matter.n_levels < 1 or config.matter.grid_points < 9:
-        raise ConfigError("matter needs n_levels >= 1 and grid_points >= 9")
+    mat = config.matter
+    if mat.n_levels < 1:
+        raise ConfigError("matter.n_levels must be at least 1")
+    if mat.grid_points < 9 or mat.grid_points % 2 == 0:
+        raise ConfigError(f"matter.grid_points must be odd and at least 9, got {mat.grid_points}")
+    for key, value in (
+        ("grid_step_nm", mat.grid_step_nm),
+        ("omega0_meV", mat.omega0_mev),
+        ("d_nm", mat.d_nm),
+    ):
+        if value <= 0:
+            raise ConfigError(f"matter.{key} must be positive, got {value}")
+    if mat.v0_mev < 0:
+        raise ConfigError(f"matter.v0_meV must be non-negative, got {mat.v0_mev}")
 
     ini = config.initial
     if ini.kind not in ("fock", "coherent", "ground"):
@@ -470,15 +481,29 @@ def validate_config(config: ScenarioConfig) -> dict:
     if config.bath is not None:
         if config.bath.lam < 0:
             raise ConfigError("bath lambda must be non-negative")
-        if config.bath.count < 1:
-            raise ConfigError("bath needs at least one mode")
+        if not config.bath.windows:
+            raise ConfigError("bath.windows must hold at least one window")
+        for i, (low, high, count) in enumerate(config.bath.windows):
+            if count < 1:
+                raise ConfigError(f"bath.windows[{i}].count must be at least 1, got {count}")
+            if low <= 0 or high <= low:
+                raise ConfigError(
+                    f"bath.windows[{i}] needs 0 < low_meV < high_meV, got ({low}, {high})"
+                )
+        spans = sorted((low, high) for low, high, _ in config.bath.windows)
+        for (_, high), (low, _) in zip(spans, spans[1:]):
+            if low < high:
+                raise ConfigError(f"bath.windows overlap near {low} meV")
 
     if (config.drive is not None) != driven:
         if config.drive is None:
             raise ConfigError(f"scenario kind {config.kind!r} requires a drive section")
         raise ConfigError(f"scenario kind {config.kind!r} takes no drive section")
-    if config.drive is not None and config.drive.tau_ps <= 0:
-        raise ConfigError("drive tau_ps must be positive")
+    if config.drive is not None:
+        if config.drive.tau_ps <= 0:
+            raise ConfigError("drive tau_ps must be positive")
+        if config.drive.omega_mev is not None and config.drive.omega_mev <= 0:
+            raise ConfigError(f"drive.omega_meV must be positive, got {config.drive.omega_mev}")
 
     met = config.method
     if met.kind not in METHOD_KINDS:
@@ -557,12 +582,7 @@ def prepare_matter(spec: MatterSpec, units: UnitSystem, store: dict | None = Non
         with _MATTER_LOCK:
             if spec in store:
                 return store[spec]
-    grid = GridSpec(
-        nx=spec.grid_points,
-        ny=spec.grid_points,
-        dx=length_to_eff(spec.grid_step_nm, units),
-        dy=length_to_eff(spec.grid_step_nm, units),
-    )
+    grid = GridSpec(points=spec.grid_points, step=length_to_eff(spec.grid_step_nm, units))
     pot = RingPotentialParams(
         omega0=energy_to_eff(spec.omega0_mev, units),
         d=length_to_eff(spec.d_nm, units),
@@ -571,7 +591,7 @@ def prepare_matter(spec: MatterSpec, units: UnitSystem, store: dict | None = Non
     with _MATTER_LOCK:
         if store is not None and spec in store:
             return store[spec]
-        matter = solve_ring(grid, pot, spec.n_levels, cache_path=spec.cache)
+        matter = solve_ring(grid, pot, spec.n_levels)
         tm = transition_matrices(matter)
         if store is not None:
             store[spec] = (matter, tm)

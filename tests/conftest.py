@@ -28,7 +28,7 @@ def units():
 @pytest.fixture(scope="session")
 def paper_grid(units):
     step = GRID_STEP_NM / units.bohr_eff
-    return GridSpec(nx=GRID_POINTS, ny=GRID_POINTS, dx=step, dy=step)
+    return GridSpec(points=GRID_POINTS, step=step)
 
 
 def make_ring_potential(units, v0_mev: float) -> RingPotentialParams:

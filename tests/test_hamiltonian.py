@@ -2,6 +2,7 @@
 algebra against a dense projected oracle, pump schemes, and calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,6 +439,12 @@ class TestBathAssembly:
         mb, tm, main, bath_modes, bath_basis, basis, _, _ = bath_setup
         with pytest.raises(ValueError, match="bath mode list"):
             ham.assemble_bath_terms(basis, mb, tm, main, bath_modes[:1])
+
+    def test_mixed_bath_polarizations_rejected(self, bath_setup):
+        mb, tm, main, bath_modes, bath_basis, basis, _, _ = bath_setup
+        tilted = [bath_modes[0], replace(bath_modes[1], polarization=(0.0, 1.0))]
+        with pytest.raises(ValueError, match="one polarization"):
+            ham.assemble_bath_terms(basis, mb, tm, main, tilted)
 
     def test_basis_without_bath_rejected(self, matter3):
         mb, tm = matter3

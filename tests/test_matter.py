@@ -13,9 +13,6 @@ from ringpdc.matter import (
     solve_eigenstates,
     classify_angular_momentum,
     transition_matrices,
-    save_eigenbasis,
-    load_eigenbasis,
-    solve_ring,
 )
 
 from conftest import make_ring_potential, solve_ring_levels
@@ -35,16 +32,14 @@ SWEEP_DIPOLES = {
 
 
 def test_grid_validation():
-    GridSpec(nx=11, ny=11, dx=0.1, dy=0.1)
+    GridSpec(points=11, step=0.1)
     with pytest.raises(ValueError):
-        GridSpec(nx=11, ny=11, dx=0.0, dy=0.1)
+        GridSpec(points=11, step=0.0)
     with pytest.raises(ValueError):
-        GridSpec(nx=12, ny=11, dx=0.1, dy=0.1)
-    with pytest.raises(ValueError):
-        GridSpec(nx=11, ny=11, dx=0.1, dy=0.1, stencil_order=5)
+        GridSpec(points=12, step=0.1)
     with pytest.raises(ValueError):
         # too small for the order-8 stencil reach
-        GridSpec(nx=7, ny=7, dx=0.1, dy=0.1)
+        GridSpec(points=7, step=0.1)
 
 
 def test_potential_validation():
@@ -273,50 +268,8 @@ def test_pump_gap_sweep(paper_grid, units):
 
 @pytest.mark.slow
 def test_grid_convergence(paper_grid, ring200, units):
-    fine = GridSpec(
-        nx=2 * paper_grid.nx - 1,
-        ny=2 * paper_grid.ny - 1,
-        dx=paper_grid.dx / 2,
-        dy=paper_grid.dy / 2,
-    )
+    fine = GridSpec(points=2 * paper_grid.points - 1, step=paper_grid.step / 2)
     basis = solve_ring_levels(units, fine, 200.0, 12)
     rel = np.abs(basis.energies - ring200.energies) / np.abs(basis.energies)
     assert rel.max() < 5e-4
 
-
-def test_save_load_round_trip(ring200, units, tmp_path):
-    path = tmp_path / "basis.npz"
-    pot = make_ring_potential(units, 200.0)
-    save_eigenbasis(path, ring200, pot)
-    loaded, loaded_pot = load_eigenbasis(path)
-    assert np.array_equal(loaded.energies, ring200.energies)
-    assert np.array_equal(loaded.states, ring200.states)
-    assert loaded.l_labels.tolist() == ring200.l_labels.tolist()
-    assert loaded.j_labels.tolist() == ring200.j_labels.tolist()
-    assert np.array_equal(loaded.h_el, ring200.h_el)
-    assert loaded.grid == ring200.grid
-    assert loaded_pot == pot
-
-
-def test_load_rejects_unknown_format(ring200, units, tmp_path):
-    path = tmp_path / "basis.npz"
-    save_eigenbasis(path, ring200, make_ring_potential(units, 200.0))
-    data = dict(np.load(path, allow_pickle=False))
-    data["format_version"] = np.array("somebody-elses-format")
-    np.savez(path, **data)
-    with pytest.raises(ValueError, match="format"):
-        load_eigenbasis(path)
-
-
-def test_solve_ring_cache(paper_grid, units, tmp_path):
-    pot = make_ring_potential(units, 200.0)
-    path = tmp_path / "cache.npz"
-    first = solve_ring(paper_grid, pot, 12, cache_path=path)
-    assert path.exists()
-    second = solve_ring(paper_grid, pot, 12, cache_path=path)
-    assert np.array_equal(first.energies, second.energies)
-    assert np.array_equal(first.states, second.states)
-    # a subset request must slice the cache consistently, h_el included
-    sub = solve_ring(paper_grid, pot, 5, cache_path=path)
-    assert np.array_equal(sub.energies, first.energies[:5])
-    assert np.array_equal(sub.h_el, first.h_el[:5, :5])

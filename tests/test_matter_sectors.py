@@ -1,5 +1,5 @@
 """Parity-sector ring eigensolve against a full-grid oracle, its x <-> y
-mirror and input guards, the cache's truncation check, and the
+mirror and input guards, the truncation check of solve_ring, and the
 reflection-even sector of a solved basis."""
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from ringpdc.matter import (
     GridSpec,
     build_ring_hamiltonian,
     reflection_even,
-    save_eigenbasis,
     solve_eigenstates,
     solve_ring,
     transition_matrices,
@@ -28,7 +27,7 @@ SMALL_STEP_NM = 2.2
 @pytest.fixture(scope="module")
 def small_grid(units):
     step = SMALL_STEP_NM / units.bohr_eff
-    return GridSpec(nx=SMALL_POINTS, ny=SMALL_POINTS, dx=step, dy=step)
+    return GridSpec(points=SMALL_POINTS, step=step)
 
 
 def full_grid_eigenpairs(h, n_states, grid):
@@ -72,7 +71,7 @@ def test_reruns_are_bit_identical(small_grid, units):
 def test_sectors_smaller_than_the_request(units, n_states):
     # 9 points: sectors of 25, 20, 20 and 16 points, the odd ones below n_states
     step = 10.0 / units.bohr_eff
-    grid = GridSpec(nx=9, ny=9, dx=step, dy=step)
+    grid = GridSpec(points=9, step=step)
     h = build_ring_hamiltonian(grid, make_ring_potential(units, 200.0))
     vals, vecs = matter._sector_eigenpairs(h, n_states, grid)
     exact = np.linalg.eigvalsh(h.toarray())
@@ -85,8 +84,7 @@ def test_sectors_smaller_than_the_request(units, n_states):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_asymmetric_potential_is_rejected(small_grid, units, axis):
     h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
-    xx, yy = np.meshgrid(small_grid.x, small_grid.y, indexing="ij")
-    tilt = (xx, yy)[axis].ravel()
+    tilt = small_grid.xy[axis]
     with pytest.raises(ValueError, match="reflection"):
         solve_eigenstates(h + sp.diags(1e-3 * tilt), 10, small_grid)
 
@@ -114,7 +112,7 @@ def test_mirror_sector_is_the_transposed_solve(small_grid, units):
     odd_even = [i for i, s in enumerate(sectors) if s == (-1, 1)]
     assert len(even_odd) == len(odd_even) >= 2
     assert np.array_equal(vals[even_odd], vals[odd_even])
-    n = small_grid.nx
+    n = small_grid.points
     transposed = vecs[:, even_odd].reshape(n, n, -1).transpose(1, 0, 2).reshape(n * n, -1)
     assert np.array_equal(transposed, vecs[:, odd_even])
 
@@ -122,18 +120,9 @@ def test_mirror_sector_is_the_transposed_solve(small_grid, units):
 def test_potential_without_the_mirror_is_rejected(small_grid, units):
     # x^2 - y^2 is even under both reflections but odd under x <-> y
     h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
-    xx, yy = np.meshgrid(small_grid.x, small_grid.y, indexing="ij")
+    x, y = small_grid.xy
     with pytest.raises(ValueError, match="reflection"):
-        solve_eigenstates(h + sp.diags(1e-3 * (xx**2 - yy**2).ravel()), 10, small_grid)
-
-
-@pytest.mark.parametrize("shape", [(41, 43, 1.0), (41, 41, 1.1)], ids=["points", "step"])
-def test_non_square_grid_is_rejected(small_grid, units, shape):
-    nx, ny, stretch = shape
-    grid = GridSpec(nx=nx, ny=ny, dx=small_grid.dx, dy=stretch * small_grid.dy)
-    h = build_ring_hamiltonian(grid, make_ring_potential(units, 150.0))
-    with pytest.raises(ValueError, match="square"):
-        solve_eigenstates(h, 10, grid)
+        solve_eigenstates(h + sp.diags(1e-3 * (x**2 - y**2)), 10, small_grid)
 
 
 def test_indefinite_block_is_rejected(small_grid, units):
@@ -142,16 +131,12 @@ def test_indefinite_block_is_rejected(small_grid, units):
         solve_eigenstates(h - 10.0 * sp.identity(small_grid.size), 10, small_grid)
 
 
-def test_cache_hit_rejects_a_cut_level(ring200, paper_grid, units, tmp_path):
+def test_cache_hit_rejects_a_cut_level(paper_grid, units):
     # l = [0, -1, 1, -2, 2, ...]: four states split the l = +-2 pair
     pot = make_ring_potential(units, 200.0)
-    path = tmp_path / "cache.npz"
-    save_eigenbasis(path, ring200, pot)
-    with pytest.raises(RuntimeError, match="truncat"):
-        solve_ring(paper_grid, pot, 4, cache_path=path)
     with pytest.raises(RuntimeError, match="truncat"):
         solve_ring(paper_grid, pot, 4)
-    sub = solve_ring(paper_grid, pot, 5, cache_path=path)
+    sub = solve_ring(paper_grid, pot, 5)
     assert sub.l_labels.tolist() == [0, -1, 1, -2, 2]
 
 

@@ -222,7 +222,6 @@ class TestParsing:
                 grid_points=41,
                 grid_step_nm=2.1,
                 n_levels=5,
-                cache="ring.npz",
             ),
             modes=(sc.ModeSpec(24.0, 4, 0.02), sc.ModeSpec(10.0, 3, 0.01), sc.ModeSpec(14.0, 2, 0.03)),
             theta1_deg=10.0,
@@ -774,6 +773,41 @@ propagation: {t_final_ps: 0.1, dt_fs: 4.0}
 """
 
 
+# Values that parse but that the ring solve, the bath sampling or the drive
+# would reject only mid-run, so validation must: (preset, YAML path, value,
+# key the error names)
+OUT_OF_RANGE = [
+    pytest.param("degenerate", ("matter", "grid_points"), 126, "matter.grid_points", id="even-grid"),
+    pytest.param("degenerate", ("matter", "grid_step_nm"), 0.0, "matter.grid_step_nm", id="step"),
+    pytest.param("degenerate", ("matter", "omega0_meV"), -1.0, "matter.omega0_meV", id="omega0"),
+    pytest.param("degenerate", ("matter", "d_nm"), 0.0, "matter.d_nm", id="d"),
+    pytest.param("degenerate", ("matter", "v0_meV"), -5.0, "matter.v0_meV", id="v0"),
+    pytest.param(
+        "reduced_bath", ("bath", "windows", 0, "count"), 0, "bath.windows[0].count", id="count"
+    ),
+    pytest.param(
+        "reduced_bath", ("bath", "windows", 0, "high_meV"), 0.113, "bath.windows[0]", id="empty"
+    ),
+    pytest.param(
+        "reduced_bath", ("bath", "windows", 0, "low_meV"), 0.0, "bath.windows[0]", id="low"
+    ),
+    pytest.param(
+        "reduced_bath", ("bath", "windows", 1, "low_meV"), 4.0, "bath.windows overlap", id="overlap"
+    ),
+    pytest.param("current_drive", ("drive", "omega_meV"), 0.0, "drive.omega_meV", id="carrier"),
+]
+
+
+def edited_preset(name: str, path: tuple, value) -> dict:
+    """A shipped preset's key-value tree with the entry at path set to value."""
+    data = yaml.safe_load(sc._preset_root().joinpath(f"{name}.yaml").read_text())
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return data
+
+
 class TestCli:
     def test_run_and_validate_verbs(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"
@@ -851,6 +885,7 @@ class TestCli:
             ("drive", "tau_ps", 0, "drive tau_ps must be positive"),
             ("scenario", "kind", "current_drive", "unknown scenario kind"),
             (None, "modes", [], "exactly 3 modes, got 0"),
+            ("drive", "omega_meV", -24.0, "drive.omega_meV must be positive"),
         ],
     )
     def test_calibrate_drive_validates_first(self, tmp_path, capsys, section, key, value, message):
@@ -861,6 +896,15 @@ class TestCli:
         assert cli.main(["calibrate-drive", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert cli.main(["validate-config", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("preset, path, value, key", OUT_OF_RANGE)
+    def test_out_of_range_values_exit_code(self, tmp_path, capsys, preset, path, value, key):
+        config = tmp_path / "edited.yaml"
+        config.write_text(yaml.safe_dump(edited_preset(preset, path, value)))
+        assert cli.main(["validate-config", "--config", str(config)]) == 2
+        assert key in capsys.readouterr().err
+        assert cli.main(["run", "--config", str(config), "--output-dir", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_run_method_override(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"
