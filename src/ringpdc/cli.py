@@ -45,8 +45,7 @@ def _print_run(res: sc.ScenarioResult) -> None:
         f"q2_min = {_fmt(ex['q2_min'])}, eta = {_fmt(res.summary['eta'])}, "
         f"{res.summary['runtime_s']:.1f} s"
     )
-    if res.csv_path is not None:
-        print(f"wrote {res.csv_path} and {res.json_path}")
+    print(f"wrote {res.csv_path} and {res.json_path}")
 
 
 def _cmd_run(args) -> int:
@@ -70,8 +69,7 @@ def _cmd_sweep(args) -> int:
                 f"at {_fmt(row['t_n2_max_ps'])} ps, q2_min = {_fmt(row['q2_min'])}, "
                 f"eta = {_fmt(row['eta'])}"
             )
-    if res.table_path is not None:
-        print(f"wrote {res.table_path} and {res.json_path}")
+    print(f"wrote {res.table_path} and {res.json_path}")
     if all(row["error"] is not None for row in res.rows):
         print("every sweep row failed", file=sys.stderr)
         return 3
@@ -94,8 +92,7 @@ def _cmd_compare(args) -> int:
                 f"{worst['max_signed_deviation']:+.4g} in {worst['column']} "
                 f"at {worst['t_ps']:.3g} ps"
             )
-    if res.table_path is not None:
-        print(f"wrote {res.table_path} and {res.json_path}")
+    print(f"wrote {res.table_path} and {res.json_path}")
     return 0
 
 

@@ -26,6 +26,10 @@ polarization axis (matter.reflection_even), never the raw grid.  Bath modes
 live in a restricted few-photon sector; their operators are assembled
 normal-ordered so that single-operator restrictions stay exact (see
 photon.bath_ladder).
+
+The pump schemes are time-dependent terms for the propagator: a classical
+current on quantized mode 1, or the retarded classical field that replaces
+mode 1.  This module builds operators only; it never propagates.
 """
 
 from __future__ import annotations
@@ -133,10 +137,7 @@ def embed(
 
 
 def product_state(
-    basis: CoupledBasis,
-    matter_vec: np.ndarray,
-    mode_vecs: Sequence[np.ndarray],
-    bath_vec: np.ndarray | None = None,
+    basis: CoupledBasis, matter_vec: np.ndarray, mode_vecs: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Normalized product amplitudes matter (x) modes (x) bath vacuum."""
     if len(mode_vecs) != len(basis.mode_dims):
@@ -149,10 +150,9 @@ def product_state(
             raise ValueError("mode vector does not match its truncation")
         out = np.kron(out, np.asarray(vec, dtype=complex))
     if basis.bath is not None:
-        if bath_vec is None:
-            bath_vec = np.zeros(basis.bath.size, dtype=complex)
-            bath_vec[basis.bath.index_of(())] = 1.0
-        out = np.kron(out, np.asarray(bath_vec, dtype=complex))
+        vacuum = np.zeros(basis.bath.size, dtype=complex)
+        vacuum[basis.bath.index_of(())] = 1.0
+        out = np.kron(out, vacuum)
     return out / np.linalg.norm(out)
 
 
@@ -289,7 +289,6 @@ def assemble_few_level(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
-    basis: CoupledBasis | None = None,
 ) -> tuple[sp.csr_matrix, CoupledBasis]:
     """Same assembly with matter truncated to the selected levels.
 
@@ -297,12 +296,7 @@ def assemble_few_level(
     stays closed under the ring's symmetry.
     """
     sub_matter, sub_tm = restrict_levels(matter, tm, levels)
-    if basis is None:
-        basis = CoupledBasis(
-            matter_dim=sub_matter.n_states, mode_dims=tuple(m.dim for m in modes)
-        )
-    if basis.matter_dim != sub_matter.n_states:
-        raise ValueError("coupled basis does not match the level selection")
+    basis = CoupledBasis(sub_matter.n_states, tuple(m.dim for m in modes))
     return _assemble(basis, sub_matter.h_matrix(), sub_tm, modes), basis
 
 
@@ -377,30 +371,24 @@ class DriveSpec:
     by the classical field it generates (classical_field).
 
     j(t) = j0 exp(-(t - t0)^2 / tau^2) sin(omega1 t); times and omega1 in
-    effective atomic units.  q1_init / q1dot_init seed the homogeneous part
-    of the classical field (zero unless configured otherwise).
+    effective atomic units.
     """
 
-    kind: str = "none"
+    kind: str
     j0: float = 0.0
     t0: float = 0.0
     tau: float = 1.0
     omega1: float = 0.0
-    q1_init: float = 0.0
-    q1dot_init: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "classical_current", "classical_field"):
+        if self.kind not in ("classical_current", "classical_field"):
             raise ValueError(f"unknown drive kind {self.kind!r}")
-        if self.kind != "none":
-            if self.tau <= 0:
-                raise ValueError("drive width tau must be positive")
-            if self.omega1 <= 0:
-                raise ValueError("drive carrier omega1 must be positive")
+        if self.tau <= 0:
+            raise ValueError("drive width tau must be positive")
+        if self.omega1 <= 0:
+            raise ValueError("drive carrier omega1 must be positive")
 
     def current(self, t: float) -> float:
-        if self.kind == "none":
-            return 0.0
         env = math.exp(-((t - self.t0) ** 2) / self.tau**2)
         return self.j0 * env * math.sin(self.omega1 * t)
 
@@ -413,13 +401,13 @@ class TimeDependentTerm(NamedTuple):
 
 
 def current_drive_terms(
-    basis: CoupledBasis, mode1: FockMode, drive: DriveSpec, slot: int = 0
+    basis: CoupledBasis, mode1: FockMode, drive: DriveSpec
 ) -> list[TimeDependentTerm]:
-    """H(t) = H_S + A_1 j(t) with A_1 = lam_1 q_1 still quantized."""
+    """H(t) = H_S + A_1 j(t) with A_1 = lam_1 q_1 still quantized (mode slot 0)."""
     if drive.kind != "classical_current":
         raise ValueError("current_drive_terms requires kind = classical_current")
     q, _ = quadratures(mode1)
-    pattern = (mode1.lam * embed(basis, mode_ops={slot: q})).tocsr()
+    pattern = (mode1.lam * embed(basis, mode_ops={0: q})).tocsr()
     return [TimeDependentTerm(op=pattern, coeff=drive.current)]
 
 
@@ -429,8 +417,8 @@ def classical_pump_field(
     """Classical mode-1 coordinate driven by j(t).
 
     Retarded solution q1(t) = -(lam1/w1) int_0^t sin(w1 (t-t')) j(t') dt'
-    plus the homogeneous part from (q1_init, q1dot_init); trapezoid
-    quadrature on t_grid (second-order accurate).
+    (the field starts at rest); trapezoid quadrature on t_grid
+    (second-order accurate).
     """
     if drive.kind != "classical_field":
         raise ValueError("classical_pump_field requires kind = classical_field")
@@ -441,9 +429,7 @@ def classical_pump_field(
     j = np.array([drive.current(tk) for tk in t])
     cos_int = cumulative_trapezoid(np.cos(w * t) * j, t, initial=0.0)
     sin_int = cumulative_trapezoid(np.sin(w * t) * j, t, initial=0.0)
-    retarded = -(mode1.lam / w) * (np.sin(w * t) * cos_int - np.cos(w * t) * sin_int)
-    homogeneous = drive.q1_init * np.cos(w * t) + (drive.q1dot_init / w) * np.sin(w * t)
-    return homogeneous + retarded
+    return -(mode1.lam / w) * (np.sin(w * t) * cos_int - np.cos(w * t) * sin_int)
 
 
 def field_drive_terms(
@@ -494,67 +480,3 @@ def field_drive_terms(
         )
     return terms
 
-
-def calibrate_current_drive(
-    matter: MatterEigenbasis,
-    tm: TransitionMatrices,
-    mode1: FockMode,
-    drive: DriveSpec,
-    t_check: float,
-    target: float = 4.0,
-    tol: float = 0.05,
-    dt: float = 0.02,
-    max_doublings: int = 40,
-) -> DriveSpec:
-    """Bisect the current amplitude j0 so the pump occupation hits the target.
-
-    Reference run: matter coupled to mode 1 alone (pump along mode 1's
-    polarization), started in the coupled ground state and driven until t_check; n1(t_check) grows
-    monotonically with j0 in the calibration regime.  Returns the drive with
-    j0 replaced by the calibrated value.
-    """
-    from dataclasses import replace
-
-    from .propagator import CoupledState, PropagatorConfig, ground_state, propagate
-
-    if drive.kind != "classical_current":
-        raise ValueError("calibration applies to kind = classical_current")
-    if not (0.0 < tol < target):
-        raise ValueError("tolerance must be positive and below the target")
-    basis = CoupledBasis(matter.n_states, (mode1.dim,))
-    h = _assemble(basis, matter.h_matrix(), tm, [mode1])
-    _, psi0 = ground_state(h)
-    n1_op = embed(basis, mode_ops={0: number_op(mode1).tocsr()})
-    config = PropagatorConfig(dt=dt)
-
-    def occupation(j0: float) -> float:
-        terms = current_drive_terms(basis, mode1, replace(drive, j0=j0))
-        final = propagate(
-            h, CoupledState(psi0.copy(), 0.0), t_check, config, terms=terms
-        )
-        return float(np.real(np.vdot(final.amplitudes, n1_op @ final.amplitudes)))
-
-    hi = drive.j0 if drive.j0 > 0 else 1.0
-    lo = 0.0
-    n_hi = occupation(hi)
-    doublings = 0
-    while n_hi < target:
-        lo, hi = hi, 2.0 * hi
-        n_hi = occupation(hi)
-        doublings += 1
-        if doublings > max_doublings:
-            raise RuntimeError(
-                "calibration failed to bracket the target occupation; "
-                "check the pulse window against t_check"
-            )
-    while True:
-        mid = 0.5 * (lo + hi)
-        n_mid = occupation(mid)
-        if abs(n_mid - target) <= tol:
-            return replace(drive, j0=mid)
-        if n_mid < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            raise RuntimeError("calibration bisection stalled without meeting tolerance")

@@ -11,7 +11,9 @@ error).
 For an undriven run dt sets only that grid: each step aims at the next
 record time and, when the subspace cap cannot reach it, is shortened to
 the largest span the same error estimate accepts (Expokit-style step
-control).  For a driven run dt is the midpoint substep.
+control).  For a driven run dt is the midpoint substep.  `propagate`
+returns a PropagationResult: the final state, the record times, one record
+per observable and the Krylov telemetry.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
 NORM_TOL = 1e-10
+# Norm drift in one step beyond this aborts instead of silently renormalizing.
+RENORM_TOL = 1e-8
 # Grid points per pass of the search for the longest accepted span.
 _SPAN_GRID = 64
 # A shortened step must reach at least this fraction of the span it aimed
@@ -71,14 +75,12 @@ class PropagatorConfig:
     runs also step by dt, with the drive frozen at each step midpoint;
     undriven runs choose their own steps between records.  krylov_dim caps
     the subspace; krylov_tol bounds the estimated local error per step.
-    Norm drift beyond renorm_tol aborts instead of silently renormalizing.
     """
 
     dt: float
     krylov_dim: int = 20
     krylov_tol: float = 1e-10
     record_stride: int = 1
-    renorm_tol: float = 1e-8
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -218,17 +220,17 @@ def _lanczos_expm(
     return norm0 * (u @ basis[:m]), tau, m, err
 
 
-def _checked_state(psi: np.ndarray, time: float, config: PropagatorConfig) -> CoupledState:
+def _checked_state(psi: np.ndarray, time: float) -> CoupledState:
     """The stepped state, renormalized for tiny drift; aborts on larger drift
     and (with NonFiniteAmplitudes) on NaN or Inf amplitudes."""
     if not np.all(np.isfinite(psi.view(float))):
         raise NonFiniteAmplitudes("non-finite amplitudes after a step")
     norm = np.linalg.norm(psi)
     drift = abs(norm - 1.0)
-    if drift >= config.renorm_tol:
+    if drift >= RENORM_TOL:
         raise RuntimeError(
             f"norm drifted by {drift:.3e} in one step (tolerance "
-            f"{config.renorm_tol:.1e}); reduce dt or raise krylov_dim"
+            f"{RENORM_TOL:.1e}); reduce dt or raise krylov_dim"
         )
     return CoupledState(psi / norm, time)
 
@@ -238,7 +240,7 @@ def krylov_step(h, state: CoupledState, dt: float, config: PropagatorConfig) -> 
     reach krylov_tol, and on norm drift or non-finite amplitudes."""
     basis = np.empty((config.krylov_dim, state.dim), dtype=complex)
     psi, _, _, _ = _lanczos_expm(_as_apply(h), state.amplitudes, dt, config, basis)
-    return _checked_state(psi, state.time + dt, config)
+    return _checked_state(psi, state.time + dt)
 
 
 def _record_grid(t0: float, t_final: float, config: PropagatorConfig) -> list[float]:
@@ -260,7 +262,7 @@ def propagate(
     config: PropagatorConfig,
     terms: Sequence = (),
     observables: Mapping[str, Callable[[CoupledState], complex]] | None = None,
-) -> CoupledState | PropagationResult:
+) -> PropagationResult:
     """Propagate to t_final through the record grid of `config`.
 
     `h` is the static Hamiltonian as a sparse matrix, or a callable that
@@ -268,9 +270,8 @@ def propagate(
     shortening a step only when krylov_dim vectors cannot reach krylov_tol.
     `terms` are (op, coeff) pairs added to h with coeff evaluated at each
     step midpoint; driven runs step by dt (one trailing short step if
-    needed).  With `observables` given, snapshots are recorded at the start
-    and at every record time and a PropagationResult is returned; otherwise
-    just the final CoupledState.
+    needed).  Each of `observables` is recorded at the start and at every
+    record time; without observables the records are empty.
 
     A non-finite amplitude aborts with the time of the failed step and of
     the last good state.
@@ -282,17 +283,16 @@ def propagate(
     basis = np.empty((config.krylov_dim, state.dim), dtype=complex)
     stats = KrylovStats()
 
-    record = observables is not None
+    observables = observables or {}
     times: list[float] = []
-    records: dict[str, list[complex]] = {name: [] for name in (observables or {})}
+    records: dict[str, list[complex]] = {name: [] for name in observables}
 
     def snapshot(s: CoupledState) -> None:
         times.append(s.time)
-        for name, func in (observables or {}).items():
+        for name, func in observables.items():
             records[name].append(func(s))
 
-    if record:
-        snapshot(state)
+    snapshot(state)
 
     for stop in _record_grid(state.time, t_final, config):
         while stop - state.time > eps:
@@ -316,7 +316,7 @@ def propagate(
                     apply, state.amplitudes, tau, config, basis, shorten=not terms
                 )
                 t_next = stop if stop - (state.time + tau) <= eps else state.time + tau
-                state = _checked_state(psi, t_next, config)
+                state = _checked_state(psi, t_next)
             except NonFiniteAmplitudes:
                 raise RuntimeError(
                     f"non-finite amplitudes at t = {state.time + tau:.6f}; "
@@ -326,11 +326,8 @@ def propagate(
             stats.matvecs += dim
             stats.max_dim = max(stats.max_dim, dim)
             stats.max_error = max(stats.max_error, err)
-        if record:
-            snapshot(state)
+        snapshot(state)
 
-    if not record:
-        return state
     return PropagationResult(
         final=state,
         times=np.asarray(times, dtype=float),
@@ -339,13 +336,13 @@ def propagate(
     )
 
 
-def ground_state(h, tol: float = 0.0) -> tuple[float, np.ndarray]:
+def ground_state(h) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the sparse Hermitian matrix h by iterative solve,
     residual below 1e-9."""
     if h.shape[0] == 1:
         return float(np.real(h[0, 0])), np.ones(1, dtype=complex)
     try:
-        vals, vecs = eigsh(h, k=1, which="SA", tol=tol)
+        vals, vecs = eigsh(h, k=1, which="SA")
     except Exception as exc:
         raise RuntimeError(f"ground-state solve did not converge: {exc}") from exc
     energy = float(vals[0])

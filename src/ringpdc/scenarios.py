@@ -12,7 +12,9 @@ reflection-even matter sector (matter.reflection_even).  run_sweep
 repeats the pipeline over one swept parameter and tabulates the extrema
 per row; compare_methods runs the same scenario under the full, few-level
 and mean-field methods on a shared time grid and reports signed
-deviations.
+deviations.  Every run works in one unit system, UNITS (GaAs); the
+driven scenarios calibrate their pump amplitude here, on a pump-only
+reference run.  Outputs always go to files.
 
 The config dataclasses are the schema: each YAML key is a field name
 (a _mev suffix spelled _meV, lam spelled lambda), so keys carry their unit
@@ -49,19 +51,22 @@ from scipy.stats import poisson
 from .hamiltonian import (
     CoupledBasis,
     DriveSpec,
+    _assemble,
     assemble_bath_terms,
     assemble_degenerate,
     assemble_few_level,
     assemble_signal_pair,
     assemble_system,
-    calibrate_current_drive,
     current_drive_terms,
+    embed,
     field_drive_terms,
     product_state,
 )
 from .matter import (
     GridSpec,
+    MatterEigenbasis,
     RingPotentialParams,
+    TransitionMatrices,
     reflection_even,
     solve_ring,
     transition_matrices,
@@ -73,10 +78,9 @@ from .meanfield import (
     propagate_mf,
 )
 from .observables import edge_observer, efficiency_eta, series_extrema, snapshot_columns
-from .photon import COHERENT_TAIL_TOL, BathSpec, FockMode, coherent_state, sample_bath
+from .photon import COHERENT_TAIL_TOL, BathSpec, FockMode, coherent_state, number_op, sample_bath
 from .propagator import CoupledState, PropagatorConfig, ground_state, propagate
 from .units import (
-    UnitSystem,
     default_units,
     eff_to_ps,
     effective_coupling,
@@ -102,6 +106,11 @@ RESONANCE_RTOL = 5e-3
 MEMORY_BUDGET_ENV = "PDC_MEMORY_BUDGET_MB"
 MAX_WORKERS_ENV = "PDC_MAX_WORKERS"
 DEFAULT_MEMORY_BUDGET_MB = 4096.0
+UNITS = default_units()
+# Drive calibration: substep of the reference runs, and how often the
+# amplitude may double before the target counts as out of reach.
+CALIBRATION_DT = 0.02
+CALIBRATION_MAX_DOUBLINGS = 40
 
 
 class ConfigError(ValueError):
@@ -284,6 +293,8 @@ def _value(raw, hint, where: str):
         ok = (int, float) if hint is float else hint
         if not isinstance(raw, ok) or (isinstance(raw, bool) and hint is not bool):
             raise ConfigError(f"{where} must be {_SCALARS[hint]}, got {raw!r}")
+        if hint is float and not math.isfinite(raw):
+            raise ConfigError(f"{where} must be finite, got {raw!r}")
         return hint(raw)
     return hint(**_record(raw, hint, where))
 
@@ -576,17 +587,17 @@ def validate_sweep(sweep: SweepSpec) -> None:
 _MATTER_LOCK = threading.Lock()
 
 
-def prepare_matter(spec: MatterSpec, units: UnitSystem, store: dict | None = None):
+def prepare_matter(spec: MatterSpec, store: dict | None = None):
     """Solve (or fetch) the ring eigenbasis and its transition matrices."""
     if store is not None:
         with _MATTER_LOCK:
             if spec in store:
                 return store[spec]
-    grid = GridSpec(points=spec.grid_points, step=length_to_eff(spec.grid_step_nm, units))
+    grid = GridSpec(points=spec.grid_points, step=length_to_eff(spec.grid_step_nm, UNITS))
     pot = RingPotentialParams(
-        omega0=energy_to_eff(spec.omega0_mev, units),
-        d=length_to_eff(spec.d_nm, units),
-        v0=energy_to_eff(spec.v0_mev, units),
+        omega0=energy_to_eff(spec.omega0_mev, UNITS),
+        d=length_to_eff(spec.d_nm, UNITS),
+        v0=energy_to_eff(spec.v0_mev, UNITS),
     )
     with _MATTER_LOCK:
         if store is not None and spec in store:
@@ -598,27 +609,14 @@ def prepare_matter(spec: MatterSpec, units: UnitSystem, store: dict | None = Non
     return matter, tm
 
 
-@dataclass(frozen=True)
-class MixingAngles:
-    """Polarization angles (radians).  The reproduction scenarios stay within
-    [0, pi/2]; other values are allowed and simply tilt the vectors."""
-
-    theta1: float = 0.0
-    theta2: float = math.pi / 2.0
-    theta3: float = math.pi / 2.0
-
-    def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-def polarization_vectors(angles: MixingAngles) -> tuple[tuple[float, float], ...]:
-    """Three-mode geometry: pump along x, signal vectors tilted by theta2/theta3."""
+def polarization_vectors(theta2: float, theta3: float) -> tuple[tuple[float, float], ...]:
+    """Three-mode geometry: pump along x, signal vectors tilted by theta2/theta3
+    (radians).  The reproduction scenarios stay within [0, pi/2]; other values
+    simply tilt the vectors."""
     return (
         (1.0, 0.0),
-        (-math.sin(angles.theta2), math.cos(angles.theta2)),
-        (math.sin(angles.theta3), math.cos(angles.theta3)),
+        (-math.sin(theta2), math.cos(theta2)),
+        (math.sin(theta3), math.cos(theta3)),
     )
 
 
@@ -627,28 +625,22 @@ def degenerate_polarization_vectors(theta1: float) -> tuple[tuple[float, float],
     return ((math.cos(theta1), math.sin(theta1)), (0.0, 1.0))
 
 
-def _angles(config: ScenarioConfig) -> MixingAngles:
-    return MixingAngles(
-        theta1=math.radians(config.theta1_deg),
-        theta2=math.radians(config.theta2_deg),
-        theta3=math.radians(config.theta3_deg),
-    )
-
-
 # Polarization components at or below this are zeros that the trigonometry
 # missed (cos 90 deg = 6e-17); _build_modes sets them to exactly 0.
 POLARIZATION_TOL = 1e-12
 
 
-def _build_modes(config: ScenarioConfig, units: UnitSystem) -> tuple[FockMode, ...]:
+def _build_modes(config: ScenarioConfig) -> tuple[FockMode, ...]:
     """Mode table as FockModes carrying the geometry polarization vectors."""
     if config.kind == "degenerate":
         evecs = degenerate_polarization_vectors(math.radians(config.theta1_deg))
     else:
-        evecs = polarization_vectors(_angles(config))
+        evecs = polarization_vectors(
+            math.radians(config.theta2_deg), math.radians(config.theta3_deg)
+        )
     return tuple(
         FockMode(
-            omega=energy_to_eff(m.omega_mev, units),
+            omega=energy_to_eff(m.omega_mev, UNITS),
             n_max=m.n_max,
             lam=m.lam,
             polarization=tuple(0.0 if abs(c) <= POLARIZATION_TOL else float(c) for c in e),
@@ -667,16 +659,71 @@ def _matter_reflection(modes: Sequence[FockMode]) -> str | None:
     return None
 
 
-def _time_grid(config: ScenarioConfig, units: UnitSystem) -> tuple[float, float]:
+def _time_grid(config: ScenarioConfig) -> tuple[float, float]:
     """(dt, t_final) in effective units, t_final snapped to the grid."""
-    dt = time_to_eff(config.propagation.dt_fs, units)
-    span = ps_to_eff(config.propagation.t_final_ps, units)
+    dt = time_to_eff(config.propagation.dt_fs, UNITS)
+    span = ps_to_eff(config.propagation.t_final_ps, UNITS)
     return dt, max(1, int(round(span / dt))) * dt
 
 
-def _resolved_drive(
-    config: ScenarioConfig, matter, tm, modes, units: UnitSystem, calibrate: bool
+def calibrate_current_drive(
+    matter: MatterEigenbasis,
+    tm: TransitionMatrices,
+    mode1: FockMode,
+    drive: DriveSpec,
+    t_check: float,
+    target: float = 4.0,
+    tol: float = 0.05,
 ) -> DriveSpec:
+    """Bisect the current amplitude j0 so the pump occupation hits the target.
+
+    Reference run: matter coupled to mode 1 alone (pump along mode 1's
+    polarization), started in the coupled ground state and driven until
+    t_check; n1(t_check) grows monotonically with j0 in the calibration
+    regime.  Returns the drive with j0 replaced by the calibrated value.
+    """
+    if drive.kind != "classical_current":
+        raise ValueError("calibration applies to kind = classical_current")
+    if not (0.0 < tol < target):
+        raise ValueError("tolerance must be positive and below the target")
+    basis = CoupledBasis(matter.n_states, (mode1.dim,))
+    h = _assemble(basis, matter.h_matrix(), tm, [mode1])
+    _, psi0 = ground_state(h)
+    n1_op = embed(basis, mode_ops={0: number_op(mode1).tocsr()})
+    config = PropagatorConfig(dt=CALIBRATION_DT)
+
+    def occupation(j0: float) -> float:
+        terms = current_drive_terms(basis, mode1, replace(drive, j0=j0))
+        final = propagate(h, CoupledState(psi0.copy(), 0.0), t_check, config, terms=terms).final
+        return float(np.real(np.vdot(final.amplitudes, n1_op @ final.amplitudes)))
+
+    hi = drive.j0 if drive.j0 > 0 else 1.0
+    lo = 0.0
+    n_hi = occupation(hi)
+    doublings = 0
+    while n_hi < target:
+        lo, hi = hi, 2.0 * hi
+        n_hi = occupation(hi)
+        doublings += 1
+        if doublings > CALIBRATION_MAX_DOUBLINGS:
+            raise RuntimeError(
+                "calibration failed to bracket the target occupation; "
+                "check the pulse window against t_check"
+            )
+    while True:
+        mid = 0.5 * (lo + hi)
+        n_mid = occupation(mid)
+        if abs(n_mid - target) <= tol:
+            return replace(drive, j0=mid)
+        if n_mid < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12 * max(1.0, hi):
+            raise RuntimeError("calibration bisection stalled without meeting tolerance")
+
+
+def _resolved_drive(config: ScenarioConfig, matter, tm, modes, calibrate: bool) -> DriveSpec:
     """The configured drive, with j0 bisected on the quantized-pump reference
     when calibrate is set.  The reference run drives the quantized pump with
     the current itself, so a field drive takes over the calibrated amplitude."""
@@ -685,9 +732,9 @@ def _resolved_drive(
     drive = DriveSpec(
         kind="classical_field" if config.kind == "field_driven" else "classical_current",
         j0=d.j0,
-        t0=ps_to_eff(d.t0_ps, units),
-        tau=ps_to_eff(d.tau_ps, units),
-        omega1=energy_to_eff(omega_mev, units),
+        t0=ps_to_eff(d.t0_ps, UNITS),
+        tau=ps_to_eff(d.tau_ps, UNITS),
+        omega1=energy_to_eff(omega_mev, UNITS),
     )
     if calibrate:
         current = calibrate_current_drive(
@@ -695,7 +742,7 @@ def _resolved_drive(
             tm,
             modes[0],
             replace(drive, kind="classical_current"),
-            t_check=ps_to_eff(d.t_check_ps, units),
+            t_check=ps_to_eff(d.t_check_ps, UNITS),
             target=d.target_n1,
             tol=d.tolerance,
         )
@@ -703,26 +750,20 @@ def _resolved_drive(
     return drive
 
 
-def calibrate_drive(
-    config: ScenarioConfig,
-    *,
-    units: UnitSystem | None = None,
-    matter_store: dict | None = None,
-) -> dict:
+def calibrate_drive(config: ScenarioConfig, *, matter_store: dict | None = None) -> dict:
     """Bisect the drive amplitude against the quantized-pump reference run."""
     validate_config(config)
     if config.drive is None:
         raise ConfigError("config has no drive section")
-    u = units if units is not None else default_units()
-    matter, tm = prepare_matter(config.matter, u, matter_store)
-    drive = _resolved_drive(config, matter, tm, _build_modes(config, u), u, calibrate=True)
+    matter, tm = prepare_matter(config.matter, matter_store)
+    drive = _resolved_drive(config, matter, tm, _build_modes(config), calibrate=True)
     return {
         "kind": drive.kind,
         "j0": drive.j0,
         "target_n1": config.drive.target_n1,
         "t_check_ps": config.drive.t_check_ps,
         "tolerance": config.drive.tolerance,
-        "omega_meV": energy_to_mev(drive.omega1, u),
+        "omega_meV": energy_to_mev(drive.omega1, UNITS),
     }
 
 
@@ -758,27 +799,26 @@ class ScenarioResult:
     times_ps: np.ndarray
     rows: np.ndarray
     summary: dict
-    csv_path: Path | None = None
-    json_path: Path | None = None
+    csv_path: Path
+    json_path: Path
 
 
-def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
+def _quantum_series(config: ScenarioConfig, matter, tm):
     """Assemble, propagate and record; returns (names, times, rows, info)."""
     started = time.perf_counter()
     p = config.propagation
-    dt, t_final = _time_grid(config, units)
-    modes = _build_modes(config, units)
+    dt, t_final = _time_grid(config)
+    modes = _build_modes(config)
     info: dict = {}
     terms: list = []
     bath_modes, bath_basis = (), None
     if config.bath is not None:
         spec = BathSpec(
-            count=config.bath.count,
             energy_windows=config.bath.windows,
             lambda_bath=config.bath.lam,
             sector=config.bath.sector,
         )
-        bath_modes, bath_basis = sample_bath(spec, units)
+        bath_modes, bath_basis = sample_bath(spec)
     # a matter-only reflection confines the run to the even matter sector;
     # few-level levels index the l-basis, so only the full method is reduced
     n_configured = matter.n_states
@@ -794,7 +834,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
         quantized = modes[1:]
         basis = CoupledBasis(matter.n_states, tuple(m.dim for m in quantized))
         h = assemble_signal_pair(basis, matter, tm, quantized)
-        drive = _resolved_drive(config, matter, tm, modes, units, config.drive.calibrate)
+        drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
         info["drive"] = drive
         t_grid = np.arange(0.0, t_final + 2.0 * dt, dt)
         terms = field_drive_terms(basis, tm, quantized, modes[0], drive, t_grid)
@@ -812,9 +852,9 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
             else:
                 h = assemble_system(basis, matter, tm, modes)
         if config.kind == "current_driven":
-            drive = _resolved_drive(config, matter, tm, modes, units, config.drive.calibrate)
+            drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
             info["drive"] = drive
-            terms = current_drive_terms(basis, modes[0], drive, slot=0)
+            terms = current_drive_terms(basis, modes[0], drive)
 
     if config.initial.kind == "ground":
         _, vec = ground_state(h)
@@ -872,11 +912,11 @@ def _quantum_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
     return names, result.times, rows, info
 
 
-def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
+def _mean_field_series(config: ScenarioConfig, matter, tm):
     started = time.perf_counter()
     p = config.propagation
-    dt, t_final = _time_grid(config, units)
-    modes = _build_modes(config, units)
+    dt, t_final = _time_grid(config)
+    modes = _build_modes(config)
     system = MeanFieldSystem(matter.h_matrix(), tm.px, tm.py, modes)
     matter_vec = np.zeros(matter.n_states, dtype=complex)
     matter_vec[0] = 1.0
@@ -904,28 +944,23 @@ def _mean_field_series(config: ScenarioConfig, matter, tm, units: UnitSystem):
 
 
 def run_scenario(
-    config: ScenarioConfig,
-    *,
-    units: UnitSystem | None = None,
-    matter_store: dict | None = None,
-    out_dir=None,
-    write_files: bool = True,
+    config: ScenarioConfig, *, matter_store: dict | None = None, out_dir=None
 ) -> ScenarioResult:
-    """Validate, solve, assemble, propagate, and write CSV + JSON outputs."""
+    """Validate, solve, assemble, propagate, and write CSV + JSON outputs
+    to out_dir (default: the config's output directory)."""
     if config.sweep is not None:
         raise ConfigError("this config declares a sweep; use run_sweep")
     validate_config(config)
-    u = units if units is not None else default_units()
     started = time.perf_counter()
-    matter, tm = prepare_matter(config.matter, u, matter_store)
+    matter, tm = prepare_matter(config.matter, matter_store)
     matter_s = time.perf_counter() - started
 
     if config.method.kind == "mean_field":
-        names, times, rows, info = _mean_field_series(config, matter, tm, u)
+        names, times, rows, info = _mean_field_series(config, matter, tm)
     else:
-        names, times, rows, info = _quantum_series(config, matter, tm, u)
+        names, times, rows, info = _quantum_series(config, matter, tm)
 
-    times_ps = np.asarray([eff_to_ps(t, u) for t in times])
+    times_ps = np.asarray([eff_to_ps(t, UNITS) for t in times])
     columns = dict(zip(names, rows.T))
     extrema = series_extrema(times_ps, columns)
     try:
@@ -940,7 +975,7 @@ def run_scenario(
         "frequencies_meV": [m.omega_mev for m in config.modes],
         "lambdas": [m.lam for m in config.modes],
         "couplings_g": [
-            effective_coupling(m.lam, energy_to_eff(m.omega_mev, u)) for m in config.modes
+            effective_coupling(m.lam, energy_to_eff(m.omega_mev, UNITS)) for m in config.modes
         ],
         "theta_deg": [config.theta1_deg, config.theta2_deg, config.theta3_deg],
         "v0_meV": config.matter.v0_mev,
@@ -974,25 +1009,24 @@ def run_scenario(
             "j0": drive.j0,
             "t0_ps": config.drive.t0_ps,
             "tau_ps": config.drive.tau_ps,
-            "omega_meV": energy_to_mev(drive.omega1, u),
+            "omega_meV": energy_to_mev(drive.omega1, UNITS),
             "calibrated": bool(config.drive.calibrate),
         }
 
+    directory = Path(out_dir) if out_dir is not None else Path(config.output.directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    base = _safe_name(config.output.basename or config.label or config.kind)
     result = ScenarioResult(
         config=config,
         names=list(names),
         times_ps=times_ps,
         rows=rows,
         summary=summary,
+        csv_path=directory / f"{base}.csv",
+        json_path=directory / f"{base}.json",
     )
-    if write_files:
-        directory = Path(out_dir) if out_dir is not None else Path(config.output.directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        base = _safe_name(config.output.basename or config.label or config.kind)
-        result.csv_path = directory / f"{base}.csv"
-        result.json_path = directory / f"{base}.json"
-        write_series_csv(result.csv_path, times_ps, names, rows)
-        result.json_path.write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    write_series_csv(result.csv_path, times_ps, names, rows)
+    result.json_path.write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
     return result
 
 
@@ -1039,8 +1073,8 @@ class SweepResult:
     values: tuple[float, ...]
     rows: list[dict]
     results: list[ScenarioResult | None]
-    table_path: Path | None = None
-    json_path: Path | None = None
+    table_path: Path
+    json_path: Path
 
 
 def sweep_row_config(
@@ -1048,11 +1082,9 @@ def sweep_row_config(
     parameter: str,
     value: float,
     *,
-    units: UnitSystem | None = None,
     matter_store: dict | None = None,
 ) -> ScenarioConfig:
     """The exact per-row config a sweep runs, derivable independently."""
-    u = units if units is not None else default_units()
     value = float(value)
     cfg = replace(base, sweep=None)
     if parameter == "theta1":
@@ -1074,8 +1106,8 @@ def sweep_row_config(
                 "for the degenerate scenario"
             )
         mspec = replace(base.matter, v0_mev=value)
-        matter, _ = prepare_matter(mspec, u, matter_store)
-        gap_mev = energy_to_mev(float(matter.energies[1] - matter.energies[0]), u)
+        matter, _ = prepare_matter(mspec, matter_store)
+        gap_mev = energy_to_mev(float(matter.energies[1] - matter.energies[0]), UNITS)
         cfg = replace(
             cfg,
             matter=mspec,
@@ -1105,30 +1137,24 @@ def _max_workers(n_jobs: int, requested: int | None) -> int:
 
 def run_sweep(
     config: ScenarioConfig,
-    sweep: SweepSpec | None = None,
     *,
-    units: UnitSystem | None = None,
     matter_store: dict | None = None,
     out_dir=None,
-    write_files: bool = True,
     max_workers: int | None = None,
 ) -> SweepResult:
-    """One scenario run per swept value; failures are recorded per row."""
-    sweep = sweep if sweep is not None else config.sweep
+    """One scenario run per value of config.sweep; failures are recorded per row."""
+    sweep = config.sweep
     if sweep is None:
-        raise ConfigError("no sweep specified: pass one or declare it in the config")
+        raise ConfigError("no sweep specified: declare it in the config")
     validate_sweep(sweep)
-    u = units if units is not None else default_units()
     base = replace(config, sweep=None)
     store = matter_store if matter_store is not None else {}
 
     def one(value: float) -> tuple[ScenarioResult | None, dict]:
         row = {"parameter": sweep.parameter, "value": value, "error": None}
         try:
-            cfg = sweep_row_config(base, sweep.parameter, value, units=u, matter_store=store)
-            res = run_scenario(
-                cfg, units=u, matter_store=store, out_dir=out_dir, write_files=write_files
-            )
+            cfg = sweep_row_config(base, sweep.parameter, value, matter_store=store)
+            res = run_scenario(cfg, matter_store=store, out_dir=out_dir)
             row.update(
                 label=cfg.label,
                 n2_max=res.summary["extrema"]["n2_max"],
@@ -1148,21 +1174,25 @@ def run_sweep(
     results = [res for res, _ in pairs]
     rows = [row for _, row in pairs]
 
-    out = SweepResult(parameter=sweep.parameter, values=tuple(sweep.values), rows=rows, results=results)
-    if write_files:
-        directory = Path(out_dir) if out_dir is not None else Path(base.output.directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        stem = f"{_safe_name(base.output.basename or base.label or base.kind)}_{sweep.parameter}_sweep"
-        out.table_path = directory / f"{stem}.csv"
-        out.json_path = directory / f"{stem}.json"
-        _write_sweep_table(out.table_path, rows)
-        out.json_path.write_text(
-            json.dumps(
-                _jsonable({"parameter": sweep.parameter, "values": list(sweep.values), "rows": rows}),
-                indent=2,
-                sort_keys=True,
-            )
+    directory = Path(out_dir) if out_dir is not None else Path(base.output.directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    stem = f"{_safe_name(base.output.basename or base.label or base.kind)}_{sweep.parameter}_sweep"
+    out = SweepResult(
+        parameter=sweep.parameter,
+        values=tuple(sweep.values),
+        rows=rows,
+        results=results,
+        table_path=directory / f"{stem}.csv",
+        json_path=directory / f"{stem}.json",
+    )
+    _write_sweep_table(out.table_path, rows)
+    out.json_path.write_text(
+        json.dumps(
+            _jsonable({"parameter": sweep.parameter, "values": list(sweep.values), "rows": rows}),
+            indent=2,
+            sort_keys=True,
         )
+    )
     return out
 
 
@@ -1205,18 +1235,16 @@ class ComparisonResult:
     reference: str
     runs: dict[str, ScenarioResult]
     deviations: dict
-    table_path: Path | None = None
-    json_path: Path | None = None
+    table_path: Path
+    json_path: Path
 
 
 def compare_methods(
     config: ScenarioConfig,
     methods: Sequence[str],
     *,
-    units: UnitSystem | None = None,
     matter_store: dict | None = None,
     out_dir=None,
-    write_files: bool = True,
     max_workers: int | None = None,
 ) -> ComparisonResult:
     """Run the same scenario per method on one grid; tabulate signed deviations."""
@@ -1228,7 +1256,6 @@ def compare_methods(
     for m in requested:
         if m not in METHOD_KINDS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHOD_KINDS)}")
-    u = units if units is not None else default_units()
     store = matter_store if matter_store is not None else {}
     base_name = _safe_name(config.output.basename or config.label or config.kind)
 
@@ -1238,13 +1265,10 @@ def compare_methods(
         return replace(cfg, output=replace(config.output, basename=f"{base_name}_{label}"))
 
     def one(m: str) -> ScenarioResult:
-        return run_scenario(
-            method_config(m), units=u, matter_store=store, out_dir=out_dir,
-            write_files=write_files,
-        )
+        return run_scenario(method_config(m), matter_store=store, out_dir=out_dir)
 
     # solve the shared matter once before fanning out
-    prepare_matter(config.matter, u, store)
+    prepare_matter(config.matter, store)
     with ThreadPoolExecutor(_max_workers(len(requested), max_workers)) as pool:
         results = list(pool.map(one, requested))
     runs = dict(zip(requested, results))
@@ -1283,14 +1307,17 @@ def compare_methods(
             )
         deviations["methods"][labels[m]] = entries
 
-    out = ComparisonResult(reference=labels[ref_name], runs=runs, deviations=deviations)
-    if write_files:
-        directory = Path(out_dir) if out_dir is not None else Path(config.output.directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        out.table_path = directory / f"{base_name}_methods.csv"
-        out.json_path = directory / f"{base_name}_methods.json"
-        _write_comparison_table(out.table_path, requested, labels, runs)
-        out.json_path.write_text(json.dumps(_jsonable(deviations), indent=2, sort_keys=True))
+    directory = Path(out_dir) if out_dir is not None else Path(config.output.directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    out = ComparisonResult(
+        reference=labels[ref_name],
+        runs=runs,
+        deviations=deviations,
+        table_path=directory / f"{base_name}_methods.csv",
+        json_path=directory / f"{base_name}_methods.json",
+    )
+    _write_comparison_table(out.table_path, requested, labels, runs)
+    out.json_path.write_text(json.dumps(_jsonable(deviations), indent=2, sort_keys=True))
     return out
 
 

@@ -37,7 +37,7 @@ from ringpdc.observables import column_names
 from ringpdc.photon import FockMode, coherent_state, number_op, quadratures
 from ringpdc.propagator import CoupledState, NonFiniteAmplitudes, PropagatorConfig, propagate
 from ringpdc import scenarios as sc
-from ringpdc.scenarios import MixingAngles, degenerate_polarization_vectors, polarization_vectors
+from ringpdc.scenarios import degenerate_polarization_vectors, polarization_vectors
 
 U = default_units()
 W1_DEG = energy_to_eff(1.413, U)
@@ -99,7 +99,7 @@ def scenario_modes(kind, omegas, **angles) -> tuple[FockMode, ...]:
         propagation=sc.PropagationSpec(t_final_ps=1.0, dt_fs=1.0),
         **angles,
     )
-    return sc._build_modes(cfg, U)
+    return sc._build_modes(cfg)
 
 
 class TestSystems:
@@ -107,9 +107,8 @@ class TestSystems:
         modes = scenario_modes(
             "nondegenerate_coherent", (24.65, 1.36, 23.29), theta2_deg=60.0, theta3_deg=36.0
         )
-        angles = MixingAngles(theta2=math.pi / 3, theta3=math.pi / 5)
         pols = [m.polarization for m in modes]
-        assert np.allclose(pols, polarization_vectors(angles), atol=1e-12)
+        assert np.allclose(pols, polarization_vectors(math.pi / 3, math.pi / 5), atol=1e-12)
 
     def test_degenerate_polarizations(self):
         theta1_deg = math.degrees(0.4)
@@ -128,10 +127,9 @@ class TestSystems:
 
     def test_coupling_matrix_three_modes(self, matter3):
         t2, t3 = math.pi / 3, math.pi / 5
-        angles = MixingAngles(theta2=t2, theta3=t3)
         lams = (0.014, 0.02, 0.026)
         modes = tuple(FockMode(w, 2, l) for w, l in zip((W1, W2, W3), lams))
-        system = mf_system(matter3, modes, polarization_vectors(angles))
+        system = mf_system(matter3, modes, polarization_vectors(t2, t3))
         g = system.coupling_matrix()
         assert g[0, 1] == pytest.approx(-lams[0] * lams[1] * math.sin(t2), abs=1e-14)
         assert g[0, 2] == pytest.approx(lams[0] * lams[2] * math.sin(t3), abs=1e-14)
@@ -345,7 +343,7 @@ class TestMfObservables:
             system = degenerate_mf(matter3)
         else:
             modes = (FockMode(W1, 2, 0.014), FockMode(W2, 2, 0.014), FockMode(W3, 2, 0.014))
-            system = mf_system(matter3, modes, polarization_vectors(MixingAngles()))
+            system = mf_system(matter3, modes, polarization_vectors(math.pi / 2, math.pi / 2))
         st = initial_state(ground3(), system, [2.0, 1.0, 0.0][:n_modes])
         row = mf_observables(st, system)
         w = [m.omega for m in system.modes]
@@ -421,8 +419,7 @@ class TestAgainstQuantum:
         # xi = 2, 3, 4 pumps, three-mode weak coupling: the classical signal
         # coordinate overshoots the quantized <q3> at every amplitude
         m4, tm4 = matter4
-        angles = MixingAngles()
-        evecs = polarization_vectors(angles)
+        evecs = polarization_vectors(math.pi / 2, math.pi / 2)
         lam = 0.014
         t2ps = 2000.0 / time_to_fs(1.0, U)
         dt = 0.01

@@ -119,20 +119,18 @@ def test_coherent_mean_matches_amplitude(r, phi):
 
 
 def test_bath_spec_validation():
-    good = BathSpec(count=3, energy_windows=((1.0, 2.0, 2), (3.0, 4.0, 1)), lambda_bath=0.007)
+    good = BathSpec(energy_windows=((1.0, 2.0, 2), (3.0, 4.0, 1)), lambda_bath=0.007)
     assert good.count == 3
     with pytest.raises(ValueError):
-        BathSpec(count=2, energy_windows=((1.0, 2.0, 3),), lambda_bath=0.007)
+        BathSpec(energy_windows=((-1.0, 2.0, 2),), lambda_bath=0.007)
     with pytest.raises(ValueError):
-        BathSpec(count=2, energy_windows=((-1.0, 2.0, 2),), lambda_bath=0.007)
+        BathSpec(energy_windows=((2.0, 1.0, 2),), lambda_bath=0.007)
     with pytest.raises(ValueError):
-        BathSpec(count=2, energy_windows=((2.0, 1.0, 2),), lambda_bath=0.007)
+        BathSpec(energy_windows=((1.0, 3.0, 2), (2.0, 4.0, 2)), lambda_bath=0.007)
     with pytest.raises(ValueError):
-        BathSpec(count=4, energy_windows=((1.0, 3.0, 2), (2.0, 4.0, 2)), lambda_bath=0.007)
+        BathSpec(energy_windows=((1.0, 2.0, 2),), lambda_bath=-0.1)
     with pytest.raises(ValueError):
-        BathSpec(count=2, energy_windows=((1.0, 2.0, 2),), lambda_bath=-0.1)
-    with pytest.raises(ValueError):
-        BathSpec(count=2, energy_windows=((1.0, 2.0, 2),), lambda_bath=0.007, sector=3)
+        BathSpec(energy_windows=((1.0, 2.0, 2),), lambda_bath=0.007, sector=3)
 
 
 def test_basis_sizes():
@@ -187,11 +185,10 @@ def test_bath_number_via_normal_order():
 
 def test_sample_bath_windows():
     spec = BathSpec(
-        count=70,
         energy_windows=((0.113, 4.521, 20), (11.303, 27.128, 50)),
         lambda_bath=0.007,
     )
-    modes, basis = sample_bath(spec, U)
+    modes, basis = sample_bath(spec)
     assert len(modes) == 70
     assert basis.size == 2556
     mevs = [energy_to_mev(m.omega, U) for m in modes]

@@ -455,7 +455,7 @@ class TestRunScenario:
         # whole milliseconds, compared as integers
         spent = sum(round(v * 1000) for v in timings.values())
         assert spent <= round(data["runtime_s"] * 1000)
-        mf = sc.run_scenario(tiny_mean_field(), matter_store=store, write_files=False)
+        mf = sc.run_scenario(tiny_mean_field(), matter_store=store, out_dir=tmp_path)
         assert set(mf.summary["timings"]) == set(timings)
 
     def test_bit_identical_reruns(self, tmp_path):
@@ -464,25 +464,25 @@ class TestRunScenario:
         b = sc.run_scenario(tiny_degenerate(), matter_store={}, out_dir=tmp_path / "b")
         assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
 
-    def test_decoupled_occupations_stay_put(self, store):
+    def test_decoupled_occupations_stay_put(self, tmp_path, store):
         cfg = tiny_degenerate(
             modes=(sc.ModeSpec(10.0, 3, 0.0), sc.ModeSpec(5.0, 3, 0.0)), label="lam0"
         )
-        res = sc.run_scenario(cfg, matter_store=store, write_files=False)
+        res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
         cols = dict(zip(res.names, res.rows.T))
         assert np.allclose(cols["n1"], 1.0, atol=1e-12)
         assert np.allclose(cols["n2"], 0.0, atol=1e-12)
         few = sc.run_scenario(
             replace(cfg, method=sc.MethodSpec(kind="few_level", levels=(0, 1, 2))),
             matter_store=store,
-            write_files=False,
+            out_dir=tmp_path,
         )
         few_cols = dict(zip(few.names, few.rows.T))
         for name in ("n1", "n2"):
             assert np.allclose(few_cols[name], cols[name], atol=1e-12)
 
-    def test_nondegenerate_photon_splitting(self, store):
-        res = sc.run_scenario(tiny_nondegenerate(), matter_store=store, write_files=False)
+    def test_nondegenerate_photon_splitting(self, tmp_path, store):
+        res = sc.run_scenario(tiny_nondegenerate(), matter_store=store, out_dir=tmp_path)
         cols = dict(zip(res.names, res.rows.T))
         n1, n2, n3 = cols["n1"], cols["n2"], cols["n3"]
         assert n1[0] == pytest.approx(1.0, abs=1e-12)
@@ -507,30 +507,30 @@ class TestRunScenario:
         data = json.loads(res.json_path.read_text())
         assert data["eta"] is None
 
-    def test_current_driven_populates_pump(self, store):
+    def test_current_driven_populates_pump(self, tmp_path, store):
         cfg = tiny_nondegenerate(
             kind="current_driven",
             initial=sc.InitialSpec(kind="ground"),
             drive=sc.DriveParams(j0=2.0, t0_ps=0.05, tau_ps=0.02),
             label="tinycurrent",
         )
-        res = sc.run_scenario(cfg, matter_store=store, write_files=False)
+        res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
         assert res.summary["drive"]["kind"] == "classical_current"
         assert res.summary["drive"]["calibrated"] is False
         assert dict(zip(res.names, res.rows.T))["n1"].max() > 1e-4
 
-    def test_bath_sector_runs(self, store):
+    def test_bath_sector_runs(self, tmp_path, store):
         cfg = tiny_nondegenerate(
             kind="nondegenerate_bath",
             bath=sc.BathParams(lam=0.02, sector=1, windows=((3.0, 5.0, 3),)),
             label="tinybath",
         )
-        res = sc.run_scenario(cfg, matter_store=store, write_files=False)
+        res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
         assert res.summary["dims"]["bath"] == 1 + 3
         assert res.summary["dims"]["total"] == 3 * 27 * 4
 
-    def test_mean_field_series(self, store):
-        res = sc.run_scenario(tiny_mean_field(), matter_store=store, write_files=False)
+    def test_mean_field_series(self, tmp_path, store):
+        res = sc.run_scenario(tiny_mean_field(), matter_store=store, out_dir=tmp_path)
         cols = dict(zip(res.names, res.rows.T))
         assert res.summary["method"] == "mean_field"
         assert cols["n1"][0] == pytest.approx(0.36, abs=1e-9)
@@ -608,7 +608,7 @@ class TestCalibration:
         assert report["j0"] > 0.0
         assert report["target_n1"] == 1.0
 
-    def test_field_drive_takes_the_current_calibration(self, store):
+    def test_field_drive_takes_the_current_calibration(self, tmp_path, store):
         # the reference run drives the quantized pump with the current; the
         # classical field it generates keeps that amplitude
         current = sc.calibrate_drive(tiny_calibrated("current_driven"), matter_store=store)
@@ -616,7 +616,7 @@ class TestCalibration:
         report = sc.calibrate_drive(field_cfg, matter_store=store)
         assert report["kind"] == "classical_field"
         assert report["j0"] == current["j0"]
-        res = sc.run_scenario(field_cfg, matter_store=store, write_files=False)
+        res = sc.run_scenario(field_cfg, matter_store=store, out_dir=tmp_path)
         assert res.summary["drive"]["kind"] == "classical_field"
         assert res.summary["drive"]["calibrated"] is True
         assert res.summary["drive"]["j0"] == current["j0"]
@@ -627,7 +627,7 @@ class TestSweeps:
         base = tiny_degenerate()
         sweep = sc.SweepSpec("theta1", (0.0, 30.0))
         swept = sc.run_sweep(
-            base, sweep, matter_store=store, out_dir=tmp_path / "sweep"
+            replace(base, sweep=sweep), matter_store=store, out_dir=tmp_path / "sweep"
         )
         assert [r["error"] for r in swept.rows] == [None, None]
         for value, res in zip(sweep.values, swept.results):
@@ -638,7 +638,9 @@ class TestSweeps:
     def test_sweep_table_written(self, tmp_path, store):
         base = tiny_degenerate()
         swept = sc.run_sweep(
-            base, sc.SweepSpec("theta1", (0.0, 30.0)), matter_store=store, out_dir=tmp_path
+            replace(base, sweep=sc.SweepSpec("theta1", (0.0, 30.0))),
+            matter_store=store,
+            out_dir=tmp_path,
         )
         lines = swept.table_path.read_text().splitlines()
         assert lines[0].split(",") == list(sc._SWEEP_COLUMNS)
@@ -649,7 +651,9 @@ class TestSweeps:
     def test_failed_rows_recorded_and_sweep_continues(self, tmp_path, store):
         base = tiny_degenerate()
         swept = sc.run_sweep(
-            base, sc.SweepSpec("V0", (-50.0, 200.0)), matter_store=store, out_dir=tmp_path
+            replace(base, sweep=sc.SweepSpec("V0", (-50.0, 200.0))),
+            matter_store=store,
+            out_dir=tmp_path,
         )
         assert swept.rows[0]["error"] is not None
         assert swept.rows[1]["error"] is None
@@ -681,11 +685,11 @@ class TestSweeps:
             sc.sweep_row_config(tiny_nondegenerate(), "V0", 150.0)
 
     @pytest.mark.slow
-    def test_efficiency_rises_with_lambda_at_full_size(self):
+    def test_efficiency_rises_with_lambda_at_full_size(self, tmp_path):
         """The shipped efficiency_lambda_sweep preset, unchanged: eta rises
         strictly with lambda over all five rows (about 16 s on 2 CPUs)."""
         cfg = sc.load_preset("efficiency_lambda_sweep")
-        swept = sc.run_sweep(cfg, write_files=False)
+        swept = sc.run_sweep(cfg, out_dir=tmp_path)
         assert [r["error"] for r in swept.rows] == [None] * 5
         assert list(swept.values) == sorted(swept.values)
         etas = [r["eta"] for r in swept.rows]
@@ -722,27 +726,27 @@ class TestCompareMethods:
         for entries in data["methods"].values():
             assert all({"column", "max_signed_deviation", "t_ps"} <= set(e) for e in entries)
 
-    def test_mean_field_mandel_columns_all_zero(self, store):
+    def test_mean_field_mandel_columns_all_zero(self, tmp_path, store):
         cfg = tiny_degenerate(
             initial=sc.InitialSpec(kind="coherent", xi1=0.6),
             modes=(sc.ModeSpec(10.0, 8, 0.05), sc.ModeSpec(5.0, 8, 0.05)),
         )
         res = sc.compare_methods(
-            cfg, ["full", "mean_field"], matter_store=store, write_files=False
+            cfg, ["full", "mean_field"], matter_store=store, out_dir=tmp_path
         )
         mf = res.runs["mean_field"]
         for name in ("Q1", "Q2"):
             q = mf.rows[:, mf.names.index(name)]
             assert np.all(q[np.isfinite(q)] == 0.0)
 
-    def test_decoupled_methods_agree(self, store):
+    def test_decoupled_methods_agree(self, tmp_path, store):
         cfg = tiny_degenerate(
             initial=sc.InitialSpec(kind="coherent", xi1=0.6),
             modes=(sc.ModeSpec(10.0, 8, 0.0), sc.ModeSpec(5.0, 8, 0.0)),
             label="cmp0",
         )
         res = sc.compare_methods(
-            cfg, ["full", "few_level", "mean_field"], matter_store=store, write_files=False
+            cfg, ["full", "few_level", "mean_field"], matter_store=store, out_dir=tmp_path
         )
         ref = dict(zip(res.runs["full"].names, res.runs["full"].rows.T))
         for name, run in res.runs.items():
@@ -795,6 +799,20 @@ OUT_OF_RANGE = [
         "reduced_bath", ("bath", "windows", 1, "low_meV"), 4.0, "bath.windows overlap", id="overlap"
     ),
     pytest.param("current_drive", ("drive", "omega_meV"), 0.0, "drive.omega_meV", id="carrier"),
+    pytest.param(
+        "single_photon", ("modes", 1, "omega_meV"), math.nan, "modes[1].omega_meV", id="nan-omega"
+    ),
+    pytest.param("single_photon", ("modes", 0, "lambda"), math.nan, "modes[0].lambda", id="nan-lam"),
+    pytest.param(
+        "degenerate", ("angles", "theta1_deg"), math.inf, "angles.theta1_deg", id="inf-angle"
+    ),
+    pytest.param(
+        "single_photon",
+        ("propagation", "t_final_ps"),
+        math.inf,
+        "propagation.t_final_ps",
+        id="inf-t-final",
+    ),
 ]
 
 
@@ -983,15 +1001,15 @@ def fixed_dt_propagate(h, state, t_final, config, terms=(), observables=None):
 
 
 @pytest.mark.parametrize("name", ["degenerate", "single_photon"])
-def test_record_stepping_matches_fixed_dt(name, monkeypatch, store):
+def test_record_stepping_matches_fixed_dt(tmp_path, name, monkeypatch, store):
     # two and a half record intervals plus a short tail step on the tiny grid
     cfg = smoke_config(name)
     p = cfg.propagation
     span = (2.5 * p.record_stride + 0.4) * p.dt_fs * 1e-3
     cfg = replace(cfg, propagation=replace(p, t_final_ps=span))
-    stepped = sc.run_scenario(cfg, matter_store=store, write_files=False)
+    stepped = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
     monkeypatch.setattr(sc, "propagate", fixed_dt_propagate)
-    fixed = sc.run_scenario(cfg, matter_store=store, write_files=False)
+    fixed = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
     assert stepped.names == fixed.names and len(stepped.times_ps) == 4
     assert np.allclose(stepped.times_ps, fixed.times_ps, rtol=1e-12, atol=0.0)
     # 1e-8 absolute; the relative term covers g2 between occupations just above
@@ -1001,11 +1019,11 @@ def test_record_stepping_matches_fixed_dt(name, monkeypatch, store):
     assert stepped.summary["krylov"]["steps"] < 2.5 * p.record_stride
 
 
-def unreduced_run(cfg, monkeypatch, store):
+def unreduced_run(cfg, monkeypatch, store, out_dir):
     """The same run assembled on the whole (matter, tm), no reflection used."""
     with monkeypatch.context() as m:
         m.setattr(sc, "_matter_reflection", lambda modes: None)
-        return sc.run_scenario(cfg, matter_store=store, write_files=False)
+        return sc.run_scenario(cfg, matter_store=store, out_dir=out_dir)
 
 
 def assert_same_series(got, want, tol=1e-10):
@@ -1057,22 +1075,22 @@ class TestMatterReflection:
         assert data["symmetry"] == {"reflection": None, "matter_states": 3, "total_dim": 3 * 16}
         assert isinstance(data["symmetry"]["matter_states"], int)
         assert isinstance(data["symmetry"]["total_dim"], int)
-        mf = sc.run_scenario(tiny_mean_field(), matter_store=store, write_files=False)
+        mf = sc.run_scenario(tiny_mean_field(), matter_store=store, out_dir=tmp_path)
         assert mf.summary["symmetry"] == {"reflection": None, "matter_states": 3, "total_dim": 3}
 
     @pytest.mark.parametrize(
         "make", [tiny_nondegenerate, tiny_coherent, tiny_bath], ids=["fock", "coherent", "bath"]
     )
-    def test_reduced_run_matches_unreduced(self, make, monkeypatch, store):
-        reduced = sc.run_scenario(make(), matter_store=store, write_files=False)
-        full = unreduced_run(make(), monkeypatch, store)
+    def test_reduced_run_matches_unreduced(self, tmp_path, make, monkeypatch, store):
+        reduced = sc.run_scenario(make(), matter_store=store, out_dir=tmp_path)
+        full = unreduced_run(make(), monkeypatch, store, tmp_path)
         assert reduced.summary["symmetry"]["reflection"] == "y"
         assert reduced.summary["symmetry"]["matter_states"] == 2
         assert full.summary["symmetry"]["matter_states"] == 3
         assert reduced.summary["dims"] == full.summary["dims"]
         assert_same_series(reduced, full)
 
-    def test_current_driven_ground_start_matches_unreduced(self, monkeypatch, store):
+    def test_current_driven_ground_start_matches_unreduced(self, tmp_path, monkeypatch, store):
         cfg = tiny_nondegenerate(
             kind="current_driven",
             initial=sc.InitialSpec(kind="ground"),
@@ -1087,27 +1105,27 @@ class TestMatterReflection:
             return e, vec
 
         monkeypatch.setattr(sc, "ground_state", recorded)
-        reduced = sc.run_scenario(cfg, matter_store=store, write_files=False)
-        full = unreduced_run(cfg, monkeypatch, store)
+        reduced = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
+        full = unreduced_run(cfg, monkeypatch, store, tmp_path)
         assert reduced.summary["symmetry"]["total_dim"] == 2 * 27
         assert len(energies) == 2 and abs(energies[0] - energies[1]) <= 1e-10
         assert_same_series(reduced, full)
 
-    def test_tilted_signal_keeps_the_full_basis(self, store):
+    def test_tilted_signal_keeps_the_full_basis(self, tmp_path, store):
         cfg = tiny_nondegenerate(theta2_deg=60.0)
-        res = sc.run_scenario(cfg, matter_store=store, write_files=False)
+        res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
         assert res.summary["symmetry"]["reflection"] is None
         assert res.summary["symmetry"]["total_dim"] == res.summary["dims"]["total"] == 3 * 27
 
-    def test_near_zero_components_snap_to_zero(self, units):
-        modes = sc._build_modes(tiny_nondegenerate(), units)
+    def test_near_zero_components_snap_to_zero(self):
+        modes = sc._build_modes(tiny_nondegenerate())
         assert [m.polarization for m in modes] == [(1.0, 0.0), (-1.0, 0.0), (1.0, 0.0)]
         assert sc._matter_reflection(modes) == "y"
-        ninety = sc._build_modes(tiny_degenerate(theta1_deg=90.0), units)
+        ninety = sc._build_modes(tiny_degenerate(theta1_deg=90.0))
         assert sc._matter_reflection(ninety) == "x"
 
 
-def test_field_drive_c_number_only_shifts_the_phase(monkeypatch, store):
+def test_field_drive_c_number_only_shifts_the_phase(tmp_path, monkeypatch, store):
     # the dropped (1/2) A1(t)^2 term, put back as an explicit identity term
     cfg = tiny_nondegenerate(
         kind="field_driven",
@@ -1115,7 +1133,7 @@ def test_field_drive_c_number_only_shifts_the_phase(monkeypatch, store):
         drive=sc.DriveParams(j0=0.05, t0_ps=0.05, tau_ps=0.02),
         label="tinyfield",
     )
-    without = sc.run_scenario(cfg, matter_store=store, write_files=False)
+    without = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
     original = sc.field_drive_terms
     peak = []
 
@@ -1128,7 +1146,7 @@ def test_field_drive_c_number_only_shifts_the_phase(monkeypatch, store):
         return [*original(basis, tm, signal_modes, mode1, drive, t_grid), c_number]
 
     monkeypatch.setattr(sc, "field_drive_terms", with_c_number)
-    with_term = sc.run_scenario(cfg, matter_store=store, write_files=False)
+    with_term = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
     assert peak and peak[0] > 0.0
     assert_same_series(without, with_term)
 
