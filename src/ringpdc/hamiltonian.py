@@ -27,9 +27,17 @@ live in a restricted few-photon sector; their operators are assembled
 normal-ordered so that single-operator restrictions stay exact (see
 photon.bath_ladder).
 
+Inversion (x, y) -> (-x, -y) times photon-number parity
+(-1)^(sum_a n_a + N_bath) commutes with every undriven H built here: each
+coupling e_a . p (x) q_a is odd under both factors, and the diamagnetic and
+bath-quadratic terms are even.  inversion_parity gives its eigenvalue at
+every index of the coupled layout, and inversion_block cuts H to one of its
+two sectors after checking that no entry couples them.
+
 The pump schemes are time-dependent terms for the propagator: a classical
 current on quantized mode 1, or the retarded classical field that replaces
-mode 1.  This module builds operators only; it never propagates.
+mode 1.  Both break the inversion parity.  This module builds operators
+only; it never propagates.
 """
 
 from __future__ import annotations
@@ -42,10 +50,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
 
-from .matter import MatterEigenbasis, TransitionMatrices
+from .matter import MatterEigenbasis, TransitionMatrices, inversion_overlaps
 from .photon import BathBasis, FockMode, bath_ladder, number_op, quadratures
 
 HERMITICITY_TOL = 1e-12
+# A matter level counts as an inversion eigenstate when <phi|R_x R_y phi>
+# lies this close to +1 or -1.
+PARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -154,6 +165,56 @@ def product_state(
         vacuum[basis.bath.index_of(())] = 1.0
         out = np.kron(out, vacuum)
     return out / np.linalg.norm(out)
+
+
+def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarray | None:
+    """Inversion times photon-number parity, +1 or -1 (int8) at every index
+    of the coupled layout.
+
+    `matter` holds the levels of the coupled basis, in its order.  Returns
+    None when one of them is not an inversion eigenstate to within
+    PARITY_TOL.
+    """
+    if matter.n_states != basis.matter_dim:
+        raise ValueError(
+            f"{matter.n_states} matter levels for a coupled basis of {basis.matter_dim}"
+        )
+    overlap = inversion_overlaps(matter)
+    sign = np.where(overlap > 0.0, 1, -1).astype(np.int8)
+    if np.abs(overlap - sign).max() > PARITY_TOL:
+        return None
+    factors = [(-1) ** np.arange(d) for d in basis.mode_dims]
+    if basis.bath is not None:
+        factors.append(np.array([(-1) ** len(c) for c in basis.bath.configs]))
+    for f in factors:
+        sign = np.kron(sign, f.astype(np.int8))
+    return sign
+
+
+def inversion_block(
+    h: sp.csr_matrix, parity: np.ndarray, sector: int
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(block, index): the Hermitian h on the indices where parity == sector.
+
+    Raises ValueError, naming the largest, when an entry between the two
+    sectors exceeds HERMITICITY_TOL * max|h|.  h is Hermitian, so the rows of
+    the kept sector hold every such entry or its conjugate: one pass over
+    those rows checks them all.
+    """
+    index = np.flatnonzero(parity == sector)
+    rows = h[index]
+    cross = np.flatnonzero(parity[rows.indices] != sector)
+    if cross.size:
+        worst = np.abs(rows.data[cross])
+        k = int(np.argmax(worst))
+        scale = np.abs(h.data).max()
+        if worst[k] > HERMITICITY_TOL * scale:
+            row = index[np.searchsorted(rows.indptr, cross[k], side="right") - 1]
+            raise ValueError(
+                f"H[{row}, {rows.indices[cross[k]]}] = {rows.data[cross[k]]:.3e} couples "
+                f"the inversion sectors (above {HERMITICITY_TOL} x max|H| = {scale:.3e})"
+            )
+    return rows[:, index], index
 
 
 def _momentum_projection(tm: TransitionMatrices, e: tuple[float, float]) -> np.ndarray:

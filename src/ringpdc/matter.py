@@ -38,6 +38,8 @@ factor alone.  reflection_even then keeps the reflection-even sector of a
 solved basis (each singlet and one cos(l phi)-like member of each +-l pair,
 7 of the lowest 12 states), energy-diagonal, with its transition matrices;
 a run that starts in the even ground state never leaves it.
+inversion_overlaps reads each state's parity under (x, y) -> (-x, -y),
+(-1)^l, which the coupled inversion sectors need.
 """
 
 from __future__ import annotations
@@ -509,6 +511,13 @@ def reflection_even(
     return kept, TransitionMatrices(
         rotate(tm.x_dip), rotate(tm.y_dip), rotate(tm.px), rotate(tm.py)
     )
+
+
+def inversion_overlaps(basis: MatterEigenbasis) -> np.ndarray:
+    """<phi_k|R_x R_y phi_k> per state: +1 or -1 for an eigenstate of the
+    inversion (x, y) -> (-x, -y), which reverses the flattened, centred grid."""
+    flipped = basis.states[:, ::-1]
+    return basis.grid.weight * np.real(np.einsum("ij,ij->i", basis.states.conj(), flipped))
 
 
 def solve_ring(grid: GridSpec, pot: RingPotentialParams, n_states: int) -> MatterEigenbasis:

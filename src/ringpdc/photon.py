@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,42 +97,30 @@ def coherent_state(xi: complex, n_max: int) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+class BathWindow(NamedTuple):
+    """count bath modes spaced evenly over [low_mev, high_mev]."""
+
+    low_mev: float
+    high_mev: float
+    count: int
+
+
 @dataclass(frozen=True)
 class BathSpec:
-    """Sampled photon bath: spectral windows in meV, shared coupling, sector cap.
+    """Sampled photon bath: spectral windows, shared coupling, sector cap.
 
-    energy_windows holds (low_meV, high_meV, n_modes) triples sampled with
-    equal spacing.  Every bath mode is polarized along x.
+    The config's bath section parses into this class, and
+    scenarios.validate_config is where its ranges are checked.  Every bath
+    mode is polarized along x.
     """
 
-    energy_windows: tuple[tuple[float, float, int], ...]
-    lambda_bath: float
+    lam: float
+    windows: tuple[BathWindow, ...]
     sector: int = 2
-
-    def __post_init__(self):
-        if self.sector not in (0, 1, 2):
-            raise ValueError(f"sector must be 0, 1 or 2, got {self.sector}")
-        if self.lambda_bath < 0:
-            raise ValueError("lambda_bath must be non-negative")
-        if not self.energy_windows:
-            raise ValueError("at least one energy window required")
-        spans = []
-        for low, high, n in self.energy_windows:
-            if low <= 0 or high <= 0:
-                raise ValueError(f"window bounds must be positive, got ({low}, {high})")
-            if high <= low:
-                raise ValueError(f"window ({low}, {high}) is empty")
-            if n < 1:
-                raise ValueError("each window needs at least one mode")
-            spans.append((low, high))
-        spans.sort()
-        for (lo1, hi1), (lo2, _) in zip(spans, spans[1:]):
-            if lo2 < hi1:
-                raise ValueError(f"windows overlap near {lo2} meV")
 
     @property
     def count(self) -> int:
-        return sum(n for _, _, n in self.energy_windows)
+        return sum(n for _, _, n in self.windows)
 
 
 @dataclass(frozen=True)
@@ -202,13 +191,13 @@ def sample_bath(spec: BathSpec) -> tuple[list[FockMode], BathBasis]:
     plus the restricted basis."""
     u = default_units()
     modes = []
-    for low, high, n in spec.energy_windows:
+    for low, high, n in spec.windows:
         for omega_mev in np.linspace(low, high, n):
             modes.append(
                 FockMode(
                     omega=energy_to_eff(float(omega_mev), u),
                     n_max=max(spec.sector, 1),
-                    lam=spec.lambda_bath,
+                    lam=spec.lam,
                     polarization=(1.0, 0.0),
                 )
             )

@@ -6,12 +6,18 @@ state, method and propagation window; run_scenario turns it into solved
 matter, an assembled Hamiltonian, a propagated state and two output files:
 a CSV of photon-statistics columns and a JSON summary with the extrema,
 the conversion efficiency, a truncation-drift report and the wall time of
-each phase (matter, assembly, propagation).  When every mode
-is polarized along one axis, a full run propagates only the
-reflection-even matter sector (matter.reflection_even).  run_sweep
-repeats the pipeline over one swept parameter and tabulates the extrema
-per row; compare_methods runs the same scenario under the full, few-level
-and mean-field methods on a shared time grid and reports signed
+each phase (matter, assembly, propagation).
+
+Two symmetries shrink what is propagated.  When every mode is polarized
+along one axis, a full run keeps only the reflection-even matter sector
+(matter.reflection_even).  An undriven run from a Fock start, full or
+few-level, keeps only the sector of inversion times photon-number parity
+that the start occupies (hamiltonian.inversion_block); its observers see
+the state scattered back into the whole layout.
+
+run_sweep repeats the pipeline over one swept parameter and tabulates the
+extrema per row; compare_methods runs the same scenario under the full,
+few-level and mean-field methods on a shared time grid and reports signed
 deviations.  Every run works in one unit system, UNITS (GaAs); the
 driven scenarios calibrate their pump amplitude here, on a pump-only
 reference run.  Outputs always go to files.
@@ -42,7 +48,7 @@ from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from types import UnionType
-from typing import NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -60,7 +66,10 @@ from .hamiltonian import (
     current_drive_terms,
     embed,
     field_drive_terms,
+    inversion_block,
+    inversion_parity,
     product_state,
+    restrict_levels,
 )
 from .matter import (
     GridSpec,
@@ -167,25 +176,6 @@ class DriveParams:
     tolerance: float = 0.05
 
 
-class BathWindow(NamedTuple):
-    """count bath modes spaced evenly over [low_mev, high_mev]."""
-
-    low_mev: float
-    high_mev: float
-    count: int
-
-
-@dataclass(frozen=True)
-class BathParams:
-    lam: float
-    windows: tuple[BathWindow, ...]
-    sector: int = 2
-
-    @property
-    def count(self) -> int:
-        return sum(n for _, _, n in self.windows)
-
-
 @dataclass(frozen=True)
 class PropagationSpec:
     t_final_ps: float
@@ -226,7 +216,7 @@ class ScenarioConfig:
     theta3_deg: float = 90.0
     initial: InitialSpec = InitialSpec()
     drive: DriveParams | None = None
-    bath: BathParams | None = None
+    bath: BathSpec | None = None
     method: MethodSpec = MethodSpec()
     output: OutputSpec = OutputSpec()
     sweep: SweepSpec | None = None
@@ -383,7 +373,7 @@ def _quantized_mode_specs(config: ScenarioConfig) -> tuple[ModeSpec, ...]:
     return config.modes[1:] if config.kind == "field_driven" else config.modes
 
 
-def _bath_dim(bath: BathParams) -> int:
+def _bath_dim(bath: BathSpec) -> int:
     m = bath.count
     if bath.sector == 0:
         return 1
@@ -491,7 +481,9 @@ def validate_config(config: ScenarioConfig) -> dict:
         raise ConfigError(f"scenario kind {config.kind!r} takes no bath section")
     if config.bath is not None:
         if config.bath.lam < 0:
-            raise ConfigError("bath lambda must be non-negative")
+            raise ConfigError(f"bath.lambda must be non-negative, got {config.bath.lam}")
+        if config.bath.sector not in (0, 1, 2):
+            raise ConfigError(f"bath.sector must be 0, 1 or 2, got {config.bath.sector}")
         if not config.bath.windows:
             raise ConfigError("bath.windows must hold at least one window")
         for i, (low, high, count) in enumerate(config.bath.windows):
@@ -813,14 +805,9 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     terms: list = []
     bath_modes, bath_basis = (), None
     if config.bath is not None:
-        spec = BathSpec(
-            energy_windows=config.bath.windows,
-            lambda_bath=config.bath.lam,
-            sector=config.bath.sector,
-        )
-        bath_modes, bath_basis = sample_bath(spec)
+        bath_modes, bath_basis = sample_bath(config.bath)
     # a matter-only reflection confines the run to the even matter sector;
-    # few-level levels index the l-basis, so only the full method is reduced
+    # few-level levels index the l-basis, so it reduces only the full method
     n_configured = matter.n_states
     full = config.method.kind == "full"
     reflection = _matter_reflection((*modes, *bath_modes)) if full else None
@@ -829,6 +816,8 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
 
     if config.method.kind == "few_level":
         h, basis = assemble_few_level(config.method.levels, matter, tm, modes)
+        # the levels of the coupled basis, in its order
+        matter, _ = restrict_levels(matter, tm, config.method.levels)
         quantized = modes
     elif config.kind == "field_driven":
         quantized = modes[1:]
@@ -865,12 +854,27 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
         psi0 = CoupledState(
             product_state(basis, matter_vec, _initial_photon_vectors(config, quantized)), 0.0
         )
+    # a Fock start of an undriven run lies wholly in one inversion sector;
+    # coherent and ground starts occupy both and skip the parity work
+    inversion = index = None
+    if config.initial.kind == "fock" and not terms:
+        parity = inversion_parity(basis, matter)
+        if parity is not None:
+            occupied = np.unique(parity[psi0.amplitudes != 0])
+            if len(occupied) == 1:
+                inversion = int(occupied[0])
+                h, index = inversion_block(h, parity, inversion)
+                psi0 = CoupledState(psi0.amplitudes[index], 0.0)
     assembled = time.perf_counter()
 
     first_mode = 2 if config.kind == "field_driven" else 1
     names, observer = snapshot_columns(
         basis, [m.omega for m in quantized], first_mode=first_mode
     )
+    observables = {"row": observer, "edge": edge_observer(basis)}
+    if index is not None:
+        observables = {name: _scattered(f, index, basis.dim) for name, f in observables.items()}
+
     pconfig = PropagatorConfig(
         dt=dt,
         krylov_dim=p.krylov_dim,
@@ -883,7 +887,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
         t_final,
         pconfig,
         terms=terms,
-        observables={"row": observer, "edge": edge_observer(basis)},
+        observables=observables,
     )
     info["timings"] = {
         "assemble_s": assembled - started,
@@ -906,10 +910,22 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     }
     info["symmetry"] = {
         "reflection": reflection,
+        "inversion": inversion,
         "matter_states": basis.matter_dim,
-        "total_dim": basis.dim,
+        "total_dim": h.shape[0],
     }
     return names, result.times, rows, info
+
+
+def _scattered(observer, index: np.ndarray, dim: int):
+    """observer of the full layout, fed a state propagated on `index` only."""
+
+    def call(state):
+        amplitudes = np.zeros(dim, dtype=complex)
+        amplitudes[index] = state.amplitudes
+        return observer(amplitudes)
+
+    return call
 
 
 def _mean_field_series(config: ScenarioConfig, matter, tm):
@@ -931,6 +947,7 @@ def _mean_field_series(config: ScenarioConfig, matter, tm):
         "dims": {"matter": matter.n_states, "modes": [], "bath": None, "total": matter.n_states},
         "symmetry": {
             "reflection": None,
+            "inversion": None,
             "matter_states": matter.n_states,
             "total_dim": matter.n_states,
         },

@@ -386,7 +386,7 @@ def bath_setup(matter3):
     theta1 = math.pi / 6
     e1, e2 = degenerate_polarization_vectors(theta1)
     main = [FockMode(W2, 2, 0.017, e1), FockMode(W2 / 2, 2, 0.017, e2)]
-    spec = BathSpec(energy_windows=((1.0, 2.0, 2),), lambda_bath=0.007)
+    spec = BathSpec(lam=0.007, windows=((1.0, 2.0, 2),))
     bath_modes, bath_basis = sample_bath(spec)
     basis = ham.CoupledBasis(3, (3, 3), bath=bath_basis)
     h_main = ham.assemble_degenerate(basis, mb, tm, main)
@@ -425,7 +425,7 @@ class TestBathAssembly:
         theta1 = math.pi / 6
         e1, e2 = degenerate_polarization_vectors(theta1)
         main = [FockMode(W2, 2, 0.017, e1), FockMode(W2 / 2, 2, 0.017, e2)]
-        spec = BathSpec(energy_windows=((1.0, 2.0, 3),), lambda_bath=0.0)
+        spec = BathSpec(lam=0.0, windows=((1.0, 2.0, 3),))
         bath_modes, bath_basis = sample_bath(spec)
         basis = ham.CoupledBasis(3, (3, 3), bath=bath_basis)
         h_bath = ham.assemble_bath_terms(basis, mb, tm, main, bath_modes)
@@ -506,6 +506,87 @@ class TestHermitianByConstruction:
             defect = (h - h.conj().T).tocsr()
             defect.eliminate_zeros()
             assert defect.nnz == 0
+
+
+class TestInversionParity:
+    """Inversion times photon-number parity on the coupled layout."""
+
+    def test_matter_factor_is_minus_one_to_the_l(self, ring200):
+        parity = ham.inversion_parity(ham.CoupledBasis(12, ()), ring200)
+        assert parity.dtype == np.int8
+        assert np.array_equal(parity, (-1) ** np.abs(ring200.l_labels))
+
+    def test_mixed_parity_level_gives_none(self, ring200):
+        # level 1 has l = +-1 (odd), level 0 is even: their sum has no parity
+        mixed = replace(
+            ring200,
+            states=np.array([ring200.states[0], ring200.states[0] + ring200.states[1]])
+            / np.sqrt([[1.0], [2.0]]),
+            energies=ring200.energies[:2],
+        )
+        assert ham.inversion_parity(ham.CoupledBasis(2, (3,)), mixed) is None
+
+    def test_photon_and_bath_numbers_count(self, bath_setup):
+        mb, _, _, _, bath_basis, basis, _, _ = bath_setup
+        parity = ham.inversion_parity(basis, mb).reshape(basis.shape)
+        assert parity[0, 0, 0, bath_basis.index_of(())] == 1
+        assert parity[0, 1, 0, bath_basis.index_of(())] == -1
+        assert parity[0, 1, 0, bath_basis.index_of((0,))] == 1
+        assert parity[0, 1, 1, bath_basis.index_of((0, 1))] == 1
+        assert parity[1, 0, 0, bath_basis.index_of(())] == (-1) ** abs(mb.l_labels[1])
+
+    @pytest.mark.parametrize("build", ["system", "degenerate", "few_level", "system_plus_bath"])
+    def test_commutes_with_undriven_hamiltonians(self, matter3, bath_setup, build):
+        mb, tm = matter3
+        (h,) = HERMITIAN_BUILDS[build](mb, tm, bath_setup)
+        if build == "system_plus_bath":
+            basis = bath_setup[5]
+        else:
+            basis = ham.CoupledBasis(3, (3, 3, 3) if build in ("system", "few_level") else (3, 3))
+        parity = ham.inversion_parity(basis, mb)
+        flip = sp.diags(parity.astype(float))
+        assert abs(flip @ h @ flip - h).max() <= 1e-12 * abs(h).max()
+        for sector in (1, -1):
+            block, index = ham.inversion_block(h, parity, sector)
+            assert np.array_equal(index, np.flatnonzero(parity == sector))
+            assert isinstance(block, sp.csr_matrix)
+            assert abs(block - h[index][:, index]).max() == 0.0
+
+    @pytest.mark.parametrize("kind", ["current", "field"])
+    def test_drive_terms_break_it(self, matter3, kind):
+        mb, tm = matter3
+        op = drive_patterns(tm, kind)[0]
+        dims = (3, 3, 3) if kind == "current" else (3, 3)
+        parity = ham.inversion_parity(ham.CoupledBasis(3, dims), mb)
+        with pytest.raises(ValueError, match="couples the inversion sectors"):
+            ham.inversion_block(op, parity, 1)
+
+    def test_guard_names_a_planted_entry(self):
+        parity = np.array([1, -1, 1, -1], dtype=np.int8)
+        h = sp.diags([1.0, 2.0, 3.0, 4.0]).astype(complex).tolil()
+        h[0, 2] = h[2, 0] = 0.5  # same sector
+        h[1, 2] = h[2, 1] = 1e-17  # roundoff across the sectors
+        block, index = ham.inversion_block(h.tocsr(), parity, 1)
+        assert list(index) == [0, 2]
+        assert np.array_equal(block.toarray(), [[1.0, 0.5], [0.5, 3.0]])
+        h[0, 3] = h[3, 0] = 2e-3
+        with pytest.raises(ValueError, match=r"H\[0, 3\] = 2\.000e-03"):
+            ham.inversion_block(h.tocsr(), parity, 1)
+        with pytest.raises(ValueError, match=r"H\[3, 0\] = 2\.000e-03"):
+            ham.inversion_block(h.tocsr(), parity, -1)
+
+    def test_guard_measures_against_the_largest_modulus(self):
+        # max|h| = sqrt(2) while no real or imaginary part exceeds 1: an entry
+        # of 1.2e-12 across the sectors stays inside HERMITICITY_TOL * max|h|
+        parity = np.array([1, 1, -1], dtype=np.int8)
+        h = np.zeros((3, 3), dtype=complex)
+        h[0, 1], h[1, 0] = 1.0 + 1.0j, 1.0 - 1.0j
+        h[0, 2] = h[2, 0] = 1.2e-12
+        block, _ = ham.inversion_block(sp.csr_matrix(h), parity, 1)
+        assert np.array_equal(block.toarray(), h[:2, :2])
+        h[0, 2] = h[2, 0] = 1.5e-12
+        with pytest.raises(ValueError, match="couples the inversion sectors"):
+            ham.inversion_block(sp.csr_matrix(h), parity, 1)
 
 
 class TestSignalPair:

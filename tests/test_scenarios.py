@@ -18,6 +18,7 @@ import yaml
 from ringpdc import cli
 from ringpdc import hamiltonian as ham
 from ringpdc import scenarios as sc
+from ringpdc.photon import BathWindow
 from ringpdc.propagator import PropagationResult, ground_state, krylov_step
 
 # Coarse grid and shallow spectrum: enough structure to exercise every code
@@ -238,7 +239,7 @@ class TestParsing:
                 t_check_ps=0.2,
                 tolerance=0.01,
             ),
-            bath=sc.BathParams(lam=0.005, sector=1, windows=((0.5, 2.0, 3), (10.0, 20.0, 4))),
+            bath=sc.BathSpec(lam=0.005, sector=1, windows=((0.5, 2.0, 3), (10.0, 20.0, 4))),
             propagation=sc.PropagationSpec(
                 t_final_ps=2.5, dt_fs=3.0, record_stride=7, krylov_dim=12, krylov_tol=1e-9
             ),
@@ -248,7 +249,7 @@ class TestParsing:
         )
         cfg = sc.load_config(EVERY_KEY)
         assert cfg == expected
-        assert all(type(w) is sc.BathWindow for w in cfg.bath.windows)
+        assert all(type(w) is BathWindow for w in cfg.bath.windows)
         # integers given for number keys arrive as floats
         assert type(cfg.theta1_deg) is float and type(cfg.bath.windows[1].high_mev) is float
 
@@ -370,7 +371,7 @@ class TestValidation:
             sc.validate_config(cfg)
 
     def test_bath_only_for_bath_kind(self):
-        bath = sc.BathParams(lam=0.01, windows=((1.0, 2.0, 3),))
+        bath = sc.BathSpec(lam=0.01, windows=((1.0, 2.0, 3),))
         with pytest.raises(sc.ConfigError, match="takes no bath"):
             sc.validate_config(tiny_degenerate(bath=bath))
         with pytest.raises(sc.ConfigError, match="requires a bath"):
@@ -437,6 +438,8 @@ class TestRunScenario:
         data = json.loads(res.json_path.read_text())
         assert data["scenario"] == "degenerate" and data["method"] == "full"
         assert data["dims"]["total"] == 3 * 4 * 4
+        assert set(data["symmetry"]) == {"reflection", "inversion", "matter_states", "total_dim"}
+        assert data["symmetry"]["inversion"] == -1 and data["symmetry"]["total_dim"] == 24
         assert set(data["extrema"]) == {"n2_max", "t_n2_max_ps", "q2_min", "t_q2_min_ps"}
         assert 0.0 < data["eta"] < 1.0
         assert set(data["truncation_drift"]) == {"mode_1", "mode_2"}
@@ -522,7 +525,7 @@ class TestRunScenario:
     def test_bath_sector_runs(self, tmp_path, store):
         cfg = tiny_nondegenerate(
             kind="nondegenerate_bath",
-            bath=sc.BathParams(lam=0.02, sector=1, windows=((3.0, 5.0, 3),)),
+            bath=sc.BathSpec(lam=0.02, sector=1, windows=((3.0, 5.0, 3),)),
             label="tinybath",
         )
         res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
@@ -687,13 +690,25 @@ class TestSweeps:
     @pytest.mark.slow
     def test_efficiency_rises_with_lambda_at_full_size(self, tmp_path):
         """The shipped efficiency_lambda_sweep preset, unchanged: eta rises
-        strictly with lambda over all five rows (about 16 s on 2 CPUs)."""
+        strictly with lambda over all five rows (about 12 s on 2 CPUs)."""
         cfg = sc.load_preset("efficiency_lambda_sweep")
         swept = sc.run_sweep(cfg, out_dir=tmp_path)
         assert [r["error"] for r in swept.rows] == [None] * 5
         assert list(swept.values) == sorted(swept.values)
         etas = [r["eta"] for r in swept.rows]
         assert all(b > a for a, b in zip(etas, etas[1:])), etas
+
+    @pytest.mark.slow
+    def test_signal_peaks_sooner_with_lambda_at_full_size(self, tmp_path):
+        """The shipped lambda_sweep preset, unchanged: the first signal maximum
+        arrives strictly sooner as lambda grows, 24.16 -> 16.78 -> 13.27 ps
+        (about 18 s on 2 CPUs)."""
+        cfg = sc.load_preset("lambda_sweep")
+        swept = sc.run_sweep(cfg, out_dir=tmp_path)
+        assert [r["error"] for r in swept.rows] == [None] * 3
+        assert list(swept.values) == sorted(swept.values)
+        peaks = [r["t_n2_max_ps"] for r in swept.rows]
+        assert all(b < a for a, b in zip(peaks, peaks[1:])), peaks
 
 
 class TestCompareMethods:
@@ -798,6 +813,8 @@ OUT_OF_RANGE = [
     pytest.param(
         "reduced_bath", ("bath", "windows", 1, "low_meV"), 4.0, "bath.windows overlap", id="overlap"
     ),
+    pytest.param("reduced_bath", ("bath", "sector"), 3, "bath.sector", id="sector"),
+    pytest.param("reduced_bath", ("bath", "lambda"), -0.1, "bath.lambda", id="bath-lambda"),
     pytest.param("current_drive", ("drive", "omega_meV"), 0.0, "drive.omega_meV", id="carrier"),
     pytest.param(
         "single_photon", ("modes", 1, "omega_meV"), math.nan, "modes[1].omega_meV", id="nan-omega"
@@ -1055,7 +1072,7 @@ def tiny_coherent(**over) -> sc.ScenarioConfig:
 def tiny_bath(**over) -> sc.ScenarioConfig:
     return tiny_nondegenerate(
         kind="nondegenerate_bath",
-        bath=sc.BathParams(lam=0.02, sector=1, windows=((3.0, 5.0, 3),)),
+        bath=sc.BathSpec(lam=0.02, sector=1, windows=((3.0, 5.0, 3),)),
         label="tinybath",
         **over,
     )
@@ -1068,15 +1085,35 @@ class TestMatterReflection:
     def test_symmetry_block(self, tmp_path, store):
         res = sc.run_scenario(tiny_nondegenerate(), matter_store=store, out_dir=tmp_path)
         data = json.loads(res.json_path.read_text())
-        assert data["symmetry"] == {"reflection": "y", "matter_states": 2, "total_dim": 2 * 27}
+        # the Fock start also confines the run to the inversion-odd sector:
+        # 14 even and 13 odd photon configurations times matter parities (+1, -1)
+        assert data["symmetry"] == {
+            "reflection": "y",
+            "inversion": -1,
+            "matter_states": 2,
+            "total_dim": 13 + 14,
+        }
         assert data["dims"]["matter"] == 3 and data["dims"]["total"] == 3 * 27
         tilted = sc.run_scenario(tiny_degenerate(), matter_store=store, out_dir=tmp_path)
         data = json.loads(tilted.json_path.read_text())
-        assert data["symmetry"] == {"reflection": None, "matter_states": 3, "total_dim": 3 * 16}
+        assert data["symmetry"] == {
+            "reflection": None,
+            "inversion": -1,
+            "matter_states": 3,
+            "total_dim": 8 + 2 * 8,
+        }
+        assert isinstance(data["symmetry"]["inversion"], int)
         assert isinstance(data["symmetry"]["matter_states"], int)
         assert isinstance(data["symmetry"]["total_dim"], int)
+        coherent = sc.run_scenario(tiny_coherent(), matter_store=store, out_dir=tmp_path)
+        assert coherent.summary["symmetry"]["inversion"] is None
         mf = sc.run_scenario(tiny_mean_field(), matter_store=store, out_dir=tmp_path)
-        assert mf.summary["symmetry"] == {"reflection": None, "matter_states": 3, "total_dim": 3}
+        assert mf.summary["symmetry"] == {
+            "reflection": None,
+            "inversion": None,
+            "matter_states": 3,
+            "total_dim": 3,
+        }
 
     @pytest.mark.parametrize(
         "make", [tiny_nondegenerate, tiny_coherent, tiny_bath], ids=["fock", "coherent", "bath"]
@@ -1115,7 +1152,8 @@ class TestMatterReflection:
         cfg = tiny_nondegenerate(theta2_deg=60.0)
         res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
         assert res.summary["symmetry"]["reflection"] is None
-        assert res.summary["symmetry"]["total_dim"] == res.summary["dims"]["total"] == 3 * 27
+        assert res.summary["symmetry"]["matter_states"] == res.summary["dims"]["matter"] == 3
+        assert res.summary["dims"]["total"] == 3 * 27
 
     def test_near_zero_components_snap_to_zero(self):
         modes = sc._build_modes(tiny_nondegenerate())
@@ -1123,6 +1161,68 @@ class TestMatterReflection:
         assert sc._matter_reflection(modes) == "y"
         ninety = sc._build_modes(tiny_degenerate(theta1_deg=90.0))
         assert sc._matter_reflection(ninety) == "x"
+
+
+def uninverted_run(cfg, monkeypatch, store, out_dir):
+    """The same run propagated on the whole layout, no inversion sector used."""
+    with monkeypatch.context() as m:
+        m.setattr(sc, "inversion_parity", lambda basis, matter: None)
+        return sc.run_scenario(cfg, matter_store=store, out_dir=out_dir)
+
+
+def tiny_current(**over) -> sc.ScenarioConfig:
+    return tiny_nondegenerate(
+        kind="current_driven",
+        initial=sc.InitialSpec(kind="ground"),
+        drive=sc.DriveParams(j0=2.0, t0_ps=0.05, tau_ps=0.02),
+        label="tinycurrent",
+        **over,
+    )
+
+
+class TestInversionSector:
+    """Undriven Fock starts lie in one sector of inversion times photon-number
+    parity and propagate only that sector's block of H."""
+
+    @pytest.mark.parametrize(
+        "make, reflection, kept, total",
+        [
+            (tiny_nondegenerate, "y", 27, 54),
+            # the bath's one-photon states count in the parity
+            (tiny_bath, "y", 108, 216),
+            # theta1 = 60 deg: inversion without the reflection
+            (tiny_degenerate, None, 24, 48),
+            (lambda: tiny_nondegenerate(method=sc.MethodSpec("few_level", (0, 1, 2))), None, 41, 81),
+        ],
+        ids=["fock", "bath", "degenerate", "few_level"],
+    )
+    def test_reduced_run_matches_uninverted(
+        self, tmp_path, monkeypatch, store, make, reflection, kept, total
+    ):
+        reduced = sc.run_scenario(make(), matter_store=store, out_dir=tmp_path)
+        full = uninverted_run(make(), monkeypatch, store, tmp_path)
+        sym, full_sym = reduced.summary["symmetry"], full.summary["symmetry"]
+        assert sym["reflection"] == full_sym["reflection"] == reflection
+        assert sym["inversion"] == -1 and full_sym["inversion"] is None
+        assert (sym["total_dim"], full_sym["total_dim"]) == (kept, total)
+        assert reduced.summary["dims"] == full.summary["dims"]
+        assert reduced.summary["krylov"]["steps"] == full.summary["krylov"]["steps"]
+        assert_same_series(reduced, full)
+
+    @pytest.mark.parametrize("make", [tiny_coherent, tiny_current], ids=["coherent", "ground"])
+    def test_two_sector_starts_do_no_parity_work(self, tmp_path, monkeypatch, store, make):
+        expected = sc.run_scenario(make(), matter_store=store, out_dir=tmp_path / "a")
+
+        def refused(basis, matter):
+            raise AssertionError("parity computed for a start in both sectors")
+
+        monkeypatch.setattr(sc, "inversion_parity", refused)
+        res = sc.run_scenario(make(), matter_store=store, out_dir=tmp_path / "b")
+        sym, dims = res.summary["symmetry"], res.summary["dims"]
+        assert sym["inversion"] is None
+        assert sym["total_dim"] == sym["matter_states"] * dims["total"] // dims["matter"]
+        # the ground start's eigsh draws a random start vector: equal to roundoff
+        assert_same_series(res, expected)
 
 
 def test_field_drive_c_number_only_shifts_the_phase(tmp_path, monkeypatch, store):
