@@ -15,10 +15,21 @@ terms always carry consistent pairwise geometry factors e_a . e_b; published
 variants that spell the cross terms with inconsistent signs are reproduced up
 to those misprints.
 
-Every term is a real coefficient times a Kronecker product of factors, and
-embed checks each factor it lifts for Hermiticity.  The running sum of the
-terms is then Hermitian by construction; the builders return the csr_matrix
-itself.
+H is a short sum of matter (x) photon factor pairs, the photon factor acting
+on the modes and the bath sector together:
+
+    (1,      sum_a w_a (n_a + 1/2) + diamagnetic q_a q_b terms)
+    (H_el,   1)
+    (e_a.p,  -lam_a q_a)              one per coupled mode
+    (1,      bath energy + bath diamagnetic + q_a (x) A_B cross terms)
+    (e_B.p,  -A_B)                    the collective bath coupling
+
+Each photon factor is summed in photon space from embed products, and embed
+checks every mode and bath factor it lifts for Hermiticity; _kron_sum checks
+each matter factor and writes sum_k M_k (x) P_k block by block into one
+canonical CSR.  Entries (i, j) and (j, i) add the same terms in the same
+order, so H is Hermitian to the last bit by construction; the builders return
+the csr_matrix itself.
 
 The matter factor is the truncated ring eigenbasis (h_matrix plus momentum
 matrices), or its reflection-even sector when every mode shares one
@@ -93,9 +104,8 @@ class CoupledBasis:
         return tuple(int(i) for i in np.unravel_index(index, self.shape))
 
 
-def _hermitian_factor(op: sp.spmatrix, where: str) -> sp.spmatrix:
-    defect = abs(op - op.conjugate().T)
-    defect_max = defect.max() if defect.nnz else 0.0
+def _hermitian_factor(op: np.ndarray | sp.spmatrix, where: str) -> np.ndarray | sp.spmatrix:
+    defect_max = abs(op - op.conjugate().T).max()
     if defect_max >= HERMITICITY_TOL:
         raise ValueError(
             f"Hermiticity defect {defect_max:.3e} >= {HERMITICITY_TOL} in the {where}"
@@ -270,6 +280,86 @@ def restrict_levels(
     return sub_basis, sub_tm
 
 
+def _kron_sum(
+    basis: CoupledBasis, pairs: Sequence[tuple[np.ndarray, sp.csr_matrix]]
+) -> sp.csr_matrix:
+    """sum_k M_k (x) P_k as one canonical CSR, matter slowest.
+
+    Block (i, j) is sum_k M_k[i, j] P_k on the union pattern of the P_k whose
+    coefficient is nonzero.  The row pointer is counted from those patterns
+    first, so each block is written straight into its place in the final
+    arrays and no more than one block is held beside them.  Each matter
+    factor is checked for Hermiticity here; the photon factors are real sums
+    of embed products, whose factors embed has checked.
+    """
+    m = basis.matter_dim
+    n = basis.dim // m
+    matters, photons = [], []
+    for mk, pk in pairs:
+        if np.shape(mk) != (m, m) or pk.shape != (n, n):
+            raise ValueError(f"factors {np.shape(mk)} x {pk.shape} do not tile {basis.shape}")
+        matters.append(_hermitian_factor(np.asarray(mk, dtype=complex), "matter factor"))
+        pk = sp.csr_matrix(pk)
+        pk.sum_duplicates()  # sorted, unique keys for searchsorted
+        photons.append(pk)
+
+    def keys(pk: sp.csr_matrix) -> np.ndarray:
+        return np.repeat(np.arange(n), np.diff(pk.indptr)) * n + pk.indices
+
+    # a sum of positive patterns cannot cancel, so its pattern is the union
+    union = keys(
+        sum(sp.csr_matrix((np.ones(pk.nnz), pk.indices, pk.indptr), (n, n)) for pk in photons)
+    )
+    where = [np.searchsorted(union, keys(pk)) for pk in photons]
+    terms_of = [
+        [tuple(k for k, mk in enumerate(matters) if mk[i, j] != 0) for j in range(m)]
+        for i in range(m)
+    ]
+    # for each set of factors that meets in a block, on the union of their
+    # patterns: entries per photon row, each entry's column and place within
+    # its row, and where each factor's entries sit
+    layouts = {}
+    for terms in {t for row in terms_of for t in row if t}:
+        member = np.zeros(union.size, dtype=bool)
+        for k in terms:
+            member[where[k]] = True
+        slot = np.cumsum(member) - 1
+        rows, cols = np.divmod(union[member], n)
+        counts = np.bincount(rows, minlength=n)
+        rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        positions = [slot[where[k]] for k in terms]
+        layouts[terms] = (counts, cols.astype(np.int32), rank, positions)
+    row_counts = np.zeros((m, n), dtype=np.int64)
+    for i in range(m):
+        for terms in filter(None, terms_of[i]):
+            row_counts[i] += layouts[terms][0]
+    indptr = np.concatenate(([0], np.cumsum(row_counts.ravel())))
+    index_dtype = np.int32 if max(indptr[-1], basis.dim) < 2**31 else np.int64
+    data = np.empty(indptr[-1], dtype=complex)
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+
+    cancelled = False
+    for i in range(m):
+        free = indptr[i * n : (i + 1) * n].copy()  # next open slot of each row
+        for j, terms in enumerate(terms_of[i]):
+            if not terms:
+                continue
+            counts, cols, rank, positions = layouts[terms]
+            values = np.zeros(cols.size, dtype=complex)
+            for k, pos in zip(terms, positions):
+                np.add.at(values, pos, matters[k][i, j] * photons[k].data)
+            cancelled = cancelled or not values.all()  # an exact zero sum
+            dest = np.repeat(free, counts)
+            dest += rank
+            data[dest] = values
+            indices[dest] = cols + j * n
+            free += counts
+    h = sp.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=(basis.dim, basis.dim))
+    if cancelled:
+        h.eliminate_zeros()
+    return h
+
+
 def _assemble(
     basis: CoupledBasis,
     h_matter: np.ndarray,
@@ -281,31 +371,30 @@ def _assemble(
     for mode, d in zip(modes, basis.mode_dims):
         if mode.dim != d:
             raise ValueError("mode truncation does not match the coupled basis")
-    total = embed(basis, matter_op=h_matter)
-    quads = []
-    for slot, mode in enumerate(modes):
-        q, _ = quadratures(mode)
-        quads.append(q)
-        # exact diagonal w (n + 1/2); the quadrature form of the same energy
-        # picks up an edge defect at the Fock truncation boundary
-        h_ph = mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim))
-        total = total + embed(basis, mode_ops={slot: h_ph.tocsr()})
+    photon = CoupledBasis(1, basis.mode_dims, basis.bath)
+    quads = [quadratures(mode)[0] for mode in modes]
+    # exact diagonal w (n + 1/2); the quadrature form of the same energy
+    # picks up an edge defect at the Fock truncation boundary
+    energies = [mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim)) for mode in modes]
+    h_photon = sum(embed(photon, mode_ops={slot: e}) for slot, e in enumerate(energies))
+    couplings = []
     for slot, mode in enumerate(modes):
         if mode.lam == 0.0:
             continue
+        q = quads[slot]
+        h_photon = h_photon + 0.5 * mode.lam**2 * embed(photon, mode_ops={slot: (q @ q).tocsr()})
         proj = _momentum_projection(tm, mode.polarization)
-        total = total - mode.lam * embed(basis, matter_op=proj, mode_ops={slot: quads[slot]})
-        total = total + 0.5 * mode.lam**2 * embed(
-            basis, mode_ops={slot: (quads[slot] @ quads[slot]).tocsr()}
-        )
+        couplings.append((proj, -mode.lam * embed(photon, mode_ops={slot: q})))
     for a in range(len(modes)):
         for b in range(a + 1, len(modes)):
             ea, eb = modes[a].polarization, modes[b].polarization
             coeff = modes[a].lam * modes[b].lam * (ea[0] * eb[0] + ea[1] * eb[1])
             if coeff == 0.0:
                 continue
-            total = total + coeff * embed(basis, mode_ops={a: quads[a], b: quads[b]})
-    return total
+            h_photon = h_photon + coeff * embed(photon, mode_ops={a: quads[a], b: quads[b]})
+    eye = sp.identity(photon.dim, format="csr", dtype=complex)
+    pairs = [(np.eye(basis.matter_dim), h_photon), (h_matter, eye), *couplings]
+    return _kron_sum(basis, pairs)
 
 
 def assemble_system(
@@ -390,9 +479,10 @@ def assemble_bath_terms(
     (pol,) = pols
 
     lowering = [bath_ladder(bath, k) for k in range(bath.n_modes)]
+    photon = CoupledBasis(1, basis.mode_dims, bath)
     n_total = sum((low.T @ low) * mode.omega for low, mode in zip(lowering, bath_modes))
     zero_point = 0.5 * sum(m.omega for m in bath_modes)
-    total = embed(basis, bath_op=(n_total + zero_point * eye).astype(complex))
+    h_photon = embed(photon, bath_op=(n_total + zero_point * eye).astype(complex))
 
     # collective displacement sum_k c_k (b_k + b_k^dag) with c_k = lam_k / sqrt(2 w_k),
     # so A_bath = disp e
@@ -401,7 +491,6 @@ def assemble_bath_terms(
     for c, low in zip(weights, lowering):
         disp = disp + c * (low + low.T)
     disp = disp.astype(complex)
-    total = total - embed(basis, matter_op=_momentum_projection(tm, pol), bath_op=disp)
 
     # diamagnetic main x bath cross terms: lam_a (e_a . e_B) q_a (x) A_B
     for slot, mode in enumerate(main_modes):
@@ -409,7 +498,7 @@ def assemble_bath_terms(
         if mode.lam == 0.0 or dot == 0.0:
             continue
         q, _ = quadratures(mode)
-        total = total + mode.lam * dot * embed(basis, mode_ops={slot: q}, bath_op=disp)
+        h_photon = h_photon + mode.lam * dot * embed(photon, mode_ops={slot: q}, bath_op=disp)
 
     # diamagnetic bath x bath: (1/2) sum_{k,l} c_k c_l (b+b^dag)_k (b+b^dag)_l,
     # normal-ordered with the collective B = sum_k c_k b_k:
@@ -418,7 +507,13 @@ def assemble_bath_terms(
     prod = (coll @ coll + coll.T @ coll + coll.T @ coll + coll.T @ coll.T).astype(complex)
     prod = prod + sum(c * c for c in weights) * eye
     bath_quad = 0.5 * (pol[0] * pol[0] + pol[1] * pol[1]) * prod
-    return total + embed(basis, bath_op=bath_quad)
+    h_photon = h_photon + embed(photon, bath_op=bath_quad)
+
+    pairs = [
+        (np.eye(basis.matter_dim), h_photon),
+        (_momentum_projection(tm, pol), -embed(photon, bath_op=disp)),
+    ]
+    return _kron_sum(basis, pairs)
 
 
 # ---------------------------------------------------------------------------

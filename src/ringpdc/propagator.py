@@ -341,8 +341,11 @@ def ground_state(h) -> tuple[float, np.ndarray]:
     residual below 1e-9."""
     if h.shape[0] == 1:
         return float(np.real(h[0, 0])), np.ones(1, dtype=complex)
+    # a fixed random start vector: ARPACK's own draw changes from call to
+    # call, and a flat vector can be orthogonal to a symmetric ground state
+    v0 = np.random.default_rng(0).standard_normal(h.shape[0]).astype(h.dtype)
     try:
-        vals, vecs = eigsh(h, k=1, which="SA")
+        vals, vecs = eigsh(h, k=1, which="SA", v0=v0)
     except Exception as exc:
         raise RuntimeError(f"ground-state solve did not converge: {exc}") from exc
     energy = float(vals[0])

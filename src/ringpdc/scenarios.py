@@ -761,7 +761,8 @@ def calibrate_drive(config: ScenarioConfig, *, matter_store: dict | None = None)
 
 def _ground_index(config: ScenarioConfig) -> int:
     if config.method.kind == "few_level":
-        return sorted(config.method.levels).index(0)
+        # the coupled basis keeps the levels in their configured order
+        return config.method.levels.index(0)
     return 0
 
 
@@ -900,6 +901,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     }
     info["norm_drift"] = abs(float(np.linalg.norm(result.final.amplitudes)) - 1.0)
     info["krylov"] = asdict(result.krylov)
+    info["operator_mb"] = (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes) / 2**20
     # dims is the configured product space; symmetry what was propagated
     n_matter = basis.matter_dim if reflection is None else n_configured
     info["dims"] = {
@@ -1012,6 +1014,7 @@ def run_scenario(
         "truncation_drift": info["truncation_drift"],
         "norm_drift": info["norm_drift"],
         "krylov": info.get("krylov"),
+        "operator_mb": info.get("operator_mb"),
         # phase wall times cut to whole ms, so they never sum past runtime_s
         "timings": {
             name: math.floor(seconds * 1000.0) / 1000.0

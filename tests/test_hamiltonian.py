@@ -2,6 +2,7 @@
 algebra against a dense projected oracle, pump schemes, and calibration."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from ringpdc.matter import transition_matrices
 from ringpdc.photon import (
     BathSpec,
     FockMode,
+    bath_ladder,
     number_op,
     quadratures,
     sample_bath,
@@ -506,6 +508,133 @@ class TestHermitianByConstruction:
             defect = (h - h.conj().T).tocsr()
             defect.eliminate_zeros()
             assert defect.nnz == 0
+
+
+def running_sum(basis, h_matter, tm, modes):
+    """H as a running sum of embed products, one term at a time: the
+    reference for the factor-pair builder."""
+    total = ham.embed(basis, matter_op=h_matter)
+    quads = [quadratures(mode)[0] for mode in modes]
+    for slot, mode in enumerate(modes):
+        h_ph = mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim))
+        total = total + ham.embed(basis, mode_ops={slot: h_ph.tocsr()})
+    for slot, mode in enumerate(modes):
+        if mode.lam == 0.0:
+            continue
+        q = quads[slot]
+        proj = mode.polarization[0] * tm.px + mode.polarization[1] * tm.py
+        total = total - mode.lam * ham.embed(basis, matter_op=proj, mode_ops={slot: q})
+        total = total + 0.5 * mode.lam**2 * ham.embed(basis, mode_ops={slot: (q @ q).tocsr()})
+    for a in range(len(modes)):
+        for b in range(a + 1, len(modes)):
+            ea, eb = modes[a].polarization, modes[b].polarization
+            coeff = modes[a].lam * modes[b].lam * (ea[0] * eb[0] + ea[1] * eb[1])
+            if coeff != 0.0:
+                total = total + coeff * ham.embed(basis, mode_ops={a: quads[a], b: quads[b]})
+    return total
+
+
+def running_bath_sum(basis, tm, main_modes, bath_modes):
+    """assemble_bath_terms as a running sum of embed products."""
+    bath = basis.bath
+    eye = sp.identity(bath.size, format="csr", dtype=complex)
+    (pol,) = {mode.polarization for mode in bath_modes}
+    lowering = [bath_ladder(bath, k) for k in range(bath.n_modes)]
+    n_total = sum((low.T @ low) * mode.omega for low, mode in zip(lowering, bath_modes))
+    zero_point = 0.5 * sum(mode.omega for mode in bath_modes)
+    total = ham.embed(basis, bath_op=(n_total + zero_point * eye).astype(complex))
+    weights = [mode.lam / math.sqrt(2.0 * mode.omega) for mode in bath_modes]
+    disp = sum(c * (low + low.T) for c, low in zip(weights, lowering)).astype(complex)
+    proj = pol[0] * tm.px + pol[1] * tm.py
+    total = total - ham.embed(basis, matter_op=proj, bath_op=disp)
+    for slot, mode in enumerate(main_modes):
+        dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
+        if mode.lam != 0.0 and dot != 0.0:
+            q = quadratures(mode)[0]
+            total = total + mode.lam * dot * ham.embed(basis, mode_ops={slot: q}, bath_op=disp)
+    coll = sum(c * low for c, low in zip(weights, lowering))
+    prod = (coll @ coll + 2 * (coll.T @ coll) + coll.T @ coll.T).astype(complex)
+    prod = prod + sum(c * c for c in weights) * eye
+    return total + ham.embed(basis, bath_op=0.5 * (pol[0] ** 2 + pol[1] ** 2) * prod)
+
+
+def few_level_pair(mb, tm):
+    # level 0 last: the builder must follow the configured order
+    modes = default_modes(n_max=2)
+    h, basis = ham.assemble_few_level([1, 2, 0], mb, tm, modes)
+    sub, sub_tm = ham.restrict_levels(mb, tm, [1, 2, 0])
+    return h, running_sum(basis, sub.h_matrix(), sub_tm, modes)
+
+
+def bath_pair(mb, tm, bath):
+    _, _, main, bath_modes, _, basis, h_main, h_bath = bath
+    ref = running_sum(basis, mb.h_matrix(), tm, main)
+    return h_main + h_bath, ref + running_bath_sum(basis, tm, main, bath_modes)
+
+
+def system_pair(basis, modes, build):
+    return lambda mb, tm, bath: (
+        build(basis, mb, tm, modes),
+        running_sum(basis, mb.h_matrix(), tm, modes),
+    )
+
+
+# (factor-pair build, running-sum reference) on the tiny fixtures
+BUILDER_CASES = {
+    "system": system_pair(
+        ham.CoupledBasis(3, (3, 3, 3)), default_modes(n_max=2), ham.assemble_system
+    ),
+    "degenerate": system_pair(
+        ham.CoupledBasis(3, (3, 3)), degenerate_modes(), ham.assemble_degenerate
+    ),
+    "signal_pair": system_pair(
+        ham.CoupledBasis(3, (3, 3)), signal_modes(), ham.assemble_signal_pair
+    ),
+    "few_level": lambda mb, tm, bath: few_level_pair(mb, tm),
+    "system_plus_bath": lambda mb, tm, bath: bath_pair(mb, tm, bath),
+}
+
+
+class TestFactorPairBuilder:
+    """The Kronecker-sum builder against the running sum of embed products."""
+
+    @pytest.mark.parametrize("case", sorted(BUILDER_CASES))
+    def test_matches_the_running_sum(self, case, matter3, bath_setup):
+        mb, tm = matter3
+        h, ref = BUILDER_CASES[case](mb, tm, bath_setup)
+        assert isinstance(h, sp.csr_matrix)
+        # canonical: sorted, no duplicates, no stored zeros, 32-bit indices
+        assert h.has_canonical_format and np.all(h.data != 0)
+        assert h.indices.dtype == h.indptr.dtype == np.int32
+        ref = ref.tocsr()
+        ref.sum_duplicates()
+        assert h.nnz == ref.nnz
+        assert np.array_equal(h.indptr, ref.indptr) and np.array_equal(h.indices, ref.indices)
+        assert abs(h - ref).max() <= 1e-14 * abs(ref).max()
+
+    def test_exact_cancellations_leave_no_stored_zeros(self):
+        # matter block (0, 0) sums D - D = 0 exactly; block (1, 1) holds 2 D
+        basis = ham.CoupledBasis(2, (3,))
+        d = sp.diags([1.0, 2.0, 3.0], format="csr").astype(complex)
+        pairs = [(np.eye(2), d), (np.diag([-1.0, 1.0]), d)]
+        h = ham._kron_sum(basis, pairs)
+        assert h.nnz == 3 and h.has_canonical_format and np.all(h.data != 0)
+        dense = sum(np.kron(mk, pk.toarray()) for mk, pk in pairs)
+        assert np.array_equal(h.toarray(), dense)
+
+    def test_peak_memory_stays_near_the_result(self, ring200, tm_full):
+        # 12 levels x 7^3 photon states: the running sum held about two full
+        # matrices at once; the builder holds the result plus one block
+        modes = default_modes(n_max=6)
+        basis = ham.CoupledBasis(12, tuple(m.dim for m in modes))
+        tracemalloc.start()
+        try:
+            h = ham.assemble_system(basis, ring200, tm_full, modes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        assert peak < 1.5 * size, (peak, size)
 
 
 class TestInversionParity:

@@ -458,8 +458,11 @@ class TestRunScenario:
         # whole milliseconds, compared as integers
         spent = sum(round(v * 1000) for v in timings.values())
         assert spent <= round(data["runtime_s"] * 1000)
+        # bytes of the propagated CSR: the inversion block of 24 states here
+        assert isinstance(data["operator_mb"], float) and 0.0 < data["operator_mb"] < 1.0
         mf = sc.run_scenario(tiny_mean_field(), matter_store=store, out_dir=tmp_path)
         assert set(mf.summary["timings"]) == set(timings)
+        assert mf.summary["operator_mb"] is None
 
     def test_bit_identical_reruns(self, tmp_path):
         # fresh matter stores: both runs solve the ring from scratch
@@ -1221,8 +1224,29 @@ class TestInversionSector:
         sym, dims = res.summary["symmetry"], res.summary["dims"]
         assert sym["inversion"] is None
         assert sym["total_dim"] == sym["matter_states"] * dims["total"] // dims["matter"]
-        # the ground start's eigsh draws a random start vector: equal to roundoff
         assert_same_series(res, expected)
+
+    def test_few_level_starts_in_level_zero_in_any_order(self, tmp_path, store):
+        # the coupled basis keeps the configured order, so level 0 sits last here
+        def few(levels):
+            return tiny_degenerate(method=sc.MethodSpec("few_level", levels), label="few")
+
+        ordered = sc.run_scenario(few((0, 1, 2)), matter_store=store, out_dir=tmp_path / "a")
+        shuffled = sc.run_scenario(few((1, 2, 0)), matter_store=store, out_dir=tmp_path / "b")
+        inversion = [r.summary["symmetry"]["inversion"] for r in (ordered, shuffled)]
+        assert inversion == [-1, -1]
+        assert_same_series(shuffled, ordered)
+
+
+def test_ground_starts_are_bit_reproducible(tmp_path, store):
+    # three runs in one process sharing one matter store: the ground-state
+    # solve must not depend on a start vector drawn afresh for each call
+    runs = [
+        sc.run_scenario(tiny_current(), matter_store=store, out_dir=tmp_path / str(k))
+        for k in range(3)
+    ]
+    first = runs[0].csv_path.read_bytes()
+    assert all(run.csv_path.read_bytes() == first for run in runs[1:])
 
 
 def test_field_drive_c_number_only_shifts_the_phase(tmp_path, monkeypatch, store):
