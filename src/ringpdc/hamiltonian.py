@@ -41,9 +41,12 @@ photon.bath_ladder).
 Inversion (x, y) -> (-x, -y) times photon-number parity
 (-1)^(sum_a n_a + N_bath) commutes with every undriven H built here: each
 coupling e_a . p (x) q_a is odd under both factors, and the diamagnetic and
-bath-quadratic terms are even.  inversion_parity gives its eigenvalue at
-every index of the coupled layout, and inversion_block cuts H to one of its
-two sectors after checking that no entry couples them.
+bath-quadratic terms are even.  So e . p connects only levels of opposite
+inversion parity and H_el only levels of equal parity; when every level has
+a parity, the builders drop the other matter entries, after checking that
+each is roundoff, and no entry of H couples the two sectors.
+inversion_parity gives the sector at every index of the coupled layout, and
+inversion_block cuts H to one of them.
 
 The pump schemes are time-dependent terms for the propagator: a classical
 current on quantized mode 1, or the retarded classical field that replaces
@@ -177,6 +180,16 @@ def product_state(
     return out / np.linalg.norm(out)
 
 
+def level_parity(matter: MatterEigenbasis) -> np.ndarray | None:
+    """Inversion parity, +1 or -1 (int8), of each matter level; None when
+    one of them is not an inversion eigenstate to within PARITY_TOL."""
+    overlap = inversion_overlaps(matter)
+    sign = np.where(overlap > 0.0, 1, -1).astype(np.int8)
+    if np.abs(overlap - sign).max() > PARITY_TOL:
+        return None
+    return sign
+
+
 def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarray | None:
     """Inversion times photon-number parity, +1 or -1 (int8) at every index
     of the coupled layout.
@@ -189,9 +202,8 @@ def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarra
         raise ValueError(
             f"{matter.n_states} matter levels for a coupled basis of {basis.matter_dim}"
         )
-    overlap = inversion_overlaps(matter)
-    sign = np.where(overlap > 0.0, 1, -1).astype(np.int8)
-    if np.abs(overlap - sign).max() > PARITY_TOL:
+    sign = level_parity(matter)
+    if sign is None:
         return None
     factors = [(-1) ** np.arange(d) for d in basis.mode_dims]
     if basis.bath is not None:
@@ -229,6 +241,26 @@ def inversion_block(
 
 def _momentum_projection(tm: TransitionMatrices, e: tuple[float, float]) -> np.ndarray:
     return e[0] * tm.px + e[1] * tm.py
+
+
+def _parity_selected(
+    op: np.ndarray, parity: np.ndarray | None, flips: bool, where: str
+) -> np.ndarray:
+    """Matter factor op without the entries that inversion forbids: between
+    levels of equal parity when op flips it (e . p), of opposite parity when
+    op keeps it (h_el).  Each dropped entry must be below HERMITICITY_TOL x
+    max|op|; parity None (a level without one) keeps every entry."""
+    if parity is None:
+        return op
+    forbidden = np.equal.outer(parity, parity) == flips
+    worst = np.abs(op[forbidden]).max(initial=0.0)
+    scale = np.abs(op).max()
+    if worst > HERMITICITY_TOL * scale:
+        raise ValueError(
+            f"{where} entry {worst:.3e} breaks the inversion parity of the levels "
+            f"(above {HERMITICITY_TOL} x max = {scale:.3e})"
+        )
+    return np.where(forbidden, 0.0, op)
 
 
 def restrict_levels(
@@ -362,7 +394,7 @@ def _kron_sum(
 
 def _assemble(
     basis: CoupledBasis,
-    h_matter: np.ndarray,
+    matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
 ) -> sp.csr_matrix:
@@ -377,6 +409,7 @@ def _assemble(
     # picks up an edge defect at the Fock truncation boundary
     energies = [mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim)) for mode in modes]
     h_photon = sum(embed(photon, mode_ops={slot: e}) for slot, e in enumerate(energies))
+    parity = level_parity(matter)
     couplings = []
     for slot, mode in enumerate(modes):
         if mode.lam == 0.0:
@@ -384,6 +417,7 @@ def _assemble(
         q = quads[slot]
         h_photon = h_photon + 0.5 * mode.lam**2 * embed(photon, mode_ops={slot: (q @ q).tocsr()})
         proj = _momentum_projection(tm, mode.polarization)
+        proj = _parity_selected(proj, parity, True, "e . p")
         couplings.append((proj, -mode.lam * embed(photon, mode_ops={slot: q})))
     for a in range(len(modes)):
         for b in range(a + 1, len(modes)):
@@ -393,7 +427,8 @@ def _assemble(
                 continue
             h_photon = h_photon + coeff * embed(photon, mode_ops={a: quads[a], b: quads[b]})
     eye = sp.identity(photon.dim, format="csr", dtype=complex)
-    pairs = [(np.eye(basis.matter_dim), h_photon), (h_matter, eye), *couplings]
+    h_el = _parity_selected(matter.h_matrix(), parity, False, "H_el")
+    pairs = [(np.eye(basis.matter_dim), h_photon), (h_el, eye), *couplings]
     return _kron_sum(basis, pairs)
 
 
@@ -406,7 +441,7 @@ def assemble_system(
     """Full pump + two signal modes."""
     if len(modes) != 3:
         raise ValueError("the three-mode system takes exactly three modes")
-    return _assemble(basis, matter.h_matrix(), tm, modes)
+    return _assemble(basis, matter, tm, modes)
 
 
 def assemble_degenerate(
@@ -418,7 +453,7 @@ def assemble_degenerate(
     """Pump plus one degenerate signal mode."""
     if len(modes) != 2:
         raise ValueError("the degenerate system takes exactly two modes")
-    return _assemble(basis, matter.h_matrix(), tm, modes)
+    return _assemble(basis, matter, tm, modes)
 
 
 def assemble_signal_pair(
@@ -431,7 +466,7 @@ def assemble_signal_pair(
     scheme, where mode 1 is replaced by an external field."""
     if len(modes) != 2:
         raise ValueError("the signal pair takes exactly two modes")
-    return _assemble(basis, matter.h_matrix(), tm, modes)
+    return _assemble(basis, matter, tm, modes)
 
 
 def assemble_few_level(
@@ -447,7 +482,7 @@ def assemble_few_level(
     """
     sub_matter, sub_tm = restrict_levels(matter, tm, levels)
     basis = CoupledBasis(sub_matter.n_states, tuple(m.dim for m in modes))
-    return _assemble(basis, sub_matter.h_matrix(), sub_tm, modes), basis
+    return _assemble(basis, sub_matter, sub_tm, modes), basis
 
 
 def assemble_bath_terms(
@@ -511,7 +546,10 @@ def assemble_bath_terms(
 
     pairs = [
         (np.eye(basis.matter_dim), h_photon),
-        (_momentum_projection(tm, pol), -embed(photon, bath_op=disp)),
+        (
+            _parity_selected(_momentum_projection(tm, pol), level_parity(matter), True, "e_B . p"),
+            -embed(photon, bath_op=disp),
+        ),
     ]
     return _kron_sum(basis, pairs)
 

@@ -679,7 +679,7 @@ def calibrate_current_drive(
     if not (0.0 < tol < target):
         raise ValueError("tolerance must be positive and below the target")
     basis = CoupledBasis(matter.n_states, (mode1.dim,))
-    h = _assemble(basis, matter.h_matrix(), tm, [mode1])
+    h = _assemble(basis, matter, tm, [mode1])
     _, psi0 = ground_state(h)
     n1_op = embed(basis, mode_ops={0: number_op(mode1).tocsr()})
     config = PropagatorConfig(dt=CALIBRATION_DT)

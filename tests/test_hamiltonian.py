@@ -510,10 +510,13 @@ class TestHermitianByConstruction:
             assert defect.nnz == 0
 
 
-def running_sum(basis, h_matter, tm, modes):
+def running_sum(basis, matter, tm, modes):
     """H as a running sum of embed products, one term at a time: the
-    reference for the factor-pair builder."""
-    total = ham.embed(basis, matter_op=h_matter)
+    reference for the factor-pair builder, on the same parity-selected
+    e . p factors."""
+    parity = ham.level_parity(matter)
+    h_el = ham._parity_selected(matter.h_matrix(), parity, False, "H_el")
+    total = ham.embed(basis, matter_op=h_el)
     quads = [quadratures(mode)[0] for mode in modes]
     for slot, mode in enumerate(modes):
         h_ph = mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim))
@@ -522,7 +525,9 @@ def running_sum(basis, h_matter, tm, modes):
         if mode.lam == 0.0:
             continue
         q = quads[slot]
-        proj = mode.polarization[0] * tm.px + mode.polarization[1] * tm.py
+        proj = ham._parity_selected(
+            ham._momentum_projection(tm, mode.polarization), parity, True, "e . p"
+        )
         total = total - mode.lam * ham.embed(basis, matter_op=proj, mode_ops={slot: q})
         total = total + 0.5 * mode.lam**2 * ham.embed(basis, mode_ops={slot: (q @ q).tocsr()})
     for a in range(len(modes)):
@@ -534,7 +539,7 @@ def running_sum(basis, h_matter, tm, modes):
     return total
 
 
-def running_bath_sum(basis, tm, main_modes, bath_modes):
+def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
     """assemble_bath_terms as a running sum of embed products."""
     bath = basis.bath
     eye = sp.identity(bath.size, format="csr", dtype=complex)
@@ -545,7 +550,9 @@ def running_bath_sum(basis, tm, main_modes, bath_modes):
     total = ham.embed(basis, bath_op=(n_total + zero_point * eye).astype(complex))
     weights = [mode.lam / math.sqrt(2.0 * mode.omega) for mode in bath_modes]
     disp = sum(c * (low + low.T) for c, low in zip(weights, lowering)).astype(complex)
-    proj = pol[0] * tm.px + pol[1] * tm.py
+    proj = ham._parity_selected(
+        ham._momentum_projection(tm, pol), ham.level_parity(matter), True, "e_B . p"
+    )
     total = total - ham.embed(basis, matter_op=proj, bath_op=disp)
     for slot, mode in enumerate(main_modes):
         dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
@@ -563,19 +570,19 @@ def few_level_pair(mb, tm):
     modes = default_modes(n_max=2)
     h, basis = ham.assemble_few_level([1, 2, 0], mb, tm, modes)
     sub, sub_tm = ham.restrict_levels(mb, tm, [1, 2, 0])
-    return h, running_sum(basis, sub.h_matrix(), sub_tm, modes)
+    return h, running_sum(basis, sub, sub_tm, modes)
 
 
 def bath_pair(mb, tm, bath):
     _, _, main, bath_modes, _, basis, h_main, h_bath = bath
-    ref = running_sum(basis, mb.h_matrix(), tm, main)
-    return h_main + h_bath, ref + running_bath_sum(basis, tm, main, bath_modes)
+    ref = running_sum(basis, mb, tm, main)
+    return h_main + h_bath, ref + running_bath_sum(basis, mb, tm, main, bath_modes)
 
 
 def system_pair(basis, modes, build):
     return lambda mb, tm, bath: (
         build(basis, mb, tm, modes),
-        running_sum(basis, mb.h_matrix(), tm, modes),
+        running_sum(basis, mb, tm, modes),
     )
 
 
@@ -680,6 +687,34 @@ class TestInversionParity:
             assert np.array_equal(index, np.flatnonzero(parity == sector))
             assert isinstance(block, sp.csr_matrix)
             assert abs(block - h[index][:, index]).max() == 0.0
+
+    @pytest.mark.parametrize("build", ["system", "degenerate", "few_level", "system_plus_bath"])
+    def test_no_entry_between_the_sectors(self, matter3, bath_setup, build):
+        # the e . p entries that inversion forbids are dropped, not stored as roundoff
+        mb, tm = matter3
+        (h,) = HERMITIAN_BUILDS[build](mb, tm, bath_setup)
+        basis = bath_setup[5] if build == "system_plus_bath" else None
+        if basis is None:
+            basis = ham.CoupledBasis(3, (3, 3, 3) if build in ("system", "few_level") else (3, 3))
+        parity = ham.inversion_parity(basis, mb)
+        assert h[parity == 1][:, parity == -1].nnz == 0
+
+    def test_planted_equal_parity_coupling_refused(self, matter3):
+        # levels 1 and 2 are the l = +-1 pair, both odd under inversion
+        mb, tm = matter3
+        basis, modes = ham.CoupledBasis(3, (3, 3, 3)), default_modes(n_max=2)
+        h = ham.assemble_system(basis, mb, tm, modes)
+
+        def planted(value):
+            px = tm.px.copy()
+            px[1, 2] += value
+            px[2, 1] += value
+            return replace(tm, px=px)
+
+        roundoff = ham.assemble_system(basis, mb, planted(1e-16), modes)
+        assert abs(roundoff - h).max() == 0.0
+        with pytest.raises(ValueError, match="e . p entry 1.000e-06 breaks the inversion parity"):
+            ham.assemble_system(basis, mb, planted(1e-6), modes)
 
     @pytest.mark.parametrize("kind", ["current", "field"])
     def test_drive_terms_break_it(self, matter3, kind):
