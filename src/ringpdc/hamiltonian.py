@@ -180,16 +180,6 @@ def product_state(
     return out / np.linalg.norm(out)
 
 
-def level_parity(matter: MatterEigenbasis) -> np.ndarray | None:
-    """Inversion parity, +1 or -1 (int8), of each matter level; None when
-    one of them is not an inversion eigenstate to within PARITY_TOL."""
-    overlap = inversion_overlaps(matter)
-    sign = np.where(overlap > 0.0, 1, -1).astype(np.int8)
-    if np.abs(overlap - sign).max() > PARITY_TOL:
-        return None
-    return sign
-
-
 def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarray | None:
     """Inversion times photon-number parity, +1 or -1 (int8) at every index
     of the coupled layout.
@@ -202,8 +192,9 @@ def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarra
         raise ValueError(
             f"{matter.n_states} matter levels for a coupled basis of {basis.matter_dim}"
         )
-    sign = level_parity(matter)
-    if sign is None:
+    overlap = inversion_overlaps(matter)
+    sign = np.where(overlap > 0.0, 1, -1).astype(np.int8)
+    if np.abs(overlap - sign).max() > PARITY_TOL:
         return None
     factors = [(-1) ** np.arange(d) for d in basis.mode_dims]
     if basis.bath is not None:
@@ -246,15 +237,16 @@ def _momentum_projection(tm: TransitionMatrices, e: tuple[float, float]) -> np.n
 def _parity_selected(
     op: np.ndarray, parity: np.ndarray | None, flips: bool, where: str
 ) -> np.ndarray:
-    """Matter factor op without the entries that inversion forbids: between
+    """Matter factor op without the entries that inversion forbids, between
     levels of equal parity when op flips it (e . p), of opposite parity when
-    op keeps it (h_el).  Each dropped entry must be below HERMITICITY_TOL x
-    max|op|; parity None (a level without one) keeps every entry."""
+    it keeps it (H_el).  Each must be below HERMITICITY_TOL x max(1, max|op|),
+    as small as embed's Hermiticity defect for a factor that is roundoff as a
+    whole.  parity None (a level without one) keeps every entry."""
     if parity is None:
         return op
     forbidden = np.equal.outer(parity, parity) == flips
     worst = np.abs(op[forbidden]).max(initial=0.0)
-    scale = np.abs(op).max()
+    scale = max(1.0, np.abs(op).max())
     if worst > HERMITICITY_TOL * scale:
         raise ValueError(
             f"{where} entry {worst:.3e} breaks the inversion parity of the levels "
@@ -409,15 +401,14 @@ def _assemble(
     # picks up an edge defect at the Fock truncation boundary
     energies = [mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim)) for mode in modes]
     h_photon = sum(embed(photon, mode_ops={slot: e}) for slot, e in enumerate(energies))
-    parity = level_parity(matter)
+    parity = inversion_parity(CoupledBasis(basis.matter_dim, ()), matter)
     couplings = []
     for slot, mode in enumerate(modes):
         if mode.lam == 0.0:
             continue
         q = quads[slot]
         h_photon = h_photon + 0.5 * mode.lam**2 * embed(photon, mode_ops={slot: (q @ q).tocsr()})
-        proj = _momentum_projection(tm, mode.polarization)
-        proj = _parity_selected(proj, parity, True, "e . p")
+        proj = _parity_selected(_momentum_projection(tm, mode.polarization), parity, True, "e.p")
         couplings.append((proj, -mode.lam * embed(photon, mode_ops={slot: q})))
     for a in range(len(modes)):
         for b in range(a + 1, len(modes)):
@@ -544,13 +535,9 @@ def assemble_bath_terms(
     bath_quad = 0.5 * (pol[0] * pol[0] + pol[1] * pol[1]) * prod
     h_photon = h_photon + embed(photon, bath_op=bath_quad)
 
-    pairs = [
-        (np.eye(basis.matter_dim), h_photon),
-        (
-            _parity_selected(_momentum_projection(tm, pol), level_parity(matter), True, "e_B . p"),
-            -embed(photon, bath_op=disp),
-        ),
-    ]
+    parity = inversion_parity(CoupledBasis(basis.matter_dim, ()), matter)
+    coupling = _parity_selected(_momentum_projection(tm, pol), parity, True, "e_B.p")
+    pairs = [(np.eye(basis.matter_dim), h_photon), (coupling, -embed(photon, bath_op=disp))]
     return _kron_sum(basis, pairs)
 
 

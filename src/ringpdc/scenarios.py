@@ -88,7 +88,8 @@ from .meanfield import (
 )
 from .observables import edge_observer, efficiency_eta, series_extrema, snapshot_columns
 from .photon import COHERENT_TAIL_TOL, BathSpec, FockMode, coherent_state, number_op, sample_bath
-from .propagator import CoupledState, PropagatorConfig, ground_state, propagate
+from .propagator import WORK_VECTORS, CoupledState, PropagatorConfig, ground_state
+from .propagator import propagate, spectral_bounds
 from .units import (
     default_units,
     eff_to_ps,
@@ -181,7 +182,6 @@ class PropagationSpec:
     t_final_ps: float
     dt_fs: float
     record_stride: int = 1
-    krylov_dim: int = 20
     krylov_tol: float = 1e-10
 
 
@@ -396,7 +396,7 @@ def memory_report(config: ScenarioConfig) -> dict:
     nnz_per_col = matter_dim * (1 + 2 * len(mode_dims))
     if config.bath is not None:
         nnz_per_col += matter_dim * 2 * config.bath.count
-    est_bytes = dim * nnz_per_col * 24 + dim * 16 * (config.propagation.krylov_dim + 6)
+    est_bytes = dim * nnz_per_col * 24 + dim * 16 * WORK_VECTORS
     budget = float(os.environ.get(MEMORY_BUDGET_ENV, DEFAULT_MEMORY_BUDGET_MB))
     return {
         "matter_dim": matter_dim,
@@ -536,8 +536,6 @@ def validate_config(config: ScenarioConfig) -> dict:
         raise ConfigError("propagation needs positive t_final_ps and dt_fs")
     if p.record_stride < 1:
         raise ConfigError("record_stride must be at least 1")
-    if p.krylov_dim < 2:
-        raise ConfigError("krylov_dim must be at least 2")
     if p.krylov_tol <= 0:
         raise ConfigError("krylov_tol must be positive")
 
@@ -683,10 +681,12 @@ def calibrate_current_drive(
     _, psi0 = ground_state(h)
     n1_op = embed(basis, mode_ops={0: number_op(mode1).tocsr()})
     config = PropagatorConfig(dt=CALIBRATION_DT)
+    bounds = spectral_bounds(h)
 
     def occupation(j0: float) -> float:
         terms = current_drive_terms(basis, mode1, replace(drive, j0=j0))
-        final = propagate(h, CoupledState(psi0.copy(), 0.0), t_check, config, terms=terms).final
+        start = CoupledState(psi0.copy(), 0.0)
+        final = propagate(h, start, t_check, config, terms=terms, bounds=bounds).final
         return float(np.real(np.vdot(final.amplitudes, n1_op @ final.amplitudes)))
 
     hi = drive.j0 if drive.j0 > 0 else 1.0
@@ -876,19 +876,11 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     if index is not None:
         observables = {name: _scattered(f, index, basis.dim) for name, f in observables.items()}
 
-    pconfig = PropagatorConfig(
-        dt=dt,
-        krylov_dim=p.krylov_dim,
-        krylov_tol=p.krylov_tol,
-        record_stride=p.record_stride,
-    )
+    pconfig = PropagatorConfig(dt=dt, krylov_tol=p.krylov_tol, record_stride=p.record_stride)
+    # bounds from the CSR here: propagate may see h only as a callable
+    bounds = spectral_bounds(h)
     result = propagate(
-        h,
-        psi0,
-        t_final,
-        pconfig,
-        terms=terms,
-        observables=observables,
+        h, psi0, t_final, pconfig, terms=terms, observables=observables, bounds=bounds
     )
     info["timings"] = {
         "assemble_s": assembled - started,

@@ -514,7 +514,7 @@ def running_sum(basis, matter, tm, modes):
     """H as a running sum of embed products, one term at a time: the
     reference for the factor-pair builder, on the same parity-selected
     e . p factors."""
-    parity = ham.level_parity(matter)
+    parity = ham.inversion_parity(ham.CoupledBasis(matter.n_states, ()), matter)
     h_el = ham._parity_selected(matter.h_matrix(), parity, False, "H_el")
     total = ham.embed(basis, matter_op=h_el)
     quads = [quadratures(mode)[0] for mode in modes]
@@ -526,7 +526,7 @@ def running_sum(basis, matter, tm, modes):
             continue
         q = quads[slot]
         proj = ham._parity_selected(
-            ham._momentum_projection(tm, mode.polarization), parity, True, "e . p"
+            ham._momentum_projection(tm, mode.polarization), parity, True, "e.p"
         )
         total = total - mode.lam * ham.embed(basis, matter_op=proj, mode_ops={slot: q})
         total = total + 0.5 * mode.lam**2 * ham.embed(basis, mode_ops={slot: (q @ q).tocsr()})
@@ -550,9 +550,8 @@ def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
     total = ham.embed(basis, bath_op=(n_total + zero_point * eye).astype(complex))
     weights = [mode.lam / math.sqrt(2.0 * mode.omega) for mode in bath_modes]
     disp = sum(c * (low + low.T) for c, low in zip(weights, lowering)).astype(complex)
-    proj = ham._parity_selected(
-        ham._momentum_projection(tm, pol), ham.level_parity(matter), True, "e_B . p"
-    )
+    parity = ham.inversion_parity(ham.CoupledBasis(matter.n_states, ()), matter)
+    proj = ham._parity_selected(ham._momentum_projection(tm, pol), parity, True, "e_B.p")
     total = total - ham.embed(basis, matter_op=proj, bath_op=disp)
     for slot, mode in enumerate(main_modes):
         dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
@@ -713,7 +712,7 @@ class TestInversionParity:
 
         roundoff = ham.assemble_system(basis, mb, planted(1e-16), modes)
         assert abs(roundoff - h).max() == 0.0
-        with pytest.raises(ValueError, match="e . p entry 1.000e-06 breaks the inversion parity"):
+        with pytest.raises(ValueError, match="e.p entry 1.000e-06 breaks the inversion parity"):
             ham.assemble_system(basis, mb, planted(1e-6), modes)
 
     @pytest.mark.parametrize("kind", ["current", "field"])

@@ -1,24 +1,28 @@
-"""Propagation tests: dense-exponential oracles, analytic oscillator motion,
-record-to-record step control, midpoint handling of drives, drift
-invariants, ground states."""
+"""Propagation tests: the Chebyshev kernel's interval and tail bound,
+dense-exponential oracles, analytic oscillator motion, record-to-record
+stepping, midpoint handling of drives, drift invariants, ground states."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import eigvalsh, expm
+from scipy.sparse.linalg import expm_multiply
 
 from ringpdc import hamiltonian as ham
+from ringpdc import propagator as prop
 from ringpdc.matter import transition_matrices
-from ringpdc.photon import FockMode, coherent_state, number_op, quadratures
+from ringpdc.photon import FockMode, coherent_state, number_op, quadratures, sample_bath
+from ringpdc.photon import BathSpec
 from ringpdc.propagator import (
+    TAIL_MARGIN,
     CoupledState,
     KrylovStats,
     PropagatorConfig,
     ground_state,
-    krylov_step,
     propagate,
+    spectral_bounds,
 )
 from ringpdc.scenarios import degenerate_polarization_vectors, polarization_vectors
 from ringpdc.units import default_units, energy_to_eff, time_to_fs
@@ -61,7 +65,7 @@ class TestConfig:
         "kwargs",
         [
             {"dt": 0.0},
-            {"dt": 0.1, "krylov_dim": 1},
+            {"dt": -0.1},
             {"dt": 0.1, "krylov_tol": 0.0},
             {"dt": 0.1, "record_stride": 0},
         ],
@@ -72,14 +76,14 @@ class TestConfig:
 
 
 class TestKrylovStep:
+    """Steps of one record interval each against exact exponentials."""
+
     def test_diagonal_phases_exact(self):
         energies = np.array([0.3, 1.7, -0.5])
         h = sp.diags(energies).tocsr()
         psi0 = np.array([0.6, 0.48, 0.64], dtype=complex)
-        state = CoupledState(psi0.copy())
-        cfg = PropagatorConfig(dt=0.1)
-        for _ in range(50):
-            state = krylov_step(h, state, cfg.dt, cfg)
+        state = propagate(h, CoupledState(psi0.copy()), 5.0, PropagatorConfig(dt=0.1)).final
+        assert state.time == 5.0
         expect = psi0 * np.exp(-1j * energies * 5.0)
         assert np.abs(state.amplitudes - expect).max() < 1e-12
         assert np.abs(np.abs(state.amplitudes) ** 2 - np.abs(psi0) ** 2).max() < 1e-13
@@ -87,8 +91,9 @@ class TestKrylovStep:
     def test_zero_hamiltonian_identity(self):
         h = sp.csr_matrix((4, 4), dtype=complex)
         psi0 = np.full(4, 0.5, dtype=complex)
-        out = krylov_step(h, CoupledState(psi0.copy()), 0.3, PropagatorConfig(dt=0.3))
-        assert np.abs(out.amplitudes - psi0).max() == 0.0
+        res = propagate(h, CoupledState(psi0.copy()), 0.3, PropagatorConfig(dt=0.3))
+        assert np.abs(res.final.amplitudes - psi0).max() == 0.0
+        assert res.krylov.matvecs == 0
 
     def test_matches_dense_exponential(self):
         hm = random_hermitian(64, seed=7)
@@ -96,21 +101,11 @@ class TestKrylovStep:
         rng = np.random.default_rng(11)
         psi0 = rng.normal(size=64) + 1j * rng.normal(size=64)
         psi0 /= np.linalg.norm(psi0)
-        cfg = PropagatorConfig(dt=0.1, krylov_dim=40)
-        state = CoupledState(psi0.copy())
-        for _ in range(10):
-            state = krylov_step(h, state, cfg.dt, cfg)
+        # ten expansions of dt each
+        res = propagate(h, CoupledState(psi0.copy()), 1.0, PropagatorConfig(dt=0.1))
+        assert res.krylov.steps == 10
         exact = expm(-1j * hm) @ psi0
-        assert np.linalg.norm(state.amplitudes - exact) < 1e-10
-
-    def test_nonconvergence_advises_smaller_dt(self):
-        # wide spectrum and a tiny subspace cap cannot meet the tolerance
-        hm = np.diag(np.linspace(-50.0, 50.0, 64))
-        h = sp.csr_matrix(hm)
-        psi0 = np.full(64, 1 / 8.0, dtype=complex)
-        cfg = PropagatorConfig(dt=5.0, krylov_dim=4)
-        with pytest.raises(RuntimeError, match="reduce dt"):
-            krylov_step(h, CoupledState(psi0), cfg.dt, cfg)
+        assert np.linalg.norm(res.final.amplitudes - exact) < 1e-10
 
     def test_coupled_system_against_dense(self, matter3):
         # physics Hamiltonian of dimension 81 vs the dense exponential
@@ -197,7 +192,7 @@ class TestPropagate:
         )
         assert list(res.times) == [0.0]
         assert list(res.records["one"]) == [1.0]
-        assert res.krylov == KrylovStats()
+        assert res.krylov == KrylovStats(spectral_bounds=(0.7, 0.7))
 
     @pytest.mark.parametrize("drive", [0.0, 0.2])
     def test_trailing_partial_step_lands_on_t_final(self, drive):
@@ -253,11 +248,10 @@ class TestPropagate:
 
 
 class TestStepControl:
-    """Undriven runs step from record time to record time."""
+    """Undriven runs take one expansion per record interval."""
 
-    def test_shortened_steps_match_dense_exponential(self):
-        # a 12-vector cap cannot span a whole record interval of this wide
-        # spectrum, so steps get shortened; every record still matches expm
+    def test_record_interval_expansions_match_dense_exponential(self):
+        # each record interval spans R tau of about 80 on this wide spectrum
         hm = random_hermitian(64, seed=7)
         rng = np.random.default_rng(11)
         psi0 = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -266,42 +260,18 @@ class TestStepControl:
             sp.csr_matrix(hm),
             CoupledState(psi0.copy()),
             3.0,
-            PropagatorConfig(dt=0.1, krylov_dim=12, record_stride=10),
+            PropagatorConfig(dt=0.1, record_stride=10),
             observables={"psi": lambda s: s.amplitudes.copy()},
         )
         assert np.allclose(res.times, [0.0, 1.0, 2.0, 3.0], rtol=0, atol=1e-15)
-        assert res.krylov.steps > len(res.times) - 1
-        assert res.krylov.max_dim == 12
+        assert res.krylov.steps == len(res.times) - 1
         for t, psi in zip(res.times, res.records["psi"]):
             assert np.linalg.norm(psi - expm(-1j * t * hm) @ psi0) < 1e-10
-
-    def test_cap_that_fails_a_fixed_step_completes(self):
-        # the krylov_step cap of test_nonconvergence_advises_smaller_dt
-        hm = np.diag(np.linspace(-50.0, 50.0, 64))
-        psi0 = np.full(64, 1 / 8.0, dtype=complex)
-        cfg = PropagatorConfig(dt=5.0, krylov_dim=4)
-        with pytest.raises(RuntimeError, match="reduce dt"):
-            krylov_step(sp.csr_matrix(hm), CoupledState(psi0), 0.01, cfg)
-        res = propagate(sp.csr_matrix(hm), CoupledState(psi0), 0.01, cfg, observables={})
-        assert res.final.time == 0.01
-        assert res.krylov.max_error <= cfg.krylov_tol
-        exact = np.exp(-1j * 0.01 * np.diag(hm)) * psi0
-        assert np.linalg.norm(res.final.amplitudes - exact) < 1e-10
-
-    def test_crawling_steps_fail(self):
-        # the same cap over a whole dt would need about 5e5 steps
-        hm = np.diag(np.linspace(-50.0, 50.0, 64))
-        psi0 = np.full(64, 1 / 8.0, dtype=complex)
-        with pytest.raises(RuntimeError, match="raise krylov_dim"):
-            propagate(
-                sp.csr_matrix(hm), CoupledState(psi0), 5.0, PropagatorConfig(dt=5.0, krylov_dim=4)
-            )
 
     def test_fewer_matvecs_than_fixed_dt_steps(self, coupled_pair):
         _, systems = coupled_pair
         basis, _, h = systems[0.02]
         psi0 = ham.product_state(basis, np.array([0, 1.0, 0]), [np.eye(7)[1]])
-        cfg = PropagatorConfig(dt=0.05, record_stride=20)
         counts = {"fixed": 0, "record": 0}
 
         def counted(key):
@@ -311,15 +281,29 @@ class TestStepControl:
 
             return apply
 
-        state = CoupledState(psi0.copy())
-        for _ in range(200):
-            state = krylov_step(counted("fixed"), state, cfg.dt, cfg)
-        res = propagate(
-            counted("record"), CoupledState(psi0.copy()), 200 * cfg.dt, cfg, observables={}
+        bounds = spectral_bounds(h)
+        fixed = propagate(
+            counted("fixed"), CoupledState(psi0.copy()), 10.0, PropagatorConfig(dt=0.05),
+            bounds=bounds,
         )
+        res = propagate(
+            counted("record"),
+            CoupledState(psi0.copy()),
+            10.0,
+            PropagatorConfig(dt=0.05, record_stride=20),
+            bounds=bounds,
+        )
+        assert fixed.krylov.steps == 200 and res.krylov.steps == 10
         assert res.krylov.matvecs == counts["record"]
         assert counts["record"] < counts["fixed"] / 2
-        assert np.linalg.norm(res.final.amplitudes - state.amplitudes) < 1e-9
+        exact = expm_multiply(-1j * 10.0 * h, psi0)
+        assert np.linalg.norm(res.final.amplitudes - exact) < 1e-9
+        assert np.linalg.norm(fixed.final.amplitudes - exact) < 1e-9
+
+    def test_callable_needs_bounds(self):
+        h = sp.diags([1.0, 2.0]).tocsr()
+        with pytest.raises(ValueError, match="spectral bounds"):
+            propagate(lambda v: h @ v, CoupledState(np.array([1.0, 0j])), 1.0, PropagatorConfig(dt=0.1))
 
     def test_telemetry_fields(self):
         hm = random_hermitian(16, seed=3)
@@ -329,18 +313,103 @@ class TestStepControl:
             calls.append(1)
             return hm @ v
 
+        cfg = PropagatorConfig(dt=0.1, record_stride=5)
+        bounds = spectral_bounds(sp.csr_matrix(hm))
         res = propagate(
             counted,
             CoupledState.normalized(np.ones(16, dtype=complex)),
             1.0,
-            PropagatorConfig(dt=0.1, record_stride=5),
+            cfg,
             observables={},
+            bounds=bounds,
         )
         stats = res.krylov
-        assert isinstance(stats.steps, int) and stats.steps >= 2
+        assert isinstance(stats.steps, int) and stats.steps == 2
         assert isinstance(stats.matvecs, int) and stats.matvecs == len(calls)
-        assert isinstance(stats.max_dim, int) and 2 <= stats.max_dim <= 20
-        assert isinstance(stats.max_error, float) and 0.0 <= stats.max_error < 1e-10
+        assert isinstance(stats.max_order, int) and 2 <= stats.max_order <= stats.matvecs
+        assert isinstance(stats.max_error, float)
+        assert 0.0 < stats.max_error <= cfg.krylov_tol * TAIL_MARGIN
+        assert stats.spectral_bounds == bounds
+
+
+def kernel_hamiltonians(ring200):
+    """{name: dense H} of the tiny three-mode, few-level and bath fixtures."""
+    tm_full = transition_matrices(ring200)
+    mb, tm = ham.restrict_levels(ring200, tm_full, [0, 1, 2])
+    modes = [FockMode(w, 2, 0.026, e) for w, e in zip((W1, W2, W3), polarization_vectors(1.2, 0.4))]
+    tiny = ham.assemble_system(ham.CoupledBasis(3, (3, 3, 3)), mb, tm, modes)
+    few, _ = ham.assemble_few_level([0, 3, 4], ring200, tm_full, modes)
+    e1, e2 = degenerate_polarization_vectors(math.pi / 6)
+    main = [FockMode(W2, 2, 0.017, e1), FockMode(W2 / 2, 2, 0.017, e2)]
+    bath_modes, bath_basis = sample_bath(BathSpec(lam=0.007, windows=((1.0, 2.0, 2),)))
+    basis = ham.CoupledBasis(3, (3, 3), bath=bath_basis)
+    bath = ham.assemble_degenerate(basis, mb, tm, main) + ham.assemble_bath_terms(
+        basis, mb, tm, main, bath_modes
+    )
+    return {"tiny": tiny, "few_level": few, "bath": bath}
+
+
+class TestChebyshevKernel:
+    @pytest.mark.parametrize("name", ["tiny", "few_level", "bath"])
+    def test_gershgorin_interval_contains_the_spectrum(self, ring200, name):
+        h = kernel_hamiltonians(ring200)[name]
+        lo, hi = spectral_bounds(h)
+        eigs = eigvalsh(h.toarray())
+        assert lo <= eigs[0] and eigs[-1] <= hi
+        assert lo < hi
+
+    @pytest.mark.parametrize("kind", ["current", "field"])
+    def test_widened_driven_interval_contains_the_spectrum(self, matter3, kind, monkeypatch):
+        # every driven step's interval holds the spectrum of its midpoint H
+        mb, tm = matter3
+        modes = [FockMode(w, 2, 0.026, e) for w, e in zip((W1, W2, W3), polarization_vectors(1.2, 0.4))]
+        if kind == "current":
+            basis = ham.CoupledBasis(3, (3, 3, 3))
+            h = ham.assemble_system(basis, mb, tm, modes)
+            drive = ham.DriveSpec(kind="classical_current", j0=40.0, tau=2.0, omega1=W1)
+            terms = ham.current_drive_terms(basis, modes[0], drive)
+        else:
+            basis = ham.CoupledBasis(3, (3, 3))
+            h = ham.assemble_signal_pair(basis, mb, tm, modes[1:])
+            drive = ham.DriveSpec(kind="classical_field", j0=400.0, t0=2.0, tau=0.9, omega1=W1)
+            grid = np.linspace(0.0, 5.0, 501)
+            terms = ham.field_drive_terms(basis, tm, modes[1:], modes[0], drive, grid)
+        seen = []
+        kernel = prop._chebyshev_expm
+
+        def spy(apply_h, psi, tau, center, radius, cutoff):
+            seen.append((apply_h, center, radius))
+            return kernel(apply_h, psi, tau, center, radius, cutoff)
+
+        monkeypatch.setattr(prop, "_chebyshev_expm", spy)
+        psi0 = np.zeros(basis.dim, dtype=complex)
+        psi0[0] = 1.0
+        propagate(h, CoupledState(psi0), 4.0, PropagatorConfig(dt=0.2), terms=terms)
+        assert len(seen) == 20
+        widest = 0.0
+        for apply_h, center, radius in seen:
+            dense = np.column_stack([apply_h(col) for col in np.eye(basis.dim, dtype=complex)])
+            eigs = eigvalsh(dense)
+            assert center - radius <= eigs[0] and eigs[-1] <= center + radius
+            widest = max(widest, radius)
+        # the drive does widen the static interval
+        lo, hi = spectral_bounds(h)
+        assert widest > 1.01 * 0.5 * (hi - lo)
+
+    def test_tail_bound_covers_the_error(self):
+        hm = random_hermitian(64, seed=5)
+        lo, hi = spectral_bounds(sp.csr_matrix(hm))
+        center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        rng = np.random.default_rng(2)
+        psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+        psi /= np.linalg.norm(psi)
+        for tau in (0.01, 0.1, 1.0):
+            for cutoff in (1e-3, 1e-6, 1e-9):
+                out, order, tail = prop._chebyshev_expm(
+                    lambda v: hm @ v, psi, tau, center, radius, cutoff
+                )
+                error = np.linalg.norm(out - expm(-1j * tau * hm) @ psi)
+                assert tail <= cutoff and error <= tail, (tau, cutoff, order, tail, error)
 
 
 @pytest.fixture(scope="module")
@@ -422,11 +491,9 @@ class TestDriftInvariants:
         psi0 = ham.product_state(
             basis, np.array([0, 1.0, 0]), [np.eye(7)[1]]
         )
-        state = CoupledState(psi0)
         cfg = PropagatorConfig(dt=0.05)
-        e0 = np.vdot(state.amplitudes, h @ state.amplitudes).real
-        for _ in range(1000):
-            state = krylov_step(h, state, cfg.dt, cfg)
+        e0 = np.vdot(psi0, h @ psi0).real
+        state = propagate(h, CoupledState(psi0), 1000 * cfg.dt, cfg).final
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
         elapsed_ps = time_to_fs(1000 * 0.05, U) / 1000.0
         e1 = np.vdot(state.amplitudes, h @ state.amplitudes).real

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy.sparse.linalg import expm_multiply
 
 from ringpdc import cli
 from ringpdc import hamiltonian as ham
 from ringpdc import scenarios as sc
 from ringpdc.photon import BathWindow
-from ringpdc.propagator import PropagationResult, ground_state, krylov_step
+from ringpdc.propagator import TAIL_MARGIN, CoupledState, PropagationResult, ground_state
 
 # Coarse grid and shallow spectrum: enough structure to exercise every code
 # path while keeping each propagation in the millisecond range.
@@ -241,7 +242,7 @@ class TestParsing:
             ),
             bath=sc.BathSpec(lam=0.005, sector=1, windows=((0.5, 2.0, 3), (10.0, 20.0, 4))),
             propagation=sc.PropagationSpec(
-                t_final_ps=2.5, dt_fs=3.0, record_stride=7, krylov_dim=12, krylov_tol=1e-9
+                t_final_ps=2.5, dt_fs=3.0, record_stride=7, krylov_tol=1e-9
             ),
             method=sc.MethodSpec(kind="few_level", levels=(0, 2, 3)),
             output=sc.OutputSpec(directory="out", basename="every_key"),
@@ -447,11 +448,14 @@ class TestRunScenario:
         assert data["runtime_s"] >= 0.0
         assert data["columns"] == res.csv_path.read_text().splitlines()[0].split(",")
         krylov = data["krylov"]
-        assert set(krylov) == {"steps", "matvecs", "max_dim", "max_error"}
-        assert all(isinstance(krylov[k], int) for k in ("steps", "matvecs", "max_dim"))
+        assert set(krylov) == {"steps", "matvecs", "max_order", "max_error", "spectral_bounds"}
+        assert all(isinstance(krylov[k], int) for k in ("steps", "matvecs", "max_order"))
         assert isinstance(krylov["max_error"], float)
         assert krylov["steps"] >= 1 and krylov["matvecs"] >= krylov["steps"]
-        assert 1 <= krylov["max_dim"] <= 20 and 0.0 <= krylov["max_error"] < 1e-10
+        assert 1 <= krylov["max_order"] <= krylov["matvecs"]
+        assert 0.0 <= krylov["max_error"] <= 1e-10 * TAIL_MARGIN
+        lo, hi = krylov["spectral_bounds"]
+        assert isinstance(lo, float) and isinstance(hi, float) and lo < hi
         timings = data["timings"]
         assert set(timings) == {"matter_s", "assemble_s", "propagate_s"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
@@ -873,16 +877,29 @@ class TestCli:
         assert cli.main(["validate-config", "--config", str(path)]) == 4
         assert "resource refusal" in capsys.readouterr().err
 
+    def test_removed_krylov_dim_fails_at_parse(self, capsys):
+        path = ROOT / "tests" / "configs" / "krylov_dim.yaml"
+        assert cli.main(["validate-config", "--config", str(path)]) == 2
+        assert "unknown keys in propagation: krylov_dim" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # an absurd step with a two-vector subspace cannot reach tolerance
-        path = tmp_path / "run.yaml"
-        path.write_text(
-            BASE_YAML.replace("dt_fs: 4.0", "dt_fs: 400.0").replace(
-                "record_stride: 5", "krylov_dim: 2"
-            )
+        # a pulse long after t_check leaves the pump empty for every j0, so
+        # the calibration cannot bracket its target
+        data = base_data(
+            scenario={"kind": "current_driven"},
+            modes=[
+                {"omega_meV": 10.0, "n_max": 3, "lambda": 0.05},
+                {"omega_meV": 5.0, "n_max": 2, "lambda": 0.05},
+                {"omega_meV": 5.0, "n_max": 2, "lambda": 0.05},
+            ],
+            initial={"kind": "ground"},
+            drive={"t0_ps": 50.0, "calibrate": True, "t_check_ps": 0.02},
         )
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(data))
         assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "failed to bracket" in err
 
     def test_sweep_verb(self, tmp_path, capsys):
         path = tmp_path / "sweep.yaml"
@@ -994,8 +1011,8 @@ def test_every_preset_runs(name, tmp_path, store):
         assert [row["error"] for row in swept.rows] == [None, None]
 
 
-def fixed_dt_propagate(h, state, t_final, config, terms=(), observables=None):
-    """Reference propagation: krylov_step by dt (one short tail step),
+def fixed_dt_propagate(h, state, t_final, config, terms=(), observables=None, bounds=None):
+    """Reference propagation: expm_multiply by dt (one short tail step),
     recording every record_stride steps and at the end."""
     assert not terms
     n_full = int(math.floor((t_final - state.time) / config.dt + 1e-9))
@@ -1010,7 +1027,7 @@ def fixed_dt_propagate(h, state, t_final, config, terms=(), observables=None):
 
     snapshot(state)
     for k, dt in enumerate(steps):
-        state = krylov_step(h, state, dt, config)
+        state = CoupledState(expm_multiply(-1j * dt * h, state.amplitudes), state.time + dt)
         if (k + 1) % config.record_stride == 0 or k + 1 == len(steps):
             snapshot(state)
     return PropagationResult(
