@@ -13,8 +13,14 @@ from scipy.sparse.linalg import expm_multiply
 from ringpdc import hamiltonian as ham
 from ringpdc import propagator as prop
 from ringpdc.matter import transition_matrices
-from ringpdc.photon import FockMode, coherent_state, number_op, quadratures, sample_bath
-from ringpdc.photon import BathSpec
+from ringpdc.photon import (
+    BathSpec,
+    FockMode,
+    coherent_state,
+    number_op,
+    quadratures,
+    sample_bath,
+)
 from ringpdc.propagator import (
     TAIL_MARGIN,
     CoupledState,
@@ -283,7 +289,10 @@ class TestStepControl:
 
         bounds = spectral_bounds(h)
         fixed = propagate(
-            counted("fixed"), CoupledState(psi0.copy()), 10.0, PropagatorConfig(dt=0.05),
+            counted("fixed"),
+            CoupledState(psi0.copy()),
+            10.0,
+            PropagatorConfig(dt=0.05),
             bounds=bounds,
         )
         res = propagate(
@@ -303,7 +312,9 @@ class TestStepControl:
     def test_callable_needs_bounds(self):
         h = sp.diags([1.0, 2.0]).tocsr()
         with pytest.raises(ValueError, match="spectral bounds"):
-            propagate(lambda v: h @ v, CoupledState(np.array([1.0, 0j])), 1.0, PropagatorConfig(dt=0.1))
+            propagate(
+                lambda v: h @ v, CoupledState(np.array([1.0, 0j])), 1.0, PropagatorConfig(dt=0.1)
+            )
 
     def test_telemetry_fields(self):
         hm = random_hermitian(16, seed=3)
@@ -332,11 +343,18 @@ class TestStepControl:
         assert stats.spectral_bounds == bounds
 
 
+def tilted_modes():
+    """Three coupled modes whose polarizations leave no reflection symmetry."""
+    return [
+        FockMode(w, 2, 0.026, e) for w, e in zip((W1, W2, W3), polarization_vectors(1.2, 0.4))
+    ]
+
+
 def kernel_hamiltonians(ring200):
     """{name: dense H} of the tiny three-mode, few-level and bath fixtures."""
     tm_full = transition_matrices(ring200)
     mb, tm = ham.restrict_levels(ring200, tm_full, [0, 1, 2])
-    modes = [FockMode(w, 2, 0.026, e) for w, e in zip((W1, W2, W3), polarization_vectors(1.2, 0.4))]
+    modes = tilted_modes()
     tiny = ham.assemble_system(ham.CoupledBasis(3, (3, 3, 3)), mb, tm, modes)
     few, _ = ham.assemble_few_level([0, 3, 4], ring200, tm_full, modes)
     e1, e2 = degenerate_polarization_vectors(math.pi / 6)
@@ -362,7 +380,7 @@ class TestChebyshevKernel:
     def test_widened_driven_interval_contains_the_spectrum(self, matter3, kind, monkeypatch):
         # every driven step's interval holds the spectrum of its midpoint H
         mb, tm = matter3
-        modes = [FockMode(w, 2, 0.026, e) for w, e in zip((W1, W2, W3), polarization_vectors(1.2, 0.4))]
+        modes = tilted_modes()
         if kind == "current":
             basis = ham.CoupledBasis(3, (3, 3, 3))
             h = ham.assemble_system(basis, mb, tm, modes)
