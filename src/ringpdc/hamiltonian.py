@@ -27,9 +27,9 @@ on the modes and the bath sector together:
 Each photon factor is summed in photon space from embed products, and embed
 checks every mode and bath factor it lifts for Hermiticity; _kron_sum checks
 each matter factor and writes sum_k M_k (x) P_k block by block into one
-canonical CSR.  Entries (i, j) and (j, i) add the same terms in the same
-order, so H is Hermitian to the last bit by construction; the builders return
-the csr_matrix itself.
+canonical float64 CSR.  Entries (i, j) and (j, i) add the same terms in the
+same order, so H is symmetric to the last bit by construction; the builders
+return the csr_matrix itself.
 
 The matter factor is the truncated ring eigenbasis (h_matrix plus momentum
 matrices), or its reflection-even sector when every mode shares one
@@ -42,11 +42,24 @@ Inversion (x, y) -> (-x, -y) times photon-number parity
 (-1)^(sum_a n_a + N_bath) commutes with every undriven H built here: each
 coupling e_a . p (x) q_a is odd under both factors, and the diamagnetic and
 bath-quadratic terms are even.  So e . p connects only levels of opposite
-inversion parity and H_el only levels of equal parity; when every level has
-a parity, the builders drop the other matter entries, after checking that
-each is roundoff, and no entry of H couples the two sectors.
-inversion_parity gives the sector at every index of the coupled layout, and
-inversion_block cuts H to one of them.
+inversion parity and H_el only levels of equal parity; the builders drop the
+other matter entries, after checking that each is roundoff, and no entry of
+H couples the two sectors.  inversion_parity gives the sector at every index
+of the coupled layout, and inversion_block cuts H to one of them.
+
+H is real symmetric in the basis the builders use, a fixed gauge of the
+stored levels (_matter_gauge): each +-l pair of levels is rotated into its
+standing waves (psi_l + psi_-l)/sqrt(2) and (psi_l - psi_-l)/(i sqrt(2)),
+each level is made real by one global phase, and the inversion-odd levels
+are multiplied by i.  The grid Hamiltonian is real, so H_el is real between
+real levels, and the factor i cancels between two odd ones.  p = -i grad is
+imaginary and antisymmetric between real functions, and it connects only
+levels of opposite parity, exactly one of which carries the factor i, so
+every e . p element becomes real.  The photon and bath factors (q, n, the
+ladder sums) are real already.  The ground level is left exactly as stored,
+so product starts need no change, and the gauge is a unitary on the matter
+factor alone: photon marginals and subsystem purities, the only observables,
+do not depend on it.
 
 The pump schemes are time-dependent terms for the propagator: a classical
 current on quantized mode 1, or the retarded classical field that replaces
@@ -126,6 +139,7 @@ def embed(
 
     Each supplied factor must be Hermitian within HERMITICITY_TOL, so a real
     combination of lifted products is Hermitian without a whole-matrix check.
+    The product is real when every factor is.
     """
     factors: list[sp.spmatrix] = []
     if matter_op is not None:
@@ -137,19 +151,19 @@ def embed(
             )
         factors.append(_hermitian_factor(matter_op, "matter operator"))
     else:
-        factors.append(sp.identity(basis.matter_dim, format="csr", dtype=complex))
+        factors.append(sp.identity(basis.matter_dim, format="csr"))
     mode_ops = mode_ops or {}
     for slot, d in enumerate(basis.mode_dims):
         op = mode_ops.get(slot)
         if op is None:
-            factors.append(sp.identity(d, format="csr", dtype=complex))
+            factors.append(sp.identity(d, format="csr"))
         else:
             if op.shape != (d, d):
                 raise ValueError(f"mode {slot} operator shape {op.shape} != {(d, d)}")
             factors.append(_hermitian_factor(op, f"mode {slot} operator"))
     if basis.bath is not None:
         if bath_op is None:
-            factors.append(sp.identity(basis.bath.size, format="csr", dtype=complex))
+            factors.append(sp.identity(basis.bath.size, format="csr"))
         else:
             factors.append(_hermitian_factor(bath_op, "bath operator"))
     elif bath_op is not None:
@@ -157,7 +171,7 @@ def embed(
     out = factors[0]
     for f in factors[1:]:
         out = sp.kron(out, f, format="csr")
-    return out.astype(complex)
+    return out
 
 
 def product_state(
@@ -230,29 +244,89 @@ def inversion_block(
     return rows[:, index], index
 
 
-def _momentum_projection(tm: TransitionMatrices, e: tuple[float, float]) -> np.ndarray:
-    return e[0] * tm.px + e[1] * tm.py
+def _momentum_projection(px: np.ndarray, py: np.ndarray, e: tuple[float, float]) -> np.ndarray:
+    return e[0] * px + e[1] * py
 
 
-def _parity_selected(
-    op: np.ndarray, parity: np.ndarray | None, flips: bool, where: str
-) -> np.ndarray:
-    """Matter factor op without the entries that inversion forbids, between
-    levels of equal parity when op flips it (e . p), of opposite parity when
-    it keeps it (H_el).  Each must be below HERMITICITY_TOL x max(1, max|op|),
-    as small as embed's Hermiticity defect for a factor that is roundoff as a
-    whole.  parity None (a level without one) keeps every entry."""
+def _partner(matter: MatterEigenbasis, k: int) -> int | None:
+    """The level of `matter` holding the -l partner of level k (l != 0), if any."""
+    for m in range(matter.n_states):
+        if matter.j_labels[m] == matter.j_labels[k] and matter.l_labels[m] == -matter.l_labels[k]:
+            return m
+    return None
+
+
+def _matter_gauge(matter: MatterEigenbasis) -> tuple[np.ndarray, np.ndarray]:
+    """(u, parity): the unitary whose column k is real level k in the stored
+    basis, and the inversion parity (+1 or -1) of each level.
+
+    Each +-l pair becomes its standing waves (psi_l + psi_-l)/sqrt(2) and
+    (psi_l - psi_-l)/(i sqrt(2)); each level is then e^(i theta) times a real
+    function, with e^(2 i theta) the phase of sum(phi^2) over the grid, and
+    is divided by e^(i theta) unless that lies within HERMITICITY_TOL of 1;
+    the inversion-odd levels are multiplied by i.  Raises ValueError when a
+    level has no inversion parity, or when the lowest level would move.
+    """
+    n = matter.n_states
+    parity = inversion_parity(CoupledBasis(n, ()), matter)
     if parity is None:
-        return op
-    forbidden = np.equal.outer(parity, parity) == flips
-    worst = np.abs(op[forbidden]).max(initial=0.0)
-    scale = max(1.0, np.abs(op).max())
-    if worst > HERMITICITY_TOL * scale:
-        raise ValueError(
-            f"{where} entry {worst:.3e} breaks the inversion parity of the levels "
-            f"(above {HERMITICITY_TOL} x max = {scale:.3e})"
-        )
-    return np.where(forbidden, 0.0, op)
+        raise ValueError("a matter level is not an inversion eigenstate; H has no real gauge")
+    u = np.eye(n, dtype=complex)
+    root = math.sqrt(0.5)
+    for k in np.flatnonzero(matter.l_labels > 0):
+        m = _partner(matter, k)
+        if m is not None:
+            u[[k, m], k] = root, root
+            u[[k, m], m] = -1j * root, 1j * root
+    levels = u.T @ matter.states
+    square = np.einsum("ij,ij->i", levels, levels)
+    phase = np.sqrt(square / np.abs(square))
+    phase[np.abs(phase - 1.0) <= HERMITICITY_TOL] = 1.0
+    u = u / phase * np.where(parity < 0, 1j, 1.0)
+    ground = int(np.argmin(matter.energies))
+    if not np.array_equal(u[:, ground], np.eye(n)[ground]):
+        raise ValueError(f"the real gauge moves the ground level {ground}")
+    return u, parity
+
+
+def _real_matter(
+    matter: MatterEigenbasis, tm: TransitionMatrices
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H_el, p_x, p_y) between the real levels of _matter_gauge: real
+    symmetric float arrays, without the entries that inversion forbids.
+
+    Those are the entries between levels of equal parity for p (odd under
+    inversion) and of opposite parity for H_el.  Raises ValueError, naming
+    the factor, when a dropped entry or an imaginary part is above
+    HERMITICITY_TOL x max(1, max|op|), as small as embed's Hermiticity defect
+    for a factor that is roundoff as a whole.
+    """
+    u, parity = _matter_gauge(matter)
+    equal = np.equal.outer(parity, parity)
+
+    def gauged(op: np.ndarray, forbidden: np.ndarray, where: str) -> np.ndarray:
+        b = u.conj().T @ op @ u
+        b = 0.5 * (b + b.conj().T)
+        scale = max(1.0, np.abs(b).max())
+        worst = np.abs(b[forbidden]).max(initial=0.0)
+        if worst > HERMITICITY_TOL * scale:
+            raise ValueError(
+                f"{where} entry {worst:.3e} breaks the inversion parity of the levels "
+                f"(above {HERMITICITY_TOL} x max = {scale:.3e})"
+            )
+        residue = np.abs(b.imag).max()
+        if not residue <= HERMITICITY_TOL * scale:
+            raise ValueError(
+                f"{where} keeps an imaginary part {residue:.3e} in the real gauge "
+                f"(above {HERMITICITY_TOL} x max = {scale:.3e})"
+            )
+        return np.where(forbidden, 0.0, b.real)
+
+    return (
+        gauged(matter.h_matrix(), ~equal, "H_el"),
+        gauged(tm.px, equal, "p_x"),
+        gauged(tm.py, equal, "p_y"),
+    )
 
 
 def restrict_levels(
@@ -274,16 +348,11 @@ def restrict_levels(
     for k in idx_list:
         if matter.l_labels[k] == 0:
             continue
-        partner = [
-            m
-            for m in range(matter.n_states)
-            if matter.j_labels[m] == matter.j_labels[k]
-            and matter.l_labels[m] == -matter.l_labels[k]
-        ]
-        if partner and partner[0] not in idx_list:
+        partner = _partner(matter, k)
+        if partner is not None and partner not in idx_list:
             raise ValueError(
                 f"level {k} (l = {matter.l_labels[k]}) selected without its "
-                f"degenerate partner {partner[0]}"
+                f"degenerate partner {partner}"
             )
     idx = np.asarray(idx_list, dtype=int)
     block = np.ix_(idx, idx)
@@ -307,14 +376,15 @@ def restrict_levels(
 def _kron_sum(
     basis: CoupledBasis, pairs: Sequence[tuple[np.ndarray, sp.csr_matrix]]
 ) -> sp.csr_matrix:
-    """sum_k M_k (x) P_k as one canonical CSR, matter slowest.
+    """sum_k M_k (x) P_k as one canonical float64 CSR, matter slowest.
 
     Block (i, j) is sum_k M_k[i, j] P_k on the union pattern of the P_k whose
     coefficient is nonzero.  The row pointer is counted from those patterns
     first, so each block is written straight into its place in the final
-    arrays and no more than one block is held beside them.  Each matter
-    factor is checked for Hermiticity here; the photon factors are real sums
-    of embed products, whose factors embed has checked.
+    arrays and no more than one block is held beside them.  Every factor
+    must be real (ValueError otherwise); each matter factor is checked for
+    symmetry here, and the photon factors are real sums of embed products,
+    whose factors embed has checked.
     """
     m = basis.matter_dim
     n = basis.dim // m
@@ -322,7 +392,9 @@ def _kron_sum(
     for mk, pk in pairs:
         if np.shape(mk) != (m, m) or pk.shape != (n, n):
             raise ValueError(f"factors {np.shape(mk)} x {pk.shape} do not tile {basis.shape}")
-        matters.append(_hermitian_factor(np.asarray(mk, dtype=complex), "matter factor"))
+        if np.iscomplexobj(mk) or np.iscomplexobj(pk):
+            raise ValueError("a complex factor pair; H is assembled real symmetric")
+        matters.append(_hermitian_factor(np.asarray(mk, dtype=float), "matter factor"))
         pk = sp.csr_matrix(pk)
         pk.sum_duplicates()  # sorted, unique keys for searchsorted
         photons.append(pk)
@@ -359,7 +431,7 @@ def _kron_sum(
             row_counts[i] += layouts[terms][0]
     indptr = np.concatenate(([0], np.cumsum(row_counts.ravel())))
     index_dtype = np.int32 if max(indptr[-1], basis.dim) < 2**31 else np.int64
-    data = np.empty(indptr[-1], dtype=complex)
+    data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index_dtype)
 
     cancelled = False
@@ -369,7 +441,7 @@ def _kron_sum(
             if not terms:
                 continue
             counts, cols, rank, positions = layouts[terms]
-            values = np.zeros(cols.size, dtype=complex)
+            values = np.zeros(cols.size)
             for k, pos in zip(terms, positions):
                 np.add.at(values, pos, matters[k][i, j] * photons[k].data)
             cancelled = cancelled or not values.all()  # an exact zero sum
@@ -401,14 +473,14 @@ def _assemble(
     # picks up an edge defect at the Fock truncation boundary
     energies = [mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim)) for mode in modes]
     h_photon = sum(embed(photon, mode_ops={slot: e}) for slot, e in enumerate(energies))
-    parity = inversion_parity(CoupledBasis(basis.matter_dim, ()), matter)
+    h_el, px, py = _real_matter(matter, tm)
     couplings = []
     for slot, mode in enumerate(modes):
         if mode.lam == 0.0:
             continue
         q = quads[slot]
         h_photon = h_photon + 0.5 * mode.lam**2 * embed(photon, mode_ops={slot: (q @ q).tocsr()})
-        proj = _parity_selected(_momentum_projection(tm, mode.polarization), parity, True, "e.p")
+        proj = _momentum_projection(px, py, mode.polarization)
         couplings.append((proj, -mode.lam * embed(photon, mode_ops={slot: q})))
     for a in range(len(modes)):
         for b in range(a + 1, len(modes)):
@@ -417,8 +489,7 @@ def _assemble(
             if coeff == 0.0:
                 continue
             h_photon = h_photon + coeff * embed(photon, mode_ops={a: quads[a], b: quads[b]})
-    eye = sp.identity(photon.dim, format="csr", dtype=complex)
-    h_el = _parity_selected(matter.h_matrix(), parity, False, "H_el")
+    eye = sp.identity(photon.dim, format="csr")
     pairs = [(np.eye(basis.matter_dim), h_photon), (h_el, eye), *couplings]
     return _kron_sum(basis, pairs)
 
@@ -495,7 +566,7 @@ def assemble_bath_terms(
     if len(bath_modes) != bath.n_modes:
         raise ValueError("bath mode list does not match the enumerated basis")
     size = bath.size
-    eye = sp.identity(size, format="csr", dtype=complex)
+    eye = sp.identity(size, format="csr")
 
     # every bath mode shares one polarization, so one collective operator
     # carries the whole bath-matter coupling
@@ -508,7 +579,7 @@ def assemble_bath_terms(
     photon = CoupledBasis(1, basis.mode_dims, bath)
     n_total = sum((low.T @ low) * mode.omega for low, mode in zip(lowering, bath_modes))
     zero_point = 0.5 * sum(m.omega for m in bath_modes)
-    h_photon = embed(photon, bath_op=(n_total + zero_point * eye).astype(complex))
+    h_photon = embed(photon, bath_op=n_total + zero_point * eye)
 
     # collective displacement sum_k c_k (b_k + b_k^dag) with c_k = lam_k / sqrt(2 w_k),
     # so A_bath = disp e
@@ -516,7 +587,6 @@ def assemble_bath_terms(
     disp = sp.csr_matrix((size, size), dtype=float)
     for c, low in zip(weights, lowering):
         disp = disp + c * (low + low.T)
-    disp = disp.astype(complex)
 
     # diamagnetic main x bath cross terms: lam_a (e_a . e_B) q_a (x) A_B
     for slot, mode in enumerate(main_modes):
@@ -530,13 +600,13 @@ def assemble_bath_terms(
     # normal-ordered with the collective B = sum_k c_k b_k:
     # B B + B^dag B + B^dag B + B^dag B^dag + sum_k c_k^2
     coll = sum(c * low for c, low in zip(weights, lowering))
-    prod = (coll @ coll + coll.T @ coll + coll.T @ coll + coll.T @ coll.T).astype(complex)
+    prod = coll @ coll + coll.T @ coll + coll.T @ coll + coll.T @ coll.T
     prod = prod + sum(c * c for c in weights) * eye
     bath_quad = 0.5 * (pol[0] * pol[0] + pol[1] * pol[1]) * prod
     h_photon = h_photon + embed(photon, bath_op=bath_quad)
 
-    parity = inversion_parity(CoupledBasis(basis.matter_dim, ()), matter)
-    coupling = _parity_selected(_momentum_projection(tm, pol), parity, True, "e_B.p")
+    _, px, py = _real_matter(matter, tm)
+    coupling = _momentum_projection(px, py, pol)
     pairs = [(np.eye(basis.matter_dim), h_photon), (coupling, -embed(photon, bath_op=disp))]
     return _kron_sum(basis, pairs)
 
@@ -615,6 +685,7 @@ def classical_pump_field(
 
 def field_drive_terms(
     basis: CoupledBasis,
+    matter: MatterEigenbasis,
     tm: TransitionMatrices,
     signal_modes: Sequence[FockMode],
     mode1: FockMode,
@@ -626,8 +697,9 @@ def field_drive_terms(
 
     H_ext(t) = -A1(t) e1.p + A1(t) [lam2 (e1.e2) q2 + lam3 (e1.e3) q3],
 
-    with every e_a read from the modes' polarization.  The diamagnetic
-    c-number A1(t)^2 / 2 is left out: it only shifts the global phase.
+    with every e_a read from the modes' polarization and e1.p between the
+    real levels that the static builders use.  The diamagnetic c-number
+    A1(t)^2 / 2 is left out: it only shifts the global phase.
     """
     if len(basis.mode_dims) != 2 or len(signal_modes) != 2:
         raise ValueError(
@@ -635,6 +707,7 @@ def field_drive_terms(
             "basis (two signal modes only)"
         )
     e1 = mode1.polarization
+    _, px, py = _real_matter(matter, tm)
     q1 = classical_pump_field(drive, mode1, t_grid)
     a1 = mode1.lam * q1
     t_ref = np.asarray(t_grid, dtype=float)
@@ -644,7 +717,7 @@ def field_drive_terms(
 
     terms = [
         TimeDependentTerm(
-            op=embed(basis, matter_op=_momentum_projection(tm, e1)),
+            op=embed(basis, matter_op=_momentum_projection(px, py, e1)),
             coeff=lambda t: -a1_at(t),
         ),
     ]

@@ -5,13 +5,30 @@ Phys. 81, 3967 (1984); Leforestier et al., J. Comput. Phys. 94, 59 (1991)),
 
     exp(-i H tau) = exp(-i c tau) sum_k a_k (-i)^k J_k(R tau) T_k((H - c) / R),
 
-with a_0 = 1 and a_k = 2 otherwise.  The T_k psi follow the three-term
-recurrence, one H @ v each, on three work vectors and without
-reorthogonalization.  Every |T_k| <= 1 on the interval, so 2 sum_{k>K}
-|J_k(R tau)| bounds the error of stopping at order K; the series stops at
-the first K whose tail is below krylov_tol * TAIL_MARGIN.  The interval must
-be rigorous, or the series diverges: spectral_bounds gives the Gershgorin
-interval of a sparse Hermitian matrix.
+with a_0 = 1 and a_k = 2 otherwise.  The vectors phi_k = (-i)^k T_k psi
+follow the three-term recurrence
+
+    phi_{k+1} = phi_{k-1} - 2 i ((H - c) / R) phi_k,
+
+one application of H each and without reorthogonalization, and the series
+sum_k a_k J_k(R tau) phi_k has real coefficients.  Every |T_k| <= 1 on the
+interval, so 2 sum_{k>K} |J_k(R tau)| bounds the error of stopping at order
+K; the series stops at the first K whose tail is below
+krylov_tol * TAIL_MARGIN.  The interval must be rigorous, or the series
+diverges: spectral_bounds gives the Gershgorin interval of a sparse
+symmetric matrix.
+
+H is real symmetric (the hamiltonian module builds it so), and the state is
+complex.  Each phi_k is kept as two contiguous float rows, its real part x
+and its imaginary part y, and H is applied to each row on its own:
+-i (H - c)(x + i y) = (H - c) y - i (H - c) x.  A real CSR times a real
+vector reads 12 bytes per stored entry where a complex CSR read 24, and
+scipy would upcast a real matrix to complex on every product with a complex
+vector, so two real products beat one complex product once H outgrows the
+cache.  One application of H to the state is two products, whether h is a
+matrix or a callable, so a counting wrapper sees every product.  propagate
+and ground_state refuse a complex matrix (ValueError), and propagate refuses
+a callable h that returns complex values.
 
 propagate walks the record grid (every record_stride dt, plus the end).  An
 undriven run takes one expansion per record interval.  A driven run steps
@@ -43,10 +60,11 @@ RENORM_TOL = 1e-8
 # 1e-3 left 1.5e-13 of population drift in 50 steps of a diagonal H, where an
 # exact step keeps populations to 1e-13.
 TAIL_MARGIN = 1e-5
-# Complex vectors of the state's length alive at once while a step runs: the
-# state, the expansion's sum, its three recurrence vectors, one scratch
-# vector and the renormalized result.
-WORK_VECTORS = 7
+# Complex vectors of the state's length (or pairs of float rows) alive at once
+# while an undriven step runs: the state, the expansion's sum, its two
+# recurrence vectors, one scratch row with the product H @ row, and the
+# result.
+WORK_VECTORS = 6
 
 
 class NonFiniteAmplitudes(RuntimeError):
@@ -131,20 +149,20 @@ def _abs_row_sums(h: sp.spmatrix) -> np.ndarray:
 
 
 def spectral_bounds(h: sp.spmatrix) -> tuple[float, float]:
-    """Gershgorin interval (lo, hi) of the Hermitian sparse matrix h: every
+    """Gershgorin interval (lo, hi) of the symmetric sparse matrix h: every
     eigenvalue lies in it."""
-    diag = h.diagonal().real
+    diag = h.diagonal()
     radius = _abs_row_sums(h) - np.abs(diag)
     return float(np.min(diag - radius)), float(np.max(diag + radius))
 
 
 def _chebyshev_coefficients(z: float, cutoff: float) -> tuple[np.ndarray, float]:
-    """((-i)^k a_k J_k(z) for k = 0..K, tail bound 2 sum_{k>K} |J_k(z)|),
-    with K the lowest order whose tail bound is below cutoff."""
+    """(a_k J_k(z) for k = 0..K, tail bound 2 sum_{k>K} |J_k(z)|), with K the
+    lowest order whose tail bound is below cutoff."""
     if not math.isfinite(z):
         raise NonFiniteAmplitudes("non-finite spectral interval")
     if z == 0.0:
-        return np.ones(1, dtype=complex), 0.0
+        return np.ones(1), 0.0
 
     def beyond(n: int) -> float:
         # 2 sum_{k>n} |J_k(z)| for n >= z, from |J_k(z)| <= (z/2)^k / k!
@@ -158,7 +176,7 @@ def _chebyshev_coefficients(z: float, cutoff: float) -> tuple[np.ndarray, float]
     # tail[k] = 2 sum_{m>k} |J_m(z)|, falling with k
     tail = 2.0 * (np.cumsum(magnitude[::-1])[::-1] - magnitude) + beyond(n)
     order = int(np.argmax(tail <= cutoff))
-    coeffs = 2.0 * bessel[: order + 1] * np.array([1, -1j, -1, 1j])[np.arange(order + 1) % 4]
+    coeffs = 2.0 * bessel[: order + 1]
     coeffs[0] = bessel[0]
     return coeffs, float(tail[order])
 
@@ -171,25 +189,43 @@ def _chebyshev_expm(
     radius: float,
     cutoff: float,
 ) -> tuple[np.ndarray, int, float]:
-    """(exp(-i H tau) psi, order, tail bound) for H with its spectrum in
-    [center - radius, center + radius]; the dropped tail is below cutoff
-    times |psi|."""
+    """(exp(-i H tau) psi, order, tail bound) for the real symmetric H with
+    its spectrum in [center - radius, center + radius]; the dropped tail is
+    below cutoff times |psi|.  apply_h is applied to one float row at a
+    time, twice per order."""
     coeffs, tail = _chebyshev_coefficients(radius * tau, cutoff)
-    out = coeffs[0] * psi
+    prev = np.stack((psi.real, psi.imag))  # phi_0: rows (real, imaginary)
+    out = coeffs[0] * prev
+    scratch = np.empty(psi.size)
+
+    def add_rotated(v: np.ndarray, scale: float, dest: np.ndarray) -> None:
+        # dest += scale (-i (H - center) v): the real row gains (H - center)
+        # times the imaginary row, the imaginary row loses it times the real one
+        for row, src, sign in ((0, 1, scale), (1, 0, -scale)):
+            product = apply_h(v[src])
+            if np.iscomplexobj(product):
+                raise ValueError(
+                    "H @ v returned complex values; propagate needs a real symmetric H"
+                )
+            dest[row] += np.multiply(product, sign, out=scratch)
+            dest[row] -= np.multiply(v[src], sign * center, out=scratch)
+
+    def accumulate(v: np.ndarray, c: float) -> None:
+        for row in (0, 1):
+            out[row] += np.multiply(v[row], c, out=scratch)
+
     if len(coeffs) > 1:
-        prev, cur = psi, (apply_h(psi) - center * psi) / radius
-        out += coeffs[1] * cur
-        work = np.empty_like(psi)
+        cur = np.zeros_like(prev)
+        add_rotated(prev, 1.0 / radius, cur)
+        accumulate(cur, coeffs[1])
         for c in coeffs[2:]:
-            # T_{k+1} = 2 (H - center) / radius T_k - T_{k-1}
-            nxt = apply_h(cur)
-            nxt -= np.multiply(cur, center, out=work)
-            nxt *= 2.0 / radius
-            nxt -= prev
-            out += np.multiply(nxt, c, out=work)
-            prev, cur = cur, nxt
-    out *= np.exp(-1j * center * tau)
-    return out, len(coeffs) - 1, tail
+            add_rotated(cur, 2.0 / radius, prev)  # prev now holds phi_{k+1}
+            prev, cur = cur, prev
+            accumulate(cur, c)
+    result = np.empty(psi.size, dtype=complex)
+    result.real, result.imag = out
+    result *= np.exp(-1j * center * tau)
+    return result, len(coeffs) - 1, tail
 
 
 def _checked_state(psi: np.ndarray, time: float) -> CoupledState:
@@ -230,8 +266,10 @@ def propagate(
 ) -> PropagationResult:
     """Propagate to t_final through the record grid of `config`.
 
-    `h` is the static Hamiltonian as a sparse matrix, or a callable that
-    returns `h @ v`.  `bounds` is an interval (lo, hi) containing its
+    `h` is the static real symmetric Hamiltonian as a sparse matrix, or a
+    callable that returns `h @ v` for a real vector v; a complex matrix, a
+    complex term operator or a callable that returns complex values is
+    refused (ValueError).  `bounds` is an interval (lo, hi) containing its
     spectrum; None takes spectral_bounds(h), which a callable h cannot give.
     Undriven runs (no `terms`) take one expansion per record interval.
     `terms` are (op, coeff) pairs added to h with coeff evaluated at each
@@ -244,6 +282,9 @@ def propagate(
     """
     if t_final < state.time:
         raise ValueError("t_final lies before the state's current time")
+    operators = [term[0] for term in terms] if callable(h) else [h, *(term[0] for term in terms)]
+    if any(np.iscomplexobj(op) for op in operators):
+        raise ValueError("propagate needs a real symmetric H and real drive terms")
     if bounds is None:
         if callable(h):
             raise ValueError("a callable h needs its spectral bounds")
@@ -310,26 +351,27 @@ def propagate(
 
 
 def ground_state(h) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the sparse Hermitian matrix h by iterative solve,
-    residual below 1e-9."""
+    """Lowest eigenpair of the real symmetric sparse matrix h by iterative
+    solve, residual below 1e-9; the vector comes back complex, its largest
+    amplitude positive.  A complex h is refused (ValueError)."""
+    if np.iscomplexobj(h):
+        raise ValueError("ground_state needs a real symmetric H")
     if h.shape[0] == 1:
-        return float(np.real(h[0, 0])), np.ones(1, dtype=complex)
+        return float(h[0, 0]), np.ones(1, dtype=complex)
     # a fixed random start vector: ARPACK's own draw changes from call to
     # call, and a flat vector can be orthogonal to a symmetric ground state
-    v0 = np.random.default_rng(0).standard_normal(h.shape[0]).astype(h.dtype)
+    v0 = np.random.default_rng(0).standard_normal(h.shape[0])
     try:
         vals, vecs = eigsh(h, k=1, which="SA", v0=v0)
     except Exception as exc:
         raise RuntimeError(f"ground-state solve did not converge: {exc}") from exc
     energy = float(vals[0])
-    vec = vecs[:, 0].astype(complex)
-    vec /= np.linalg.norm(vec)
+    vec = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
     residual = np.linalg.norm(h @ vec - energy * vec)
     if residual >= 1e-9:
         raise RuntimeError(
             f"ground-state residual {residual:.3e} above 1e-9; solver did not converge"
         )
-    # fix the global phase: largest amplitude real positive
-    pivot = np.argmax(np.abs(vec))
-    vec *= np.exp(-1j * np.angle(vec[pivot]))
-    return energy, vec
+    # fix the sign: largest amplitude positive
+    vec *= np.sign(vec[np.argmax(np.abs(vec))])
+    return energy, vec.astype(complex)

@@ -396,7 +396,8 @@ def memory_report(config: ScenarioConfig) -> dict:
     nnz_per_col = matter_dim * (1 + 2 * len(mode_dims))
     if config.bath is not None:
         nnz_per_col += matter_dim * 2 * config.bath.count
-    est_bytes = dim * nnz_per_col * 24 + dim * 16 * WORK_VECTORS
+    # a float64 entry and an int32 column index per stored entry
+    est_bytes = dim * nnz_per_col * 12 + dim * 16 * WORK_VECTORS
     budget = float(os.environ.get(MEMORY_BUDGET_ENV, DEFAULT_MEMORY_BUDGET_MB))
     return {
         "matter_dim": matter_dim,
@@ -687,7 +688,9 @@ def calibrate_current_drive(
         terms = current_drive_terms(basis, mode1, replace(drive, j0=j0))
         start = CoupledState(psi0.copy(), 0.0)
         final = propagate(h, start, t_check, config, terms=terms, bounds=bounds).final
-        return float(np.real(np.vdot(final.amplitudes, n1_op @ final.amplitudes)))
+        # n1_op is real symmetric: <psi|n1|psi> = <x|n1|x> + <y|n1|y> for psi = x + i y
+        x, y = final.amplitudes.real, final.amplitudes.imag
+        return float(x @ (n1_op @ x) + y @ (n1_op @ y))
 
     hi = drive.j0 if drive.j0 > 0 else 1.0
     lo = 0.0
@@ -827,7 +830,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
         drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
         info["drive"] = drive
         t_grid = np.arange(0.0, t_final + 2.0 * dt, dt)
-        terms = field_drive_terms(basis, tm, quantized, modes[0], drive, t_grid)
+        terms = field_drive_terms(basis, matter, tm, quantized, modes[0], drive, t_grid)
     else:
         quantized = modes
         if bath_basis is not None:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringpdc import hamiltonian as ham
-from ringpdc.matter import transition_matrices
+from ringpdc.matter import reflection_even, transition_matrices
 from ringpdc.photon import (
     BathSpec,
     FockMode,
@@ -345,6 +345,14 @@ def dense_reference(matter_h, px, py, mode_specs, dims):
     return h
 
 
+def in_real_gauge(ref, matter):
+    """A dense H on (stored levels) x (the rest), moved onto the real levels
+    the builders use (matter slowest)."""
+    u, _ = ham._matter_gauge(matter)
+    lift = np.kron(u, np.eye(ref.shape[0] // matter.n_states))
+    return lift.conj().T @ ref @ lift
+
+
 class TestDenseOracle:
     def test_degenerate_assembly_matches_dense(self, matter3):
         mb, tm = matter3
@@ -360,7 +368,7 @@ class TestDenseOracle:
             [(m.omega, m.lam, m.polarization) for m in modes],
             [3, 3, 3],
         )
-        assert np.abs(h.toarray() - ref).max() < 1e-13
+        assert np.abs(h.toarray() - in_real_gauge(ref, mb)).max() < 1e-13
 
     def test_three_mode_assembly_matches_dense(self, matter3):
         mb, tm = matter3
@@ -379,7 +387,7 @@ class TestDenseOracle:
             [(m.omega, m.lam, m.polarization) for m in modes],
             [3, 3, 3, 3],
         )
-        assert np.abs(h.toarray() - ref).max() < 1e-13
+        assert np.abs(h.toarray() - in_real_gauge(ref, mb)).max() < 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -418,7 +426,7 @@ class TestBathAssembly:
         proj = np.zeros((len(rows), int(np.prod(dims))))
         for r, c in enumerate(rows):
             proj[r, c] = 1.0
-        oracle = proj @ ref @ proj.T
+        oracle = in_real_gauge(proj @ ref @ proj.T, mb)
         total = (h_main + h_bath).toarray()
         assert np.abs(total - oracle).max() < 1e-13
 
@@ -464,7 +472,7 @@ def signal_modes():
     return [FockMode(W2, 2, 0.020, e2), FockMode(W3, 2, 0.026, e3)]
 
 
-def drive_patterns(tm, kind):
+def drive_patterns(mb, tm, kind):
     if kind == "current":
         basis = ham.CoupledBasis(3, (3, 3, 3))
         drive = ham.DriveSpec(kind="classical_current", j0=1.5, tau=2.0, omega1=W1)
@@ -472,7 +480,7 @@ def drive_patterns(tm, kind):
     basis = ham.CoupledBasis(3, (3, 3))
     drive = ham.DriveSpec(kind="classical_field", j0=0.4, t0=2.0, tau=0.9, omega1=W1)
     terms = ham.field_drive_terms(
-        basis, tm, signal_modes(), default_modes()[0], drive, np.linspace(0.0, 12.0, 401)
+        basis, mb, tm, signal_modes(), default_modes()[0], drive, np.linspace(0.0, 12.0, 401)
     )
     return [t.op for t in terms]
 
@@ -493,29 +501,28 @@ HERMITIAN_BUILDS = {
     ],
     # h_main + h_bath of the bath_setup fixture
     "system_plus_bath": lambda mb, tm, bath: [bath[-2] + bath[-1]],
-    "current_drive": lambda mb, tm, bath: drive_patterns(tm, "current"),
-    "field_drive": lambda mb, tm, bath: drive_patterns(tm, "field"),
+    "current_drive": lambda mb, tm, bath: drive_patterns(mb, tm, "current"),
+    "field_drive": lambda mb, tm, bath: drive_patterns(mb, tm, "field"),
 }
 
 
 class TestHermitianByConstruction:
     @pytest.mark.parametrize("build", sorted(HERMITIAN_BUILDS))
     def test_exactly_hermitian(self, build, matter3, bath_setup):
-        # real coefficients times products of Hermitian factors: the sum is
-        # Hermitian to the last bit, with no whole-matrix check
+        # real coefficients times products of real symmetric factors: the sum
+        # is a float64 matrix, symmetric to the last bit with no whole-matrix check
         mb, tm = matter3
         for h in HERMITIAN_BUILDS[build](mb, tm, bath_setup):
-            defect = (h - h.conj().T).tocsr()
+            assert h.dtype == np.float64
+            defect = (h - h.T).tocsr()
             defect.eliminate_zeros()
             assert defect.nnz == 0
 
 
 def running_sum(basis, matter, tm, modes):
     """H as a running sum of embed products, one term at a time: the
-    reference for the factor-pair builder, on the same parity-selected
-    e . p factors."""
-    parity = ham.inversion_parity(ham.CoupledBasis(matter.n_states, ()), matter)
-    h_el = ham._parity_selected(matter.h_matrix(), parity, False, "H_el")
+    reference for the factor-pair builder, on the same real matter factors."""
+    h_el, px, py = ham._real_matter(matter, tm)
     total = ham.embed(basis, matter_op=h_el)
     quads = [quadratures(mode)[0] for mode in modes]
     for slot, mode in enumerate(modes):
@@ -525,9 +532,7 @@ def running_sum(basis, matter, tm, modes):
         if mode.lam == 0.0:
             continue
         q = quads[slot]
-        proj = ham._parity_selected(
-            ham._momentum_projection(tm, mode.polarization), parity, True, "e.p"
-        )
+        proj = ham._momentum_projection(px, py, mode.polarization)
         total = total - mode.lam * ham.embed(basis, matter_op=proj, mode_ops={slot: q})
         total = total + 0.5 * mode.lam**2 * ham.embed(basis, mode_ops={slot: (q @ q).tocsr()})
     for a in range(len(modes)):
@@ -542,16 +547,16 @@ def running_sum(basis, matter, tm, modes):
 def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
     """assemble_bath_terms as a running sum of embed products."""
     bath = basis.bath
-    eye = sp.identity(bath.size, format="csr", dtype=complex)
+    eye = sp.identity(bath.size, format="csr")
     (pol,) = {mode.polarization for mode in bath_modes}
     lowering = [bath_ladder(bath, k) for k in range(bath.n_modes)]
     n_total = sum((low.T @ low) * mode.omega for low, mode in zip(lowering, bath_modes))
     zero_point = 0.5 * sum(mode.omega for mode in bath_modes)
-    total = ham.embed(basis, bath_op=(n_total + zero_point * eye).astype(complex))
+    total = ham.embed(basis, bath_op=n_total + zero_point * eye)
     weights = [mode.lam / math.sqrt(2.0 * mode.omega) for mode in bath_modes]
-    disp = sum(c * (low + low.T) for c, low in zip(weights, lowering)).astype(complex)
-    parity = ham.inversion_parity(ham.CoupledBasis(matter.n_states, ()), matter)
-    proj = ham._parity_selected(ham._momentum_projection(tm, pol), parity, True, "e_B.p")
+    disp = sum(c * (low + low.T) for c, low in zip(weights, lowering))
+    _, px, py = ham._real_matter(matter, tm)
+    proj = ham._momentum_projection(px, py, pol)
     total = total - ham.embed(basis, matter_op=proj, bath_op=disp)
     for slot, mode in enumerate(main_modes):
         dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
@@ -559,7 +564,7 @@ def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
             q = quadratures(mode)[0]
             total = total + mode.lam * dot * ham.embed(basis, mode_ops={slot: q}, bath_op=disp)
     coll = sum(c * low for c, low in zip(weights, lowering))
-    prod = (coll @ coll + 2 * (coll.T @ coll) + coll.T @ coll.T).astype(complex)
+    prod = coll @ coll + 2 * (coll.T @ coll) + coll.T @ coll.T
     prod = prod + sum(c * c for c in weights) * eye
     return total + ham.embed(basis, bath_op=0.5 * (pol[0] ** 2 + pol[1] ** 2) * prod)
 
@@ -621,7 +626,7 @@ class TestFactorPairBuilder:
     def test_exact_cancellations_leave_no_stored_zeros(self):
         # matter block (0, 0) sums D - D = 0 exactly; block (1, 1) holds 2 D
         basis = ham.CoupledBasis(2, (3,))
-        d = sp.diags([1.0, 2.0, 3.0], format="csr").astype(complex)
+        d = sp.diags([1.0, 2.0, 3.0], format="csr")
         pairs = [(np.eye(2), d), (np.diag([-1.0, 1.0]), d)]
         h = ham._kron_sum(basis, pairs)
         assert h.nnz == 3 and h.has_canonical_format and np.all(h.data != 0)
@@ -712,13 +717,13 @@ class TestInversionParity:
 
         roundoff = ham.assemble_system(basis, mb, planted(1e-16), modes)
         assert abs(roundoff - h).max() == 0.0
-        with pytest.raises(ValueError, match="e.p entry 1.000e-06 breaks the inversion parity"):
+        with pytest.raises(ValueError, match="p_x entry 1.000e-06 breaks the inversion parity"):
             ham.assemble_system(basis, mb, planted(1e-6), modes)
 
     @pytest.mark.parametrize("kind", ["current", "field"])
     def test_drive_terms_break_it(self, matter3, kind):
         mb, tm = matter3
-        op = drive_patterns(tm, kind)[0]
+        op = drive_patterns(mb, tm, kind)[0]
         dims = (3, 3, 3) if kind == "current" else (3, 3)
         parity = ham.inversion_parity(ham.CoupledBasis(3, dims), mb)
         with pytest.raises(ValueError, match="couples the inversion sectors"):
@@ -752,6 +757,60 @@ class TestInversionParity:
             ham.inversion_block(sp.csr_matrix(h), parity, 1)
 
 
+class TestRealGauge:
+    """The real levels behind every builder: standing waves of each +-l pair,
+    one phase per level, i on the inversion-odd levels."""
+
+    @pytest.mark.parametrize("levels", [[0, 1, 2], [1, 2, 0], list(range(12))])
+    def test_unitary_real_and_ground_level_kept(self, ring200, tm_full, levels):
+        mb, _ = ham.restrict_levels(ring200, tm_full, levels)
+        u, parity = ham._matter_gauge(mb)
+        assert np.abs(u.conj().T @ u - np.eye(len(levels))).max() < 1e-15
+        ground = levels.index(0)
+        assert np.array_equal(u[:, ground], np.eye(len(levels))[ground])
+        # on the grid each level is real, or i times real when inversion-odd
+        real = (u.T @ mb.states) * np.where(parity < 0, -1j, 1.0)[:, None]
+        assert np.abs(real.imag).max() <= 1e-12 * np.abs(real).max()
+
+    def test_planted_imaginary_h_el_entry_refused(self, ring200, tm_full):
+        # levels 1 and 2 are the l = +-2 pair, even like the ground level
+        mb, tm = ham.restrict_levels(ring200, tm_full, [0, 3, 4])
+        modes = default_modes(n_max=2)
+        basis = ham.CoupledBasis(3, (3, 3, 3))
+        h = ham.assemble_system(basis, mb, tm, modes)
+
+        def planted(value):
+            h_el = mb.h_matrix().copy()
+            h_el[0, 1] += 1j * value
+            h_el[1, 0] -= 1j * value
+            return replace(mb, h_el=h_el)
+
+        roundoff = ham.assemble_system(basis, planted(1e-16), tm, modes)
+        assert abs(roundoff - h).max() <= 1e-15
+        with pytest.raises(ValueError, match="H_el keeps an imaginary part 7.071e-07"):
+            ham.assemble_system(basis, planted(1e-6), tm, modes)
+
+    def test_x_reflection_even_basis_is_real(self, ring200, tm_full):
+        # the x -> -x even sector holds purely imaginary sin(l phi)-like
+        # states: only their phase makes p_y real
+        mb, tm = reflection_even(ring200, tm_full, "x")
+        modes = [FockMode(W2, 2, 0.017, (0.0, 1.0)), FockMode(W2 / 2, 2, 0.017, (0.0, -1.0))]
+        basis = ham.CoupledBasis(mb.n_states, (3, 3))
+        h = ham.assemble_degenerate(basis, mb, tm, modes)
+        assert h.dtype == np.float64
+        defect = (h - h.T).tocsr()
+        defect.eliminate_zeros()
+        assert defect.nnz == 0
+        ref = dense_reference(
+            mb.h_matrix(),
+            tm.px,
+            tm.py,
+            [(m.omega, m.lam, m.polarization) for m in modes],
+            [mb.n_states, 3, 3],
+        )
+        assert np.abs(h.toarray() - in_real_gauge(ref, mb)).max() < 1e-13
+
+
 class TestSignalPair:
     def test_matches_dense_reference(self, matter3):
         mb, tm = matter3
@@ -766,7 +825,7 @@ class TestSignalPair:
             [(m.omega, m.lam, m.polarization) for m in modes],
             [3, 3, 3],
         )
-        assert np.abs(h.toarray() - ref).max() < 1e-13
+        assert np.abs(h.toarray() - in_real_gauge(ref, mb)).max() < 1e-13
 
 
 class TestDriveSpec:
@@ -850,7 +909,7 @@ class TestFieldDrive:
         basis = ham.CoupledBasis(3, (3, 3, 3))
         d = ham.DriveSpec(kind="classical_field", j0=1.0, tau=1.0, omega1=W1)
         with pytest.raises(ValueError, match="mode 1 removed"):
-            ham.field_drive_terms(basis, tm, modes, modes[0], d, np.linspace(0, 1, 10))
+            ham.field_drive_terms(basis, mb, tm, modes, modes[0], d, np.linspace(0, 1, 10))
 
     def test_terms_reproduce_manual_expansion(self, matter3):
         mb, tm = matter3
@@ -860,15 +919,18 @@ class TestFieldDrive:
         basis = ham.CoupledBasis(3, (3, 3))
         t_grid = np.linspace(0.0, 12.0, 4001)
         d = ham.DriveSpec(kind="classical_field", j0=0.4, t0=2.0, tau=0.9, omega1=W1)
-        terms = ham.field_drive_terms(basis, tm, signal, mode1, d, t_grid)
+        terms = ham.field_drive_terms(basis, mb, tm, signal, mode1, d, t_grid)
         q1 = ham.classical_pump_field(d, mode1, t_grid)
+        # p_x between the real levels the static builders use
+        u, _ = ham._matter_gauge(mb)
+        px = u.conj().T @ tm.px @ u
         for t_probe in (3.0, 7.5):
             a1 = mode1.lam * float(np.interp(t_probe, t_grid, q1))
             q2 = quadratures(signal[0])[0]
             q3 = quadratures(signal[1])[0]
             # the c-number (1/2) a1^2 is left out: it only shifts the global phase
             manual = (
-                -a1 * ham.embed(basis, matter_op=tm.px)
+                -a1 * ham.embed(basis, matter_op=px)
                 + a1 * signal[0].lam * (e2[0] * 1.0) * ham.embed(basis, mode_ops={0: q2.tocsr()})
                 + a1 * signal[1].lam * (e3[0] * 1.0) * ham.embed(basis, mode_ops={1: q3.tocsr()})
             )
@@ -892,11 +954,12 @@ class TestCalibration:
 
         basis = ham.CoupledBasis(3, (7,))
         q, _ = quadratures(mode1)
+        h_el, px, _ = ham._real_matter(mb, tm)
         h = (
-            ham.embed(basis, matter_op=mb.h_matrix())
+            ham.embed(basis, matter_op=h_el)
             + mode1.omega
             * ham.embed(basis, mode_ops={0: (number_op(mode1) + 0.5 * sp.identity(7)).tocsr()})
-            - mode1.lam * ham.embed(basis, matter_op=tm.px, mode_ops={0: q.tocsr()})
+            - mode1.lam * ham.embed(basis, matter_op=px, mode_ops={0: q.tocsr()})
             + 0.5 * mode1.lam**2 * ham.embed(basis, mode_ops={0: (q @ q).tocsr()})
         )
         _, psi0 = ground_state(h)

@@ -45,10 +45,11 @@ def matter3(ring200):
     return ham.restrict_levels(ring200, tm_full, [0, 1, 2])
 
 
-def random_hermitian(dim, seed):
+def random_symmetric(dim, seed):
+    # propagate takes real symmetric Hamiltonians only
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2.0
+    a = rng.normal(size=(dim, dim))
+    return (a + a.T) / 2.0
 
 
 class TestCoupledState:
@@ -95,14 +96,14 @@ class TestKrylovStep:
         assert np.abs(np.abs(state.amplitudes) ** 2 - np.abs(psi0) ** 2).max() < 1e-13
 
     def test_zero_hamiltonian_identity(self):
-        h = sp.csr_matrix((4, 4), dtype=complex)
+        h = sp.csr_matrix((4, 4))
         psi0 = np.full(4, 0.5, dtype=complex)
         res = propagate(h, CoupledState(psi0.copy()), 0.3, PropagatorConfig(dt=0.3))
         assert np.abs(res.final.amplitudes - psi0).max() == 0.0
         assert res.krylov.matvecs == 0
 
     def test_matches_dense_exponential(self):
-        hm = random_hermitian(64, seed=7)
+        hm = random_symmetric(64, seed=7)
         h = sp.csr_matrix(hm)
         rng = np.random.default_rng(11)
         psi0 = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -204,7 +205,7 @@ class TestPropagate:
     def test_trailing_partial_step_lands_on_t_final(self, drive):
         # record grid 0, 0.3, 0.6, 0.9 and the end; undriven and driven alike
         h = sp.diags([1.0, 2.0]).tocsr()
-        sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         res = propagate(
             h,
             CoupledState(np.array([0.8, 0.6], dtype=complex)),
@@ -221,9 +222,9 @@ class TestPropagate:
     def test_midpoint_drive_matches_commuting_oracle(self):
         # H(t) = f(t) sx with linear f: midpoint quadrature is exact, the
         # propagator must reproduce exp(-i sx int f)
-        sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        sx = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         f = lambda t: 0.3 + 0.11 * t
-        h0 = sp.csr_matrix((2, 2), dtype=complex)
+        h0 = sp.csr_matrix((2, 2))
         out = propagate(
             h0,
             CoupledState(np.array([1.0, 0.0], dtype=complex)),
@@ -239,7 +240,7 @@ class TestPropagate:
         # the drive turns NaN at the midpoint of the step from t = 0.5 to 0.6
         h = sp.diags([1.0, 2.0]).tocsr()
         bad = lambda t: float("nan") if t > 0.5 else 0.0
-        pattern = sp.identity(2, format="csr", dtype=complex)
+        pattern = sp.identity(2, format="csr")
         with pytest.raises(
             RuntimeError,
             match=r"non-finite amplitudes at t = 0\.600000; last good state at t = 0\.500000",
@@ -258,7 +259,7 @@ class TestStepControl:
 
     def test_record_interval_expansions_match_dense_exponential(self):
         # each record interval spans R tau of about 80 on this wide spectrum
-        hm = random_hermitian(64, seed=7)
+        hm = random_symmetric(64, seed=7)
         rng = np.random.default_rng(11)
         psi0 = rng.normal(size=64) + 1j * rng.normal(size=64)
         psi0 /= np.linalg.norm(psi0)
@@ -303,7 +304,8 @@ class TestStepControl:
             bounds=bounds,
         )
         assert fixed.krylov.steps == 200 and res.krylov.steps == 10
-        assert res.krylov.matvecs == counts["record"]
+        # each application of H to the state is two real products
+        assert 2 * res.krylov.matvecs == counts["record"]
         assert counts["record"] < counts["fixed"] / 2
         exact = expm_multiply(-1j * 10.0 * h, psi0)
         assert np.linalg.norm(res.final.amplitudes - exact) < 1e-9
@@ -316,8 +318,21 @@ class TestStepControl:
                 lambda v: h @ v, CoupledState(np.array([1.0, 0j])), 1.0, PropagatorConfig(dt=0.1)
             )
 
+    def test_complex_operators_refused(self):
+        h = sp.diags([1.0, 2.0]).tocsr()
+        state = CoupledState(np.array([0.8, 0.6j]))
+        cfg = PropagatorConfig(dt=0.1)
+        with pytest.raises(ValueError, match="real symmetric H"):
+            propagate(h.astype(complex), state, 1.0, cfg)
+        with pytest.raises(ValueError, match="real drive terms"):
+            propagate(h, state, 1.0, cfg, terms=[(h.astype(complex), lambda t: 0.1)])
+        with pytest.raises(ValueError, match="H @ v returned complex values"):
+            propagate(lambda v: (h @ v) * (1.0 + 0j), state, 1.0, cfg, bounds=(1.0, 2.0))
+        with pytest.raises(ValueError, match="real symmetric H"):
+            ground_state(h.astype(complex))
+
     def test_telemetry_fields(self):
-        hm = random_hermitian(16, seed=3)
+        hm = random_symmetric(16, seed=3)
         calls = []
 
         def counted(v):
@@ -336,7 +351,7 @@ class TestStepControl:
         )
         stats = res.krylov
         assert isinstance(stats.steps, int) and stats.steps == 2
-        assert isinstance(stats.matvecs, int) and stats.matvecs == len(calls)
+        assert isinstance(stats.matvecs, int) and 2 * stats.matvecs == len(calls)
         assert isinstance(stats.max_order, int) and 2 <= stats.max_order <= stats.matvecs
         assert isinstance(stats.max_error, float)
         assert 0.0 < stats.max_error <= cfg.krylov_tol * TAIL_MARGIN
@@ -391,7 +406,7 @@ class TestChebyshevKernel:
             h = ham.assemble_signal_pair(basis, mb, tm, modes[1:])
             drive = ham.DriveSpec(kind="classical_field", j0=400.0, t0=2.0, tau=0.9, omega1=W1)
             grid = np.linspace(0.0, 5.0, 501)
-            terms = ham.field_drive_terms(basis, tm, modes[1:], modes[0], drive, grid)
+            terms = ham.field_drive_terms(basis, mb, tm, modes[1:], modes[0], drive, grid)
         seen = []
         kernel = prop._chebyshev_expm
 
@@ -415,7 +430,7 @@ class TestChebyshevKernel:
         assert widest > 1.01 * 0.5 * (hi - lo)
 
     def test_tail_bound_covers_the_error(self):
-        hm = random_hermitian(64, seed=5)
+        hm = random_symmetric(64, seed=5)
         lo, hi = spectral_bounds(sp.csr_matrix(hm))
         center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
         rng = np.random.default_rng(2)
@@ -439,13 +454,14 @@ def coupled_pair(matter3):
         mode = FockMode(W2, 6, lam, (0.0, 1.0))
         basis = ham.CoupledBasis(3, (7,))
         q, _ = quadratures(mode)
+        h_el, _, py = ham._real_matter(mb, tm)
         h = (
-            ham.embed(basis, matter_op=mb.h_matrix())
+            ham.embed(basis, matter_op=h_el)
             + mode.omega
             * ham.embed(
                 basis, mode_ops={0: (number_op(mode) + 0.5 * sp.identity(7)).tocsr()}
             )
-            - lam * ham.embed(basis, matter_op=tm.py, mode_ops={0: q.tocsr()})
+            - lam * ham.embed(basis, matter_op=py, mode_ops={0: q.tocsr()})
             + 0.5 * lam**2 * ham.embed(basis, mode_ops={0: (q @ q).tocsr()})
         )
         out[lam] = (basis, mode, h)

@@ -1278,13 +1278,13 @@ def test_field_drive_c_number_only_shifts_the_phase(tmp_path, monkeypatch, store
     original = sc.field_drive_terms
     peak = []
 
-    def with_c_number(basis, tm, signal_modes, mode1, drive, t_grid):
+    def with_c_number(basis, matter, tm, signal_modes, mode1, drive, t_grid):
         a1 = mode1.lam * ham.classical_pump_field(drive, mode1, t_grid)
         peak.append(np.abs(a1).max())
         c_number = ham.TimeDependentTerm(
             op=ham.embed(basis), coeff=lambda t: 0.5 * float(np.interp(t, t_grid, a1)) ** 2
         )
-        return [*original(basis, tm, signal_modes, mode1, drive, t_grid), c_number]
+        return [*original(basis, matter, tm, signal_modes, mode1, drive, t_grid), c_number]
 
     monkeypatch.setattr(sc, "field_drive_terms", with_c_number)
     with_term = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
