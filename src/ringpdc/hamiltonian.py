@@ -31,8 +31,8 @@ canonical float64 CSR.  Entries (i, j) and (j, i) add the same terms in the
 same order, so H is symmetric to the last bit by construction; the builders
 return the csr_matrix itself.
 
-The matter factor is the truncated ring eigenbasis (h_matrix plus momentum
-matrices), or its reflection-even sector when every mode shares one
+The matter factor is the truncated ring eigenbasis (energies plus momentum
+matrices), or its reflection-even states when every mode shares one
 polarization axis (matter.reflection_even), never the raw grid.  Bath modes
 live in a restricted few-photon sector; their operators are assembled
 normal-ordered so that single-operator restrictions stay exact (see
@@ -42,24 +42,21 @@ Inversion (x, y) -> (-x, -y) times photon-number parity
 (-1)^(sum_a n_a + N_bath) commutes with every undriven H built here: each
 coupling e_a . p (x) q_a is odd under both factors, and the diamagnetic and
 bath-quadratic terms are even.  So e . p connects only levels of opposite
-inversion parity and H_el only levels of equal parity; the builders drop the
-other matter entries, after checking that each is roundoff, and no entry of
-H couples the two sectors.  inversion_parity gives the sector at every index
+inversion parity, and H_el is diagonal in the solved levels; the builders
+drop the other matter entries, after checking that each is roundoff, and no
+entry of H couples the two sectors.  inversion_parity gives the sector at every index
 of the coupled layout, and inversion_block cuts H to one of them.
 
-H is real symmetric in the basis the builders use, a fixed gauge of the
-stored levels (_matter_gauge): each +-l pair of levels is rotated into its
-standing waves (psi_l + psi_-l)/sqrt(2) and (psi_l - psi_-l)/(i sqrt(2)),
-each level is made real by one global phase, and the inversion-odd levels
-are multiplied by i.  The grid Hamiltonian is real, so H_el is real between
-real levels, and the factor i cancels between two odd ones.  p = -i grad is
-imaginary and antisymmetric between real functions, and it connects only
+H is real symmetric in the basis the builders use: the stored levels with
+each inversion-odd level multiplied by i.  The solved levels are real
+functions and the grid Hamiltonian is real, so H_el is diag(E).  p = -i grad
+is imaginary and antisymmetric between real functions, and it connects only
 levels of opposite parity, exactly one of which carries the factor i, so
 every e . p element becomes real.  The photon and bath factors (q, n, the
-ladder sums) are real already.  The ground level is left exactly as stored,
-so product starts need no change, and the gauge is a unitary on the matter
-factor alone: photon marginals and subsystem purities, the only observables,
-do not depend on it.
+ladder sums) are real already.  The ground level is even and left as
+stored, so product starts need no change, and the factor i is a unitary on
+the matter factor alone: photon marginals and subsystem purities, the only
+observables, do not depend on it.
 
 The pump schemes are time-dependent terms for the propagator: a classical
 current on quantized mode 1, or the retarded classical field that replaces
@@ -77,13 +74,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
 
-from .matter import MatterEigenbasis, TransitionMatrices, inversion_overlaps
+from .matter import MatterEigenbasis, TransitionMatrices, inversion_parities, select_states
 from .photon import BathBasis, FockMode, bath_ladder, number_op, quadratures
 
 HERMITICITY_TOL = 1e-12
-# A matter level counts as an inversion eigenstate when <phi|R_x R_y phi>
-# lies this close to +1 or -1.
-PARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -200,15 +194,14 @@ def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarra
 
     `matter` holds the levels of the coupled basis, in its order.  Returns
     None when one of them is not an inversion eigenstate to within
-    PARITY_TOL.
+    matter.PARITY_TOL.
     """
     if matter.n_states != basis.matter_dim:
         raise ValueError(
             f"{matter.n_states} matter levels for a coupled basis of {basis.matter_dim}"
         )
-    overlap = inversion_overlaps(matter)
-    sign = np.where(overlap > 0.0, 1, -1).astype(np.int8)
-    if np.abs(overlap - sign).max() > PARITY_TOL:
+    sign = inversion_parities(matter)
+    if sign is None:
         return None
     factors = [(-1) ** np.arange(d) for d in basis.mode_dims]
     if basis.bath is not None:
@@ -248,85 +241,48 @@ def _momentum_projection(px: np.ndarray, py: np.ndarray, e: tuple[float, float])
     return e[0] * px + e[1] * py
 
 
-def _partner(matter: MatterEigenbasis, k: int) -> int | None:
-    """The level of `matter` holding the -l partner of level k (l != 0), if any."""
-    for m in range(matter.n_states):
-        if matter.j_labels[m] == matter.j_labels[k] and matter.l_labels[m] == -matter.l_labels[k]:
-            return m
-    return None
-
-
-def _matter_gauge(matter: MatterEigenbasis) -> tuple[np.ndarray, np.ndarray]:
-    """(u, parity): the unitary whose column k is real level k in the stored
-    basis, and the inversion parity (+1 or -1) of each level.
-
-    Each +-l pair becomes its standing waves (psi_l + psi_-l)/sqrt(2) and
-    (psi_l - psi_-l)/(i sqrt(2)); each level is then e^(i theta) times a real
-    function, with e^(2 i theta) the phase of sum(phi^2) over the grid, and
-    is divided by e^(i theta) unless that lies within HERMITICITY_TOL of 1;
-    the inversion-odd levels are multiplied by i.  Raises ValueError when a
-    level has no inversion parity, or when the lowest level would move.
-    """
-    n = matter.n_states
-    parity = inversion_parity(CoupledBasis(n, ()), matter)
-    if parity is None:
-        raise ValueError("a matter level is not an inversion eigenstate; H has no real gauge")
-    u = np.eye(n, dtype=complex)
-    root = math.sqrt(0.5)
-    for k in np.flatnonzero(matter.l_labels > 0):
-        m = _partner(matter, k)
-        if m is not None:
-            u[[k, m], k] = root, root
-            u[[k, m], m] = -1j * root, 1j * root
-    levels = u.T @ matter.states
-    square = np.einsum("ij,ij->i", levels, levels)
-    phase = np.sqrt(square / np.abs(square))
-    phase[np.abs(phase - 1.0) <= HERMITICITY_TOL] = 1.0
-    u = u / phase * np.where(parity < 0, 1j, 1.0)
-    ground = int(np.argmin(matter.energies))
-    if not np.array_equal(u[:, ground], np.eye(n)[ground]):
-        raise ValueError(f"the real gauge moves the ground level {ground}")
-    return u, parity
-
-
 def _real_matter(
     matter: MatterEigenbasis, tm: TransitionMatrices
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(H_el, p_x, p_y) between the real levels of _matter_gauge: real
-    symmetric float arrays, without the entries that inversion forbids.
+    """(H_el, p_x, p_y) between the stored levels with each inversion-odd
+    level multiplied by i: real symmetric float arrays.
 
-    Those are the entries between levels of equal parity for p (odd under
-    inversion) and of opposite parity for H_el.  Raises ValueError, naming
-    the factor, when a dropped entry or an imaginary part is above
-    HERMITICITY_TOL x max(1, max|op|), as small as embed's Hermiticity defect
-    for a factor that is roundoff as a whole.
+    H_el is diag(E).  p_a[i, j] is +<phi_i|d_a phi_j> from an even level i to
+    an odd level j, its negative from odd to even, and 0 between levels of
+    equal parity.  Raises ValueError when a level has no inversion parity,
+    and, naming the factor, when a dropped entry (off the diagonal of H_el,
+    between equal parities in p) or an imaginary part is above
+    HERMITICITY_TOL x max(1, max|op|), as small as embed's Hermiticity
+    defect for a factor that is roundoff as a whole.
     """
-    u, parity = _matter_gauge(matter)
-    equal = np.equal.outer(parity, parity)
+    parity = inversion_parities(matter)
+    if parity is None:
+        raise ValueError("a matter level is not an inversion eigenstate; H has no real gauge")
 
-    def gauged(op: np.ndarray, forbidden: np.ndarray, where: str) -> np.ndarray:
-        b = u.conj().T @ op @ u
-        b = 0.5 * (b + b.conj().T)
+    def real(op: np.ndarray, kept: np.ndarray, where: str, rule: str) -> np.ndarray:
+        b = 0.5 * (op + op.conj().T)
         scale = max(1.0, np.abs(b).max())
-        worst = np.abs(b[forbidden]).max(initial=0.0)
+        worst = np.abs(b[kept == 0]).max(initial=0.0)
         if worst > HERMITICITY_TOL * scale:
             raise ValueError(
-                f"{where} entry {worst:.3e} breaks the inversion parity of the levels "
+                f"{where} entry {worst:.3e} {rule} "
                 f"(above {HERMITICITY_TOL} x max = {scale:.3e})"
             )
+        b = kept * b
         residue = np.abs(b.imag).max()
         if not residue <= HERMITICITY_TOL * scale:
             raise ValueError(
                 f"{where} keeps an imaginary part {residue:.3e} in the real gauge "
                 f"(above {HERMITICITY_TOL} x max = {scale:.3e})"
             )
-        return np.where(forbidden, 0.0, b.real)
+        return b.real
 
-    return (
-        gauged(matter.h_matrix(), ~equal, "H_el"),
-        gauged(tm.px, equal, "p_x"),
-        gauged(tm.py, equal, "p_y"),
-    )
+    h_el = real(matter.h_matrix(), np.eye(len(parity)), "H_el", "lies off the diagonal")
+    # i p_a = d_a is real between real levels: i from an even level to an
+    # odd one, -i back, 0 between equal parities
+    step = 0.5j * np.subtract.outer(parity, parity)
+    odd = "breaks the inversion parity of the levels"
+    return h_el, real(tm.px, step, "p_x", odd), real(tm.py, step, "p_y", odd)
 
 
 def restrict_levels(
@@ -335,8 +291,9 @@ def restrict_levels(
     """Slice the eigenbasis and transition matrices to the selected levels.
 
     Rejects duplicate or out-of-range indices and selections that keep only
-    one member of a degenerate pair (the truncation would then break the
-    ring's symmetry sector instead of just shrinking it).
+    part of a degenerate pair, the levels of one j and one |l| > 0 (the
+    truncation would then break the ring's symmetry sector instead of just
+    shrinking it).
     """
     idx_list = [int(k) for k in levels]
     if len(set(idx_list)) != len(idx_list):
@@ -345,32 +302,16 @@ def restrict_levels(
         raise ValueError(
             f"levels outside the solved basis of {matter.n_states} states"
         )
+    l_abs = np.abs(matter.l_labels)
     for k in idx_list:
-        if matter.l_labels[k] == 0:
-            continue
-        partner = _partner(matter, k)
-        if partner is not None and partner not in idx_list:
+        pair = (matter.j_labels == matter.j_labels[k]) & (l_abs == l_abs[k])
+        missing = [int(m) for m in np.flatnonzero(pair) if m not in idx_list]
+        if l_abs[k] and missing:
             raise ValueError(
-                f"level {k} (l = {matter.l_labels[k]}) selected without its "
-                f"degenerate partner {partner}"
+                f"level {k} (|l| = {l_abs[k]}) selected without its "
+                f"degenerate partner {missing[0]}"
             )
-    idx = np.asarray(idx_list, dtype=int)
-    block = np.ix_(idx, idx)
-    sub_basis = MatterEigenbasis(
-        energies=matter.energies[idx],
-        states=matter.states[idx],
-        l_labels=matter.l_labels[idx],
-        j_labels=matter.j_labels[idx],
-        grid=matter.grid,
-        h_el=matter.h_matrix()[block],
-    )
-    sub_tm = TransitionMatrices(
-        x_dip=tm.x_dip[block],
-        y_dip=tm.y_dip[block],
-        px=tm.px[block],
-        py=tm.py[block],
-    )
-    return sub_basis, sub_tm
+    return select_states(matter, tm, np.asarray(idx_list, dtype=int))
 
 
 def _kron_sum(

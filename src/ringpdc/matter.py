@@ -27,19 +27,23 @@ rejects a Hamiltonian without these symmetries.  A solve takes about half
 a second on the paper's 127 x 127 grid, so there is no on-disk cache:
 solved bases are reused only in memory (scenarios.prepare_matter's store).
 
-Degenerate (+l, -l) eigenstate pairs returned by the real-symmetric solver
-are arbitrary real combinations; classify_angular_momentum rotates each
-degenerate cluster into complex eigenstates of L_z = -i (x d/dy - y d/dx)
-so that the dipole selection rule |delta l| = 1 holds elementwise.
+The solver's states are real and each lies in one parity sector, so each is
+even or odd under both reflections and under the inversion (x, y) -> (-x, -y).
+A degenerate (+l, -l) pair comes back as its two real standing waves, cos(l
+phi)- and sin(l phi)-like, and the coupled builders use these states as they
+stand.  solve_eigenstates labels each state with its level j and |l|, and
+refuses a basis whose degenerate clusters do not diagonalize L_z =
+-i (x d/dy - y d/dx) to integers.  classify_angular_momentum gives the
+paper's phi_j^l view: each cluster rotated into complex L_z eigenstates, so
+that the dipole selection rule |delta l| = 1 holds elementwise.
 
 When every photon mode is polarized along one axis, the reflection of the
 other axis commutes with the coupled Hamiltonian and acts on the matter
-factor alone.  reflection_even then keeps the reflection-even sector of a
-solved basis (each singlet and one cos(l phi)-like member of each +-l pair,
-7 of the lowest 12 states), energy-diagonal, with its transition matrices;
-a run that starts in the even ground state never leaves it.
-inversion_overlaps reads each state's parity under (x, y) -> (-x, -y),
-(-1)^l, which the coupled inversion sectors need.
+factor alone.  reflection_even then keeps the solved states that are even
+under it (each singlet and one standing wave of each +-l pair, 7 of the
+lowest 12 states), with their transition matrices; a run that starts in the
+even ground state never leaves it.  inversion_parities reads each state's
+parity under inversion, (-1)^l, which the coupled inversion sectors need.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, block_diag, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 # Centered order-8 finite-difference coefficients, offsets 0..4 (symmetric).
@@ -120,15 +124,14 @@ class MatterEigenbasis:
 
     states[k] is the k-th wavefunction flattened row-major over (ix, iy),
     normalized under the grid inner product sum(|psi|^2) * step^2 = 1.
-    l_labels hold the angular momentum per state (0 for singlets), j_labels
-    the 1-based energy-level index, so state k is phi_{j}^{l}.
+    j_labels hold the 1-based energy-level index and l_labels the angular
+    momentum per state: |l| for the real standing waves of solve_eigenstates,
+    the signed l of phi_{j}^{l} in the view of classify_angular_momentum.
 
-    h_el is <phi_i|H|phi_j> in the stored basis.  After rotating a
-    quasi-degenerate cluster to definite angular momentum it acquires tiny
-    intra-cluster off-diagonal entries (the square grid splits |l| = 2, 4
-    pairs at the 1e-4 Ha* level); carrying the full matrix keeps the
-    represented dynamics exactly unitary-equivalent to the raw grid solve.
-    When h_el is None the basis is exactly diagonal (diag(energies)).
+    h_el is <phi_i|H|phi_j> in the stored basis, or None when that is exactly
+    diag(energies), as for the solved states.  The phi_j^l view carries the
+    full matrix: its rotation mixes the two standing waves of an |l| = 2, 4
+    pair, which the square grid splits at the 1e-4 Ha* level.
     """
 
     energies: np.ndarray
@@ -306,40 +309,28 @@ def solve_eigenstates(h: sp.csr_matrix, n_states: int, grid: GridSpec) -> Matter
     otherwise); the (odd, even) states are the grid transposes of the
     (even, odd) ones.  The sector spectra are merged by energy.
 
-    Degenerate clusters (within CLUSTER_TOL) are rotated to definite angular
-    momentum and each state's phase is fixed so its value on the positive x
-    axis is real positive (making -l states the complex conjugates of +l
-    states).
+    The states are the solver's real eigenvectors, unrotated (h_el None).
+    j_labels number the degenerate clusters (CLUSTER_TOL); l_labels hold
+    |l| = sqrt(<L_z^2>) rounded, which a harmonic shell (V0 = 0) only
+    approximates, its exactly degenerate states mixing |l|.  Each cluster
+    must diagonalize L_z to integers (RuntimeError otherwise, _lz_rotations).
     """
     if n_states < 1 or n_states > h.shape[0]:
         raise ValueError(f"n_states={n_states} out of range for dim {h.shape[0]}")
     vals, vecs = _sector_eigenpairs(h, n_states, grid)
-    vecs = vecs.astype(complex) / np.sqrt(grid.weight)
     basis = MatterEigenbasis(
         energies=vals,
-        states=vecs.T.copy(),
+        states=(vecs / np.sqrt(grid.weight)).T.copy(),
         l_labels=np.zeros(n_states, dtype=int),
         j_labels=np.zeros(n_states, dtype=int),
         grid=grid,
     )
-    basis = classify_angular_momentum(basis)
-    block = basis.states.T
-    h_el = basis.states.conj() @ (h @ block) * grid.weight
-    h_el = 0.5 * (h_el + h_el.conj().T)
-    # Each definite-l state's energy is its expectation value; conjugate
-    # pairs then agree to machine precision and the grid's small anisotropy
-    # coupling lives only in h_el's off-diagonals. Reorder within clusters
-    # by that energy (quantized so exact pairs keep their -l, +l order).
-    diag = np.real(np.diag(h_el))
-    perm = np.argsort(np.round(diag / 1e-9), kind="stable")
-    return MatterEigenbasis(
-        energies=diag[perm],
-        states=basis.states[perm],
-        l_labels=basis.l_labels[perm],
-        j_labels=basis.j_labels[perm],
-        grid=grid,
-        h_el=h_el[np.ix_(perm, perm)],
-    )
+    lz = _lz_operator(grid)
+    for j, (cluster, _, _) in enumerate(_lz_rotations(basis, lz), start=1):
+        basis.j_labels[cluster] = j
+    l_squared = grid.weight * np.sum(np.abs(lz(basis.states.T)) ** 2, axis=0)
+    basis.l_labels[:] = np.rint(np.sqrt(l_squared))
+    return basis
 
 
 def _energy_clusters(energies: np.ndarray, tol: float) -> list[list[int]]:
@@ -352,30 +343,27 @@ def _energy_clusters(energies: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def classify_angular_momentum(basis: MatterEigenbasis) -> MatterEigenbasis:
-    """Rotate degenerate clusters into L_z eigenstates and label them.
-
-    Raises if any rotated state's <L_z> sits farther than 0.1 from an
-    integer, which signals an under-resolved grid or a state count that
-    truncates a degenerate level mid-cluster.
-    """
-    grid = basis.grid
+def _lz_operator(grid: GridSpec):
+    """L_z psi = -i (x d/dy - y d/dx) psi on a block of grid columns (npts, k)."""
     dxm, dym = momentum_operators(grid)
     xr, yr = grid.xy
+    return lambda block: -1j * (xr[:, None] * (dym @ block) - yr[:, None] * (dxm @ block))
 
-    def lz_apply(block: np.ndarray) -> np.ndarray:
-        # L_z psi = -i (x d/dy - y d/dx) psi, block shape (npts, k)
-        return -1j * (xr[:, None] * (dym @ block) - yr[:, None] * (dxm @ block))
 
-    states = basis.states.copy()
-    l_labels = np.zeros(basis.n_states, dtype=int)
-    j_labels = np.zeros(basis.n_states, dtype=int)
+def _lz_rotations(basis: MatterEigenbasis, lz_apply) -> list[tuple]:
+    """(state indices, unitary to L_z eigenstates, integer L_z) per degenerate
+    cluster, level by level.  Raises if a rotated state's <L_z> sits farther
+    than 0.1 from an integer or its var(L_z) exceeds 0.5, which signals an
+    under-resolved grid or a state count that truncates a level mid-cluster.
+    """
+    grid = basis.grid
+    out = []
     for j, cluster in enumerate(_energy_clusters(basis.energies, CLUSTER_TOL), start=1):
-        block = states[cluster].T
+        block = basis.states[cluster].T
         lz_block = lz_apply(block)
         m = block.conj().T @ lz_block * grid.weight
         m = 0.5 * (m + m.conj().T)
-        lz_vals, rot = np.linalg.eigh(m)
+        _, rot = np.linalg.eigh(m)
         rotated = block @ rot
         # verify the rotation really diagonalized L_z on this cluster
         check = rotated.conj().T @ lz_apply(rotated) * grid.weight
@@ -399,25 +387,48 @@ def classify_angular_momentum(basis: MatterEigenbasis) -> MatterEigenbasis:
                 "requested state count likely truncates a degenerate level; "
                 "request enough states to complete it."
             )
-        labels = np.round(lz_diag).astype(int)
+        out.append((cluster, rot, np.round(lz_diag).astype(int)))
+    return out
+
+
+def classify_angular_momentum(basis: MatterEigenbasis) -> MatterEigenbasis:
+    """The paper's phi_j^l view of a solved basis: each degenerate cluster
+    rotated into L_z eigenstates, labelled with its l (j_labels are kept).
+
+    Each state's phase is fixed so its value on the positive x axis is real
+    positive (making -l states the complex conjugates of +l states).  h_el
+    is the basis's H_el in the rotated states and the energies its diagonal;
+    within a cluster the states are ordered by that energy (quantized so
+    exact pairs keep their -l, +l order).  Raises as _lz_rotations does.
+    """
+    grid = basis.grid
+    blocks, l_labels = [], []
+    for cluster, rot, labels in _lz_rotations(basis, _lz_operator(grid)):
         idx = np.argsort(labels)
-        for pos, ci in enumerate(cluster):
-            col = rotated[:, idx[pos]]
-            states[ci] = _fix_phase(col, grid)
-            l_labels[ci] = labels[idx[pos]]
-            j_labels[ci] = j
+        rot = rot[:, idx]
+        phases = [_phase_fix(col, grid) for col in (basis.states[cluster].T @ rot).T]
+        blocks.append(rot * np.asarray(phases))
+        l_labels.append(labels[idx])
+    # the clusters run through the energy-ascending states in order
+    u = block_diag(*blocks)
+    h_el = u.conj().T @ basis.h_matrix() @ u
+    h_el = 0.5 * (h_el + h_el.conj().T)
+    diag = np.real(np.diag(h_el))
+    perm = np.argsort(np.round(diag / 1e-9), kind="stable")
     return MatterEigenbasis(
-        energies=basis.energies.copy(),
-        states=states,
-        l_labels=l_labels,
-        j_labels=j_labels,
+        energies=diag[perm],
+        states=(u.T @ basis.states)[perm],
+        l_labels=np.concatenate(l_labels)[perm],
+        j_labels=basis.j_labels[perm],
         grid=grid,
+        h_el=h_el[np.ix_(perm, perm)],
     )
 
 
-def _fix_phase(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Make psi real positive at its largest-magnitude point on the x >= 0 half
-    of the y = 0 row (phi = 0 axis, where f(r) e^{i l phi} is real)."""
+def _phase_fix(psi: np.ndarray, grid: GridSpec) -> complex:
+    """The phase that makes psi real positive at its largest-magnitude point
+    on the x >= 0 half of the y = 0 row (phi = 0 axis, where f(r) e^{i l phi}
+    is real)."""
     c = (grid.points - 1) // 2
     half = psi.reshape(grid.points, grid.points)[c:, c]
     k = int(np.argmax(np.abs(half)))
@@ -425,7 +436,7 @@ def _fix_phase(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
     if abs(ref) < 1e-12:
         k = int(np.argmax(np.abs(psi)))
         ref = psi[k]
-    return psi * (abs(ref) / ref)
+    return abs(ref) / ref
 
 
 @dataclass(frozen=True)
@@ -460,64 +471,59 @@ def transition_matrices(basis: MatterEigenbasis) -> TransitionMatrices:
     return TransitionMatrices(herm(x_dip), herm(y_dip), herm(px), herm(py))
 
 
-# A solved basis is closed under a grid reflection to about the eigensolver
-# accuracy; a cut degenerate pair misses by O(1).
-_CLOSURE_TOL = 1e-8
+def select_states(
+    basis: MatterEigenbasis, tm: TransitionMatrices, idx: np.ndarray
+) -> tuple[MatterEigenbasis, TransitionMatrices]:
+    """The basis and its transition matrices cut to the states idx, in that order."""
+    block = np.ix_(idx, idx)
+    sub = MatterEigenbasis(
+        energies=basis.energies[idx],
+        states=basis.states[idx],
+        l_labels=basis.l_labels[idx],
+        j_labels=basis.j_labels[idx],
+        grid=basis.grid,
+        h_el=None if basis.h_el is None else basis.h_el[block],
+    )
+    return sub, TransitionMatrices(tm.x_dip[block], tm.y_dip[block], tm.px[block], tm.py[block])
+
+
+# A state counts as even or odd under a grid reflection when <phi|R phi>
+# lies this close to +1 or -1.
+PARITY_TOL = 1e-8
+
+
+def _parities(basis: MatterEigenbasis, flip) -> np.ndarray | None:
+    """<phi_k|R phi_k> per state, R psi = psi[flip], as +1 or -1 (int8); None
+    when a state misses both by more than PARITY_TOL."""
+    overlap = basis.grid.weight * np.real(
+        np.einsum("ij,ij->i", basis.states.conj(), basis.states[:, flip])
+    )
+    sign = np.where(overlap > 0.0, 1, -1).astype(np.int8)
+    return sign if np.abs(overlap - sign).max() <= PARITY_TOL else None
 
 
 def reflection_even(
     basis: MatterEigenbasis, tm: TransitionMatrices, axis: str
 ) -> tuple[MatterEigenbasis, TransitionMatrices]:
-    """The sector of the basis that is even under the reflection axis -> -axis.
+    """The states of the basis that are even under the reflection axis -> -axis,
+    with their transition matrices, in the input order.
 
-    S_ij = <phi_i|R phi_j> must be unitary (the span closed under R), or
-    ValueError.  The kept states span S's +1 eigenspace and diagonalize h_el
-    there, energy-ascending, so h_el comes back diagonal; each state's
-    largest coefficient is real positive.  State 0 of the input must be even
-    and stays state 0, so the ground level keeps its index.  l_labels hold
-    |l| and j_labels the level of each kept state's largest component.
+    Every state must be even or odd under it, as the solved states are, and
+    state 0 must be even, so the ground level keeps its index (ValueError
+    otherwise).
     """
-    n = basis.n_states
-    flip = _reflection_index(basis.grid, axis)
-    s = basis.states.conj() @ basis.states[:, flip].T * basis.grid.weight
-    defect = np.abs(s @ s.conj().T - np.eye(n)).max()
-    if defect > _CLOSURE_TOL:
-        raise ValueError(
-            f"the {n}-state basis is not closed under {axis} -> -{axis} "
-            f"(|S S^+ - 1| = {defect:.2e}); keep every +-l pair whole"
-        )
-    sign, vecs = np.linalg.eigh(0.5 * (s + s.conj().T))
-    even = vecs[:, sign > 0]
-    energies, rot = np.linalg.eigh(even.conj().T @ basis.h_matrix() @ even)
-    u = even @ rot
-    lead = np.argmax(np.abs(u), axis=0)
-    phase = u[lead, np.arange(u.shape[1])]
-    u = u * (np.abs(phase) / phase)
-    if lead[0] != 0 or abs(u[0, 0] - 1.0) > _CLOSURE_TOL:
+    parity = _parities(basis, _reflection_index(basis.grid, axis))
+    if parity is None:
+        raise ValueError(f"a state of the basis is neither even nor odd under {axis} -> -{axis}")
+    if parity[0] < 0:
         raise ValueError(f"the ground state is not even under {axis} -> -{axis}")
-
-    def rotate(a: np.ndarray) -> np.ndarray:
-        b = u.conj().T @ a @ u
-        return 0.5 * (b + b.conj().T)
-
-    kept = MatterEigenbasis(
-        energies=energies,
-        states=u.T @ basis.states,
-        l_labels=np.abs(basis.l_labels[lead]),
-        j_labels=basis.j_labels[lead],
-        grid=basis.grid,
-        h_el=np.diag(energies).astype(complex),
-    )
-    return kept, TransitionMatrices(
-        rotate(tm.x_dip), rotate(tm.y_dip), rotate(tm.px), rotate(tm.py)
-    )
+    return select_states(basis, tm, np.flatnonzero(parity > 0))
 
 
-def inversion_overlaps(basis: MatterEigenbasis) -> np.ndarray:
-    """<phi_k|R_x R_y phi_k> per state: +1 or -1 for an eigenstate of the
-    inversion (x, y) -> (-x, -y), which reverses the flattened, centred grid."""
-    flipped = basis.states[:, ::-1]
-    return basis.grid.weight * np.real(np.einsum("ij,ij->i", basis.states.conj(), flipped))
+def inversion_parities(basis: MatterEigenbasis) -> np.ndarray | None:
+    """Each state's parity under the inversion (x, y) -> (-x, -y), which
+    reverses the flattened, centred grid: +1 or -1, or None as _parities."""
+    return _parities(basis, slice(None, None, -1))
 
 
 def solve_ring(grid: GridSpec, pot: RingPotentialParams, n_states: int) -> MatterEigenbasis:

@@ -811,7 +811,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     if config.bath is not None:
         bath_modes, bath_basis = sample_bath(config.bath)
     # a matter-only reflection confines the run to the even matter sector;
-    # few-level levels index the l-basis, so it reduces only the full method
+    # few-level levels index the solved basis, so it reduces only the full method
     n_configured = matter.n_states
     full = config.method.kind == "full"
     reflection = _matter_reflection((*modes, *bath_modes)) if full else None

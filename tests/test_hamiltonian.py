@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringpdc import hamiltonian as ham
-from ringpdc.matter import reflection_even, transition_matrices
+from ringpdc.matter import inversion_parities, reflection_even, transition_matrices
 from ringpdc.photon import (
     BathSpec,
     FockMode,
@@ -345,11 +345,16 @@ def dense_reference(matter_h, px, py, mode_specs, dims):
     return h
 
 
+def real_gauge(matter):
+    """The diagonal phase i^(odd) that takes the stored levels to the real
+    levels the builders use: i on each inversion-odd level."""
+    return np.diag(np.where(inversion_parities(matter) < 0, 1j, 1.0))
+
+
 def in_real_gauge(ref, matter):
     """A dense H on (stored levels) x (the rest), moved onto the real levels
     the builders use (matter slowest)."""
-    u, _ = ham._matter_gauge(matter)
-    lift = np.kron(u, np.eye(ref.shape[0] // matter.n_states))
+    lift = np.kron(real_gauge(matter), np.eye(ref.shape[0] // matter.n_states))
     return lift.conj().T @ ref @ lift
 
 
@@ -758,19 +763,30 @@ class TestInversionParity:
 
 
 class TestRealGauge:
-    """The real levels behind every builder: standing waves of each +-l pair,
-    one phase per level, i on the inversion-odd levels."""
+    """The real levels behind every builder: the solved standing waves, i on
+    the inversion-odd levels."""
 
     @pytest.mark.parametrize("levels", [[0, 1, 2], [1, 2, 0], list(range(12))])
     def test_unitary_real_and_ground_level_kept(self, ring200, tm_full, levels):
-        mb, _ = ham.restrict_levels(ring200, tm_full, levels)
-        u, parity = ham._matter_gauge(mb)
-        assert np.abs(u.conj().T @ u - np.eye(len(levels))).max() < 1e-15
+        mb, tm = ham.restrict_levels(ring200, tm_full, levels)
+        u = real_gauge(mb)
+        assert np.array_equal(u.conj().T @ u, np.eye(len(levels)))
         ground = levels.index(0)
-        assert np.array_equal(u[:, ground], np.eye(len(levels))[ground])
-        # on the grid each level is real, or i times real when inversion-odd
-        real = (u.T @ mb.states) * np.where(parity < 0, -1j, 1.0)[:, None]
-        assert np.abs(real.imag).max() <= 1e-12 * np.abs(real).max()
+        assert u[ground, ground] == 1.0
+        # on the grid each level is real, and the builders' factors are the
+        # stored matrices moved by the phase
+        assert mb.states.dtype == np.float64
+        h_el, px, py = ham._real_matter(mb, tm)
+        assert np.array_equal(h_el, np.diag(mb.energies))
+        for got, stored in ((px, tm.px), (py, tm.py)):
+            assert got.dtype == np.float64 and np.array_equal(got, got.T)
+            assert np.abs(got - u.conj().T @ stored @ u).max() <= 1e-12 * np.abs(stored).max()
+
+    def test_h_el_is_exactly_diagonal(self, ring200, tm_full):
+        # the solved levels diagonalize H_el: no roundoff entry is stored
+        h_el, _, _ = ham._real_matter(ring200, tm_full)
+        assert np.count_nonzero(h_el - np.diag(np.diag(h_el))) == 0
+        assert np.array_equal(np.diag(h_el), ring200.energies)
 
     def test_planted_imaginary_h_el_entry_refused(self, ring200, tm_full):
         # levels 1 and 2 are the l = +-2 pair, even like the ground level
@@ -787,12 +803,12 @@ class TestRealGauge:
 
         roundoff = ham.assemble_system(basis, planted(1e-16), tm, modes)
         assert abs(roundoff - h).max() <= 1e-15
-        with pytest.raises(ValueError, match="H_el keeps an imaginary part 7.071e-07"):
+        with pytest.raises(ValueError, match="H_el entry 1.000e-06 lies off the diagonal"):
             ham.assemble_system(basis, planted(1e-6), tm, modes)
 
     def test_x_reflection_even_basis_is_real(self, ring200, tm_full):
-        # the x -> -x even sector holds purely imaginary sin(l phi)-like
-        # states: only their phase makes p_y real
+        # the x -> -x even sector holds the sin(l phi)-like standing waves of
+        # the odd-l pairs: p_y between them and the singlets is made real by i
         mb, tm = reflection_even(ring200, tm_full, "x")
         modes = [FockMode(W2, 2, 0.017, (0.0, 1.0)), FockMode(W2 / 2, 2, 0.017, (0.0, -1.0))]
         basis = ham.CoupledBasis(mb.n_states, (3, 3))
@@ -922,7 +938,7 @@ class TestFieldDrive:
         terms = ham.field_drive_terms(basis, mb, tm, signal, mode1, d, t_grid)
         q1 = ham.classical_pump_field(d, mode1, t_grid)
         # p_x between the real levels the static builders use
-        u, _ = ham._matter_gauge(mb)
+        u = real_gauge(mb)
         px = u.conj().T @ tm.px @ u
         for t_probe in (3.0, 7.5):
             a1 = mode1.lam * float(np.interp(t_probe, t_grid, q1))

@@ -1,4 +1,10 @@
-"""Ring eigenproblem: spectra, angular momentum labels, transition matrices."""
+"""Ring eigenproblem: spectra, angular momentum labels, transition matrices.
+
+The paper writes the ring levels as phi_j^l, of definite angular momentum;
+solve_eigenstates returns real standing waves instead.  Here ring200 and ring0
+are the phi_j^l view of the solved bases (classify_angular_momentum), so these
+tests check the paper's representation.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -29,6 +35,16 @@ SWEEP_DIPOLES = {
     250: 1.11987106,
     300: 1.14420501,
 }
+
+
+@pytest.fixture(scope="module")
+def ring200(ring200):
+    return classify_angular_momentum(ring200)
+
+
+@pytest.fixture(scope="module")
+def ring0(ring0):
+    return classify_angular_momentum(ring0)
 
 
 def test_grid_validation():
@@ -251,7 +267,7 @@ def test_momentum_consistent_with_dipole(tm200, ring200):
 def test_dipole_monotone_in_anharmonicity(paper_grid, units):
     values = []
     for v0 in sorted(SWEEP_DIPOLES):
-        basis = solve_ring_levels(units, paper_grid, float(v0), 3)
+        basis = classify_angular_momentum(solve_ring_levels(units, paper_grid, float(v0), 3))
         tm = transition_matrices(basis)
         d = abs(tm.x_dip[0, 2])
         assert d == pytest.approx(SWEEP_DIPOLES[v0], rel=1e-2)

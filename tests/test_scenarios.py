@@ -901,6 +901,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "failed to bracket" in err
 
+    def test_box_too_small_for_the_ring_exit_code(self, tmp_path, capsys):
+        # 31 points of 0.7052 nm cut the ring: its ground level is no L_z
+        # eigenstate, so the solve refuses the basis
+        data = base_data()
+        data["matter"] = {**data["matter"], "grid_step_nm": 0.7052}
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "angular momentum classification failed in level 1" in err
+
     def test_sweep_verb(self, tmp_path, capsys):
         path = tmp_path / "sweep.yaml"
         path.write_text(BASE_YAML + "\nsweep:\n  parameter: theta1\n  values: [0.0, 30.0]\n")
