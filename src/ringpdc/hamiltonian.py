@@ -107,12 +107,6 @@ class CoupledBasis:
     def dim(self) -> int:
         return int(np.prod(self.shape))
 
-    def flatten(self, labels: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(labels, self.shape))
-
-    def unflatten(self, index: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(index, self.shape))
-
 
 def _hermitian_factor(op: np.ndarray | sp.spmatrix, where: str) -> np.ndarray | sp.spmatrix:
     defect_max = abs(op - op.conjugate().T).max()
@@ -291,9 +285,8 @@ def restrict_levels(
     """Slice the eigenbasis and transition matrices to the selected levels.
 
     Rejects duplicate or out-of-range indices and selections that keep only
-    part of a degenerate pair, the levels of one j and one |l| > 0 (the
-    truncation would then break the ring's symmetry sector instead of just
-    shrinking it).
+    part of a degenerate energy level (one j cluster): the truncation would
+    then break the ring's symmetry sector instead of just shrinking it.
     """
     idx_list = [int(k) for k in levels]
     if len(set(idx_list)) != len(idx_list):
@@ -302,13 +295,12 @@ def restrict_levels(
         raise ValueError(
             f"levels outside the solved basis of {matter.n_states} states"
         )
-    l_abs = np.abs(matter.l_labels)
     for k in idx_list:
-        pair = (matter.j_labels == matter.j_labels[k]) & (l_abs == l_abs[k])
-        missing = [int(m) for m in np.flatnonzero(pair) if m not in idx_list]
-        if l_abs[k] and missing:
+        cluster = np.flatnonzero(matter.j_labels == matter.j_labels[k])
+        missing = [int(m) for m in cluster if m not in idx_list]
+        if missing:
             raise ValueError(
-                f"level {k} (|l| = {l_abs[k]}) selected without its "
+                f"level {k} (j = {matter.j_labels[k]}) selected without its "
                 f"degenerate partner {missing[0]}"
             )
     return select_states(matter, tm, np.asarray(idx_list, dtype=int))

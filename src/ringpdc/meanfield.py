@@ -52,10 +52,6 @@ class MeanFieldState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"matter norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.q)
-
 
 @dataclass(frozen=True)
 class MeanFieldSystem:
@@ -225,14 +221,8 @@ def mf_mode_occupation(state: MeanFieldState, system: MeanFieldSystem, mode: int
     return h / w - 0.5
 
 
-def mf_ladder_amplitude(state: MeanFieldState, system: MeanFieldSystem, mode: int) -> complex:
-    """c-number a = (w q + i p)/sqrt(2 w); |a|^2 reproduces the occupation."""
-    w = system.modes[mode].omega
-    return (w * state.q[mode] + 1j * state.p[mode]) / math.sqrt(2.0 * w)
-
-
 def mf_observables(state: MeanFieldState, system: MeanFieldSystem) -> dict[str, float]:
-    """Mean-field series row: the column_names columns without Fock populations.
+    """Mean-field series row: the snapshot_columns columns without Fock populations.
 
     Q and g2 are emitted as the literal constants 0 and 1 (NaN below the
     occupation floor): the c-number algebra makes them identically so, and

@@ -1,15 +1,17 @@
 """Photon-statistics measurements on coupled amplitudes.
 
-Everything reduces to tensor marginals of |psi|^2 over the CoupledBasis
-shape: occupations and Fock populations, Mandel Q, cross correlations from
-joint two-mode marginals, subsystem purity by index-sliced contraction
-(the full density matrix is never materialized), and the photonic energies
-w (n + 1/2).
+snapshot_columns is the one photon-statistics kernel: its observer reduces
+|psi|^2 over the CoupledBasis shape to one marginal per mode and reads
+every column from those: occupations and Fock populations, Mandel Q, cross
+correlations from joint two-mode marginals, subsystem purity by
+index-sliced contraction (the full density matrix is never materialized),
+the photonic energies w (n + 1/2) and, after the columns, the Fock-edge
+population of each mode that the truncation-drift report takes its
+maximum of.
 
 A series is held only as sample times, column names and one row of values
-per sample: snapshot_columns names the columns and its observer emits the
-rows.  There is no series container; efficiency_eta and series_extrema read
-the columns they need by name.
+per sample.  There is no series container; efficiency_eta and
+series_extrema read the columns they need by name.
 
 Samples where an occupation sits below OCCUPATION_FLOOR make Q and g2
 numerically meaningless; those are reported as NaN gaps, never as zeros.
@@ -25,20 +27,12 @@ import numpy as np
 from .hamiltonian import CoupledBasis
 
 OCCUPATION_FLOOR = 1e-6
+# the Fock levels whose populations P<k>_<mode> every quantum series records
+FOCK_LEVELS = (1, 2, 3)
 
 
 def _amps(psi) -> np.ndarray:
     return psi.amplitudes if hasattr(psi, "amplitudes") else np.asarray(psi)
-
-
-def _mode_axis(basis: CoupledBasis, mode: int) -> int:
-    if not 0 <= mode < len(basis.mode_dims):
-        raise ValueError(f"mode slot {mode} not in basis with {len(basis.mode_dims)} modes")
-    return 1 + mode
-
-
-def _probs(psi, basis: CoupledBasis) -> np.ndarray:
-    return np.abs(_amps(psi).reshape(basis.shape)) ** 2
 
 
 def _marginal(probs: np.ndarray, *axes: int) -> np.ndarray:
@@ -75,58 +69,6 @@ def _purity(tensor: np.ndarray, axis: int) -> float:
     return float(np.real(np.sum(np.abs(rho) ** 2)))
 
 
-def mode_marginal(psi, basis: CoupledBasis, mode: int) -> np.ndarray:
-    """Probability of each Fock level of one mode (all else traced out)."""
-    return _marginal(_probs(psi, basis), _mode_axis(basis, mode))
-
-
-def joint_marginal(psi, basis: CoupledBasis, alpha: int, beta: int) -> np.ndarray:
-    """Joint Fock-level probabilities of two modes."""
-    if alpha == beta:
-        raise ValueError("joint marginal needs two distinct modes")
-    ax_a, ax_b = _mode_axis(basis, alpha), _mode_axis(basis, beta)
-    out = _marginal(_probs(psi, basis), ax_a, ax_b)
-    return out if ax_a < ax_b else out.T
-
-
-def mode_occupation(psi, basis: CoupledBasis, mode: int) -> float:
-    return _mean_n(mode_marginal(psi, basis, mode))
-
-
-def fock_population(psi, basis: CoupledBasis, mode: int, k: int) -> float:
-    p = mode_marginal(psi, basis, mode)
-    if not 0 <= k < len(p):
-        raise ValueError(f"Fock level {k} beyond the truncation {len(p) - 1}")
-    return float(p[k])
-
-
-def mandel_q(psi, basis: CoupledBasis, mode: int) -> float:
-    """(<n(n-1)> - <n>^2) / <n>; NaN below the occupation floor."""
-    return _mandel(mode_marginal(psi, basis, mode))
-
-
-def g2_cross(psi, basis: CoupledBasis, alpha: int, beta: int) -> float:
-    """<n_a n_b> / (<n_a><n_b>); NaN when either occupation is floored."""
-    return _g2(joint_marginal(psi, basis, alpha, beta))
-
-
-def purity(psi, basis: CoupledBasis, subsystem) -> float:
-    """Tr(rho^2) of one tensor factor: "matter", a mode slot, or "bath"."""
-    if subsystem == "matter":
-        axis = 0
-    elif subsystem == "bath":
-        if basis.bath is None:
-            raise ValueError("basis has no bath sector")
-        axis = len(basis.shape) - 1
-    else:
-        axis = _mode_axis(basis, int(subsystem))
-    return _purity(_amps(psi).reshape(basis.shape), axis)
-
-
-def photon_energy(psi, basis: CoupledBasis, mode: int, omega: float) -> float:
-    return omega * (mode_occupation(psi, basis, mode) + 0.5)
-
-
 def _column_table(
     n_modes: int, fock_levels: Sequence[int], first_mode: int
 ) -> list[tuple[str, str, int | tuple[int, int]]]:
@@ -147,33 +89,21 @@ def _column_table(
     )
 
 
-def column_names(
-    n_modes: int, fock_levels: Sequence[int] = (1, 2, 3), first_mode: int = 1
-) -> list[str]:
-    """Series columns in file order: n, P per mode, Q, g2 pairs, gamma, H.
-
-    Modes carry their physical numbers, starting at first_mode.
-    """
-    return [name for name, _, _ in _column_table(n_modes, fock_levels, first_mode)]
-
-
 def snapshot_columns(
-    basis: CoupledBasis,
-    omegas: Sequence[float],
-    fock_levels: Sequence[int] = (1, 2, 3),
-    first_mode: int = 1,
+    basis: CoupledBasis, omegas: Sequence[float], first_mode: int = 1
 ) -> tuple[list[str], Callable]:
-    """One propagate() observer computing every series column at once.
+    """The one propagate() observer of a run: every series column at once.
 
-    Returns (names, observer); the observer emits one float vector per
-    snapshot, one value per (statistic, key) of _column_table in its order,
-    sharing the |psi|^2 tensor across all columns instead of recomputing it
-    per observable.
+    Returns (names, observer).  The observer emits one float vector per
+    snapshot: one value per (statistic, key) of _column_table in its order,
+    then the Fock-edge (highest-level) population of each mode, the
+    truncation monitor.  All of them share one |psi|^2 tensor and one
+    marginal per mode.
     """
     n_modes = len(basis.mode_dims)
     if len(omegas) != n_modes:
         raise ValueError("one frequency per quantized mode required")
-    table = _column_table(n_modes, fock_levels, first_mode)
+    table = _column_table(n_modes, FOCK_LEVELS, first_mode)
     # table keys are physical mode indices; slot s lies on tensor axis 1 + s
     axis = {m: 1 + s for s, m in enumerate(range(first_mode - 1, first_mode - 1 + n_modes))}
     omega = dict(zip(axis, omegas))
@@ -193,22 +123,10 @@ def snapshot_columns(
             "purities": lambda m: _purity(tensor, axis[m]),
             "energies": lambda m: omega[m] * (occs[m] + 0.5),
         }
-        return np.asarray([value[field](key) for _, field, key in table])
+        row = [value[field](key) for _, field, key in table]
+        return np.asarray(row + [float(p[-1]) for p in margs.values()])
 
     return [name for name, _, _ in table], observer
-
-
-def edge_observer(basis: CoupledBasis) -> Callable:
-    """propagate() observer: highest-Fock-level population per quantized mode
-    (the truncation monitor)."""
-
-    axes = [1 + m for m in range(len(basis.mode_dims))]
-
-    def observer(state) -> np.ndarray:
-        probs = _probs(state, basis)
-        return np.asarray([float(_marginal(probs, axis)[-1]) for axis in axes])
-
-    return observer
 
 
 def efficiency_eta(columns: Mapping[str, np.ndarray]) -> float:

@@ -148,9 +148,6 @@ class BathBasis:
         except KeyError:
             raise KeyError(f"configuration {config} not in the restricted sector")
 
-    def config_at(self, index: int) -> tuple[int, ...]:
-        return self.configs[index]
-
 
 def enumerate_bath_basis(n_modes: int, sector: int = 2) -> BathBasis:
     configs: list[tuple[int, ...]] = [()]

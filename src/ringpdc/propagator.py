@@ -84,18 +84,6 @@ class CoupledState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {NORM_TOL}")
 
-    @classmethod
-    def normalized(cls, amplitudes: np.ndarray, time: float = 0.0) -> "CoupledState":
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(amplitudes)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(amplitudes / norm, time)
-
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
 
 @dataclass(frozen=True)
 class PropagatorConfig:

@@ -6,14 +6,17 @@ state, method and propagation window; run_scenario turns it into solved
 matter, an assembled Hamiltonian, a propagated state and two output files:
 a CSV of photon-statistics columns and a JSON summary with the extrema,
 the conversion efficiency, a truncation-drift report and the wall time of
-each phase (matter, assembly, propagation).
+each phase (matter, assembly, propagation).  One observer
+(observables.snapshot_columns) records every CSV column and the Fock-edge
+population of each mode; the truncation drift of a mode is the largest
+edge population it reached.
 
 Two symmetries shrink what is propagated.  When every mode is polarized
 along one axis, a full run keeps only the reflection-even matter sector
 (matter.reflection_even).  An undriven run from a Fock start, full or
 few-level, keeps only the sector of inversion times photon-number parity
-that the start occupies (hamiltonian.inversion_block); its observers see
-the state scattered back into the whole layout.
+that the start occupies (hamiltonian.inversion_block); its observer sees
+the state scattered back into the whole layout, once per record.
 
 run_sweep repeats the pipeline over one swept parameter and tabulates the
 extrema per row; compare_methods runs the same scenario under the full,
@@ -28,7 +31,8 @@ as a suffix (omega_meV, t_final_ps, dt_fs), defaults live only in the
 dataclasses, and unknown keys are rejected.  Before anything is assembled
 the state memory is estimated and refused against a budget
 (PDC_MEMORY_BUDGET_MB, default 4096).  Sweep rows and method runs go
-through a thread pool sized by PDC_MAX_WORKERS; everything inside one run
+through a thread pool sized by PDC_MAX_WORKERS.  A malformed value of
+either variable is a ConfigError naming it.  Everything inside one run
 is sequential in time, so identical configs write bit-identical CSV files.
 """
 
@@ -86,7 +90,7 @@ from .meanfield import (
     mf_observables,
     propagate_mf,
 )
-from .observables import edge_observer, efficiency_eta, series_extrema, snapshot_columns
+from .observables import efficiency_eta, series_extrema, snapshot_columns
 from .photon import COHERENT_TAIL_TOL, BathSpec, FockMode, coherent_state, number_op, sample_bath
 from .propagator import WORK_VECTORS, CoupledState, PropagatorConfig, ground_state
 from .propagator import propagate, spectral_bounds
@@ -382,6 +386,20 @@ def _bath_dim(bath: BathSpec) -> int:
     return 1 + m + (m * m + m) // 2
 
 
+def _memory_budget_mb() -> float:
+    """The refusal threshold: PDC_MEMORY_BUDGET_MB, a positive, finite number of MB."""
+    raw = os.environ.get(MEMORY_BUDGET_ENV)
+    if not raw:
+        return DEFAULT_MEMORY_BUDGET_MB
+    try:
+        budget = float(raw)
+    except ValueError:
+        budget = math.nan
+    if not (math.isfinite(budget) and budget > 0.0):
+        raise ConfigError(f"{MEMORY_BUDGET_ENV}={raw!r} is not a positive, finite number of MB")
+    return budget
+
+
 def memory_report(config: ScenarioConfig) -> dict:
     """Estimated workspace for the configured run against the budget."""
     matter_dim = (
@@ -398,7 +416,7 @@ def memory_report(config: ScenarioConfig) -> dict:
         nnz_per_col += matter_dim * 2 * config.bath.count
     # a float64 entry and an int32 column index per stored entry
     est_bytes = dim * nnz_per_col * 12 + dim * 16 * WORK_VECTORS
-    budget = float(os.environ.get(MEMORY_BUDGET_ENV, DEFAULT_MEMORY_BUDGET_MB))
+    budget = _memory_budget_mb()
     return {
         "matter_dim": matter_dim,
         "mode_dims": list(mode_dims),
@@ -875,22 +893,22 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     names, observer = snapshot_columns(
         basis, [m.omega for m in quantized], first_mode=first_mode
     )
-    observables = {"row": observer, "edge": edge_observer(basis)}
     if index is not None:
-        observables = {name: _scattered(f, index, basis.dim) for name, f in observables.items()}
+        observer = _scattered(observer, index, basis.dim)
 
     pconfig = PropagatorConfig(dt=dt, krylov_tol=p.krylov_tol, record_stride=p.record_stride)
     # bounds from the CSR here: propagate may see h only as a callable
     bounds = spectral_bounds(h)
     result = propagate(
-        h, psi0, t_final, pconfig, terms=terms, observables=observables, bounds=bounds
+        h, psi0, t_final, pconfig, terms=terms, observables={"row": observer}, bounds=bounds
     )
     info["timings"] = {
         "assemble_s": assembled - started,
         "propagate_s": time.perf_counter() - assembled,
     }
-    rows = np.real(np.asarray(result.records["row"]))
-    edges = np.real(np.asarray(result.records["edge"]))
+    # each record holds the series row, then the Fock-edge population per mode
+    records = np.real(np.asarray(result.records["row"]))
+    rows, edges = records[:, : len(names)], records[:, len(names) :]
     info["truncation_drift"] = {
         f"mode_{first_mode + m}": float(np.max(edges[:, m])) for m in range(edges.shape[1])
     }
@@ -1146,7 +1164,13 @@ def _max_workers(n_jobs: int, requested: int | None) -> int:
         return max(1, requested)
     env = os.environ.get(MAX_WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ConfigError(f"{MAX_WORKERS_ENV}={env!r} is not an integer of at least 1")
+        return workers
     return max(1, min(n_jobs, os.cpu_count() or 1))
 
 
@@ -1184,7 +1208,10 @@ def run_sweep(
             row["error"] = f"{type(exc).__name__}: {exc}"
             return None, row
 
-    with ThreadPoolExecutor(_max_workers(len(sweep.values), max_workers)) as pool:
+    # a malformed environment refuses the whole sweep, not each of its rows
+    workers = _max_workers(len(sweep.values), max_workers)
+    _memory_budget_mb()
+    with ThreadPoolExecutor(workers) as pool:
         pairs = list(pool.map(one, sweep.values))
     results = [res for res, _ in pairs]
     rows = [row for _, row in pairs]

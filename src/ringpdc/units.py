@@ -3,7 +3,9 @@
 Everything downstream works in dimensionless effective atomic units with
 hbar = e = 1 and the effective mass absorbed into the unit system.  Configs
 accept meV / nm / fs / ps and convert at the boundary through the helpers
-here.
+here.  Only two quantities come back out: energies in meV (energy_to_mev)
+and record times in ps (eff_to_ps).  Couplings lambda are config inputs in
+these units; nothing here derives them from a cavity length.
 
 The unit system is fixed by the effective mass m* (in bare electron masses)
 and the relative permittivity eps of the host material:
@@ -75,17 +77,9 @@ def length_to_eff(value_nm: float, u: UnitSystem) -> float:
     return value_nm / u.bohr_eff
 
 
-def length_to_nm(value_eff: float, u: UnitSystem) -> float:
-    return value_eff * u.bohr_eff
-
-
 def time_to_eff(value_fs: float, u: UnitSystem) -> float:
     """fs -> u_t*."""
     return value_fs / u.time_eff
-
-
-def time_to_fs(value_eff: float, u: UnitSystem) -> float:
-    return value_eff * u.time_eff
 
 
 def ps_to_eff(value_ps: float, u: UnitSystem) -> float:
@@ -104,17 +98,3 @@ def effective_coupling(lam: float, omega: float) -> float:
     if omega <= 0:
         raise ValueError(f"mode frequency must be positive, got {omega}")
     return lam * math.sqrt(1.0 / (2.0 * omega))
-
-
-def lambda_from_cavity_length(length_um: float, u: UnitSystem) -> float:
-    """Coupling estimate lambda = sqrt(2/(eps L)) with L in effective Bohr radii.
-
-    Documented helper only.  This convention reproduces the qualitative
-    lambda ~ 1/sqrt(L) scaling but NOT the tabulated (L, lambda) pairs used
-    for the reproduction scenarios; those lambda values are authoritative
-    inputs and are taken directly from config.
-    """
-    if length_um <= 0:
-        raise ValueError(f"cavity length must be positive, got {length_um}")
-    length_eff = length_to_eff(length_um * 1e3, u)
-    return math.sqrt(2.0 / (u.eps_rel * length_eff))

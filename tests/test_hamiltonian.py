@@ -77,15 +77,22 @@ class TestCoupledBasis:
         )
     )
     def test_flatten_unflatten_bijection(self, idx):
+        # the product of basis vectors (matter i, n1, n2) sits at the
+        # row-major index of its labels, and that index gives the labels back
         basis = ham.CoupledBasis(3, (5, 4))
-        assert basis.unflatten(basis.flatten(idx)) == idx
+        unit = [np.eye(d)[k] for d, k in zip(basis.shape, idx)]
+        psi = ham.product_state(basis, unit[0], unit[1:])
+        flat = int(np.flatnonzero(psi)[0])
+        assert flat == np.ravel_multi_index(idx, basis.shape)
+        assert tuple(int(i) for i in np.unravel_index(flat, basis.shape)) == idx
 
     def test_row_major_order(self):
         # matter slowest, last mode fastest
         basis = ham.CoupledBasis(2, (3, 4))
-        assert basis.flatten((0, 0, 1)) == 1
-        assert basis.flatten((0, 1, 0)) == 4
-        assert basis.flatten((1, 0, 0)) == 12
+        for labels, flat in (((0, 0, 1), 1), ((0, 1, 0), 4), ((1, 0, 0), 12)):
+            unit = [np.eye(d)[k] for d, k in zip(basis.shape, labels)]
+            psi = ham.product_state(basis, unit[0], unit[1:])
+            assert np.flatnonzero(psi).tolist() == [flat]
 
 
 class TestGeometry:
@@ -121,7 +128,7 @@ class TestEmbed:
         basis = ham.CoupledBasis(1, (2, 3))
         n1 = ham.embed(basis, mode_ops={1: sp.diags(np.arange(3.0)).tocsr()})
         # occupation of the second mode read off a basis state
-        k = basis.flatten((0, 1, 2))
+        k = np.ravel_multi_index((0, 1, 2), basis.shape)
         assert n1[k, k] == 2.0
 
     def test_matter_shape_mismatch(self):
@@ -164,7 +171,7 @@ class TestProductState:
         basis = ham.CoupledBasis(2, (3,))
         psi = ham.product_state(basis, np.array([1.0, 0.0]), [np.array([0.0, 1.0, 0.0])])
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
-        assert psi[basis.flatten((0, 1))] == 1.0
+        assert psi[np.ravel_multi_index((0, 1), basis.shape)] == 1.0
 
     def test_dimension_mismatch(self):
         basis = ham.CoupledBasis(2, (3,))
@@ -179,7 +186,7 @@ class TestProductState:
         bath = enumerate_bath_basis(2, 2)
         basis = ham.CoupledBasis(1, (2,), bath=bath)
         psi = ham.product_state(basis, np.ones(1), [np.array([1.0, 0.0])])
-        assert psi[basis.flatten((0, 0, bath.index_of(())))] == 1.0
+        assert psi[np.ravel_multi_index((0, 0, bath.index_of(())), basis.shape)] == 1.0
 
 
 class TestDecoupledSpectrum:
@@ -219,6 +226,17 @@ class TestFewLevel:
         modes = default_modes(n_max=2)
         with pytest.raises(ValueError, match="partner"):
             ham.assemble_few_level([0, 1], ring200, tm_full, modes)
+
+    def test_partial_harmonic_shell_rejected(self, ring0):
+        # at V0 = 0 the levels 3, 4 and 5 form the j = 3 oscillator shell; its
+        # |l| labels mix within the shell, so completeness goes by energy cluster
+        tm = transition_matrices(ring0)
+        assert ring0.j_labels[3:6].tolist() == [3, 3, 3]
+        for levels in ([0, 5], [0, 3, 4]):
+            with pytest.raises(ValueError, match="partner"):
+                ham.restrict_levels(ring0, tm, levels)
+        mb, _ = ham.restrict_levels(ring0, tm, [0, 3, 4, 5])
+        assert mb.n_states == 4
 
     def test_duplicate_levels_rejected(self, ring200, tm_full):
         modes = default_modes(n_max=2)
@@ -261,8 +279,8 @@ class TestGeometryFactors:
         modes = default_modes(n_max=3)
         basis = ham.CoupledBasis(3, (4, 4, 4))
         h = ham.assemble_system(basis, mb, tm, modes)
-        bra = basis.flatten((0, 1, 1, 0))
-        ket = basis.flatten((0, 0, 0, 0))
+        bra = np.ravel_multi_index((0, 1, 1, 0), basis.shape)
+        ket = np.ravel_multi_index((0, 0, 0, 0), basis.shape)
         lam = 0.02
         expect = lam * lam * (-1.0) / (2.0 * math.sqrt(W1 * W2))
         assert abs(h[bra, ket] - expect) < 1e-12
@@ -273,8 +291,8 @@ class TestGeometryFactors:
         modes = default_modes(n_max=3)
         basis = ham.CoupledBasis(3, (4, 4, 4))
         h = ham.assemble_system(basis, mb, tm, modes)
-        bra = basis.flatten((0, 1, 0, 1))
-        ket = basis.flatten((0, 0, 0, 0))
+        bra = np.ravel_multi_index((0, 1, 0, 1), basis.shape)
+        ket = np.ravel_multi_index((0, 0, 0, 0), basis.shape)
         lam = 0.02
         expect = lam * lam * (+1.0) / (2.0 * math.sqrt(W1 * W3))
         assert abs(h[bra, ket] - expect) < 1e-12
@@ -285,8 +303,8 @@ class TestGeometryFactors:
         modes = default_modes(n_max=3)
         basis = ham.CoupledBasis(3, (4, 4, 4))
         h = ham.assemble_system(basis, mb, tm, modes)
-        bra = basis.flatten((0, 0, 1, 1))
-        ket = basis.flatten((0, 0, 0, 0))
+        bra = np.ravel_multi_index((0, 0, 1, 1), basis.shape)
+        ket = np.ravel_multi_index((0, 0, 0, 0), basis.shape)
         lam = 0.02
         expect = lam * lam * (-1.0) / (2.0 * math.sqrt(W2 * W3))
         assert abs(h[bra, ket] - expect) < 1e-12
@@ -298,8 +316,8 @@ class TestGeometryFactors:
             modes = [FockMode(W2, 3, 0.017, e1), FockMode(W2 / 2, 3, 0.017, e2)]
             basis = ham.CoupledBasis(3, (4, 4))
             h = ham.assemble_degenerate(basis, mb, tm, modes)
-            bra = basis.flatten((0, 1, 1))
-            ket = basis.flatten((0, 0, 0))
+            bra = np.ravel_multi_index((0, 1, 1), basis.shape)
+            ket = np.ravel_multi_index((0, 0, 0), basis.shape)
             element = abs(h[bra, ket])
             if expect_zero:
                 assert element < 1e-15
@@ -424,7 +442,7 @@ class TestBathAssembly:
                 for n2 in range(3):
                     for cfg_idx in range(bath_basis.size):
                         occ = [0, 0]
-                        for m in bath_basis.config_at(cfg_idx):
+                        for m in bath_basis.configs[cfg_idx]:
                             occ[m] += 1
                         flat = (((mi * 3 + n1) * 3 + n2) * nb + occ[0]) * nb + occ[1]
                         rows.append(flat)

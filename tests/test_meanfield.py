@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ringpdc.units import default_units, energy_to_eff, time_to_fs
+from ringpdc.units import default_units, eff_to_ps, energy_to_eff, ps_to_eff
 from ringpdc.matter import transition_matrices
 from ringpdc.hamiltonian import (
     CoupledBasis,
@@ -25,7 +25,6 @@ from ringpdc.meanfield import (
     currents,
     energy_functional,
     initial_state,
-    mf_ladder_amplitude,
     mf_mode_occupation,
     mf_observables,
     momentum_expectation,
@@ -33,7 +32,7 @@ from ringpdc.meanfield import (
     ms_step,
     propagate_mf,
 )
-from ringpdc.observables import column_names
+from ringpdc.observables import snapshot_columns
 from ringpdc.photon import FockMode, coherent_state, number_op, quadratures
 from ringpdc.propagator import CoupledState, NonFiniteAmplitudes, PropagatorConfig, propagate
 from ringpdc import scenarios as sc
@@ -86,9 +85,15 @@ class TestMeanFieldState:
         with pytest.raises(ValueError, match="matching"):
             MeanFieldState(np.array([1.0]), np.zeros(2), np.zeros(3))
 
-    def test_mode_count(self):
-        st = MeanFieldState(np.array([1.0]), np.zeros(3), np.zeros(3))
-        assert st.n_modes == 3
+    def test_mode_count(self, matter3):
+        # one (q, p) pair per mode of the system, each seeded from its amplitude
+        modes = (FockMode(W1, 2, 0.014), FockMode(W2, 2, 0.014), FockMode(W3, 2, 0.014))
+        system = mf_system(matter3, modes, polarization_vectors(math.pi / 2, math.pi / 2))
+        st = initial_state(ground3(), system, [0.0, 1.0, 0.0])
+        assert st.q.shape == st.p.shape == (3,)
+        assert [mf_mode_occupation(st, system, m) for m in range(3)] == pytest.approx(
+            [0.0, 1.0, 0.0], abs=1e-12
+        )
 
 
 def scenario_modes(kind, omegas, **angles) -> tuple[FockMode, ...]:
@@ -148,7 +153,10 @@ class TestInitials:
         system = degenerate_mf(matter3)
         xi = 0.8 + 0.6j
         st = initial_state(ground3(), system, [xi, 0.0])
-        assert mf_ladder_amplitude(st, system, 0) == pytest.approx(xi, abs=1e-12)
+        # q = sqrt(2/w) Re xi and p = sqrt(2 w) Im xi invert a = (w q + i p)/sqrt(2 w)
+        w = system.modes[0].omega
+        assert st.q[0] == pytest.approx(math.sqrt(2.0 / w) * xi.real, abs=1e-12)
+        assert st.p[0] == pytest.approx(math.sqrt(2.0 * w) * xi.imag, abs=1e-12)
         assert mf_mode_occupation(st, system, 0) == pytest.approx(abs(xi) ** 2, abs=1e-12)
 
     def test_occupation_matches_photon_number(self, matter3):
@@ -263,7 +271,7 @@ class TestConservation:
         for _ in range(n):
             st = ms_step(st, system, dt)
             drift = max(drift, abs(energy_functional(st, system) - e0))
-        elapsed_ps = time_to_fs(n * dt, U) / 1000.0
+        elapsed_ps = eff_to_ps(n * dt, U)
         assert drift / abs(e0) < 1e-8 * max(elapsed_ps, 1.0)
         assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-10
 
@@ -334,7 +342,8 @@ class TestMfObservables:
             st = ms_step(st, system, 0.05)
         for m in (0, 1):
             n_energy = mf_mode_occupation(st, system, m)
-            n_ladder = abs(mf_ladder_amplitude(st, system, m)) ** 2
+            w = system.modes[m].omega
+            n_ladder = abs((w * st.q[m] + 1j * st.p[m]) / math.sqrt(2.0 * w)) ** 2
             assert n_energy == pytest.approx(n_ladder, abs=1e-12)
 
     @pytest.mark.parametrize("n_modes", [2, 3])
@@ -357,7 +366,9 @@ class TestMfObservables:
             expected.update(
                 {"n3": 0.0, "Q3": nan, "g2_13": nan, "g2_23": nan, "gamma3": 1.0, "H3": w[2] * 0.5}
             )
-        assert list(row) == column_names(n_modes, fock_levels=())
+        # the quantum series columns of as many modes, less the Fock populations
+        quantum, _ = snapshot_columns(CoupledBasis(1, (2,) * n_modes), w)
+        assert list(row) == [name for name in quantum if not name.startswith("P")]
         assert row.keys() == expected.keys()
         for name, value in expected.items():
             assert row[name] == pytest.approx(value, abs=1e-12, nan_ok=True), name
@@ -379,7 +390,7 @@ class TestAgainstQuantum:
         m3, tm3 = matter3
         theta1 = math.radians(60.0)
         lam = 0.017
-        t5ps = 5000.0 / time_to_fs(1.0, U)
+        t5ps = ps_to_eff(5.0, U)
         dt = 0.02
 
         modes = (FockMode(W1_DEG, 2, lam), FockMode(0.5 * W1_DEG, 2, lam))
@@ -421,7 +432,7 @@ class TestAgainstQuantum:
         m4, tm4 = matter4
         evecs = polarization_vectors(math.pi / 2, math.pi / 2)
         lam = 0.014
-        t2ps = 2000.0 / time_to_fs(1.0, U)
+        t2ps = ps_to_eff(2.0, U)
         dt = 0.01
 
         for xi, n1 in ((2.0, 20), (3.0, 26), (4.0, 38)):

@@ -131,7 +131,7 @@ def test_basis_bijection(m):
     assert basis.size == 1 + m + (m * m + m) // 2
     seen = set()
     for k in range(basis.size):
-        config = basis.config_at(k)
+        config = basis.configs[k]
         assert basis.index_of(config) == k
         seen.add(config)
     assert len(seen) == basis.size

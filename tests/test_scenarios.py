@@ -589,6 +589,23 @@ def test_json_headlines_match_csv(make, tmp_path, store):
     assert data["samples"] == len(t)
 
 
+@pytest.mark.parametrize(
+    ("make", "edge"), [(tiny_degenerate, 3), (tiny_nondegenerate, 2)], ids=["n_max3", "n_max2"]
+)
+def test_truncation_drift_is_the_largest_edge_population(make, edge, tmp_path, store):
+    # mode_k in the JSON is the largest population of mode k's top Fock
+    # level over the records; the CSV holds that level's column when n_max <= 3
+    res = sc.run_scenario(make(), matter_store=store, out_dir=tmp_path)
+    drift = json.loads(res.json_path.read_text())["truncation_drift"]
+    _, cols = read_series_csv(res.csv_path)
+    n_modes = len(make().modes)
+    assert list(drift) == [f"mode_{k}" for k in range(1, n_modes + 1)]
+    for k in range(1, n_modes + 1):
+        top = cols[f"P{edge}_{k}"].max()
+        assert top > 0.0
+        assert float(format(drift[f"mode_{k}"], ".12g")) == top
+
+
 def tiny_calibrated(kind: str) -> sc.ScenarioConfig:
     return tiny_nondegenerate(
         kind=kind,
@@ -876,6 +893,30 @@ class TestCli:
         path.write_text(BASE_YAML)
         assert cli.main(["validate-config", "--config", str(path)]) == 4
         assert "resource refusal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5"])
+    def test_malformed_memory_budget_exit_code(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv(sc.MEMORY_BUDGET_ENV, value)
+        path = tmp_path / "run.yaml"
+        path.write_text(BASE_YAML)
+        assert cli.main(["validate-config", "--config", str(path)]) == 2
+        assert f"config error: PDC_MEMORY_BUDGET_MB={value!r}" in capsys.readouterr().err
+        # a sweep is refused as a whole, not row by row
+        path.write_text(BASE_YAML + "\nsweep:\n  parameter: theta1\n  values: [0.0, 30.0]\n")
+        assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert "PDC_MEMORY_BUDGET_MB" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-1"])
+    def test_malformed_max_workers_exit_code(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv(sc.MAX_WORKERS_ENV, value)
+        path = tmp_path / "sweep.yaml"
+        path.write_text(BASE_YAML + "\nsweep:\n  parameter: theta1\n  values: [0.0, 30.0]\n")
+        assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        assert f"config error: PDC_MAX_WORKERS={value!r}" in capsys.readouterr().err
+        # an explicit --max-workers takes precedence over the variable
+        argv = ["sweep", "--config", str(path), "--output-dir", str(tmp_path)]
+        assert cli.main([*argv, "--max-workers", "1"]) == 0
 
     def test_removed_krylov_dim_fails_at_parse(self, capsys):
         path = ROOT / "tests" / "configs" / "krylov_dim.yaml"
