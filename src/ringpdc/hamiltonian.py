@@ -45,7 +45,9 @@ bath-quadratic terms are even.  So e . p connects only levels of opposite
 inversion parity, and H_el is diagonal in the solved levels; the builders
 drop the other matter entries, after checking that each is roundoff, and no
 entry of H couples the two sectors.  inversion_parity gives the sector at every index
-of the coupled layout, and inversion_block cuts H to one of them.
+of the coupled layout.  Given a sector, the builders write only its rows and
+columns, in the layout's order: level i keeps the photon indices whose
+photon parity is the sector times the parity of level i.
 
 H is real symmetric in the basis the builders use: the stored levels with
 each inversion-odd level multiplied by i.  The solved levels are real
@@ -66,6 +68,7 @@ only; it never propagates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -182,6 +185,17 @@ def product_state(
     return out / np.linalg.norm(out)
 
 
+def _photon_parity(basis: CoupledBasis) -> np.ndarray:
+    """(-1)^(sum_a n_a + N_bath), int8, at every photon index of the layout."""
+    sign = np.ones(1, dtype=np.int8)
+    factors = [(-1) ** np.arange(d) for d in basis.mode_dims]
+    if basis.bath is not None:
+        factors.append(np.array([(-1) ** len(c) for c in basis.bath.configs]))
+    for f in factors:
+        sign = np.kron(sign, f.astype(np.int8))
+    return sign
+
+
 def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarray | None:
     """Inversion times photon-number parity, +1 or -1 (int8) at every index
     of the coupled layout.
@@ -197,38 +211,7 @@ def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarra
     sign = inversion_parities(matter)
     if sign is None:
         return None
-    factors = [(-1) ** np.arange(d) for d in basis.mode_dims]
-    if basis.bath is not None:
-        factors.append(np.array([(-1) ** len(c) for c in basis.bath.configs]))
-    for f in factors:
-        sign = np.kron(sign, f.astype(np.int8))
-    return sign
-
-
-def inversion_block(
-    h: sp.csr_matrix, parity: np.ndarray, sector: int
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(block, index): the Hermitian h on the indices where parity == sector.
-
-    Raises ValueError, naming the largest, when an entry between the two
-    sectors exceeds HERMITICITY_TOL * max|h|.  h is Hermitian, so the rows of
-    the kept sector hold every such entry or its conjugate: one pass over
-    those rows checks them all.
-    """
-    index = np.flatnonzero(parity == sector)
-    rows = h[index]
-    cross = np.flatnonzero(parity[rows.indices] != sector)
-    if cross.size:
-        worst = np.abs(rows.data[cross])
-        k = int(np.argmax(worst))
-        scale = np.abs(h.data).max()
-        if worst[k] > HERMITICITY_TOL * scale:
-            row = index[np.searchsorted(rows.indptr, cross[k], side="right") - 1]
-            raise ValueError(
-                f"H[{row}, {rows.indices[cross[k]]}] = {rows.data[cross[k]]:.3e} couples "
-                f"the inversion sectors (above {HERMITICITY_TOL} x max|H| = {scale:.3e})"
-            )
-    return rows[:, index], index
+    return np.kron(sign, _photon_parity(basis))
 
 
 def _momentum_projection(px: np.ndarray, py: np.ndarray, e: tuple[float, float]) -> np.ndarray:
@@ -306,8 +289,45 @@ def restrict_levels(
     return select_states(matter, tm, np.asarray(idx_list, dtype=int))
 
 
+def _block_layouts(
+    factors: dict[tuple[int, int, int], sp.csr_matrix],
+    blocks: set[tuple[tuple[int, ...], int, int]],
+    size: dict[int, int],
+) -> dict:
+    """For each (terms, a, b) of a block, on the union of the patterns of the
+    factors (k, a, b) with k in terms: entries per photon row, each entry's
+    column and place within its row, and where each factor's entries sit."""
+
+    def keys(pk: sp.csr_matrix) -> np.ndarray:
+        return np.repeat(np.arange(pk.shape[0]), np.diff(pk.indptr)) * pk.shape[1] + pk.indices
+
+    # a sum of positive patterns cannot cancel, so its pattern is the union
+    union = {}
+    for (k, a, b), pk in factors.items():
+        ones = sp.csr_matrix((np.ones(pk.nnz), pk.indices, pk.indptr), pk.shape)
+        union[a, b] = union[a, b] + ones if (a, b) in union else ones
+    union = {ab: keys(pattern) for ab, pattern in union.items()}
+    where = {key: np.searchsorted(union[key[1:]], keys(pk)) for key, pk in factors.items()}
+    layouts = {}
+    for terms, a, b in blocks:
+        if not terms:
+            continue
+        member = np.zeros(union[a, b].size, dtype=bool)
+        for k in terms:
+            member[where[k, a, b]] = True
+        slot = np.cumsum(member) - 1
+        rows, cols = np.divmod(union[a, b][member], size[b])
+        counts = np.bincount(rows, minlength=size[a])
+        place = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        positions = [slot[where[k, a, b]] for k in terms]
+        layouts[terms, a, b] = (counts, cols.astype(np.int32), place, positions)
+    return layouts
+
+
 def _kron_sum(
-    basis: CoupledBasis, pairs: Sequence[tuple[np.ndarray, sp.csr_matrix]]
+    basis: CoupledBasis,
+    pairs: Sequence[tuple[np.ndarray, sp.csr_matrix]],
+    sides: np.ndarray | None = None,
 ) -> sp.csr_matrix:
     """sum_k M_k (x) P_k as one canonical float64 CSR, matter slowest.
 
@@ -318,6 +338,14 @@ def _kron_sum(
     must be real (ValueError otherwise); each matter factor is checked for
     symmetry here, and the photon factors are real sums of embed products,
     whose factors embed has checked.
+
+    With `sides`, level i keeps only the photon indices whose photon parity
+    is sides[i] (the sector times the level's inversion parity), and block
+    (i, j) is the P_k restricted to the kept indices of levels i and j: the
+    result is the full sum's rows and columns on one inversion sector, in
+    the layout's order.  A stored photon-factor entry that joins a kept
+    index to a dropped one, in a block whose matter coefficient is nonzero,
+    is a ValueError naming the factor.
     """
     m = basis.matter_dim
     n = basis.dim // m
@@ -332,58 +360,72 @@ def _kron_sum(
         pk.sum_duplicates()  # sorted, unique keys for searchsorted
         photons.append(pk)
 
-    def keys(pk: sp.csr_matrix) -> np.ndarray:
-        return np.repeat(np.arange(n), np.diff(pk.indptr)) * n + pk.indices
+    if sides is None:
+        side = [1] * m
+        size = {1: n}
+    else:
+        side = [int(s) for s in sides]
+        parity = _photon_parity(basis)
+        kept = {s: np.flatnonzero(parity == s) for s in (1, -1)}
+        size = {s: kept[s].size for s in kept}
+        rank = np.empty(n, dtype=np.int32)  # place of each index within its parity
+        for s in kept:
+            rank[kept[s]] = np.arange(size[s])
 
-    # a sum of positive patterns cannot cancel, so its pattern is the union
-    union = keys(
-        sum(sp.csr_matrix((np.ones(pk.nnz), pk.indices, pk.indptr), (n, n)) for pk in photons)
-    )
-    where = [np.searchsorted(union, keys(pk)) for pk in photons]
+    def restricted(k: int, a: int, b: int) -> sp.csr_matrix:
+        """P_k on the photon rows of parity a and the columns of parity b."""
+        if sides is None:
+            return photons[k]
+        rows = photons[k][kept[a]]
+        stray = np.flatnonzero(parity[rows.indices] != b)
+        if stray.size:
+            row = kept[a][np.searchsorted(rows.indptr, stray[0], side="right") - 1]
+            raise ValueError(
+                f"photon factor {k} joins kept photon index {row} to dropped index "
+                f"{rows.indices[stray[0]]}: its pair couples the inversion sectors"
+            )
+        return sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr), (size[a], size[b]))
+
     terms_of = [
         [tuple(k for k, mk in enumerate(matters) if mk[i, j] != 0) for j in range(m)]
         for i in range(m)
     ]
-    # for each set of factors that meets in a block, on the union of their
-    # patterns: entries per photon row, each entry's column and place within
-    # its row, and where each factor's entries sit
-    layouts = {}
-    for terms in {t for row in terms_of for t in row if t}:
-        member = np.zeros(union.size, dtype=bool)
-        for k in terms:
-            member[where[k]] = True
-        slot = np.cumsum(member) - 1
-        rows, cols = np.divmod(union[member], n)
-        counts = np.bincount(rows, minlength=n)
-        rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        positions = [slot[where[k]] for k in terms]
-        layouts[terms] = (counts, cols.astype(np.int32), rank, positions)
-    row_counts = np.zeros((m, n), dtype=np.int64)
+    blocks = {(terms_of[i][j], side[i], side[j]) for i in range(m) for j in range(m)}
+    needed = sorted({(k, a, b) for terms, a, b in blocks for k in terms})
+    factors = {key: restricted(*key) for key in needed}
+    layouts = _block_layouts(factors, blocks, size)
+    # beside the result, only the factors' values are needed from here on
+    factors = {key: pk.data for key, pk in factors.items()}
+    offset = [0, *itertools.accumulate(size[s] for s in side)]  # first row of each level
+    dim = offset[-1]
+    row_counts = [np.zeros(size[s], dtype=np.int64) for s in side]
     for i in range(m):
-        for terms in filter(None, terms_of[i]):
-            row_counts[i] += layouts[terms][0]
-    indptr = np.concatenate(([0], np.cumsum(row_counts.ravel())))
-    index_dtype = np.int32 if max(indptr[-1], basis.dim) < 2**31 else np.int64
+        for j, terms in enumerate(terms_of[i]):
+            if terms:
+                row_counts[i] += layouts[terms, side[i], side[j]][0]
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_counts))))
+    index_dtype = np.int32 if max(indptr[-1], dim) < 2**31 else np.int64
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index_dtype)
 
     cancelled = False
     for i in range(m):
-        free = indptr[i * n : (i + 1) * n].copy()  # next open slot of each row
+        free = indptr[offset[i] : offset[i + 1]].copy()  # next open slot of each row
         for j, terms in enumerate(terms_of[i]):
             if not terms:
                 continue
-            counts, cols, rank, positions = layouts[terms]
+            key = (side[i], side[j])
+            counts, cols, place, positions = layouts[(terms, *key)]
             values = np.zeros(cols.size)
             for k, pos in zip(terms, positions):
-                np.add.at(values, pos, matters[k][i, j] * photons[k].data)
+                np.add.at(values, pos, matters[k][i, j] * factors[(k, *key)])
             cancelled = cancelled or not values.all()  # an exact zero sum
             dest = np.repeat(free, counts)
-            dest += rank
+            dest += place
             data[dest] = values
-            indices[dest] = cols + j * n
+            indices[dest] = cols + offset[j]
             free += counts
-    h = sp.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=(basis.dim, basis.dim))
+    h = sp.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=(dim, dim))
     if cancelled:
         h.eliminate_zeros()
     return h
@@ -394,7 +436,11 @@ def _assemble(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
+    bath_modes: Sequence[FockMode] = (),
+    sector: int | None = None,
 ) -> sp.csr_matrix:
+    """The system pairs, then the bath pairs when bath_modes are given, in one
+    _kron_sum; only the rows and columns of `sector` when it is +1 or -1."""
     if len(modes) != len(basis.mode_dims):
         raise ValueError("mode count does not match the coupled basis")
     for mode, d in zip(modes, basis.mode_dims):
@@ -424,7 +470,12 @@ def _assemble(
             h_photon = h_photon + coeff * embed(photon, mode_ops={a: quads[a], b: quads[b]})
     eye = sp.identity(photon.dim, format="csr")
     pairs = [(np.eye(basis.matter_dim), h_photon), (h_el, eye), *couplings]
-    return _kron_sum(basis, pairs)
+    if bath_modes:
+        # each block takes at most one bath pair, after the system pairs: every
+        # entry adds the terms of the sum of the two builds, in its order
+        pairs += _bath_pairs(basis, px, py, modes, bath_modes)
+    sides = None if sector is None else sector * inversion_parities(matter)
+    return _kron_sum(basis, pairs, sides)
 
 
 def assemble_system(
@@ -432,11 +483,15 @@ def assemble_system(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
+    *,
+    bath_modes: Sequence[FockMode] = (),
+    sector: int | None = None,
 ) -> sp.csr_matrix:
-    """Full pump + two signal modes."""
+    """Full pump + two signal modes, with the bath terms of bath_modes
+    (assemble_bath_terms); only the inversion sector `sector` when given."""
     if len(modes) != 3:
         raise ValueError("the three-mode system takes exactly three modes")
-    return _assemble(basis, matter, tm, modes)
+    return _assemble(basis, matter, tm, modes, bath_modes, sector)
 
 
 def assemble_degenerate(
@@ -444,11 +499,15 @@ def assemble_degenerate(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
+    *,
+    bath_modes: Sequence[FockMode] = (),
+    sector: int | None = None,
 ) -> sp.csr_matrix:
-    """Pump plus one degenerate signal mode."""
+    """Pump plus one degenerate signal mode; bath_modes and sector as for
+    assemble_system."""
     if len(modes) != 2:
         raise ValueError("the degenerate system takes exactly two modes")
-    return _assemble(basis, matter, tm, modes)
+    return _assemble(basis, matter, tm, modes, bath_modes, sector)
 
 
 def assemble_signal_pair(
@@ -469,30 +528,28 @@ def assemble_few_level(
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
+    *,
+    sector: int | None = None,
 ) -> tuple[sp.csr_matrix, CoupledBasis]:
     """Same assembly with matter truncated to the selected levels.
 
     Levels must come in complete degenerate pairs so the truncated basis
-    stays closed under the ring's symmetry.
+    stays closed under the ring's symmetry.  The basis is the whole layout
+    also when only the inversion sector `sector` is built.
     """
     sub_matter, sub_tm = restrict_levels(matter, tm, levels)
     basis = CoupledBasis(sub_matter.n_states, tuple(m.dim for m in modes))
-    return _assemble(basis, sub_matter, sub_tm, modes), basis
+    return _assemble(basis, sub_matter, sub_tm, modes, sector=sector), basis
 
 
-def assemble_bath_terms(
+def _bath_pairs(
     basis: CoupledBasis,
-    matter: MatterEigenbasis,
-    tm: TransitionMatrices,
+    px: np.ndarray,
+    py: np.ndarray,
     main_modes: Sequence[FockMode],
     bath_modes: Sequence[FockMode],
-) -> sp.csr_matrix:
-    """Bath energy, bath-matter bilinear, and all diamagnetic cross terms.
-
-    Added on top of assemble_system.  Bath operators act on the restricted
-    few-photon sector; every ladder product is assembled normal-ordered
-    (annihilators first) so the sector restriction is exact.
-    """
+) -> list[tuple[np.ndarray, sp.csr_matrix]]:
+    """The factor pairs of assemble_bath_terms, on the real p_x and p_y."""
     bath = basis.bath
     if bath is None:
         raise ValueError("coupled basis has no bath sector")
@@ -538,10 +595,26 @@ def assemble_bath_terms(
     bath_quad = 0.5 * (pol[0] * pol[0] + pol[1] * pol[1]) * prod
     h_photon = h_photon + embed(photon, bath_op=bath_quad)
 
-    _, px, py = _real_matter(matter, tm)
     coupling = _momentum_projection(px, py, pol)
-    pairs = [(np.eye(basis.matter_dim), h_photon), (coupling, -embed(photon, bath_op=disp))]
-    return _kron_sum(basis, pairs)
+    return [(np.eye(basis.matter_dim), h_photon), (coupling, -embed(photon, bath_op=disp))]
+
+
+def assemble_bath_terms(
+    basis: CoupledBasis,
+    matter: MatterEigenbasis,
+    tm: TransitionMatrices,
+    main_modes: Sequence[FockMode],
+    bath_modes: Sequence[FockMode],
+) -> sp.csr_matrix:
+    """Bath energy, bath-matter bilinear, and all diamagnetic cross terms.
+
+    The part that assemble_system(..., bath_modes=...) adds to the system
+    terms.  Bath operators act on the restricted few-photon sector; every
+    ladder product is assembled normal-ordered (annihilators first) so the
+    sector restriction is exact.
+    """
+    _, px, py = _real_matter(matter, tm)
+    return _kron_sum(basis, _bath_pairs(basis, px, py, main_modes, bath_modes))
 
 
 # ---------------------------------------------------------------------------

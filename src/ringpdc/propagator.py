@@ -131,14 +131,32 @@ class PropagationResult:
     krylov: KrylovStats = field(default_factory=KrylovStats)
 
 
+# stored entries per chunk of rows in _abs_row_sums
+_ROW_CHUNK = 2**20
+
+
 def _abs_row_sums(h: sp.spmatrix) -> np.ndarray:
-    h = sp.csr_matrix(h)  # no copy of a CSR input; |data| is the one new array
-    return sp.csr_matrix((np.abs(h.data), h.indices, h.indptr), h.shape) @ np.ones(h.shape[1])
+    """sum_j |h[i, j]| per row, over chunks of about _ROW_CHUNK stored entries."""
+    h = sp.csr_matrix(h)  # no copy of a CSR input
+    ones = np.ones(h.shape[1])
+    cuts = np.searchsorted(h.indptr, np.arange(_ROW_CHUNK, h.nnz, _ROW_CHUNK))
+    bounds = np.unique(np.concatenate(([0], cuts, [h.shape[0]])))
+    sums = np.empty(h.shape[0])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        start, stop = h.indptr[lo], h.indptr[hi]
+        rows = sp.csr_matrix(
+            (np.abs(h.data[start:stop]), h.indices[start:stop], h.indptr[lo : hi + 1] - start),
+            (hi - lo, h.shape[1]),
+        )
+        sums[lo:hi] = rows @ ones
+    return sums
 
 
 def spectral_bounds(h: sp.spmatrix) -> tuple[float, float]:
     """Gershgorin interval (lo, hi) of the symmetric sparse matrix h: every
-    eigenvalue lies in it."""
+    eigenvalue lies in it.  |h| is summed a chunk of rows at a time, so no
+    full-size copy of h is made; each row adds the same values in the same
+    order as one whole-matrix product would."""
     diag = h.diagonal()
     radius = _abs_row_sums(h) - np.abs(diag)
     return float(np.min(diag - radius)), float(np.max(diag + radius))

@@ -14,9 +14,10 @@ edge population it reached.
 Two symmetries shrink what is propagated.  When every mode is polarized
 along one axis, a full run keeps only the reflection-even matter sector
 (matter.reflection_even).  An undriven run from a Fock start, full or
-few-level, keeps only the sector of inversion times photon-number parity
-that the start occupies (hamiltonian.inversion_block); its observer sees
-the state scattered back into the whole layout, once per record.
+few-level, builds and propagates only the sector of inversion times
+photon-number parity that the start occupies (the builders' `sector`); its
+observer sees the state scattered back into the whole layout, once per
+record.
 
 run_sweep repeats the pipeline over one swept parameter and tabulates the
 extrema per row; compare_methods runs the same scenario under the full,
@@ -62,7 +63,7 @@ from .hamiltonian import (
     CoupledBasis,
     DriveSpec,
     _assemble,
-    assemble_bath_terms,
+    assemble_bath_terms,  # noqa: F401 - no run calls it; the benchmark tracer patches it by name
     assemble_degenerate,
     assemble_few_level,
     assemble_signal_pair,
@@ -70,7 +71,6 @@ from .hamiltonian import (
     current_drive_terms,
     embed,
     field_drive_terms,
-    inversion_block,
     inversion_parity,
     product_state,
     restrict_levels,
@@ -836,57 +836,55 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     if reflection is not None:
         matter, tm = reflection_even(matter, tm, reflection)
 
+    quantized = modes[1:] if config.kind == "field_driven" else modes
+    dims = tuple(m.dim for m in quantized)
     if config.method.kind == "few_level":
-        h, basis = assemble_few_level(config.method.levels, matter, tm, modes)
         # the levels of the coupled basis, in its order
-        matter, _ = restrict_levels(matter, tm, config.method.levels)
-        quantized = modes
+        coupled, _ = restrict_levels(matter, tm, config.method.levels)
+        basis = CoupledBasis(coupled.n_states, dims)
+    else:
+        coupled = matter
+        basis = CoupledBasis(matter.n_states, dims, bath_basis)
+
+    psi0 = None
+    if config.initial.kind != "ground":
+        matter_vec = np.zeros(basis.shape[0], dtype=complex)
+        matter_vec[_ground_index(config)] = 1.0
+        psi0 = CoupledState(
+            product_state(basis, matter_vec, _initial_photon_vectors(config, quantized)), 0.0
+        )
+    # a Fock start (driven runs start from the ground state) lies wholly in one
+    # inversion sector, and only that sector is built; coherent and ground
+    # starts occupy both and skip the parity work
+    inversion = index = None
+    if config.initial.kind == "fock":
+        parity = inversion_parity(basis, coupled)
+        if parity is not None:
+            occupied = np.unique(parity[psi0.amplitudes != 0])
+            if len(occupied) == 1:
+                inversion = int(occupied[0])
+                index = np.flatnonzero(parity == inversion)
+                psi0 = CoupledState(psi0.amplitudes[index], 0.0)
+
+    if config.method.kind == "few_level":
+        h, _ = assemble_few_level(config.method.levels, matter, tm, modes, sector=inversion)
     elif config.kind == "field_driven":
-        quantized = modes[1:]
-        basis = CoupledBasis(matter.n_states, tuple(m.dim for m in quantized))
         h = assemble_signal_pair(basis, matter, tm, quantized)
         drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
         info["drive"] = drive
         t_grid = np.arange(0.0, t_final + 2.0 * dt, dt)
         terms = field_drive_terms(basis, matter, tm, quantized, modes[0], drive, t_grid)
     else:
-        quantized = modes
-        if bath_basis is not None:
-            basis = CoupledBasis(matter.n_states, tuple(m.dim for m in modes), bath_basis)
-            h = assemble_system(basis, matter, tm, modes) + assemble_bath_terms(
-                basis, matter, tm, modes, bath_modes
-            )
-        else:
-            basis = CoupledBasis(matter.n_states, tuple(m.dim for m in modes))
-            if config.kind == "degenerate":
-                h = assemble_degenerate(basis, matter, tm, modes)
-            else:
-                h = assemble_system(basis, matter, tm, modes)
+        build = assemble_degenerate if config.kind == "degenerate" else assemble_system
+        h = build(basis, matter, tm, modes, bath_modes=bath_modes, sector=inversion)
         if config.kind == "current_driven":
             drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
             info["drive"] = drive
             terms = current_drive_terms(basis, modes[0], drive)
 
-    if config.initial.kind == "ground":
+    if psi0 is None:
         _, vec = ground_state(h)
         psi0 = CoupledState(vec, 0.0)
-    else:
-        matter_vec = np.zeros(basis.shape[0], dtype=complex)
-        matter_vec[_ground_index(config)] = 1.0
-        psi0 = CoupledState(
-            product_state(basis, matter_vec, _initial_photon_vectors(config, quantized)), 0.0
-        )
-    # a Fock start of an undriven run lies wholly in one inversion sector;
-    # coherent and ground starts occupy both and skip the parity work
-    inversion = index = None
-    if config.initial.kind == "fock" and not terms:
-        parity = inversion_parity(basis, matter)
-        if parity is not None:
-            occupied = np.unique(parity[psi0.amplitudes != 0])
-            if len(occupied) == 1:
-                inversion = int(occupied[0])
-                h, index = inversion_block(h, parity, inversion)
-                psi0 = CoupledState(psi0.amplitudes[index], 0.0)
     assembled = time.perf_counter()
 
     first_mode = 2 if config.kind == "field_driven" else 1
@@ -1306,8 +1304,13 @@ def compare_methods(
         label = _method_label(cfg.method)
         return replace(cfg, output=replace(config.output, basename=f"{base_name}_{label}"))
 
+    configs = {m: method_config(m) for m in requested}
+    # refuse a bad config before any method's ring solve
+    for cfg in configs.values():
+        validate_config(cfg)
+
     def one(m: str) -> ScenarioResult:
-        return run_scenario(method_config(m), matter_store=store, out_dir=out_dir)
+        return run_scenario(configs[m], matter_store=store, out_dir=out_dir)
 
     # solve the shared matter once before fanning out
     prepare_matter(config.matter, store)

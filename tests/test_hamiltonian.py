@@ -453,6 +453,13 @@ class TestBathAssembly:
         total = (h_main + h_bath).toarray()
         assert np.abs(total - oracle).max() < 1e-13
 
+    def test_one_builder_call_is_the_sum_of_the_two(self, bath_setup):
+        mb, tm, main, bath_modes, _, basis, h_main, h_bath = bath_setup
+        h = ham.assemble_degenerate(basis, mb, tm, main, bath_modes=bath_modes)
+        total = h_main + h_bath
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(h, part), getattr(total, part)), part
+
     def test_zero_bath_coupling_is_block_diagonal(self, matter3):
         mb, tm = matter3
         theta1 = math.pi / 6
@@ -629,6 +636,57 @@ BUILDER_CASES = {
 }
 
 
+def sector_oracle(h, parity, sector):
+    """h on the indices where parity == sector, in their order: the reference
+    for a builder given that sector."""
+    index = np.flatnonzero(parity == sector)
+    return h[index][:, index]
+
+
+def sector_system(basis, modes, build):
+    def case(mb, tm, bath):
+        def sector_build(sector):
+            return build(basis, mb, tm, modes, sector=sector)
+
+        return build(basis, mb, tm, modes), sector_build, ham.inversion_parity(basis, mb)
+
+    return case
+
+
+def sector_few_level(mb, tm, bath):
+    # level 0 last, as in few_level_pair
+    levels, modes = [1, 2, 0], default_modes(n_max=2)
+    h, basis = ham.assemble_few_level(levels, mb, tm, modes)
+    sub, _ = ham.restrict_levels(mb, tm, levels)
+
+    def sector_build(sector):
+        return ham.assemble_few_level(levels, mb, tm, modes, sector=sector)[0]
+
+    return h, sector_build, ham.inversion_parity(basis, sub)
+
+
+def sector_bath(mb, tm, bath):
+    _, _, main, bath_modes, _, basis, h_main, h_bath = bath
+
+    def sector_build(sector):
+        return ham.assemble_degenerate(basis, mb, tm, main, bath_modes=bath_modes, sector=sector)
+
+    return h_main + h_bath, sector_build, ham.inversion_parity(basis, mb)
+
+
+# (full build, build of one inversion sector, parity of the full layout)
+SECTOR_CASES = {
+    "system": sector_system(
+        ham.CoupledBasis(3, (3, 3, 3)), default_modes(n_max=2), ham.assemble_system
+    ),
+    "degenerate": sector_system(
+        ham.CoupledBasis(3, (3, 3)), degenerate_modes(), ham.assemble_degenerate
+    ),
+    "few_level": sector_few_level,
+    "system_plus_bath": sector_bath,
+}
+
+
 class TestFactorPairBuilder:
     """The Kronecker-sum builder against the running sum of embed products."""
 
@@ -670,6 +728,63 @@ class TestFactorPairBuilder:
         size = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
         assert peak < 1.5 * size, (peak, size)
 
+    def test_peak_memory_of_a_bath_sector_stays_near_the_result(self, ring200, tm_full):
+        # 12 levels x 5^3 photon states x a 28-state bath: the system and bath
+        # pairs go to one builder, which writes only the sector's rows
+        modes = default_modes(n_max=4)
+        bath_modes, bath_basis = sample_bath(BathSpec(lam=0.007, windows=((1.0, 2.0, 6),)))
+        basis = ham.CoupledBasis(12, tuple(m.dim for m in modes), bath=bath_basis)
+        tracemalloc.start()
+        try:
+            h = ham.assemble_system(
+                basis, ring200, tm_full, modes, bath_modes=bath_modes, sector=-1
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * h.shape[0] == basis.dim
+        size = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        assert peak < 1.5 * size, (peak, size)
+
+
+class TestSectorBuild:
+    """Builders given an inversion sector against the full build sliced to it."""
+
+    @pytest.mark.parametrize("sector", [1, -1])
+    @pytest.mark.parametrize("case", sorted(SECTOR_CASES))
+    def test_is_the_full_build_sliced(self, case, sector, matter3, bath_setup):
+        mb, tm = matter3
+        full, build, parity = SECTOR_CASES[case](mb, tm, bath_setup)
+        h, ref = build(sector), sector_oracle(full, parity, sector)
+        assert isinstance(h, sp.csr_matrix) and h.has_canonical_format
+        assert h.indices.dtype == h.indptr.dtype == np.int32
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(h, part), getattr(ref, part)), part
+
+    def test_planted_cross_sector_entry_refused(self):
+        # photon parities (+, -, +); level 0 keeps photons 0 and 2, level 1 photon 1
+        basis = ham.CoupledBasis(2, (3,))
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        ladder = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
+        diagonal = sp.diags([1.0, 2.0, 3.0], format="csr")
+
+        def build(energy, coupling):
+            return ham._kron_sum(basis, [(np.eye(2), energy), (swap, coupling)], [1, -1])
+
+        h = ham._kron_sum(basis, [(np.eye(2), diagonal), (swap, ladder)])
+        parity = np.kron([1, -1], [1, -1, 1])
+        oracle = sector_oracle(h, parity, 1)
+        assert np.array_equal(build(diagonal, ladder).toarray(), oracle.toarray())
+        refused = "photon factor {} joins kept photon index {} to dropped index {}"
+        planted = diagonal.tolil()
+        planted[0, 1] = planted[1, 0] = 0.5
+        with pytest.raises(ValueError, match=refused.format(0, 1, 0)):
+            build(planted.tocsr(), ladder)
+        planted = ladder.tolil()
+        planted[0, 2] = planted[2, 0] = 0.5
+        with pytest.raises(ValueError, match=refused.format(1, 0, 2)):
+            build(diagonal, planted.tocsr())
+
 
 class TestInversionParity:
     """Inversion times photon-number parity on the coupled layout."""
@@ -709,11 +824,10 @@ class TestInversionParity:
         parity = ham.inversion_parity(basis, mb)
         flip = sp.diags(parity.astype(float))
         assert abs(flip @ h @ flip - h).max() <= 1e-12 * abs(h).max()
-        for sector in (1, -1):
-            block, index = ham.inversion_block(h, parity, sector)
-            assert np.array_equal(index, np.flatnonzero(parity == sector))
-            assert isinstance(block, sp.csr_matrix)
-            assert abs(block - h[index][:, index]).max() == 0.0
+        # the two sector blocks hold every entry of h
+        blocks = [sector_oracle(h, parity, sector) for sector in (1, -1)]
+        assert sum(block.nnz for block in blocks) == h.nnz
+        assert sum(block.shape[0] for block in blocks) == h.shape[0]
 
     @pytest.mark.parametrize("build", ["system", "degenerate", "few_level", "system_plus_bath"])
     def test_no_entry_between_the_sectors(self, matter3, bath_setup, build):
@@ -748,36 +862,8 @@ class TestInversionParity:
         mb, tm = matter3
         op = drive_patterns(mb, tm, kind)[0]
         dims = (3, 3, 3) if kind == "current" else (3, 3)
-        parity = ham.inversion_parity(ham.CoupledBasis(3, dims), mb)
-        with pytest.raises(ValueError, match="couples the inversion sectors"):
-            ham.inversion_block(op, parity, 1)
-
-    def test_guard_names_a_planted_entry(self):
-        parity = np.array([1, -1, 1, -1], dtype=np.int8)
-        h = sp.diags([1.0, 2.0, 3.0, 4.0]).astype(complex).tolil()
-        h[0, 2] = h[2, 0] = 0.5  # same sector
-        h[1, 2] = h[2, 1] = 1e-17  # roundoff across the sectors
-        block, index = ham.inversion_block(h.tocsr(), parity, 1)
-        assert list(index) == [0, 2]
-        assert np.array_equal(block.toarray(), [[1.0, 0.5], [0.5, 3.0]])
-        h[0, 3] = h[3, 0] = 2e-3
-        with pytest.raises(ValueError, match=r"H\[0, 3\] = 2\.000e-03"):
-            ham.inversion_block(h.tocsr(), parity, 1)
-        with pytest.raises(ValueError, match=r"H\[3, 0\] = 2\.000e-03"):
-            ham.inversion_block(h.tocsr(), parity, -1)
-
-    def test_guard_measures_against_the_largest_modulus(self):
-        # max|h| = sqrt(2) while no real or imaginary part exceeds 1: an entry
-        # of 1.2e-12 across the sectors stays inside HERMITICITY_TOL * max|h|
-        parity = np.array([1, 1, -1], dtype=np.int8)
-        h = np.zeros((3, 3), dtype=complex)
-        h[0, 1], h[1, 0] = 1.0 + 1.0j, 1.0 - 1.0j
-        h[0, 2] = h[2, 0] = 1.2e-12
-        block, _ = ham.inversion_block(sp.csr_matrix(h), parity, 1)
-        assert np.array_equal(block.toarray(), h[:2, :2])
-        h[0, 2] = h[2, 0] = 1.5e-12
-        with pytest.raises(ValueError, match="couples the inversion sectors"):
-            ham.inversion_block(sp.csr_matrix(h), parity, 1)
+        flip = sp.diags(ham.inversion_parity(ham.CoupledBasis(3, dims), mb).astype(float))
+        assert abs(flip @ op @ flip - op).max() > 0.0
 
 
 class TestRealGauge:

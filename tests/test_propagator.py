@@ -392,6 +392,16 @@ class TestChebyshevKernel:
         assert lo <= eigs[0] and eigs[-1] <= hi
         assert lo < hi
 
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_chunked_row_sums_are_the_whole_product(self, ring200, chunk, monkeypatch):
+        # each row adds the same |h| entries in the same order, chunked or not
+        h = kernel_hamiltonians(ring200)["bath"]
+        whole = sp.csr_matrix((np.abs(h.data), h.indices, h.indptr), h.shape) @ np.ones(h.shape[1])
+        bounds = spectral_bounds(h)
+        monkeypatch.setattr(prop, "_ROW_CHUNK", chunk)
+        assert np.array_equal(prop._abs_row_sums(h), whole)
+        assert spectral_bounds(h) == bounds
+
     @pytest.mark.parametrize("kind", ["current", "field"])
     def test_widened_driven_interval_contains_the_spectrum(self, matter3, kind, monkeypatch):
         # every driven step's interval holds the spectrum of its midpoint H

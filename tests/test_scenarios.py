@@ -805,6 +805,21 @@ class TestCompareMethods:
         with pytest.raises(sc.ConfigError, match="semiclassical"):
             sc.compare_methods(tiny_degenerate(), ["full", "semiclassical"])
 
+    @pytest.mark.parametrize(
+        "budget, match",
+        [(None, "coherent initial state"), ("abc", "PDC_MEMORY_BUDGET_MB")],
+        ids=["mean_field_from_fock", "malformed_budget"],
+    )
+    def test_invalid_config_refused_before_the_solve(self, monkeypatch, budget, match):
+        def refused(*args):
+            raise AssertionError("ring solved for a config that fails validation")
+
+        monkeypatch.setattr(sc, "solve_ring", refused)
+        if budget is not None:
+            monkeypatch.setenv(sc.MEMORY_BUDGET_ENV, budget)
+        with pytest.raises(sc.ConfigError, match=match):
+            sc.compare_methods(tiny_degenerate(), ["full", "mean_field"], matter_store={})
+
 
 DRIVEN_YAML = """
 scenario: {kind: current_driven}
