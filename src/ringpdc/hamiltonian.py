@@ -26,10 +26,11 @@ on the modes and the bath sector together:
 
 Each photon factor is summed in photon space from embed products, and embed
 checks every mode and bath factor it lifts for Hermiticity; _kron_sum checks
-each matter factor and writes sum_k M_k (x) P_k block by block into one
-canonical float64 CSR.  Entries (i, j) and (j, i) add the same terms in the
-same order, so H is symmetric to the last bit by construction; the builders
-return the csr_matrix itself.
+each matter factor, counts the entries of every block sum_k M_k[i, j] P_k
+per row, then writes the blocks one at a time into one canonical float64
+CSR.  Entries (i, j) and (j, i) add the same terms in the same order, so H
+is symmetric to the last bit by construction; the builders return the
+csr_matrix itself.
 
 The matter factor is the truncated ring eigenbasis (energies plus momentum
 matrices), or its reflection-even states when every mode shares one
@@ -289,41 +290,6 @@ def restrict_levels(
     return select_states(matter, tm, np.asarray(idx_list, dtype=int))
 
 
-def _block_layouts(
-    factors: dict[tuple[int, int, int], sp.csr_matrix],
-    blocks: set[tuple[tuple[int, ...], int, int]],
-    size: dict[int, int],
-) -> dict:
-    """For each (terms, a, b) of a block, on the union of the patterns of the
-    factors (k, a, b) with k in terms: entries per photon row, each entry's
-    column and place within its row, and where each factor's entries sit."""
-
-    def keys(pk: sp.csr_matrix) -> np.ndarray:
-        return np.repeat(np.arange(pk.shape[0]), np.diff(pk.indptr)) * pk.shape[1] + pk.indices
-
-    # a sum of positive patterns cannot cancel, so its pattern is the union
-    union = {}
-    for (k, a, b), pk in factors.items():
-        ones = sp.csr_matrix((np.ones(pk.nnz), pk.indices, pk.indptr), pk.shape)
-        union[a, b] = union[a, b] + ones if (a, b) in union else ones
-    union = {ab: keys(pattern) for ab, pattern in union.items()}
-    where = {key: np.searchsorted(union[key[1:]], keys(pk)) for key, pk in factors.items()}
-    layouts = {}
-    for terms, a, b in blocks:
-        if not terms:
-            continue
-        member = np.zeros(union[a, b].size, dtype=bool)
-        for k in terms:
-            member[where[k, a, b]] = True
-        slot = np.cumsum(member) - 1
-        rows, cols = np.divmod(union[a, b][member], size[b])
-        counts = np.bincount(rows, minlength=size[a])
-        place = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        positions = [slot[where[k, a, b]] for k in terms]
-        layouts[terms, a, b] = (counts, cols.astype(np.int32), place, positions)
-    return layouts
-
-
 def _kron_sum(
     basis: CoupledBasis,
     pairs: Sequence[tuple[np.ndarray, sp.csr_matrix]],
@@ -331,10 +297,11 @@ def _kron_sum(
 ) -> sp.csr_matrix:
     """sum_k M_k (x) P_k as one canonical float64 CSR, matter slowest.
 
-    Block (i, j) is sum_k M_k[i, j] P_k on the union pattern of the P_k whose
-    coefficient is nonzero.  The row pointer is counted from those patterns
-    first, so each block is written straight into its place in the final
-    arrays and no more than one block is held beside them.  Every factor
+    Block (i, j) is the scipy sum of M_k[i, j] P_k over the k with a nonzero
+    coefficient, added in k order, so an exact zero sum is not stored.  A
+    first pass counts each block's entries per row into the row pointer; a
+    second rebuilds each block and copies it into the next free slots of its
+    rows, so no more than one block is held beside the result.  Every factor
     must be real (ValueError otherwise); each matter factor is checked for
     symmetry here, and the photon factors are real sums of embed products,
     whose factors embed has checked.
@@ -357,7 +324,7 @@ def _kron_sum(
             raise ValueError("a complex factor pair; H is assembled real symmetric")
         matters.append(_hermitian_factor(np.asarray(mk, dtype=float), "matter factor"))
         pk = sp.csr_matrix(pk)
-        pk.sum_duplicates()  # sorted, unique keys for searchsorted
+        pk.sum_duplicates()  # sorted, unique indices, so every block is canonical
         photons.append(pk)
 
     if sides is None:
@@ -386,47 +353,40 @@ def _kron_sum(
             )
         return sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr), (size[a], size[b]))
 
-    terms_of = [
-        [tuple(k for k, mk in enumerate(matters) if mk[i, j] != 0) for j in range(m)]
-        for i in range(m)
-    ]
-    blocks = {(terms_of[i][j], side[i], side[j]) for i in range(m) for j in range(m)}
-    needed = sorted({(k, a, b) for terms, a, b in blocks for k in terms})
-    factors = {key: restricted(*key) for key in needed}
-    layouts = _block_layouts(factors, blocks, size)
-    # beside the result, only the factors' values are needed from here on
-    factors = {key: pk.data for key, pk in factors.items()}
+    terms = np.array(matters) != 0  # terms[k, i, j]: M_k[i, j] enters block (i, j)
+    factors = {
+        key: restricted(*key)
+        for key in sorted({(k, side[i], side[j]) for k, i, j in zip(*np.nonzero(terms))})
+    }
+
+    def blocks():
+        """(i, j, sum_k M_k[i, j] P_k) for every block with a nonzero coefficient."""
+        for i, j in itertools.product(range(m), repeat=2):
+            out = None
+            for k in np.flatnonzero(terms[:, i, j]):
+                term = matters[k][i, j] * factors[k, side[i], side[j]]
+                out = term if out is None else out + term
+            if out is not None:
+                yield i, j, out
+
     offset = [0, *itertools.accumulate(size[s] for s in side)]  # first row of each level
     dim = offset[-1]
-    row_counts = [np.zeros(size[s], dtype=np.int64) for s in side]
-    for i in range(m):
-        for j, terms in enumerate(terms_of[i]):
-            if terms:
-                row_counts[i] += layouts[terms, side[i], side[j]][0]
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_counts))))
+    counts = np.zeros(dim, dtype=np.int64)
+    for i, _, b in blocks():
+        counts[offset[i] : offset[i + 1]] += np.diff(b.indptr)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
     index_dtype = np.int32 if max(indptr[-1], dim) < 2**31 else np.int64
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=index_dtype)
-
-    cancelled = False
-    for i in range(m):
-        free = indptr[offset[i] : offset[i + 1]].copy()  # next open slot of each row
-        for j, terms in enumerate(terms_of[i]):
-            if not terms:
-                continue
-            key = (side[i], side[j])
-            counts, cols, place, positions = layouts[(terms, *key)]
-            values = np.zeros(cols.size)
-            for k, pos in zip(terms, positions):
-                np.add.at(values, pos, matters[k][i, j] * factors[(k, *key)])
-            cancelled = cancelled or not values.all()  # an exact zero sum
-            dest = np.repeat(free, counts)
-            dest += place
-            data[dest] = values
-            indices[dest] = cols + offset[j]
-            free += counts
+    free = indptr[:-1].copy()  # next open slot of each row
+    for i, j, b in blocks():
+        rows = free[offset[i] : offset[i + 1]]
+        dest = np.repeat(rows - b.indptr[:-1], np.diff(b.indptr)) + np.arange(b.nnz)
+        data[dest] = b.data
+        indices[dest] = b.indices.astype(index_dtype, copy=False) + offset[j]
+        rows += np.diff(b.indptr)
     h = sp.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=(dim, dim))
-    if cancelled:
+    if not data.all():  # a single-term block keeps a stored or underflowed zero
         h.eliminate_zeros()
     return h
 

@@ -486,7 +486,9 @@ def validate_config(config: ScenarioConfig) -> dict:
                 f"initial Fock level {ini.fock_k} outside mode 1 truncation "
                 f"n_max = {config.modes[0].n_max}"
             )
-    if ini.kind == "coherent":
+    # every row of an xi1 sweep replaces xi1 and grows n_max to pass the guard
+    xi1_swept = config.sweep is not None and config.sweep.parameter == "xi1"
+    if ini.kind == "coherent" and not xi1_swept:
         needed = _min_coherent_fock(ini.xi1)
         if config.modes[0].n_max < needed:
             raise ConfigError(
@@ -560,6 +562,7 @@ def validate_config(config: ScenarioConfig) -> dict:
 
     if config.sweep is not None:
         validate_sweep(config.sweep)
+        _check_sweep_base(config, config.sweep.parameter)
 
     report = memory_report(config)
     if report["estimated_mb"] > report["budget_mb"]:
@@ -587,6 +590,17 @@ def validate_sweep(sweep: SweepSpec) -> None:
     diffs = np.diff(sweep.values)
     if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("sweep values must be strictly monotone")
+
+
+def _check_sweep_base(base: ScenarioConfig, parameter: str) -> None:
+    """Refuse a parameter that no row of a sweep over `base` could run."""
+    if parameter == "xi1" and base.initial.kind != "coherent":
+        raise ConfigError("xi1 sweeps need a coherent initial state")
+    if parameter == "V0" and base.kind != "degenerate":
+        raise ConfigError(
+            "V0 sweeps retune the mode table from the ring gap and are defined "
+            "for the degenerate scenario"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1116,6 +1130,7 @@ def sweep_row_config(
     matter_store: dict | None = None,
 ) -> ScenarioConfig:
     """The exact per-row config a sweep runs, derivable independently."""
+    _check_sweep_base(base, parameter)
     value = float(value)
     cfg = replace(base, sweep=None)
     if parameter == "theta1":
@@ -1123,19 +1138,12 @@ def sweep_row_config(
     elif parameter == "lambda":
         cfg = replace(cfg, modes=tuple(replace(m, lam=value) for m in base.modes))
     elif parameter == "xi1":
-        if base.initial.kind != "coherent":
-            raise ConfigError("xi1 sweeps need a coherent initial state")
         modes = list(base.modes)
         modes[0] = replace(modes[0], n_max=max(modes[0].n_max, _min_coherent_fock(value)))
         cfg = replace(
             cfg, modes=tuple(modes), initial=replace(base.initial, xi1=value)
         )
     elif parameter == "V0":
-        if base.kind != "degenerate":
-            raise ConfigError(
-                "V0 sweeps retune the mode table from the ring gap and are defined "
-                "for the degenerate scenario"
-            )
         mspec = replace(base.matter, v0_mev=value)
         matter, _ = prepare_matter(mspec, matter_store)
         gap_mev = energy_to_mev(float(matter.energies[1] - matter.energies[0]), UNITS)
@@ -1183,7 +1191,10 @@ def run_sweep(
     sweep = config.sweep
     if sweep is None:
         raise ConfigError("no sweep specified: declare it in the config")
-    validate_sweep(sweep)
+    # what every row would refuse (a kind the parameter cannot vary, a budget
+    # the base config exceeds, a malformed environment) refuses the whole sweep
+    # before any row runs
+    validate_config(config)
     base = replace(config, sweep=None)
     store = matter_store if matter_store is not None else {}
 
@@ -1206,10 +1217,7 @@ def run_sweep(
             row["error"] = f"{type(exc).__name__}: {exc}"
             return None, row
 
-    # a malformed environment refuses the whole sweep, not each of its rows
-    workers = _max_workers(len(sweep.values), max_workers)
-    _memory_budget_mb()
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(_max_workers(len(sweep.values), max_workers)) as pool:
         pairs = list(pool.map(one, sweep.values))
     results = [res for res, _ in pairs]
     rows = [row for _, row in pairs]

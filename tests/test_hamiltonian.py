@@ -687,6 +687,59 @@ SECTOR_CASES = {
 }
 
 
+# a few values, so that sums of products cancel exactly, and non-dyadic ones,
+# so that a sum added in another order rounds differently
+FACTOR_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0, 0.1, -0.3])
+
+
+@st.composite
+def factor_pairs(draw):
+    """(basis, pairs, sides, dense sum_k kron(M_k, P_k) added in k order).
+
+    Matter factors are symmetric with zero entries; photon factors are
+    symmetric and sparse, with stored zeros on part of their pattern; a drawn
+    term may repeat an earlier photon factor with the negated matter factor.
+    When an inversion sector is drawn, every pair keeps or flips both the
+    level parity and the photon parity, `sides` is the sector times the level
+    parities, and the dense sum is sliced to the sector.
+    """
+    m = draw(st.integers(1, 4))
+    dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=2)))
+    basis = ham.CoupledBasis(m, dims)
+    n = basis.dim // m
+    photon_parity = np.ones(1, dtype=int)
+    for d in dims:
+        photon_parity = np.kron(photon_parity, (-1) ** np.arange(d))
+    levels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m)))
+    sector = draw(st.sampled_from([None, 1, -1]))
+
+    def symmetric(size, draws):
+        entries = draw(st.lists(draws, min_size=size**2, max_size=size**2))
+        upper = np.triu(np.reshape(entries, (size, size)))
+        return upper + np.triu(upper, 1).T
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        flip = draw(st.sampled_from([1, -1]))
+        keeps_m = np.multiply.outer(levels, levels) == flip
+        keeps_p = np.multiply.outer(photon_parity, photon_parity) == flip
+        if sector is None:
+            keeps_m = keeps_p = True
+        mk = symmetric(m, FACTOR_VALUES) * keeps_m
+        stored = symmetric(n, st.booleans()).astype(bool) & keeps_p
+        values = symmetric(n, FACTOR_VALUES)
+        pk = sp.csr_matrix((values[stored], np.nonzero(stored)), shape=(n, n))
+        pairs.append((mk, pk))
+        if draw(st.booleans()):
+            earlier = pairs[draw(st.integers(0, len(pairs) - 1))]
+            pairs.append((-earlier[0], earlier[1]))
+    dense = sum(np.kron(mk, pk.toarray()) for mk, pk in pairs)
+    if sector is None:
+        return basis, pairs, None, dense
+    index = np.flatnonzero(np.kron(levels, photon_parity) == sector)
+    return basis, pairs, sector * levels, dense[np.ix_(index, index)]
+
+
 class TestFactorPairBuilder:
     """The Kronecker-sum builder against the running sum of embed products."""
 
@@ -712,6 +765,15 @@ class TestFactorPairBuilder:
         h = ham._kron_sum(basis, pairs)
         assert h.nnz == 3 and h.has_canonical_format and np.all(h.data != 0)
         dense = sum(np.kron(mk, pk.toarray()) for mk, pk in pairs)
+        assert np.array_equal(h.toarray(), dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=factor_pairs())
+    def test_is_the_dense_sum_to_the_last_bit(self, case):
+        basis, pairs, sides, dense = case
+        h = ham._kron_sum(basis, pairs, sides)
+        assert h.dtype == np.float64 and h.indices.dtype == h.indptr.dtype == np.int32
+        assert h.has_canonical_format and np.all(h.data != 0)
         assert np.array_equal(h.toarray(), dense)
 
     def test_peak_memory_stays_near_the_result(self, ring200, tm_full):

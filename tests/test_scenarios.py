@@ -334,11 +334,7 @@ class TestParsing:
         for name in names:
             cfg = sc.load_preset(name)
             assert cfg.label == name
-            if cfg.sweep is None:
-                sc.validate_config(cfg)
-            else:
-                sc.validate_config(replace(cfg, sweep=None))
-                sc.validate_sweep(cfg.sweep)
+            sc.validate_config(cfg)
 
 
 class TestValidation:
@@ -649,7 +645,36 @@ class TestCalibration:
         assert res.summary["drive"]["j0"] == current["j0"]
 
 
+V0_SWEEP_FOCK = Path(__file__).parent / "configs" / "v0_sweep_fock.yaml"
+
+# (budget, CLI source, error, exit code, message) of sweeps that every row would refuse
+REFUSED_SWEEPS = {
+    "v0_on_fock": (
+        None, ["--config", str(V0_SWEEP_FOCK)], sc.ConfigError, 2, "degenerate scenario"
+    ),
+    "over_budget": ("1", ["--preset", "v0_sweep"], sc.MemoryBudgetError, 4, "exceeds the budget"),
+}
+
+
 class TestSweeps:
+    @pytest.mark.parametrize("case", sorted(REFUSED_SWEEPS))
+    def test_refused_before_any_row_runs(self, tmp_path, capsys, monkeypatch, case):
+        budget, source, error, code, message = REFUSED_SWEEPS[case]
+
+        def refused(*args):
+            raise AssertionError("ring solved for a sweep that every row would refuse")
+
+        monkeypatch.setattr(sc, "solve_ring", refused)
+        if budget is not None:
+            monkeypatch.setenv(sc.MEMORY_BUDGET_ENV, budget)
+        flag, name = source
+        config = sc.load_config(name) if flag == "--config" else sc.load_preset(name)
+        with pytest.raises(error, match=message):
+            sc.run_sweep(config, matter_store={}, out_dir=tmp_path)
+        assert cli.main(["sweep", *source, "--output-dir", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_rows_match_individual_runs(self, tmp_path, store):
         base = tiny_degenerate()
         sweep = sc.SweepSpec("theta1", (0.0, 30.0))
@@ -702,6 +727,13 @@ class TestSweeps:
         assert cfg.modes[0].n_max >= 20
         with pytest.raises(sc.ConfigError, match="coherent"):
             sc.sweep_row_config(tiny_degenerate(), "xi1", 2.0)
+
+    def test_xi1_sweep_validated_on_its_rows_not_its_base(self):
+        # the base xi1 = 3 needs n_max >= 26, but every row replaces it
+        base = tiny_degenerate(initial=sc.InitialSpec(kind="coherent", xi1=3.0))
+        with pytest.raises(sc.ConfigError, match="Poisson tail guard"):
+            sc.validate_config(base)
+        sc.validate_config(replace(base, sweep=sc.SweepSpec("xi1", (0.5, 1.0))))
 
     def test_v0_rows_retune_to_the_gap(self, store):
         base = tiny_degenerate()
@@ -908,6 +940,10 @@ class TestCli:
         path.write_text(BASE_YAML)
         assert cli.main(["validate-config", "--config", str(path)]) == 4
         assert "resource refusal" in capsys.readouterr().err
+
+    def test_sweep_no_row_can_run_fails_validation(self, capsys):
+        assert cli.main(["validate-config", "--config", str(V0_SWEEP_FOCK)]) == 2
+        assert "defined for the degenerate scenario" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5"])
     def test_malformed_memory_budget_exit_code(self, tmp_path, capsys, monkeypatch, value):
