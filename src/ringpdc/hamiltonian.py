@@ -25,12 +25,12 @@ on the modes and the bath sector together:
     (e_B.p,  -A_B)                    the collective bath coupling
 
 Each photon factor is summed in photon space from embed products, and embed
-checks every mode and bath factor it lifts for Hermiticity; _kron_sum checks
-each matter factor, counts the entries of every block sum_k M_k[i, j] P_k
-per row, then writes the blocks one at a time into one canonical float64
-CSR.  Entries (i, j) and (j, i) add the same terms in the same order, so H
-is symmetric to the last bit by construction; the builders return the
-csr_matrix itself.
+checks every mode and bath factor it lifts for Hermiticity.  Matter factors
+enter only through _kron_sum, which checks each of them, sizes every row from
+the photon factors, then builds each block sum_k M_k[i, j] P_k once into one
+canonical float64 CSR.  Entries (i, j) and (j, i) add the same terms in the
+same order, so H is symmetric to the last bit by construction; the builders
+return the csr_matrix itself.
 
 The matter factor is the truncated ring eigenbasis (energies plus momentum
 matrices), or its reflection-even states when every mode shares one
@@ -63,8 +63,9 @@ observables, do not depend on it.
 
 The pump schemes are time-dependent terms for the propagator: a classical
 current on quantized mode 1, or the retarded classical field that replaces
-mode 1.  Both break the inversion parity.  This module builds operators
-only; it never propagates.
+mode 1.  drive_term builds either one as a single sum of factor pairs times
+one scalar coefficient.  Both break the inversion parity.  This module
+builds operators only; it never propagates.
 """
 
 from __future__ import annotations
@@ -123,27 +124,17 @@ def _hermitian_factor(op: np.ndarray | sp.spmatrix, where: str) -> np.ndarray | 
 
 def embed(
     basis: CoupledBasis,
-    matter_op: np.ndarray | sp.spmatrix | None = None,
     mode_ops: dict[int, sp.spmatrix] | None = None,
     bath_op: sp.spmatrix | None = None,
 ) -> sp.csr_matrix:
-    """Kronecker-lift Hermitian factor operators onto the full product space.
+    """Kronecker-lift Hermitian mode and bath factors onto the product space,
+    identity on matter: matter factors enter H only through _kron_sum.
 
     Each supplied factor must be Hermitian within HERMITICITY_TOL, so a real
     combination of lifted products is Hermitian without a whole-matrix check.
     The product is real when every factor is.
     """
-    factors: list[sp.spmatrix] = []
-    if matter_op is not None:
-        matter_op = sp.csr_matrix(matter_op)
-        if matter_op.shape != (basis.matter_dim, basis.matter_dim):
-            raise ValueError(
-                f"matter operator shape {matter_op.shape} != "
-                f"{(basis.matter_dim, basis.matter_dim)}"
-            )
-        factors.append(_hermitian_factor(matter_op, "matter operator"))
-    else:
-        factors.append(sp.identity(basis.matter_dim, format="csr"))
+    factors: list[sp.spmatrix] = [sp.identity(basis.matter_dim, format="csr")]
     mode_ops = mode_ops or {}
     for slot, d in enumerate(basis.mode_dims):
         op = mode_ops.get(slot)
@@ -298,13 +289,12 @@ def _kron_sum(
     """sum_k M_k (x) P_k as one canonical float64 CSR, matter slowest.
 
     Block (i, j) is the scipy sum of M_k[i, j] P_k over the k with a nonzero
-    coefficient, added in k order, so an exact zero sum is not stored.  A
-    first pass counts each block's entries per row into the row pointer; a
-    second rebuilds each block and copies it into the next free slots of its
-    rows, so no more than one block is held beside the result.  Every factor
-    must be real (ValueError otherwise); each matter factor is checked for
-    symmetry here, and the photon factors are real sums of embed products,
-    whose factors embed has checked.
+    coefficient, added in k order, so an exact zero sum is not stored.  Each
+    row is sized from the rows of the P_k that enter it; each block is built
+    once into the next free slots of its rows, and the slots left zero are
+    dropped at the end.  Every factor must be real (ValueError otherwise);
+    each matter factor is checked for symmetry here, and the photon factors
+    are real sums of embed products, whose factors embed has checked.
 
     With `sides`, level i keeps only the photon indices whose photon parity
     is sides[i] (the sector times the level's inversion parity), and block
@@ -359,34 +349,30 @@ def _kron_sum(
         for key in sorted({(k, side[i], side[j]) for k, i, j in zip(*np.nonzero(terms))})
     }
 
-    def blocks():
-        """(i, j, sum_k M_k[i, j] P_k) for every block with a nonzero coefficient."""
-        for i, j in itertools.product(range(m), repeat=2):
-            out = None
-            for k in np.flatnonzero(terms[:, i, j]):
-                term = matters[k][i, j] * factors[k, side[i], side[j]]
-                out = term if out is None else out + term
-            if out is not None:
-                yield i, j, out
-
     offset = [0, *itertools.accumulate(size[s] for s in side)]  # first row of each level
     dim = offset[-1]
     counts = np.zeros(dim, dtype=np.int64)
-    for i, _, b in blocks():
-        counts[offset[i] : offset[i + 1]] += np.diff(b.indptr)
+    for k, i, j in zip(*np.nonzero(terms)):
+        counts[offset[i] : offset[i + 1]] += np.diff(factors[k, side[i], side[j]].indptr)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     index_dtype = np.int32 if max(indptr[-1], dim) < 2**31 else np.int64
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=index_dtype)
+    data = np.zeros(indptr[-1])
+    indices = np.zeros(indptr[-1], dtype=index_dtype)
     free = indptr[:-1].copy()  # next open slot of each row
-    for i, j, b in blocks():
+    for i, j in itertools.product(range(m), repeat=2):
+        b = None
+        for k in np.flatnonzero(terms[:, i, j]):
+            term = matters[k][i, j] * factors[k, side[i], side[j]]
+            b = term if b is None else b + term
+        if b is None:
+            continue
         rows = free[offset[i] : offset[i + 1]]
         dest = np.repeat(rows - b.indptr[:-1], np.diff(b.indptr)) + np.arange(b.nnz)
         data[dest] = b.data
         indices[dest] = b.indices.astype(index_dtype, copy=False) + offset[j]
         rows += np.diff(b.indptr)
     h = sp.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=(dim, dim))
-    if not data.all():  # a single-term block keeps a stored or underflowed zero
+    if not data.all():  # unused slots, or a zero a one-term block keeps
         h.eliminate_zeros()
     return h
 
@@ -617,17 +603,6 @@ class TimeDependentTerm(NamedTuple):
     coeff: Callable[[float], float]
 
 
-def current_drive_terms(
-    basis: CoupledBasis, mode1: FockMode, drive: DriveSpec
-) -> list[TimeDependentTerm]:
-    """H(t) = H_S + A_1 j(t) with A_1 = lam_1 q_1 still quantized (mode slot 0)."""
-    if drive.kind != "classical_current":
-        raise ValueError("current_drive_terms requires kind = classical_current")
-    q, _ = quadratures(mode1)
-    pattern = (mode1.lam * embed(basis, mode_ops={0: q})).tocsr()
-    return [TimeDependentTerm(op=pattern, coeff=drive.current)]
-
-
 def classical_pump_field(
     drive: DriveSpec, mode1: FockMode, t_grid: np.ndarray
 ) -> np.ndarray:
@@ -649,54 +624,51 @@ def classical_pump_field(
     return -(mode1.lam / w) * (np.sin(w * t) * cos_int - np.cos(w * t) * sin_int)
 
 
-def field_drive_terms(
+def drive_term(
     basis: CoupledBasis,
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
-    signal_modes: Sequence[FockMode],
-    mode1: FockMode,
+    modes: Sequence[FockMode],
     drive: DriveSpec,
-    t_grid: np.ndarray,
-) -> list[TimeDependentTerm]:
-    """Classical-field pump: mode 1 leaves the quantized basis and enters as
-    A1(t) = lam1 q1(t) with q1 integrated from the drive current.
+    t_grid: np.ndarray | None = None,
+) -> TimeDependentTerm:
+    """The pump as one factor-pair operator times its scalar coefficient.
 
-    H_ext(t) = -A1(t) e1.p + A1(t) [lam2 (e1.e2) q2 + lam3 (e1.e3) q3],
+    modes are the configured modes, pump mode 1 first.  classical_current:
+    H(t) = H_S + j(t) lam_1 q_1, with mode 1 quantized in slot 0 of the basis.
+    classical_field: mode 1 leaves the quantized basis and enters as
+    A1(t) = lam1 q1(t), with q1 integrated from the drive current on t_grid,
+
+        H_ext(t) = A1(t) [-e1.p + lam2 (e1.e2) q2 + lam3 (e1.e3) q3],
 
     with every e_a read from the modes' polarization and e1.p between the
     real levels that the static builders use.  The diamagnetic c-number
     A1(t)^2 / 2 is left out: it only shifts the global phase.
     """
-    if len(basis.mode_dims) != 2 or len(signal_modes) != 2:
+    mode1 = modes[0]
+    photon = CoupledBasis(1, basis.mode_dims, basis.bath)
+    eye = np.eye(basis.matter_dim)
+    if drive.kind == "classical_current":
+        q, _ = quadratures(mode1)
+        pairs = [(eye, mode1.lam * embed(photon, mode_ops={0: q}))]
+        return TimeDependentTerm(op=_kron_sum(basis, pairs), coeff=drive.current)
+    if len(basis.mode_dims) != 2 or len(modes) != 3:
         raise ValueError(
             "classical-field pump requires mode 1 removed from the quantized "
             "basis (two signal modes only)"
         )
     e1 = mode1.polarization
     _, px, py = _real_matter(matter, tm)
-    q1 = classical_pump_field(drive, mode1, t_grid)
-    a1 = mode1.lam * q1
-    t_ref = np.asarray(t_grid, dtype=float)
-
-    def a1_at(t: float) -> float:
-        return float(np.interp(t, t_ref, a1))
-
-    terms = [
-        TimeDependentTerm(
-            op=embed(basis, matter_op=_momentum_projection(px, py, e1)),
-            coeff=lambda t: -a1_at(t),
-        ),
-    ]
-    for slot, mode in enumerate(signal_modes):
+    field = sp.csr_matrix((photon.dim, photon.dim))
+    for slot, mode in enumerate(modes[1:]):
         dot = e1[0] * mode.polarization[0] + e1[1] * mode.polarization[1]
         if mode.lam == 0.0 or dot == 0.0:
             continue
         q, _ = quadratures(mode)
-        terms.append(
-            TimeDependentTerm(
-                op=(mode.lam * dot) * embed(basis, mode_ops={slot: q}),
-                coeff=a1_at,
-            )
-        )
-    return terms
-
+        field = field + (mode.lam * dot) * embed(photon, mode_ops={slot: q})
+    pairs = [
+        (-_momentum_projection(px, py, e1), sp.identity(photon.dim, format="csr")),
+        (eye, field),
+    ]
+    a1 = mode1.lam * classical_pump_field(drive, mode1, t_grid)
+    return TimeDependentTerm(_kron_sum(basis, pairs), lambda t: float(np.interp(t, t_grid, a1)))

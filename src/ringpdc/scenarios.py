@@ -65,12 +65,10 @@ from .hamiltonian import (
     _assemble,
     assemble_bath_terms,  # noqa: F401 - no run calls it; the benchmark tracer patches it by name
     assemble_degenerate,
-    assemble_few_level,
+    assemble_few_level,  # noqa: F401 - no run calls it; the benchmark tracer patches it by name
     assemble_signal_pair,
     assemble_system,
-    current_drive_terms,
-    embed,
-    field_drive_terms,
+    drive_term,
     inversion_parity,
     product_state,
     restrict_levels,
@@ -91,7 +89,7 @@ from .meanfield import (
     propagate_mf,
 )
 from .observables import efficiency_eta, series_extrema, snapshot_columns
-from .photon import COHERENT_TAIL_TOL, BathSpec, FockMode, coherent_state, number_op, sample_bath
+from .photon import COHERENT_TAIL_TOL, BathSpec, FockMode, coherent_state, sample_bath
 from .propagator import WORK_VECTORS, CoupledState, PropagatorConfig, ground_state
 from .propagator import propagate, spectral_bounds
 from .units import (
@@ -528,6 +526,14 @@ def validate_config(config: ScenarioConfig) -> dict:
             raise ConfigError("drive tau_ps must be positive")
         if config.drive.omega_mev is not None and config.drive.omega_mev <= 0:
             raise ConfigError(f"drive.omega_meV must be positive, got {config.drive.omega_mev}")
+        # the calibration ranges, refused here rather than after the ring solve
+        if not 0.0 < config.drive.tolerance < config.drive.target_n1:
+            raise ConfigError(
+                f"drive.tolerance must lie in (0, drive.target_n1 = {config.drive.target_n1}), "
+                f"got {config.drive.tolerance}"
+            )
+        if config.drive.t_check_ps <= 0:
+            raise ConfigError(f"drive.t_check_ps must be positive, got {config.drive.t_check_ps}")
 
     met = config.method
     if met.kind not in METHOD_KINDS:
@@ -712,17 +718,16 @@ def calibrate_current_drive(
     basis = CoupledBasis(matter.n_states, (mode1.dim,))
     h = _assemble(basis, matter, tm, [mode1])
     _, psi0 = ground_state(h)
-    n1_op = embed(basis, mode_ops={0: number_op(mode1).tocsr()})
+    names, observer = snapshot_columns(basis, [mode1.omega])
+    column = names.index("n1")
     config = PropagatorConfig(dt=CALIBRATION_DT)
     bounds = spectral_bounds(h)
 
     def occupation(j0: float) -> float:
-        terms = current_drive_terms(basis, mode1, replace(drive, j0=j0))
+        terms = [drive_term(basis, matter, tm, [mode1], replace(drive, j0=j0))]
         start = CoupledState(psi0.copy(), 0.0)
         final = propagate(h, start, t_check, config, terms=terms, bounds=bounds).final
-        # n1_op is real symmetric: <psi|n1|psi> = <x|n1|x> + <y|n1|y> for psi = x + i y
-        x, y = final.amplitudes.real, final.amplitudes.imag
-        return float(x @ (n1_op @ x) + y @ (n1_op @ y))
+        return float(observer(final)[column])
 
     hi = drive.j0 if drive.j0 > 0 else 1.0
     lo = 0.0
@@ -854,11 +859,8 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     dims = tuple(m.dim for m in quantized)
     if config.method.kind == "few_level":
         # the levels of the coupled basis, in its order
-        coupled, _ = restrict_levels(matter, tm, config.method.levels)
-        basis = CoupledBasis(coupled.n_states, dims)
-    else:
-        coupled = matter
-        basis = CoupledBasis(matter.n_states, dims, bath_basis)
+        matter, tm = restrict_levels(matter, tm, config.method.levels)
+    basis = CoupledBasis(matter.n_states, dims, bath_basis)
 
     psi0 = None
     if config.initial.kind != "ground":
@@ -872,7 +874,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     # starts occupy both and skip the parity work
     inversion = index = None
     if config.initial.kind == "fock":
-        parity = inversion_parity(basis, coupled)
+        parity = inversion_parity(basis, matter)
         if parity is not None:
             occupied = np.unique(parity[psi0.amplitudes != 0])
             if len(occupied) == 1:
@@ -880,21 +882,16 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
                 index = np.flatnonzero(parity == inversion)
                 psi0 = CoupledState(psi0.amplitudes[index], 0.0)
 
-    if config.method.kind == "few_level":
-        h, _ = assemble_few_level(config.method.levels, matter, tm, modes, sector=inversion)
-    elif config.kind == "field_driven":
+    if config.kind == "field_driven":
         h = assemble_signal_pair(basis, matter, tm, quantized)
-        drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
-        info["drive"] = drive
-        t_grid = np.arange(0.0, t_final + 2.0 * dt, dt)
-        terms = field_drive_terms(basis, matter, tm, quantized, modes[0], drive, t_grid)
     else:
         build = assemble_degenerate if config.kind == "degenerate" else assemble_system
         h = build(basis, matter, tm, modes, bath_modes=bath_modes, sector=inversion)
-        if config.kind == "current_driven":
-            drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
-            info["drive"] = drive
-            terms = current_drive_terms(basis, modes[0], drive)
+    if config.drive is not None:
+        drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
+        info["drive"] = drive
+        t_grid = np.arange(0.0, t_final + 2.0 * dt, dt)
+        terms = [drive_term(basis, matter, tm, modes, drive, t_grid)]
 
     if psi0 is None:
         _, vec = ground_state(h)

@@ -131,11 +131,6 @@ class TestEmbed:
         k = np.ravel_multi_index((0, 1, 2), basis.shape)
         assert n1[k, k] == 2.0
 
-    def test_matter_shape_mismatch(self):
-        basis = ham.CoupledBasis(2, (3,))
-        with pytest.raises(ValueError, match="matter operator shape"):
-            ham.embed(basis, matter_op=np.eye(3))
-
     def test_bath_op_without_bath(self):
         basis = ham.CoupledBasis(2, (3,))
         with pytest.raises(ValueError, match="bath"):
@@ -145,25 +140,48 @@ class TestEmbed:
         from ringpdc.photon import enumerate_bath_basis
 
         basis = ham.CoupledBasis(2, (2,), bath=enumerate_bath_basis(1, 1))
-        herm = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]])
-        out = ham.embed(
-            basis, matter_op=herm, mode_ops={0: sp.csr_matrix(herm)}, bath_op=sp.csr_matrix(herm)
-        )
+        herm = sp.csr_matrix(np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]]))
+        out = ham.embed(basis, mode_ops={0: herm}, bath_op=herm)
         assert out.shape == (8, 8)
 
-    @pytest.mark.parametrize("slot", ["matter", "mode", "bath"])
+    @pytest.mark.parametrize("slot", ["mode", "bath"])
     def test_rejects_non_hermitian_factor(self, slot):
         from ringpdc.photon import enumerate_bath_basis
 
         basis = ham.CoupledBasis(2, (2,), bath=enumerate_bath_basis(1, 1))
         bad = sp.csr_matrix(np.array([[1.0, 2.0], [2.0 + 1e-6, 3.0]]))
         factor = {
-            "matter": {"matter_op": bad},
             "mode": {"mode_ops": {0: bad}},
             "bath": {"bath_op": bad},
         }[slot]
         with pytest.raises(ValueError, match="Hermiticity defect"):
             ham.embed(basis, **factor)
+
+
+class TestFactorPairChecks:
+    """_kron_sum is where matter factors enter H: it refuses the ones H cannot take."""
+
+    def test_factors_must_tile_the_basis(self):
+        basis = ham.CoupledBasis(2, (3,))
+        with pytest.raises(ValueError, match="do not tile"):
+            ham._kron_sum(basis, [(np.eye(3), sp.identity(3, format="csr"))])
+
+    def test_rejects_non_symmetric_matter_factor(self):
+        basis = ham.CoupledBasis(2, (2,))
+        bad = np.array([[1.0, 2.0], [2.0 + 1e-6, 3.0]])
+        with pytest.raises(ValueError, match="Hermiticity defect"):
+            ham._kron_sum(basis, [(bad, sp.identity(2, format="csr"))])
+
+    @pytest.mark.parametrize("side", ["matter", "photon"])
+    def test_rejects_complex_factor_pair(self, side):
+        basis = ham.CoupledBasis(2, (2,))
+        herm = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]])
+        pair = {
+            "matter": (herm, sp.identity(2, format="csr")),
+            "photon": (np.eye(2), sp.csr_matrix(herm)),
+        }[side]
+        with pytest.raises(ValueError, match="complex factor pair"):
+            ham._kron_sum(basis, [pair])
 
 
 class TestProductState:
@@ -506,13 +524,11 @@ def drive_patterns(mb, tm, kind):
     if kind == "current":
         basis = ham.CoupledBasis(3, (3, 3, 3))
         drive = ham.DriveSpec(kind="classical_current", j0=1.5, tau=2.0, omega1=W1)
-        return [t.op for t in ham.current_drive_terms(basis, default_modes(n_max=2)[0], drive)]
+        return [ham.drive_term(basis, mb, tm, default_modes(n_max=2), drive).op]
     basis = ham.CoupledBasis(3, (3, 3))
     drive = ham.DriveSpec(kind="classical_field", j0=0.4, t0=2.0, tau=0.9, omega1=W1)
-    terms = ham.field_drive_terms(
-        basis, mb, tm, signal_modes(), default_modes()[0], drive, np.linspace(0.0, 12.0, 401)
-    )
-    return [t.op for t in terms]
+    modes = [default_modes()[0], *signal_modes()]
+    return [ham.drive_term(basis, mb, tm, modes, drive, np.linspace(0.0, 12.0, 401)).op]
 
 
 # each builder returns the sparse matrices it assembles
@@ -549,11 +565,17 @@ class TestHermitianByConstruction:
             assert defect.nnz == 0
 
 
+def lifted(basis, matter_op, **photon_ops):
+    """matter_op (x) the embed product of the photon-space factors."""
+    photon = ham.CoupledBasis(1, basis.mode_dims, basis.bath)
+    return sp.kron(matter_op, ham.embed(photon, **photon_ops), format="csr")
+
+
 def running_sum(basis, matter, tm, modes):
-    """H as a running sum of embed products, one term at a time: the
+    """H as a running sum of Kronecker products, one term at a time: the
     reference for the factor-pair builder, on the same real matter factors."""
     h_el, px, py = ham._real_matter(matter, tm)
-    total = ham.embed(basis, matter_op=h_el)
+    total = lifted(basis, h_el)
     quads = [quadratures(mode)[0] for mode in modes]
     for slot, mode in enumerate(modes):
         h_ph = mode.omega * (number_op(mode) + 0.5 * sp.identity(mode.dim))
@@ -563,7 +585,7 @@ def running_sum(basis, matter, tm, modes):
             continue
         q = quads[slot]
         proj = ham._momentum_projection(px, py, mode.polarization)
-        total = total - mode.lam * ham.embed(basis, matter_op=proj, mode_ops={slot: q})
+        total = total - mode.lam * lifted(basis, proj, mode_ops={slot: q})
         total = total + 0.5 * mode.lam**2 * ham.embed(basis, mode_ops={slot: (q @ q).tocsr()})
     for a in range(len(modes)):
         for b in range(a + 1, len(modes)):
@@ -575,7 +597,7 @@ def running_sum(basis, matter, tm, modes):
 
 
 def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
-    """assemble_bath_terms as a running sum of embed products."""
+    """assemble_bath_terms as a running sum of Kronecker products."""
     bath = basis.bath
     eye = sp.identity(bath.size, format="csr")
     (pol,) = {mode.polarization for mode in bath_modes}
@@ -587,7 +609,7 @@ def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
     disp = sum(c * (low + low.T) for c, low in zip(weights, lowering))
     _, px, py = ham._real_matter(matter, tm)
     proj = ham._momentum_projection(px, py, pol)
-    total = total - ham.embed(basis, matter_op=proj, bath_op=disp)
+    total = total - lifted(basis, proj, bath_op=disp)
     for slot, mode in enumerate(main_modes):
         dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
         if mode.lam != 0.0 and dot != 0.0:
@@ -741,7 +763,7 @@ def factor_pairs(draw):
 
 
 class TestFactorPairBuilder:
-    """The Kronecker-sum builder against the running sum of embed products."""
+    """The Kronecker-sum builder against the running sum of Kronecker products."""
 
     @pytest.mark.parametrize("case", sorted(BUILDER_CASES))
     def test_matches_the_running_sum(self, case, matter3, bath_setup):
@@ -1032,22 +1054,36 @@ class TestCurrentDrive:
         mode1 = FockMode(W1, 3, 0.02, (1.0, 0.0))
         basis = ham.CoupledBasis(3, (4,))
         drive = ham.DriveSpec(kind="classical_current", j0=1.5, tau=2.0, omega1=W1)
-        terms = ham.current_drive_terms(basis, mode1, drive)
-        assert len(terms) == 1
+        term = ham.drive_term(basis, mb, tm, [mode1], drive)
         q, _ = quadratures(mode1)
         expect = 0.02 * ham.embed(basis, mode_ops={0: q.tocsr()})
-        assert abs(terms[0].op - expect).max() < 1e-15
+        # the lifted quadrature to the last bit, in the same CSR layout
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(term.op, part), getattr(expect, part)), part
         t = 0.9
-        h_t = sum(term.coeff(t) * term.op for term in terms)
-        assert abs(h_t - drive.current(t) * expect).max() < 1e-14
+        assert abs(term.coeff(t) * term.op - drive.current(t) * expect).max() < 1e-14
+
+    def test_is_the_dense_kronecker_sum(self, matter3):
+        # (1, lam1 q1) on a 3-level x (4, 3)-photon basis, mode 1 in slot 0
+        mb, tm = matter3
+        modes = [FockMode(W1, 3, 0.02, (1.0, 0.0)), FockMode(W2, 2, 0.03, (0.0, 1.0))]
+        basis = ham.CoupledBasis(3, (4, 3))
+        drive = ham.DriveSpec(kind="classical_current", j0=1.5, tau=2.0, omega1=W1)
+        q1 = quadratures(modes[0])[0].toarray()
+        dense = np.kron(np.eye(3), np.kron(0.02 * q1, np.eye(3)))
+        op = ham.drive_term(basis, mb, tm, modes, drive).op
+        assert op.dtype == np.float64 and op.has_canonical_format
+        assert np.array_equal(op.toarray(), dense)
 
     def test_kind_checked(self, matter3):
+        # the kind picks the pattern: a field drive on the current drive's
+        # basis, where mode 1 is still quantized, is refused
+        mb, tm = matter3
         mode1 = FockMode(W1, 3, 0.02, (1.0, 0.0))
         basis = ham.CoupledBasis(3, (4,))
-        with pytest.raises(ValueError, match="classical_current"):
-            ham.current_drive_terms(
-                basis, mode1, ham.DriveSpec(kind="classical_field", tau=1.0, omega1=W1)
-            )
+        drive = ham.DriveSpec(kind="classical_field", tau=1.0, omega1=W1)
+        with pytest.raises(ValueError, match="mode 1 removed"):
+            ham.drive_term(basis, mb, tm, [mode1], drive, np.linspace(0, 1, 10))
 
 
 class TestClassicalPumpField:
@@ -1091,7 +1127,7 @@ class TestFieldDrive:
         basis = ham.CoupledBasis(3, (3, 3, 3))
         d = ham.DriveSpec(kind="classical_field", j0=1.0, tau=1.0, omega1=W1)
         with pytest.raises(ValueError, match="mode 1 removed"):
-            ham.field_drive_terms(basis, mb, tm, modes, modes[0], d, np.linspace(0, 1, 10))
+            ham.drive_term(basis, mb, tm, modes, d, np.linspace(0, 1, 10))
 
     def test_terms_reproduce_manual_expansion(self, matter3):
         mb, tm = matter3
@@ -1101,7 +1137,7 @@ class TestFieldDrive:
         basis = ham.CoupledBasis(3, (3, 3))
         t_grid = np.linspace(0.0, 12.0, 4001)
         d = ham.DriveSpec(kind="classical_field", j0=0.4, t0=2.0, tau=0.9, omega1=W1)
-        terms = ham.field_drive_terms(basis, mb, tm, signal, mode1, d, t_grid)
+        term = ham.drive_term(basis, mb, tm, [mode1, *signal], d, t_grid)
         q1 = ham.classical_pump_field(d, mode1, t_grid)
         # p_x between the real levels the static builders use
         u = real_gauge(mb)
@@ -1112,12 +1148,33 @@ class TestFieldDrive:
             q3 = quadratures(signal[1])[0]
             # the c-number (1/2) a1^2 is left out: it only shifts the global phase
             manual = (
-                -a1 * ham.embed(basis, matter_op=px)
+                -a1 * lifted(basis, px)
                 + a1 * signal[0].lam * (e2[0] * 1.0) * ham.embed(basis, mode_ops={0: q2.tocsr()})
                 + a1 * signal[1].lam * (e3[0] * 1.0) * ham.embed(basis, mode_ops={1: q3.tocsr()})
             )
-            built = sum(term.coeff(t_probe) * term.op for term in terms)
-            assert abs(built - manual).max() < 1e-12
+            assert abs(term.coeff(t_probe) * term.op - manual).max() < 1e-12
+
+    def test_is_the_dense_kronecker_sum(self, matter3):
+        # (-e1.p, 1) + (1, sum_a lam_a (e1.e_a) q_a), with e1 tilted so that
+        # both signal modes and both momentum components enter
+        mb, tm = matter3
+        mode1 = FockMode(W1, 2, 0.014, (math.cos(0.3), math.sin(0.3)))
+        _, e2, e3 = polarization_vectors(math.pi / 3, math.pi / 5)
+        signal = [FockMode(W2, 2, 0.020, e2), FockMode(W3, 3, 0.026, e3)]
+        basis = ham.CoupledBasis(3, (3, 4))
+        d = ham.DriveSpec(kind="classical_field", j0=0.4, t0=2.0, tau=0.9, omega1=W1)
+        op = ham.drive_term(basis, mb, tm, [mode1, *signal], d, np.linspace(0, 5, 51)).op
+        _, px, py = ham._real_matter(mb, tm)
+        e1 = mode1.polarization
+        q2, q3 = (quadratures(m)[0].toarray() for m in signal)
+        dots = [e1[0] * m.polarization[0] + e1[1] * m.polarization[1] for m in signal]
+        field = (signal[0].lam * dots[0]) * np.kron(q2, np.eye(4)) + (
+            signal[1].lam * dots[1]
+        ) * np.kron(np.eye(3), q3)
+        dense = np.kron(-(e1[0] * px + e1[1] * py), np.eye(12)) + np.kron(np.eye(3), field)
+        assert op.dtype == np.float64 and op.has_canonical_format
+        assert min(abs(x) for x in dots) > 0.1
+        assert np.array_equal(op.toarray(), dense)
 
 
 class TestCalibration:
@@ -1138,14 +1195,14 @@ class TestCalibration:
         q, _ = quadratures(mode1)
         h_el, px, _ = ham._real_matter(mb, tm)
         h = (
-            ham.embed(basis, matter_op=h_el)
+            lifted(basis, h_el)
             + mode1.omega
             * ham.embed(basis, mode_ops={0: (number_op(mode1) + 0.5 * sp.identity(7)).tocsr()})
-            - mode1.lam * ham.embed(basis, matter_op=px, mode_ops={0: q.tocsr()})
+            - mode1.lam * lifted(basis, px, mode_ops={0: q.tocsr()})
             + 0.5 * mode1.lam**2 * ham.embed(basis, mode_ops={0: (q @ q).tocsr()})
         )
         _, psi0 = ground_state(h)
-        terms = ham.current_drive_terms(basis, mode1, calibrated)
+        terms = [ham.drive_term(basis, mb, tm, [mode1], calibrated)]
         final = propagate(
             h, CoupledState(psi0, 0.0), t_check, PropagatorConfig(dt=0.02), terms=terms
         ).final

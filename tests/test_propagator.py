@@ -411,13 +411,13 @@ class TestChebyshevKernel:
             basis = ham.CoupledBasis(3, (3, 3, 3))
             h = ham.assemble_system(basis, mb, tm, modes)
             drive = ham.DriveSpec(kind="classical_current", j0=40.0, tau=2.0, omega1=W1)
-            terms = ham.current_drive_terms(basis, modes[0], drive)
+            terms = [ham.drive_term(basis, mb, tm, modes, drive)]
         else:
             basis = ham.CoupledBasis(3, (3, 3))
             h = ham.assemble_signal_pair(basis, mb, tm, modes[1:])
             drive = ham.DriveSpec(kind="classical_field", j0=400.0, t0=2.0, tau=0.9, omega1=W1)
             grid = np.linspace(0.0, 5.0, 501)
-            terms = ham.field_drive_terms(basis, mb, tm, modes[1:], modes[0], drive, grid)
+            terms = [ham.drive_term(basis, mb, tm, modes, drive, grid)]
         seen = []
         kernel = prop._chebyshev_expm
 
@@ -466,13 +466,14 @@ def coupled_pair(matter3):
         basis = ham.CoupledBasis(3, (7,))
         q, _ = quadratures(mode)
         h_el, _, py = ham._real_matter(mb, tm)
+        photon = ham.CoupledBasis(1, (7,))
         h = (
-            ham.embed(basis, matter_op=h_el)
+            sp.kron(h_el, ham.embed(photon), format="csr")
             + mode.omega
             * ham.embed(
                 basis, mode_ops={0: (number_op(mode) + 0.5 * sp.identity(7)).tocsr()}
             )
-            - lam * ham.embed(basis, matter_op=py, mode_ops={0: q.tocsr()})
+            - lam * sp.kron(py, ham.embed(photon, mode_ops={0: q.tocsr()}), format="csr")
             + 0.5 * lam**2 * ham.embed(basis, mode_ops={0: (q @ q).tocsr()})
         )
         out[lam] = (basis, mode, h)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from ringpdc import cli
@@ -853,14 +854,7 @@ class TestCompareMethods:
             sc.compare_methods(tiny_degenerate(), ["full", "mean_field"], matter_store={})
 
 
-DRIVEN_YAML = """
-scenario: {kind: current_driven}
-matter: {v0_meV: 200.0, n_levels: 3, grid_points: 31, grid_step_nm: 2.8}
-modes: [{omega_meV: 10.0, n_max: 3, lambda: 0.05}, {omega_meV: 4.0, n_max: 2, lambda: 0.05}, {omega_meV: 6.0, n_max: 2, lambda: 0.05}]
-initial: {kind: ground}
-drive: {t0_ps: 0.05, tau_ps: 0.02, calibrate: true, target_n1: 1.0, t_check_ps: 0.05, tolerance: 0.2}
-propagation: {t_final_ps: 0.1, dt_fs: 4.0}
-"""
+DRIVEN_YAML = (ROOT / "tests" / "configs" / "current_drive_tiny.yaml").read_text()
 
 
 # Values that parse but that the ring solve, the bath sampling or the drive
@@ -1044,6 +1038,12 @@ class TestCli:
             ("scenario", "kind", "current_drive", "unknown scenario kind"),
             (None, "modes", [], "exactly 3 modes, got 0"),
             ("drive", "omega_meV", -24.0, "drive.omega_meV must be positive"),
+            # calibration ranges the bisection would refuse only after the ring solve
+            ("drive", "tolerance", 0, "drive.tolerance must lie in (0, drive.target_n1"),
+            ("drive", "tolerance", 2.0, "drive.tolerance must lie in (0, drive.target_n1"),
+            ("drive", "target_n1", -1, "drive.tolerance must lie in (0, drive.target_n1"),
+            ("drive", "t_check_ps", 0, "drive.t_check_ps must be positive"),
+            ("drive", "t_check_ps", -0.1, "drive.t_check_ps must be positive"),
         ],
     )
     def test_calibrate_drive_validates_first(self, tmp_path, capsys, section, key, value, message):
@@ -1378,18 +1378,19 @@ def test_field_drive_c_number_only_shifts_the_phase(tmp_path, monkeypatch, store
         label="tinyfield",
     )
     without = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
-    original = sc.field_drive_terms
+    original = sc.propagate
     peak = []
 
-    def with_c_number(basis, matter, tm, signal_modes, mode1, drive, t_grid):
-        a1 = mode1.lam * ham.classical_pump_field(drive, mode1, t_grid)
-        peak.append(np.abs(a1).max())
+    def with_c_number(h, state, t_final, config, *, terms, **kwargs):
+        # the field term's coefficient is A1(t)
+        (field,) = terms
+        peak.append(max(abs(field.coeff(t)) for t in np.linspace(0.0, t_final, 201)))
         c_number = ham.TimeDependentTerm(
-            op=ham.embed(basis), coeff=lambda t: 0.5 * float(np.interp(t, t_grid, a1)) ** 2
+            op=sp.identity(h.shape[0], format="csr"), coeff=lambda t: 0.5 * field.coeff(t) ** 2
         )
-        return [*original(basis, matter, tm, signal_modes, mode1, drive, t_grid), c_number]
+        return original(h, state, t_final, config, terms=[field, c_number], **kwargs)
 
-    monkeypatch.setattr(sc, "field_drive_terms", with_c_number)
+    monkeypatch.setattr(sc, "propagate", with_c_number)
     with_term = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
     assert peak and peak[0] > 0.0
     assert_same_series(without, with_term)
