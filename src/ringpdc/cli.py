@@ -1,8 +1,9 @@
 """Command line front end for scenario runs, sweeps and method comparisons.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 resource refusal (memory budget).  PDC_MAX_WORKERS caps the sweep and
-comparison thread pool; PDC_MEMORY_BUDGET_MB sets the refusal threshold.
+4 resource refusal (memory budget).  `sweep --max-workers` (at least 1)
+caps the sweep's thread pool, and `compare` runs its methods in turn;
+PDC_MEMORY_BUDGET_MB sets the refusal threshold.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     config = _load(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    res = sc.compare_methods(
-        config, methods, out_dir=args.output_dir, max_workers=args.max_workers
-    )
+    res = sc.compare_methods(config, methods, out_dir=args.output_dir)
     for name, run in res.runs.items():
         _print_run(run)
     for method, entries in res.deviations["methods"].items():
@@ -111,11 +110,8 @@ def _cmd_calibrate(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load(args)
     report = sc.validate_config(config)
-    dims = " x ".join(str(d) for d in report["mode_dims"]) or "none"
-    bath = f" x bath {report['bath_dim']}" if report["bath_dim"] is not None else ""
     print(
-        f"ok: state dimension {report['total_dim']} "
-        f"(matter {report['matter_dim']} x modes {dims}{bath}), "
+        f"ok: state dimension {report['total_dim']} ({sc._dims_text(report)}), "
         f"estimated {report['estimated_mb']:.1f} MB within "
         f"budget {report['budget_mb']:.0f} MB"
     )
@@ -147,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the sweep declared in the config")
     _add_common(p)
-    p.add_argument("--max-workers", type=int, default=None, help="parallel sweep rows")
+    p.add_argument("--max-workers", type=int, default=None, help="parallel sweep rows, >= 1")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("compare", help="run several methods on one scenario")
@@ -157,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="full,few_level,mean_field",
         help="comma-separated method list (first is the reference)",
     )
-    p.add_argument("--max-workers", type=int, default=None, help="parallel method runs")
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("calibrate-drive", help="bisect the drive amplitude only")

@@ -19,22 +19,23 @@ photon-number parity that the start occupies (the builders' `sector`); its
 observer sees the state scattered back into the whole layout, once per
 record.
 
-run_sweep repeats the pipeline over one swept parameter and tabulates the
-extrema per row; compare_methods runs the same scenario under the full,
-few-level and mean-field methods on a shared time grid and reports signed
+run_sweep repeats the pipeline over one swept parameter, on a thread pool
+of at most one worker per row, and tabulates the extrema per row;
+compare_methods runs the same scenario under the full, few-level and
+mean-field methods in turn on a shared time grid and reports signed
 deviations.  Every run works in one unit system, UNITS (GaAs); the
 driven scenarios calibrate their pump amplitude here, on a pump-only
-reference run.  Outputs always go to files.
+reference run.  Outputs always go to files: each run, sweep and
+comparison writes one CSV and one JSON file through the same writers.
 
 The config dataclasses are the schema: each YAML key is a field name
 (a _mev suffix spelled _meV, lam spelled lambda), so keys carry their unit
 as a suffix (omega_meV, t_final_ps, dt_fs), defaults live only in the
 dataclasses, and unknown keys are rejected.  Before anything is assembled
 the state memory is estimated and refused against a budget
-(PDC_MEMORY_BUDGET_MB, default 4096).  Sweep rows and method runs go
-through a thread pool sized by PDC_MAX_WORKERS.  A malformed value of
-either variable is a ConfigError naming it.  Everything inside one run
-is sequential in time, so identical configs write bit-identical CSV files.
+(PDC_MEMORY_BUDGET_MB, default 4096); a malformed value is a ConfigError
+naming the variable.  Everything inside one run is sequential in time, so
+identical configs write bit-identical CSV files.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ SWEEP_PARAMETERS = ("theta1", "V0", "lambda", "xi1")
 RESONANCE_RTOL = 5e-3
 
 MEMORY_BUDGET_ENV = "PDC_MEMORY_BUDGET_MB"
-MAX_WORKERS_ENV = "PDC_MAX_WORKERS"
 DEFAULT_MEMORY_BUDGET_MB = 4096.0
 UNITS = default_units()
 # Drive calibration: substep of the reference runs, and how often the
@@ -425,6 +425,13 @@ def memory_report(config: ScenarioConfig) -> dict:
     }
 
 
+def _dims_text(report: dict) -> str:
+    """"matter M x modes A x B [x bath C]" of a memory report."""
+    modes = " x ".join(str(d) for d in report["mode_dims"]) or "none"
+    bath = f" x bath {report['bath_dim']}" if report["bath_dim"] is not None else ""
+    return f"matter {report['matter_dim']} x modes {modes}{bath}"
+
+
 def validate_config(config: ScenarioConfig) -> dict:
     """Check invariants and the memory budget; returns the memory report."""
     if config.kind not in SCENARIO_KINDS:
@@ -572,15 +579,10 @@ def validate_config(config: ScenarioConfig) -> dict:
 
     report = memory_report(config)
     if report["estimated_mb"] > report["budget_mb"]:
-        mode_dims = " x ".join(str(d) for d in report["mode_dims"]) or "none"
-        bath = (
-            f" x bath {report['bath_dim']}" if report["bath_dim"] is not None else ""
-        )
         raise MemoryBudgetError(
             f"estimated {report['estimated_mb']:.0f} MB for state dimension "
-            f"{report['total_dim']} (matter {report['matter_dim']} x modes {mode_dims}"
-            f"{bath}) exceeds the budget {report['budget_mb']:.0f} MB; lower the "
-            f"truncations or raise {MEMORY_BUDGET_ENV}"
+            f"{report['total_dim']} ({_dims_text(report)}) exceeds the budget "
+            f"{report['budget_mb']:.0f} MB; lower the truncations or raise {MEMORY_BUDGET_ENV}"
         )
     return report
 
@@ -618,10 +620,6 @@ _MATTER_LOCK = threading.Lock()
 
 def prepare_matter(spec: MatterSpec, store: dict | None = None):
     """Solve (or fetch) the ring eigenbasis and its transition matrices."""
-    if store is not None:
-        with _MATTER_LOCK:
-            if spec in store:
-                return store[spec]
     grid = GridSpec(points=spec.grid_points, step=length_to_eff(spec.grid_step_nm, UNITS))
     pot = RingPotentialParams(
         omega0=energy_to_eff(spec.omega0_mev, UNITS),
@@ -849,7 +847,6 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
         bath_modes, bath_basis = sample_bath(config.bath)
     # a matter-only reflection confines the run to the even matter sector;
     # few-level levels index the solved basis, so it reduces only the full method
-    n_configured = matter.n_states
     full = config.method.kind == "full"
     reflection = _matter_reflection((*modes, *bath_modes)) if full else None
     if reflection is not None:
@@ -924,14 +921,6 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     info["norm_drift"] = abs(float(np.linalg.norm(result.final.amplitudes)) - 1.0)
     info["krylov"] = asdict(result.krylov)
     info["operator_mb"] = (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes) / 2**20
-    # dims is the configured product space; symmetry what was propagated
-    n_matter = basis.matter_dim if reflection is None else n_configured
-    info["dims"] = {
-        "matter": n_matter,
-        "modes": list(basis.mode_dims),
-        "bath": bath_basis.size if bath_basis is not None else None,
-        "total": n_matter * (basis.dim // basis.matter_dim),
-    }
     info["symmetry"] = {
         "reflection": reflection,
         "inversion": inversion,
@@ -968,7 +957,6 @@ def _mean_field_series(config: ScenarioConfig, matter, tm):
     rows = np.asarray([list(mf_observables(s, system).values()) for s in snaps], dtype=float)
     info = {
         "truncation_drift": {},
-        "dims": {"matter": matter.n_states, "modes": [], "bath": None, "total": matter.n_states},
         "symmetry": {
             "reflection": None,
             "inversion": None,
@@ -991,7 +979,7 @@ def run_scenario(
     to out_dir (default: the config's output directory)."""
     if config.sweep is not None:
         raise ConfigError("this config declares a sweep; use run_sweep")
-    validate_config(config)
+    report = validate_config(config)
     started = time.perf_counter()
     matter, tm = prepare_matter(config.matter, matter_store)
     matter_s = time.perf_counter() - started
@@ -1020,7 +1008,13 @@ def run_scenario(
         ],
         "theta_deg": [config.theta1_deg, config.theta2_deg, config.theta3_deg],
         "v0_meV": config.matter.v0_mev,
-        "dims": info["dims"],
+        # the configured product space; symmetry is what was propagated
+        "dims": {
+            "matter": report["matter_dim"],
+            "modes": report["mode_dims"],
+            "bath": report["bath_dim"],
+            "total": report["total_dim"],
+        },
         "symmetry": info["symmetry"],
         "samples": len(times_ps),
         "t_final_ps": float(times_ps[-1]),
@@ -1055,20 +1049,18 @@ def run_scenario(
             "calibrated": bool(config.drive.calibrate),
         }
 
-    directory = Path(out_dir) if out_dir is not None else Path(config.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    base = _safe_name(config.output.basename or config.label or config.kind)
+    csv_path, json_path = _output_paths(config, out_dir, _base_name(config))
     result = ScenarioResult(
         config=config,
         names=list(names),
         times_ps=times_ps,
         rows=rows,
         summary=summary,
-        csv_path=directory / f"{base}.csv",
-        json_path=directory / f"{base}.json",
+        csv_path=csv_path,
+        json_path=json_path,
     )
-    write_series_csv(result.csv_path, times_ps, names, rows)
-    result.json_path.write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    write_series_csv(csv_path, times_ps, names, rows)
+    _write_json(json_path, summary)
     return result
 
 
@@ -1076,16 +1068,40 @@ def run_scenario(
 # output files
 
 
-def _fmt_cell(value: float) -> str:
-    return format(float(value), ".12g") if math.isfinite(value) else ""
+def _fmt_cell(value: float | None) -> str:
+    """A number as a CSV cell: 12 significant digits, empty if None or not finite."""
+    return "" if value is None or not math.isfinite(value) else format(float(value), ".12g")
+
+
+def _base_name(config: ScenarioConfig) -> str:
+    """File-name stem of a config's outputs: its basename, label or kind."""
+    return _safe_name(config.output.basename or config.label or config.kind)
+
+
+def _output_paths(config: ScenarioConfig, out_dir, stem: str) -> tuple[Path, Path]:
+    """(CSV, JSON) paths of stem in out_dir (default: the config's output
+    directory), which is created if missing."""
+    directory = Path(out_dir) if out_dir is not None else Path(config.output.directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / f"{stem}.csv", directory / f"{stem}.json"
+
+
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    """header, then one line per row of already formatted cells; "\n" line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, obj) -> None:
+    Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True))
 
 
 def write_series_csv(path, times_ps, names: Sequence[str], rows: np.ndarray) -> None:
     """One row per snapshot; sub-floor (NaN) cells are left empty."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["time_ps", *names]) + "\n")
-        for t, row in zip(times_ps, rows):
-            fh.write(",".join(_fmt_cell(v) for v in (t, *row)) + "\n")
+    cells = ([_fmt_cell(t), *map(_fmt_cell, row)] for t, row in zip(times_ps, rows))
+    _write_csv(path, ["time_ps", *names], cells)
 
 
 def _jsonable(obj):
@@ -1158,23 +1174,22 @@ def sweep_row_config(
         )
     suffix = f"{parameter}={value:g}"
     label = f"{base.label} {suffix}".strip()
-    basename = f"{_safe_name(base.output.basename or base.label or base.kind)}_{_safe_name(suffix)}"
+    basename = f"{_base_name(base)}_{_safe_name(suffix)}"
     return replace(cfg, label=label, output=replace(base.output, basename=basename))
 
 
-def _max_workers(n_jobs: int, requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get(MAX_WORKERS_ENV)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ConfigError(f"{MAX_WORKERS_ENV}={env!r} is not an integer of at least 1")
-        return workers
-    return max(1, min(n_jobs, os.cpu_count() or 1))
+# parameter and error are text; the columns between them are numbers or missing
+_SWEEP_COLUMNS = (
+    "parameter",
+    "value",
+    "n2_max",
+    "t_n2_max_ps",
+    "q2_min",
+    "t_q2_min_ps",
+    "eta",
+    "runtime_s",
+    "error",
+)
 
 
 def run_sweep(
@@ -1184,10 +1199,13 @@ def run_sweep(
     out_dir=None,
     max_workers: int | None = None,
 ) -> SweepResult:
-    """One scenario run per value of config.sweep; failures are recorded per row."""
+    """One scenario run per value of config.sweep, on max_workers threads
+    (default: one per row, at most one per CPU); failures are recorded per row."""
     sweep = config.sweep
     if sweep is None:
         raise ConfigError("no sweep specified: declare it in the config")
+    if max_workers is not None and max_workers < 1:
+        raise ConfigError(f"max_workers must be at least 1, got {max_workers}")
     # what every row would refuse (a kind the parameter cannot vary, a budget
     # the base config exceeds, a malformed environment) refuses the whole sweep
     # before any row runs
@@ -1214,61 +1232,29 @@ def run_sweep(
             row["error"] = f"{type(exc).__name__}: {exc}"
             return None, row
 
-    with ThreadPoolExecutor(_max_workers(len(sweep.values), max_workers)) as pool:
+    workers = max_workers or min(len(sweep.values), os.cpu_count() or 1)
+    with ThreadPoolExecutor(workers) as pool:
         pairs = list(pool.map(one, sweep.values))
-    results = [res for res, _ in pairs]
     rows = [row for _, row in pairs]
 
-    directory = Path(out_dir) if out_dir is not None else Path(base.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    stem = f"{_safe_name(base.output.basename or base.label or base.kind)}_{sweep.parameter}_sweep"
-    out = SweepResult(
+    stem = f"{_base_name(base)}_{sweep.parameter}_sweep"
+    table_path, json_path = _output_paths(base, out_dir, stem)
+    numbers = _SWEEP_COLUMNS[1:-1]
+    table = (
+        [row["parameter"], *(_fmt_cell(row.get(c)) for c in numbers), row["error"] or ""]
+        for row in rows
+    )
+    _write_csv(table_path, _SWEEP_COLUMNS, table)
+    summary = {"parameter": sweep.parameter, "values": list(sweep.values), "rows": rows}
+    _write_json(json_path, summary)
+    return SweepResult(
         parameter=sweep.parameter,
         values=tuple(sweep.values),
         rows=rows,
-        results=results,
-        table_path=directory / f"{stem}.csv",
-        json_path=directory / f"{stem}.json",
+        results=[res for res, _ in pairs],
+        table_path=table_path,
+        json_path=json_path,
     )
-    _write_sweep_table(out.table_path, rows)
-    out.json_path.write_text(
-        json.dumps(
-            _jsonable({"parameter": sweep.parameter, "values": list(sweep.values), "rows": rows}),
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return out
-
-
-_SWEEP_COLUMNS = (
-    "parameter",
-    "value",
-    "n2_max",
-    "t_n2_max_ps",
-    "q2_min",
-    "t_q2_min_ps",
-    "eta",
-    "runtime_s",
-    "error",
-)
-
-
-def _write_sweep_table(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            cells = []
-            for col in _SWEEP_COLUMNS:
-                value = row.get(col)
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, str):
-                    cells.append(value)
-                else:
-                    cells.append(_fmt_cell(value))
-            writer.writerow(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -1290,9 +1276,9 @@ def compare_methods(
     *,
     matter_store: dict | None = None,
     out_dir=None,
-    max_workers: int | None = None,
 ) -> ComparisonResult:
-    """Run the same scenario per method on one grid; tabulate signed deviations."""
+    """Run the same scenario per method, in turn and on one grid; tabulate
+    signed deviations from the first method."""
     if config.sweep is not None:
         raise ConfigError("this config declares a sweep; use run_sweep")
     requested = list(dict.fromkeys(methods))
@@ -1302,7 +1288,7 @@ def compare_methods(
         if m not in METHOD_KINDS:
             raise ConfigError(f"unknown method {m!r}; choose from {', '.join(METHOD_KINDS)}")
     store = matter_store if matter_store is not None else {}
-    base_name = _safe_name(config.output.basename or config.label or config.kind)
+    base_name = _base_name(config)
 
     def method_config(m: str) -> ScenarioConfig:
         cfg = with_method(config, m)
@@ -1310,18 +1296,10 @@ def compare_methods(
         return replace(cfg, output=replace(config.output, basename=f"{base_name}_{label}"))
 
     configs = {m: method_config(m) for m in requested}
-    # refuse a bad config before any method's ring solve
+    # refuse a bad config before any method's ring solve; the runs share that solve
     for cfg in configs.values():
         validate_config(cfg)
-
-    def one(m: str) -> ScenarioResult:
-        return run_scenario(configs[m], matter_store=store, out_dir=out_dir)
-
-    # solve the shared matter once before fanning out
-    prepare_matter(config.matter, store)
-    with ThreadPoolExecutor(_max_workers(len(requested), max_workers)) as pool:
-        results = list(pool.map(one, requested))
-    runs = dict(zip(requested, results))
+    runs = {m: run_scenario(cfg, matter_store=store, out_dir=out_dir) for m, cfg in configs.items()}
 
     ref_name = requested[0]
     ref = runs[ref_name]
@@ -1357,25 +1335,18 @@ def compare_methods(
             )
         deviations["methods"][labels[m]] = entries
 
-    directory = Path(out_dir) if out_dir is not None else Path(config.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out = ComparisonResult(
+    table_path, json_path = _output_paths(config, out_dir, f"{base_name}_methods")
+    header = ["time_ps"] + [f"{n}.{labels[m]}" for m in requested for n in runs[m].names]
+    table = (
+        [_fmt_cell(t), *(_fmt_cell(v) for m in requested for v in runs[m].rows[k])]
+        for k, t in enumerate(ref.times_ps)
+    )
+    _write_csv(table_path, header, table)
+    _write_json(json_path, deviations)
+    return ComparisonResult(
         reference=labels[ref_name],
         runs=runs,
         deviations=deviations,
-        table_path=directory / f"{base_name}_methods.csv",
-        json_path=directory / f"{base_name}_methods.json",
+        table_path=table_path,
+        json_path=json_path,
     )
-    _write_comparison_table(out.table_path, requested, labels, runs)
-    out.json_path.write_text(json.dumps(_jsonable(deviations), indent=2, sort_keys=True))
-    return out
-
-
-def _write_comparison_table(path, order: Sequence[str], labels: dict, runs: dict) -> None:
-    ref = runs[order[0]]
-    header = ["time_ps"] + [f"{n}.{labels[m]}" for m in order for n in runs[m].names]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, t in enumerate(ref.times_ps):
-            cells = [t] + [v for m in order for v in runs[m].rows[k]]
-            fh.write(",".join(_fmt_cell(v) for v in cells) + "\n")

@@ -1,6 +1,7 @@
 """Experiment layer: config parsing, validation, runs, sweeps, comparison, CLI."""
 
 import ast
+import csv
 import dataclasses
 import inspect
 import json
@@ -826,6 +827,28 @@ class TestCompareMethods:
             for n in ("n1", "n2"):
                 assert np.allclose(cols[n], ref[n], atol=1e-10), name
 
+    @pytest.mark.parametrize(
+        "methods",
+        [["full", "few_level", "mean_field"], ["mean_field", "full", "few_level"]],
+        ids=["full_first", "mean_field_first"],
+    )
+    def test_one_ring_solve_in_the_requested_order(self, tmp_path, monkeypatch, methods):
+        solves = []
+        solve_ring = sc.solve_ring
+
+        def counted(*args):
+            solves.append(args)
+            return solve_ring(*args)
+
+        monkeypatch.setattr(sc, "solve_ring", counted)
+        res = sc.compare_methods(tiny_mean_field(), methods, matter_store={}, out_dir=tmp_path)
+        assert len(solves) == 1
+        assert list(res.runs) == methods
+        labels = [run.summary["method"] for run in res.runs.values()]
+        assert res.reference == labels[0]
+        header = res.table_path.read_text().splitlines()[0].split(",")
+        assert list(dict.fromkeys(h.split(".")[1] for h in header[1:])) == labels
+
     def test_with_method_keeps_or_defaults_levels(self):
         cfg = tiny_degenerate()
         assert sc.with_method(cfg, "few_level").method == sc.MethodSpec("few_level", (0, 1, 2))
@@ -852,6 +875,33 @@ class TestCompareMethods:
             monkeypatch.setenv(sc.MEMORY_BUDGET_ENV, budget)
         with pytest.raises(sc.ConfigError, match=match):
             sc.compare_methods(tiny_degenerate(), ["full", "mean_field"], matter_store={})
+
+
+def test_every_csv_ends_its_lines_in_newline_alone(tmp_path, store):
+    # a run, a V0 sweep with a failing row, and a three-method comparison
+    sc.run_scenario(tiny_degenerate(), matter_store=store, out_dir=tmp_path)
+    swept = sc.run_sweep(
+        replace(tiny_degenerate(), sweep=sc.SweepSpec("V0", (-50.0, 200.0))),
+        matter_store=store,
+        out_dir=tmp_path,
+    )
+    methods = ["full", "few_level", "mean_field"]
+    sc.compare_methods(tiny_mean_field(), methods, matter_store=store, out_dir=tmp_path)
+    written = sorted(path.name for path in tmp_path.glob("*.csv"))
+    assert written == sorted(
+        ["tiny.csv", "tiny_V0=200.csv", "tiny_V0_sweep.csv", "tinymf_methods.csv"]
+        + ["tinymf_full.csv", "tinymf_few_level3.csv", "tinymf_mean_field.csv"]
+    )
+    for name in written:
+        text = (tmp_path / name).read_bytes()
+        assert b"\r" not in text and text.endswith(b"\n"), name
+    # the failing row's error, commas and all, is one quoted cell
+    error = "ValueError: require omega0 > 0, d > 0, v0 >= 0"
+    assert swept.rows[0]["error"] == error
+    with open(swept.table_path, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[1] == ["V0", "-50", "", "", "", "", "", "", error]
+    assert f',"{error}"\n' in swept.table_path.read_text()
 
 
 DRIVEN_YAML = (ROOT / "tests" / "configs" / "current_drive_tiny.yaml").read_text()
@@ -952,16 +1002,30 @@ class TestCli:
         assert "PDC_MEMORY_BUDGET_MB" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-1"])
-    def test_malformed_max_workers_exit_code(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv(sc.MAX_WORKERS_ENV, value)
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sweep_worker_count_below_one_refused(self, tmp_path, capsys, monkeypatch, value):
+        def refused(*args):
+            raise AssertionError("ring solved for a sweep with no workers")
+
+        monkeypatch.setattr(sc, "solve_ring", refused)
+        base = replace(tiny_degenerate(), sweep=sc.SweepSpec("theta1", (0.0, 30.0)))
+        with pytest.raises(sc.ConfigError, match=f"max_workers must be at least 1, got {value}"):
+            sc.run_sweep(base, matter_store={}, out_dir=tmp_path, max_workers=value)
         path = tmp_path / "sweep.yaml"
         path.write_text(BASE_YAML + "\nsweep:\n  parameter: theta1\n  values: [0.0, 30.0]\n")
-        assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
-        assert f"config error: PDC_MAX_WORKERS={value!r}" in capsys.readouterr().err
-        # an explicit --max-workers takes precedence over the variable
-        argv = ["sweep", "--config", str(path), "--output-dir", str(tmp_path)]
-        assert cli.main([*argv, "--max-workers", "1"]) == 0
+        out_dir = tmp_path / "out"
+        argv = ["sweep", "--config", str(path), "--output-dir", str(out_dir)]
+        assert cli.main([*argv, "--max-workers", str(value)]) == 2
+        assert "config error: max_workers must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_compare_takes_no_worker_count(self, tmp_path, capsys):
+        argv = ["compare", "--preset", "degenerate", "--output-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--max-workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_removed_krylov_dim_fails_at_parse(self, capsys):
         path = ROOT / "tests" / "configs" / "krylov_dim.yaml"
@@ -1284,6 +1348,31 @@ class TestMatterReflection:
         assert sc._matter_reflection(modes) == "y"
         ninety = sc._build_modes(tiny_degenerate(theta1_deg=90.0))
         assert sc._matter_reflection(ninety) == "x"
+
+
+@pytest.mark.parametrize(
+    "make, reflection",
+    [
+        (tiny_nondegenerate, "y"),
+        (lambda: tiny_degenerate(method=sc.MethodSpec("few_level", (0,))), None),
+        (tiny_mean_field, None),
+        (tiny_bath, "y"),
+        (lambda: tiny_calibrated("field_driven"), "y"),
+    ],
+    ids=["full_reflected", "few_level", "mean_field", "bath", "field_driven"],
+)
+def test_dims_are_the_validated_report(make, reflection, tmp_path, store):
+    # dims is the configured product space, whatever the run propagated
+    cfg = make()
+    res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
+    report = sc.validate_config(cfg)
+    assert res.summary["symmetry"]["reflection"] == reflection
+    assert res.summary["dims"] == {
+        "matter": report["matter_dim"],
+        "modes": report["mode_dims"],
+        "bath": report["bath_dim"],
+        "total": report["total_dim"],
+    }
 
 
 def uninverted_run(cfg, monkeypatch, store, out_dir):
