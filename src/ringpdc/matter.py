@@ -22,10 +22,11 @@ onto the (odd, even) one, so three quarter-size solves replace one
 full-grid solve and the fourth sector's states are grid transposes.  Each
 block is symmetric positive definite (the hard-wall kinetic term is, and
 V >= 0) with bandwidth (stencil reach) x (sector width) in row-major order, so
-shift-invert Lanczos about 0 runs on its banded Cholesky factor.  A guard
-rejects a Hamiltonian without these symmetries.  A solve takes about half
-a second on the paper's 127 x 127 grid, so there is no on-disk cache:
-solved bases are reused only in memory (scenarios.prepare_matter's store).
+shift-invert Lanczos about 0 runs on its banded Cholesky factor, asked only
+for the levels that sector can contribute.  A guard rejects a Hamiltonian
+without these symmetries.  A solve takes about 0.3 s on the paper's 127 x 127
+grid (2 CPUs), so there is no on-disk cache: solved bases are reused only in
+memory (scenarios.prepare_matter's store).
 
 The solver's states are real and each lies in one parity sector, so each is
 even or odd under both reflections and under the inversion (x, y) -> (-x, -y).
@@ -33,9 +34,10 @@ A degenerate (+l, -l) pair comes back as its two real standing waves, cos(l
 phi)- and sin(l phi)-like, and the coupled builders use these states as they
 stand.  solve_eigenstates labels each state with its level j and |l|, and
 refuses a basis whose degenerate clusters do not diagonalize L_z =
--i (x d/dy - y d/dx) to integers.  classify_angular_momentum gives the
-paper's phi_j^l view: each cluster rotated into complex L_z eigenstates, so
-that the dipole selection rule |delta l| = 1 holds elementwise.
+-i (x d/dy - y d/dx) to integers, applying L_z once to all states.
+classify_angular_momentum gives the paper's phi_j^l view: each cluster
+rotated into complex L_z eigenstates, so that the dipole selection rule
+|delta l| = 1 holds elementwise.
 
 When every photon mode is polarized along one axis, the reflection of the
 other axis commutes with the coupled Hamiltonian and acts on the matter
@@ -240,18 +242,31 @@ def _check_reflection_symmetry(h: sp.csr_matrix, grid: GridSpec) -> None:
 # are diagonalized densely.
 _DENSE_SECTOR_DIM = 256
 
+# ARPACK's convergence tolerance for the Lanczos sectors.  Its default, machine
+# epsilon, costs more inverse applications for no smaller residual |H v - E v|.
+_ARPACK_TOL = 1e-14
+
+
+def _first_sector_count(n_states: int) -> int:
+    """Pairs first asked of each sector: the ring's levels spread about evenly
+    over the four sectors, so a third of the request and two more."""
+    return min(n_states // 3 + 2, n_states)
+
 
 def _lowest_spd_eigenpairs(block: sp.csr_matrix, n_states: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest n_states eigenpairs of a sparse symmetric positive definite block:
-    shift-invert Lanczos about 0, each inverse one banded Cholesky solve."""
+    dense eigh when small, else shift-invert Lanczos about 0 (banded Cholesky)."""
     dim = block.shape[0]
-    # LAPACK lower band storage: band[i - j, j] = block[i, j]
+    if dim <= max(n_states + 1, _DENSE_SECTOR_DIM):
+        w, v = np.linalg.eigh(block.toarray())
+        return w[:n_states], v[:, :n_states]
+    # LAPACK lower band storage, band[i - j, j] = block[i, j], factored in place
     low = sp.tril(block, format="coo")
-    band = np.zeros((int((low.row - low.col).max()) + 1, dim))
+    band = np.zeros((int((low.row - low.col).max()) + 1, dim), order="F")
     band[low.row - low.col, low.col] = low.data
     try:
         # the one finiteness check of the block; the per-iteration solves skip it
-        factor = cholesky_banded(band, lower=True)
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True)
     except LinAlgError as exc:
         raise ValueError(
             "a parity-sector block of H is not positive definite; the shift-invert "
@@ -264,7 +279,7 @@ def _lowest_spd_eigenpairs(block: sp.csr_matrix, n_states: int) -> tuple[np.ndar
     )
     # fixed ARPACK start so repeated solves return bit-identical states
     start = np.random.default_rng(0).standard_normal(dim)
-    return eigsh(block, k=n_states, sigma=0.0, which="LM", v0=start, OPinv=inverse)
+    return eigsh(block, k=n_states, sigma=0.0, v0=start, OPinv=inverse, tol=_ARPACK_TOL)
 
 
 def _sector_eigenpairs(
@@ -272,28 +287,33 @@ def _sector_eigenpairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest n_states eigenpairs of h (unit-norm columns on the full grid),
     solved per (x-parity, y-parity) sector and merged by energy.  Three
-    sectors are solved: the mirror x <-> y maps (even, odd) onto (odd, even)."""
+    sectors are solved: the mirror x <-> y maps (even, odd) onto (odd, even).
+
+    Each sector is first asked for _first_sector_count pairs, one sector at
+    a time so that one banded factor is alive at once.  A sector returns its
+    lowest values, so one whose largest value lies above the merged
+    n_states-th holds no more of them; any other is solved again with twice
+    its count, up to n_states."""
     _check_reflection_symmetry(h, grid)
     even, odd = _parity_folds(grid.points)
-    vals, vecs = [], []
-    for px, py in ((even, even), (even, odd), (odd, odd)):
-        fold = sp.kron(px, py, format="csr")
-        block = fold.T @ h @ fold
-        block = 0.5 * (block + block.T)
-        if block.shape[0] <= max(n_states + 1, _DENSE_SECTOR_DIM):
-            w, v = np.linalg.eigh(block.toarray())
-            w, v = w[:n_states], v[:, :n_states]
-        else:
-            w, v = _lowest_spd_eigenpairs(block, n_states)
-        if not (np.isfinite(w).all() and np.isfinite(v).all()):
-            raise ValueError("a parity-sector solve returned non-finite eigenpairs")
-        vals.append(w)
-        vecs.append(fold @ v)
-    # (odd, even) is the grid transpose of (even, odd), with the same energies
+    folds = [sp.kron(px, py, format="csr") for px, py in ((even, even), (even, odd), (odd, odd))]
+    blocks = [0.5 * (b + b.T) for b in (fold.T @ h @ fold for fold in folds)]
+    counts = [_first_sector_count(n_states)] * 3
+    pairs, todo = {}, [0, 1, 2]
+    while todo:
+        for s in todo:
+            w, v = pairs[s] = _lowest_spd_eigenpairs(blocks[s], counts[s])
+            if not (np.isfinite(w).all() and np.isfinite(v).all()):
+                raise ValueError("a parity-sector solve returned non-finite eigenpairs")
+        # (odd, even) has the (even, odd) values: its states are their grid transposes
+        vals = np.concatenate([pairs[s][0] for s in (0, 1, 2, 1)])
+        nth = np.sort(vals)[:n_states][-1]
+        todo = [s for s in range(3) if counts[s] < n_states and pairs[s][0].max() <= nth]
+        for s in todo:
+            counts[s] = min(2 * counts[s], n_states)
+    vecs = [fold @ pairs[s][1] for s, fold in enumerate(folds)]
     n, k = grid.points, vecs[1].shape[1]
-    vals.append(vals[1])
     vecs.append(vecs[1].reshape(n, n, k).transpose(1, 0, 2).reshape(n * n, k))
-    vals = np.concatenate(vals)
     order = np.argsort(vals, kind="stable")[:n_states]
     return vals[order], np.hstack(vecs)[:, order]
 
@@ -307,14 +327,15 @@ def solve_eigenstates(h: sp.csr_matrix, n_states: int, grid: GridSpec) -> Matter
     shift-invert Lanczos about 0 on a banded Cholesky factor (dense eigh
     when the sector is tiny), so h must be positive definite (ValueError
     otherwise); the (odd, even) states are the grid transposes of the
-    (even, odd) ones.  The sector spectra are merged by energy.
+    (even, odd) ones.  The sector spectra are merged by energy, each
+    sector solved for only the levels it contributes (_sector_eigenpairs).
 
     The states are the solver's real eigenvectors, unrotated (h_el None).
     j_labels number the degenerate clusters (CLUSTER_TOL); l_labels hold
     |l| = sqrt(<L_z^2>) rounded, which a harmonic shell (V0 = 0) only
     approximates, its exactly degenerate states mixing |l|.  Each cluster
     must diagonalize L_z to integers (RuntimeError otherwise, _lz_rotations).
-    """
+    L_z is applied once, to all states; the labels and both checks read it."""
     if n_states < 1 or n_states > h.shape[0]:
         raise ValueError(f"n_states={n_states} out of range for dim {h.shape[0]}")
     vals, vecs = _sector_eigenpairs(h, n_states, grid)
@@ -325,10 +346,10 @@ def solve_eigenstates(h: sp.csr_matrix, n_states: int, grid: GridSpec) -> Matter
         j_labels=np.zeros(n_states, dtype=int),
         grid=grid,
     )
-    lz = _lz_operator(grid)
-    for j, (cluster, _, _) in enumerate(_lz_rotations(basis, lz), start=1):
+    lz_states = _lz_apply(grid, basis.states.T)
+    for j, (cluster, _, _) in enumerate(_lz_rotations(basis, lz_states), start=1):
         basis.j_labels[cluster] = j
-    l_squared = grid.weight * np.sum(np.abs(lz(basis.states.T)) ** 2, axis=0)
+    l_squared = grid.weight * np.sum(np.abs(lz_states) ** 2, axis=0)
     basis.l_labels[:] = np.rint(np.sqrt(l_squared))
     return basis
 
@@ -343,31 +364,29 @@ def _energy_clusters(energies: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def _lz_operator(grid: GridSpec):
-    """L_z psi = -i (x d/dy - y d/dx) psi on a block of grid columns (npts, k)."""
+def _lz_apply(grid: GridSpec, block: np.ndarray) -> np.ndarray:
+    """L_z psi = -i (x d/dy - y d/dx) psi on a block of grid columns (npts, k).
+    L_z is Hermitian on the grid: x d/dy and y d/dx are antisymmetric."""
     dxm, dym = momentum_operators(grid)
     xr, yr = grid.xy
-    return lambda block: -1j * (xr[:, None] * (dym @ block) - yr[:, None] * (dxm @ block))
+    return -1j * (xr[:, None] * (dym @ block) - yr[:, None] * (dxm @ block))
 
 
-def _lz_rotations(basis: MatterEigenbasis, lz_apply) -> list[tuple]:
+def _lz_rotations(basis: MatterEigenbasis, lz_states: np.ndarray) -> list[tuple]:
     """(state indices, unitary to L_z eigenstates, integer L_z) per degenerate
-    cluster, level by level.  Raises if a rotated state's <L_z> sits farther
-    than 0.1 from an integer or its var(L_z) exceeds 0.5, which signals an
-    under-resolved grid or a state count that truncates a level mid-cluster.
-    """
-    grid = basis.grid
+    cluster, level by level, read from lz_states, L_z applied to every state.
+    Raises if a rotated state's <L_z> sits farther than 0.1 from an integer
+    or its var(L_z) exceeds 0.5, which signals an under-resolved grid or a
+    state count that truncates a level mid-cluster."""
+    # <phi_a|L_z|phi_b>, and <L_z phi_a|L_z phi_b> = <phi_a|L_z^2|phi_b>
+    lz_all = basis.states.conj() @ lz_states * basis.grid.weight
+    lz2_all = lz_states.conj().T @ lz_states * basis.grid.weight
     out = []
     for j, cluster in enumerate(_energy_clusters(basis.energies, CLUSTER_TOL), start=1):
-        block = basis.states[cluster].T
-        lz_block = lz_apply(block)
-        m = block.conj().T @ lz_block * grid.weight
-        m = 0.5 * (m + m.conj().T)
-        _, rot = np.linalg.eigh(m)
-        rotated = block @ rot
+        m = lz_all[np.ix_(cluster, cluster)]
+        _, rot = np.linalg.eigh(0.5 * (m + m.conj().T))
         # verify the rotation really diagonalized L_z on this cluster
-        check = rotated.conj().T @ lz_apply(rotated) * grid.weight
-        lz_diag = np.real(np.diag(check))
+        lz_diag = np.real(np.diag(rot.conj().T @ m @ rot))
         if np.max(np.abs(lz_diag - np.round(lz_diag))) > 0.1:
             raise RuntimeError(
                 f"angular momentum classification failed in level {j}: "
@@ -377,8 +396,8 @@ def _lz_rotations(basis: MatterEigenbasis, lz_apply) -> list[tuple]:
             )
         # a truncated cluster can still produce integer <L_z> (a lone member
         # of a +-l pair is a real combination with <L_z> = 0), so also require
-        # small L_z variance, which such a state cannot have
-        lz2 = rotated.conj().T @ lz_apply(lz_apply(rotated)) * grid.weight
+        # small var(L_z) = |L_z psi|^2 - <L_z>^2, which such a state cannot have
+        lz2 = rot.conj().T @ lz2_all[np.ix_(cluster, cluster)] @ rot
         lz_var = np.real(np.diag(lz2)) - lz_diag**2
         if np.max(lz_var) > 0.5:
             raise RuntimeError(
@@ -403,7 +422,7 @@ def classify_angular_momentum(basis: MatterEigenbasis) -> MatterEigenbasis:
     """
     grid = basis.grid
     blocks, l_labels = [], []
-    for cluster, rot, labels in _lz_rotations(basis, _lz_operator(grid)):
+    for cluster, rot, labels in _lz_rotations(basis, _lz_apply(grid, basis.states.T)):
         idx = np.argsort(labels)
         rot = rot[:, idx]
         phases = [_phase_fix(col, grid) for col in (basis.states[cluster].T @ rot).T]
@@ -456,19 +475,14 @@ class TransitionMatrices:
 def transition_matrices(basis: MatterEigenbasis) -> TransitionMatrices:
     grid = basis.grid
     xr, yr = grid.xy
-    block = basis.states.T  # (npts, n)
-    conj = basis.states.conj()  # (n, npts)
-    w = grid.weight
-    x_dip = conj @ (xr[:, None] * block) * w
-    y_dip = conj @ (yr[:, None] * block) * w
     dxm, dym = momentum_operators(grid)
-    px = conj @ (-1j * (dxm @ block)) * w
-    py = conj @ (-1j * (dym @ block)) * w
-
-    def herm(a):
-        return 0.5 * (a + a.conj().T)
-
-    return TransitionMatrices(herm(x_dip), herm(y_dip), herm(px), herm(py))
+    block = basis.states.T  # (npts, n)
+    # project first: real gemms for real states; p = -i d takes its -1j after
+    x_dip, y_dip, dx, dy = (
+        basis.states.conj() @ op * grid.weight
+        for op in (xr[:, None] * block, yr[:, None] * block, dxm @ block, dym @ block)
+    )
+    return TransitionMatrices(*(0.5 * (a + a.conj().T) for a in (x_dip, y_dip, -1j * dx, -1j * dy)))
 
 
 def select_states(

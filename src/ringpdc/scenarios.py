@@ -46,6 +46,7 @@ import json
 import math
 import os
 import re
+import resource
 import threading
 import time
 from collections.abc import Mapping, Sequence
@@ -1031,6 +1032,11 @@ def run_scenario(
         "norm_drift": info["norm_drift"],
         "krylov": info.get("krylov"),
         "operator_mb": info.get("operator_mb"),
+        # peak RSS of this process so far (Linux reports KiB)
+        "memory": {
+            "estimated_mb": report["estimated_mb"],
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        },
         # phase wall times cut to whole ms, so they never sum past runtime_s
         "timings": {
             name: math.floor(seconds * 1000.0) / 1000.0

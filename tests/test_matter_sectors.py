@@ -1,6 +1,7 @@
-"""Parity-sector ring eigensolve against a full-grid oracle, its x <-> y
-mirror and input guards, the truncation check of solve_ring, and the
-reflection-even sector of a solved basis."""
+"""Parity-sector ring eigensolve against a full-grid oracle, its per-sector
+state counts, its x <-> y mirror and input guards, the single L_z pass and
+the truncation check of solve_ring, and the reflection-even sector of a
+solved basis."""
 from __future__ import annotations
 
 import numpy as np
@@ -38,15 +39,9 @@ def full_grid_eigenpairs(h, n_states, grid):
     return vals[order], vecs[:, order]
 
 
-@pytest.mark.parametrize("v0_mev", [0.0, 150.0, 300.0])
-def test_sectors_match_full_grid_solve(small_grid, units, v0_mev, monkeypatch):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, v0_mev))
-    # sectors of 21 x 21 points stay above the dense cutoff: the Lanczos path runs
-    assert (SMALL_POINTS // 2) ** 2 > matter._DENSE_SECTOR_DIM
-    got = solve_eigenstates(h, 10, small_grid)
-    with monkeypatch.context() as m:
-        m.setattr(matter, "_sector_eigenpairs", full_grid_eigenpairs)
-        want = solve_eigenstates(h, 10, small_grid)
+def assert_same_solve(got, want, grid, v0_mev):
+    """got and want hold the same lowest 10 levels: labels, energies, spans and
+    transition matrices agree within 1e-10."""
     assert got.j_labels.tolist() == want.j_labels.tolist()
     if v0_mev > 0:
         # a harmonic shell mixes |l| within exactly degenerate states, so
@@ -56,12 +51,51 @@ def test_sectors_match_full_grid_solve(small_grid, units, v0_mev, monkeypatch):
     assert got.h_el is None and want.h_el is None
     # the full-grid solve picks any basis of a degenerate level: the overlaps
     # are orthogonal (same spans), and they carry every matrix across
-    overlap = got.states.conj() @ want.states.T * small_grid.weight
+    overlap = got.states.conj() @ want.states.T * grid.weight
     assert np.abs(overlap @ overlap.conj().T - np.eye(10)).max() <= 1e-10
     tm_got, tm_want = transition_matrices(got), transition_matrices(want)
     for name in ("x_dip", "y_dip", "px", "py"):
         moved = overlap @ getattr(tm_want, name) @ overlap.conj().T
         assert np.abs(getattr(tm_got, name) - moved).max() <= 1e-10, name
+
+
+def lanczos_spy(monkeypatch) -> list[int]:
+    """The k of every Lanczos call of the matter solver, in call order."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(matter, "eigsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("v0_mev", [0.0, 150.0, 300.0])
+def test_sectors_match_full_grid_solve(small_grid, units, v0_mev, monkeypatch):
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, v0_mev))
+    # sectors of 21 x 21 points stay above the dense cutoff: the Lanczos path runs
+    assert (SMALL_POINTS // 2) ** 2 > matter._DENSE_SECTOR_DIM
+    got = solve_eigenstates(h, 10, small_grid)
+    with monkeypatch.context() as m:
+        m.setattr(matter, "_sector_eigenpairs", full_grid_eigenpairs)
+        want = solve_eigenstates(h, 10, small_grid)
+    assert_same_solve(got, want, small_grid, v0_mev)
+
+
+@pytest.mark.parametrize("v0_mev", [0.0, 150.0, 300.0])
+def test_sector_counts_grow_to_the_full_grid_solve(small_grid, units, v0_mev, monkeypatch):
+    # one pair per sector at first: every sector must double its count
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, v0_mev))
+    with monkeypatch.context() as m:
+        m.setattr(matter, "_sector_eigenpairs", full_grid_eigenpairs)
+        want = solve_eigenstates(h, 10, small_grid)
+    monkeypatch.setattr(matter, "_first_sector_count", lambda n_states: 1)
+    calls = lanczos_spy(monkeypatch)
+    got = solve_eigenstates(h, 10, small_grid)
+    assert calls[:3] == [1, 1, 1] and len(calls) > 6
+    assert {2, 4} <= set(calls) <= {1, 2, 4, 8, 10}
+    assert_same_solve(got, want, small_grid, v0_mev)
 
 
 def test_reruns_are_bit_identical(small_grid, units):
@@ -156,6 +190,12 @@ def test_cache_hit_rejects_a_cut_level(paper_grid, units):
         (127, 0.7052, 0.0, 12, "level 5"),
         # 4 states cut the l = +-2 pair
         (127, 0.7052, 200.0, 4, "truncat"),
+        # which check refuses which level
+        (127, 0.7052, 0.0, 12, "in level 5: <L_z> = "),
+        (127, 0.7052, 200.0, 4, "in level 3: var(L_z) = "),
+        (31, 0.7052, 200.0, 3, "in level 1: var(L_z) = "),
+        (15, 0.7052, 300.0, 10, "in level 2: var(L_z) = "),
+        (127, 0.7052, 200.0, 30, "in level 14: <L_z> = "),
     ],
 )
 def test_solve_ring_refuses_unresolved_levels(units, points, step_nm, v0_mev, n_states, match):
@@ -163,6 +203,33 @@ def test_solve_ring_refuses_unresolved_levels(units, points, step_nm, v0_mev, n_
     with pytest.raises(RuntimeError, match="angular momentum classification failed") as refused:
         solve_ring(grid, make_ring_potential(units, v0_mev), n_states)
     assert match in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "v0_mev, n_levels", [(50.0 * i, 10) for i in range(7)] + [(200.0, 12)]
+)
+def test_shipped_rings_solve_each_sector_once(paper_grid, units, v0_mev, n_levels, monkeypatch):
+    # every (V0, n_levels) of the presets and sweeps: the first counts suffice
+    calls = lanczos_spy(monkeypatch)
+    basis = solve_ring(paper_grid, make_ring_potential(units, v0_mev), n_levels)
+    assert basis.n_states == n_levels
+    assert len(calls) == 3 and all(k < n_levels for k in calls)
+
+
+def test_lz_is_applied_once_per_solve(small_grid, units, monkeypatch):
+    applied = []
+
+    def spy(grid, block):
+        applied.append(block.shape)
+        return lz_apply(grid, block)
+
+    lz_apply = matter._lz_apply
+    monkeypatch.setattr(matter, "_lz_apply", spy)
+    basis = solve_ring(small_grid, make_ring_potential(units, 150.0), 10)
+    assert applied == [(small_grid.size, 10)]
+    applied.clear()
+    matter.classify_angular_momentum(basis)
+    assert applied == [(small_grid.size, 10)]
 
 
 def test_tiny_reference_grid_solves(units):

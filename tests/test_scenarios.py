@@ -462,9 +462,16 @@ class TestRunScenario:
         assert spent <= round(data["runtime_s"] * 1000)
         # bytes of the propagated CSR: the inversion block of 24 states here
         assert isinstance(data["operator_mb"], float) and 0.0 < data["operator_mb"] < 1.0
+        # the budget check's estimate next to the measured peak
+        memory = data["memory"]
+        assert set(memory) == {"estimated_mb", "peak_rss_mb"}
+        assert all(isinstance(v, float) and v > 0.0 for v in memory.values())
+        assert memory["estimated_mb"] == sc.memory_report(tiny_degenerate())["estimated_mb"]
         mf = sc.run_scenario(tiny_mean_field(), matter_store=store, out_dir=tmp_path)
         assert set(mf.summary["timings"]) == set(timings)
         assert mf.summary["operator_mb"] is None
+        assert set(mf.summary["memory"]) == set(memory)
+        assert all(isinstance(v, float) and v > 0.0 for v in mf.summary["memory"].values())
 
     def test_bit_identical_reruns(self, tmp_path):
         # fresh matter stores: both runs solve the ring from scratch
