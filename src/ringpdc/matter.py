@@ -97,6 +97,23 @@ class GridSpec:
         xx, yy = np.meshgrid(axis, axis, indexing="ij")
         return xx.ravel(), yy.ravel()
 
+    @cached_property
+    def stencil(self) -> sp.csr_matrix:
+        """The first-derivative matrix D of one axis, built once per grid."""
+        return _deriv_matrix(self.points, self.step, kind=1)
+
+    def gradient(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dx, d/dy) of a block of grid columns (size, k): the real parts of
+        p_x = -i d/dx and p_y = -i d/dy, which callers multiply by -1j.  On
+        the flattened grid they are kron(D, 1) and kron(1, D); D acts on one
+        axis of the (x, y, k) cube instead, the same sums in the same order
+        without a full-grid matrix."""
+        n, k = self.points, block.shape[1]
+        cube = block.reshape(n, n, k)
+        dx = self.stencil @ cube.reshape(n, n * k)
+        dy = self.stencil @ cube.transpose(1, 0, 2).reshape(n, n * k)
+        return dx.reshape(-1, k), dy.reshape(n, n, k).transpose(1, 0, 2).reshape(-1, k)
+
     @property
     def size(self) -> int:
         return self.points * self.points
@@ -188,14 +205,6 @@ def build_ring_hamiltonian(grid: GridSpec, pot: RingPotentialParams) -> sp.csr_m
     r2 = x**2 + y**2
     v = 0.5 * pot.omega0**2 * r2 + pot.v0 * np.exp(-r2 / pot.d**2)
     return (kinetic + sp.diags(v, format="csr")).tocsr()
-
-
-def momentum_operators(grid: GridSpec) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse p_x = -i d/dx and p_y = -i d/dy on the flattened grid.
-
-    Returned matrices are the real derivative parts; callers multiply by -1j.
-    """
-    return _on_both_axes(_deriv_matrix(grid.points, grid.step, kind=1))
 
 
 def _parity_folds(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -367,9 +376,9 @@ def _energy_clusters(energies: np.ndarray, tol: float) -> list[list[int]]:
 def _lz_apply(grid: GridSpec, block: np.ndarray) -> np.ndarray:
     """L_z psi = -i (x d/dy - y d/dx) psi on a block of grid columns (npts, k).
     L_z is Hermitian on the grid: x d/dy and y d/dx are antisymmetric."""
-    dxm, dym = momentum_operators(grid)
+    dx, dy = grid.gradient(block)
     xr, yr = grid.xy
-    return -1j * (xr[:, None] * (dym @ block) - yr[:, None] * (dxm @ block))
+    return -1j * (xr[:, None] * dy - yr[:, None] * dx)
 
 
 def _lz_rotations(basis: MatterEigenbasis, lz_states: np.ndarray) -> list[tuple]:
@@ -475,12 +484,11 @@ class TransitionMatrices:
 def transition_matrices(basis: MatterEigenbasis) -> TransitionMatrices:
     grid = basis.grid
     xr, yr = grid.xy
-    dxm, dym = momentum_operators(grid)
     block = basis.states.T  # (npts, n)
     # project first: real gemms for real states; p = -i d takes its -1j after
     x_dip, y_dip, dx, dy = (
         basis.states.conj() @ op * grid.weight
-        for op in (xr[:, None] * block, yr[:, None] * block, dxm @ block, dym @ block)
+        for op in (xr[:, None] * block, yr[:, None] * block, *grid.gradient(block))
     )
     return TransitionMatrices(*(0.5 * (a + a.conj().T) for a in (x_dip, y_dip, -1j * dx, -1j * dy)))
 

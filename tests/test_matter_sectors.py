@@ -1,7 +1,7 @@
 """Parity-sector ring eigensolve against a full-grid oracle, its per-sector
 state counts, its x <-> y mirror and input guards, the single L_z pass and
-the truncation check of solve_ring, and the reflection-even sector of a
-solved basis."""
+the truncation check of solve_ring, the derivative stencil built once per
+grid, and the reflection-even sector of a solved basis."""
 from __future__ import annotations
 
 import numpy as np
@@ -230,6 +230,35 @@ def test_lz_is_applied_once_per_solve(small_grid, units, monkeypatch):
     applied.clear()
     matter.classify_angular_momentum(basis)
     assert applied == [(small_grid.size, 10)]
+
+
+def test_one_prepare_matter_builds_the_derivative_stencil_once(monkeypatch):
+    # the L_z labels and the transition matrices share the grid's stencil
+    from ringpdc import scenarios
+
+    built = []
+    deriv_matrix = matter._deriv_matrix
+
+    def spy(n, h, kind):
+        built.append(kind)
+        return deriv_matrix(n, h, kind)
+
+    monkeypatch.setattr(matter, "_deriv_matrix", spy)
+    spec = scenarios.MatterSpec(v0_mev=200.0, n_levels=3, grid_points=31, grid_step_nm=2.8)
+    basis, _ = scenarios.prepare_matter(spec, {})
+    # one first-derivative stencil (and one second-derivative one, for H_el)
+    assert sorted(built) == [1, 2]
+    assert basis.grid.stencil is basis.grid.stencil
+
+
+def test_gradient_is_the_full_grid_derivative(small_grid):
+    # kron(D, 1) and kron(1, D) on the flattened grid, to the last bit
+    d = matter._deriv_matrix(small_grid.points, small_grid.step, kind=1)
+    dxm, dym = matter._on_both_axes(d)
+    block = np.random.default_rng(3).normal(size=(small_grid.size, 5))
+    for columns in (block, np.asfortranarray(block), block[:, :1]):
+        dx, dy = small_grid.gradient(columns)
+        assert np.array_equal(dx, dxm @ columns) and np.array_equal(dy, dym @ columns)
 
 
 def test_tiny_reference_grid_solves(units):

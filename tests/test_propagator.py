@@ -3,6 +3,7 @@ dense-exponential oracles, analytic oscillator motion, record-to-record
 stepping, midpoint handling of drives, drift invariants, ground states."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,9 +110,10 @@ class TestKrylovStep:
         rng = np.random.default_rng(11)
         psi0 = rng.normal(size=64) + 1j * rng.normal(size=64)
         psi0 /= np.linalg.norm(psi0)
-        # ten expansions of dt each
+        # ten record intervals of R tau = 4.4 in two expansions: a window of
+        # WINDOW_CAP = 8 records and one of the last 2
         res = propagate(h, CoupledState(psi0.copy()), 1.0, PropagatorConfig(dt=0.1))
-        assert res.krylov.steps == 10
+        assert res.krylov.steps == 2
         exact = expm(-1j * hm) @ psi0
         assert np.linalg.norm(res.final.amplitudes - exact) < 1e-10
 
@@ -256,10 +258,11 @@ class TestPropagate:
 
 
 class TestStepControl:
-    """Undriven runs take one expansion per record interval."""
+    """Undriven runs take one expansion per window of record intervals."""
 
     def test_record_interval_expansions_match_dense_exponential(self):
-        # each record interval spans R tau of about 80 on this wide spectrum
+        # each record interval spans R tau of about 44 on this wide spectrum,
+        # and one expansion serves all three records
         hm = random_symmetric(64, seed=7)
         rng = np.random.default_rng(11)
         psi0 = rng.normal(size=64) + 1j * rng.normal(size=64)
@@ -272,7 +275,7 @@ class TestStepControl:
             observables={"psi": lambda s: s.amplitudes.copy()},
         )
         assert np.allclose(res.times, [0.0, 1.0, 2.0, 3.0], rtol=0, atol=1e-15)
-        assert res.krylov.steps == len(res.times) - 1
+        assert res.krylov.steps == 1
         for t, psi in zip(res.times, res.records["psi"]):
             assert np.linalg.norm(psi - expm(-1j * t * hm) @ psi0) < 1e-10
 
@@ -304,7 +307,9 @@ class TestStepControl:
             PropagatorConfig(dt=0.05, record_stride=20),
             bounds=bounds,
         )
-        assert fixed.krylov.steps == 200 and res.krylov.steps == 10
+        # R tau is 0.02 and 0.44: windows of WINDOW_CAP = 8 records, so the
+        # 200 and 10 record intervals take 25 and 2 expansions
+        assert fixed.krylov.steps == 25 and res.krylov.steps == 2
         # each application of H to the state is two real products
         assert 2 * res.krylov.matvecs == counts["record"]
         assert counts["record"] < counts["fixed"] / 2
@@ -351,12 +356,102 @@ class TestStepControl:
             bounds=bounds,
         )
         stats = res.krylov
-        assert isinstance(stats.steps, int) and stats.steps == 2
+        # both record intervals (R tau = 5.9) in one window
+        assert isinstance(stats.steps, int) and stats.steps == 1
         assert isinstance(stats.matvecs, int) and 2 * stats.matvecs == len(calls)
         assert isinstance(stats.max_order, int) and 2 <= stats.max_order <= stats.matvecs
         assert isinstance(stats.max_error, float)
         assert 0.0 < stats.max_error <= cfg.krylov_tol * TAIL_MARGIN
         assert stats.spectral_bounds == bounds
+
+
+class TestRecordWindows:
+    """One Chebyshev recurrence evaluates a window of record times."""
+
+    def test_every_record_of_a_window_matches_dense_exponential(self):
+        hm = random_symmetric(64, seed=5)
+        lo, hi = spectral_bounds(sp.csr_matrix(hm))
+        center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+        psi /= np.linalg.norm(psi)
+        # uneven times, a short last one as at the end of a run
+        taus = [0.1, 0.2, 0.3, 0.45, 0.6, 0.61]
+        for cutoff in (1e-6, 1e-12):
+            window = prop._chebyshev_window(lambda v: hm @ v, psi, taus, center, radius, cutoff)
+            assert len(window) == len(taus)
+            for tau, (out, order, tail) in zip(taus, window):
+                # each record keeps its own series and tail bound
+                coeffs, bound = prop._chebyshev_coefficients(radius * tau, cutoff)
+                assert (order, tail) == (len(coeffs) - 1, bound)
+                error = np.linalg.norm(out - expm(-1j * tau * hm) @ psi)
+                assert tail <= cutoff and error <= tail, (tau, cutoff, order, tail, error)
+
+    def test_windowed_run_matches_one_record_per_expansion(self, monkeypatch):
+        hm = random_symmetric(48, seed=9)
+        psi0 = np.random.default_rng(1).normal(size=48) + 0j
+        psi0 /= np.linalg.norm(psi0)
+        cfg = PropagatorConfig(dt=0.05, record_stride=2)
+        obs = {"psi": lambda s: s.amplitudes.copy()}
+
+        def run():
+            return propagate(sp.csr_matrix(hm), CoupledState(psi0.copy()), 2.03, cfg, observables=obs)
+
+        windowed = run()
+        monkeypatch.setattr(prop, "WINDOW_CAP", 1)
+        single = run()
+        assert len(windowed.times) == len(single.times) == 22
+        assert windowed.krylov.steps < single.krylov.steps == 21
+        assert windowed.krylov.matvecs < single.krylov.matvecs
+        assert np.array_equal(windowed.times, single.times)
+        for a, b in zip(windowed.records["psi"], single.records["psi"]):
+            assert np.abs(a - b).max() < 1e-12
+
+    def test_matrix_and_callable_give_identical_records(self):
+        hm = random_symmetric(40, seed=2)
+        h = sp.csr_matrix(hm)
+        psi0 = np.full(40, 1 / math.sqrt(40), dtype=complex)
+        cfg = PropagatorConfig(dt=0.05, record_stride=3)
+        obs = {"psi": lambda s: s.amplitudes.copy()}
+        bounds = spectral_bounds(h)
+        by_matrix = propagate(h, CoupledState(psi0.copy()), 3.0, cfg, observables=obs)
+        by_callable = propagate(
+            lambda v: h @ v, CoupledState(psi0.copy()), 3.0, cfg, observables=obs, bounds=bounds
+        )
+        assert by_matrix.krylov == by_callable.krylov
+        assert by_matrix.krylov.steps < len(by_matrix.times) - 1
+        assert np.array_equal(by_matrix.times, by_callable.times)
+        assert np.array_equal(by_matrix.records["psi"], by_callable.records["psi"])
+
+    def test_window_memory_within_the_estimate(self):
+        # scenarios.memory_report counts WORK_VECTORS and WINDOW_CAP sums of
+        # the state's size; a full window needs more than the work vectors
+        n = 20_000
+        rng = np.random.default_rng(0)
+        off = np.full(n - 1, 0.3)
+        h = sp.diags([rng.normal(size=n), off, off], [0, 1, -1], format="csr")
+        state = CoupledState(np.full(n, 1 / math.sqrt(n), dtype=complex))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = propagate(h, state, 1.6, PropagatorConfig(dt=0.1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.krylov.steps == 2  # 16 records in two full windows
+        vectors = peak / (16 * n)
+        assert prop.WORK_VECTORS < vectors <= prop.WORK_VECTORS + prop.WINDOW_CAP
+
+    def test_window_rule(self):
+        # a coherent_pump record interval (R tau about 290, a tail of about 70
+        # orders) keeps one or two records per window, a degenerate one (R tau
+        # about 20, a tail of about 29) more
+        assert 1 <= prop._window_size(290.0, 1e-15) <= 2
+        assert 2 < prop._window_size(20.0, 1e-15) <= prop.WINDOW_CAP
+        assert prop._window_size(0.0, 1e-15) == prop.WINDOW_CAP
+        assert prop._window_size(1e-3, 1e-15) == prop.WINDOW_CAP
+        # beyond the z where the tail estimate (z/2)^n / n! overflows a float
+        assert prop._window_size(5000.0, 1e-15) == 1
 
 
 def tilted_modes():
@@ -419,13 +514,13 @@ class TestChebyshevKernel:
             grid = np.linspace(0.0, 5.0, 501)
             terms = [ham.drive_term(basis, mb, tm, modes, drive, grid)]
         seen = []
-        kernel = prop._chebyshev_expm
+        kernel = prop._chebyshev_window
 
-        def spy(apply_h, psi, tau, center, radius, cutoff):
+        def spy(apply_h, psi, taus, center, radius, cutoff):
             seen.append((apply_h, center, radius))
-            return kernel(apply_h, psi, tau, center, radius, cutoff)
+            return kernel(apply_h, psi, taus, center, radius, cutoff)
 
-        monkeypatch.setattr(prop, "_chebyshev_expm", spy)
+        monkeypatch.setattr(prop, "_chebyshev_window", spy)
         psi0 = np.zeros(basis.dim, dtype=complex)
         psi0[0] = 1.0
         propagate(h, CoupledState(psi0), 4.0, PropagatorConfig(dt=0.2), terms=terms)
@@ -449,8 +544,8 @@ class TestChebyshevKernel:
         psi /= np.linalg.norm(psi)
         for tau in (0.01, 0.1, 1.0):
             for cutoff in (1e-3, 1e-6, 1e-9):
-                out, order, tail = prop._chebyshev_expm(
-                    lambda v: hm @ v, psi, tau, center, radius, cutoff
+                ((out, order, tail),) = prop._chebyshev_window(
+                    lambda v: hm @ v, psi, [tau], center, radius, cutoff
                 )
                 error = np.linalg.norm(out - expm(-1j * tau * hm) @ psi)
                 assert tail <= cutoff and error <= tail, (tau, cutoff, order, tail, error)

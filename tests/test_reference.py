@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ringpdc import propagator as prop
 from ringpdc import scenarios as sc
 
 REFERENCE = Path(__file__).resolve().parent / "reference"
@@ -52,3 +53,20 @@ def test_preset_matches_reference(name, tmp_path, store):
         assert np.array_equal(np.isnan(rows), nan), csv_name
         excess = np.abs(rows[~nan] - want[~nan]) - (ATOL + RTOL * np.abs(want[~nan]))
         assert excess.max(initial=-1.0) <= 0.0, (csv_name, excess.max())
+
+
+@pytest.mark.parametrize("name", ["degenerate", "single_photon", "reduced_bath", "coherent_pump"])
+def test_record_windows_match_one_record_per_expansion(name, tmp_path, store, monkeypatch):
+    # the undriven tiny runs take all five records in one expansion; one
+    # expansion per record interval must give the same rows to roundoff
+    cfg = make_reference.reference_config(name)
+    windowed = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path / "windowed")
+    monkeypatch.setattr(prop, "WINDOW_CAP", 1)
+    single = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path / "single")
+    assert (windowed.summary["krylov"]["steps"], single.summary["krylov"]["steps"]) == (1, 5)
+    assert windowed.names == single.names
+    want = single.rows
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(windowed.rows), nan)
+    err = np.abs(windowed.rows[~nan] - want[~nan])
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want[~nan])))

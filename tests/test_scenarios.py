@@ -20,6 +20,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from ringpdc import cli
 from ringpdc import hamiltonian as ham
+from ringpdc import propagator as prop
 from ringpdc import scenarios as sc
 from ringpdc.photon import BathWindow
 from ringpdc.propagator import TAIL_MARGIN, CoupledState, PropagationResult, ground_state
@@ -455,11 +456,17 @@ class TestRunScenario:
         lo, hi = krylov["spectral_bounds"]
         assert isinstance(lo, float) and isinstance(hi, float) and lo < hi
         timings = data["timings"]
-        assert set(timings) == {"matter_s", "assemble_s", "propagate_s"}
+        phases = {"matter_s", "assemble_s", "propagate_s", "output_s"}
+        assert set(timings) == phases | {"observe_s"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
-        # whole milliseconds, compared as integers
-        spent = sum(round(v * 1000) for v in timings.values())
+        # whole milliseconds, compared as integers; the observers run inside
+        # the propagation
+        spent = sum(round(timings[name] * 1000) for name in phases)
         assert spent <= round(data["runtime_s"] * 1000)
+        assert timings["observe_s"] <= timings["propagate_s"]
+        # the telemetry stays in the JSON: the CSV holds the series alone
+        sc.write_series_csv(tmp_path / "series.csv", res.times_ps, res.names, res.rows)
+        assert res.csv_path.read_bytes() == (tmp_path / "series.csv").read_bytes()
         # bytes of the propagated CSR: the inversion block of 24 states here
         assert isinstance(data["operator_mb"], float) and 0.0 < data["operator_mb"] < 1.0
         # the budget check's estimate next to the measured peak
@@ -469,9 +476,20 @@ class TestRunScenario:
         assert memory["estimated_mb"] == sc.memory_report(tiny_degenerate())["estimated_mb"]
         mf = sc.run_scenario(tiny_mean_field(), matter_store=store, out_dir=tmp_path)
         assert set(mf.summary["timings"]) == set(timings)
+        assert all(isinstance(v, float) and v >= 0.0 for v in mf.summary["timings"].values())
+        assert mf.summary["timings"]["observe_s"] <= mf.summary["timings"]["propagate_s"]
         assert mf.summary["operator_mb"] is None
         assert set(mf.summary["memory"]) == set(memory)
         assert all(isinstance(v, float) and v > 0.0 for v in mf.summary["memory"].values())
+
+    def test_memory_estimate_counts_the_record_window(self, monkeypatch):
+        cfg = tiny_degenerate()
+        report = sc.memory_report(cfg)
+        monkeypatch.setattr(sc, "WINDOW_CAP", 0)
+        without = sc.memory_report(cfg)
+        # two float rows of the state's length per record of a full window
+        window_mb = 16 * report["total_dim"] * prop.WINDOW_CAP / 2**20
+        assert report["estimated_mb"] - without["estimated_mb"] == pytest.approx(window_mb)
 
     def test_bit_identical_reruns(self, tmp_path):
         # fresh matter stores: both runs solve the ring from scratch
@@ -1403,20 +1421,29 @@ class TestInversionSector:
     """Undriven Fock starts lie in one sector of inversion times photon-number
     parity and propagate only that sector's block of H."""
 
+    # expansions: the record intervals of these tiny runs span R tau of
+    # about 1, so the undriven windows hold WINDOW_CAP = 8 records each, and
+    # the 15 (degenerate: 20) intervals take 2 (3) expansions in either sector
     @pytest.mark.parametrize(
-        "make, reflection, kept, total",
+        "make, reflection, kept, total, expansions",
         [
-            (tiny_nondegenerate, "y", 27, 54),
+            (tiny_nondegenerate, "y", 27, 54, 2),
             # the bath's one-photon states count in the parity
-            (tiny_bath, "y", 108, 216),
+            (tiny_bath, "y", 108, 216, 2),
             # theta1 = 60 deg: inversion without the reflection
-            (tiny_degenerate, None, 24, 48),
-            (lambda: tiny_nondegenerate(method=sc.MethodSpec("few_level", (0, 1, 2))), None, 41, 81),
+            (tiny_degenerate, None, 24, 48, 3),
+            (
+                lambda: tiny_nondegenerate(method=sc.MethodSpec("few_level", (0, 1, 2))),
+                None,
+                41,
+                81,
+                2,
+            ),
         ],
         ids=["fock", "bath", "degenerate", "few_level"],
     )
     def test_reduced_run_matches_uninverted(
-        self, tmp_path, monkeypatch, store, make, reflection, kept, total
+        self, tmp_path, monkeypatch, store, make, reflection, kept, total, expansions
     ):
         reduced = sc.run_scenario(make(), matter_store=store, out_dir=tmp_path)
         full = uninverted_run(make(), monkeypatch, store, tmp_path)
@@ -1425,7 +1452,7 @@ class TestInversionSector:
         assert sym["inversion"] == -1 and full_sym["inversion"] is None
         assert (sym["total_dim"], full_sym["total_dim"]) == (kept, total)
         assert reduced.summary["dims"] == full.summary["dims"]
-        assert reduced.summary["krylov"]["steps"] == full.summary["krylov"]["steps"]
+        assert reduced.summary["krylov"]["steps"] == full.summary["krylov"]["steps"] == expansions
         assert_same_series(reduced, full)
 
     @pytest.mark.parametrize("make", [tiny_coherent, tiny_current], ids=["coherent", "ground"])
