@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,23 +100,24 @@ def coherent_state(xi: complex, n_max: int) -> np.ndarray:
 class BathWindow(NamedTuple):
     """count bath modes spaced evenly over [low_mev, high_mev]."""
 
-    low_mev: float
+    low_mev: Annotated[float, "> 0"]
     high_mev: float
-    count: int
+    count: Annotated[int, ">= 1"]
 
 
 @dataclass(frozen=True)
 class BathSpec:
     """Sampled photon bath: spectral windows, shared coupling, sector cap.
 
-    The config's bath section parses into this class, and
-    scenarios.validate_config is where its ranges are checked.  Every bath
-    mode is polarized along x.
+    The config's bath section parses into this class.  The range of each
+    field is declared on it (as on BathWindow), and scenarios.validate_config
+    checks those and the order and overlap of the windows.  Every bath mode
+    is polarized along x.
     """
 
-    lam: float
-    windows: tuple[BathWindow, ...]
-    sector: int = 2
+    lam: Annotated[float, ">= 0"]
+    windows: Annotated[tuple[BathWindow, ...], "non-empty"]
+    sector: Annotated[int, (0, 1, 2)] = 2
 
     @property
     def count(self) -> int:

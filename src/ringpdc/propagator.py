@@ -137,13 +137,15 @@ class PropagatorConfig:
 class KrylovStats:
     """Work and accuracy of the expansions of one propagation: the number
     of expansions (steps) and of applications of H (matvecs), the largest
-    order and dropped-tail bound used, and the interval [lo, hi] of the
-    static Hamiltonian."""
+    order and dropped-tail bound used, the largest norm drift of a record
+    before its renormalization, and the interval [lo, hi] of the static
+    Hamiltonian."""
 
     steps: int = 0
     matvecs: int = 0
     max_order: int = 0
     max_error: float = 0.0
+    max_renorm_drift: float = 0.0
     spectral_bounds: tuple[float, float] | None = None
 
 
@@ -286,9 +288,9 @@ def _window_size(z: float, cutoff: float) -> int:
     return min(WINDOW_CAP, max(1, best))
 
 
-def _checked_state(psi: np.ndarray, time: float) -> CoupledState:
-    """The stepped state, renormalized for tiny drift; aborts on larger drift
-    and (with NonFiniteAmplitudes) on NaN or Inf amplitudes."""
+def _checked_state(psi: np.ndarray, time: float) -> tuple[CoupledState, float]:
+    """The stepped state, renormalized for tiny drift, and that drift; aborts
+    on larger drift and (with NonFiniteAmplitudes) on NaN or Inf amplitudes."""
     if not np.all(np.isfinite(psi.view(float))):
         raise NonFiniteAmplitudes("non-finite amplitudes after a step")
     norm = np.linalg.norm(psi)
@@ -299,7 +301,7 @@ def _checked_state(psi: np.ndarray, time: float) -> CoupledState:
             f"{RENORM_TOL:.1e}); the spectral bounds miss part of the spectrum"
         )
     psi /= norm
-    return CoupledState(psi, time)
+    return CoupledState(psi, time), float(drift)
 
 
 def _record_grid(t0: float, t_final: float, config: PropagatorConfig) -> list[float]:
@@ -404,7 +406,8 @@ def propagate(
             for t_next, (psi, order, err) in zip(targets, results):
                 stats.max_order = max(stats.max_order, order)
                 stats.max_error = max(stats.max_error, err)
-                state = _checked_state(psi, t_next)
+                state, drift = _checked_state(psi, t_next)
+                stats.max_renorm_drift = max(stats.max_renorm_drift, drift)
                 if state.time == grid[done]:
                     snapshot(state)
                     done += 1

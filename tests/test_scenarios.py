@@ -23,7 +23,8 @@ from ringpdc import hamiltonian as ham
 from ringpdc import propagator as prop
 from ringpdc import scenarios as sc
 from ringpdc.photon import BathWindow
-from ringpdc.propagator import TAIL_MARGIN, CoupledState, PropagationResult, ground_state
+from ringpdc.propagator import RENORM_TOL, TAIL_MARGIN, CoupledState, PropagationResult
+from ringpdc.propagator import ground_state
 
 # Coarse grid and shallow spectrum: enough structure to exercise every code
 # path while keeping each propagation in the millisecond range.
@@ -95,11 +96,21 @@ def base_data(**sections) -> dict:
     return {**yaml.safe_load(BASE_YAML), **sections}
 
 
-def schema_keys(cls=sc.ScenarioConfig, section="(root)") -> dict:
+def declared_rule(hint):
+    """The rule a field declares with Annotated (also inside X | None), or None."""
+    for h in (hint, *typing.get_args(hint)):
+        if typing.get_origin(h) is typing.Annotated:
+            return h.__metadata__[0]
+    return None
+
+
+def schema_keys(cls=sc.ScenarioConfig, section="(root)", rules=False) -> dict:
     """{(section, YAML key): default or REQUIRED} of every scalar or
-    scalar-list key, walking the config dataclasses as parse_config does."""
+    scalar-list key, walking the config dataclasses as parse_config does;
+    with rules, the value is the key's declared rule (or None) instead."""
     lifted = {name: sec for sec, names in sc._LIFTED.items() for name in names}
     hints = typing.get_type_hints(cls)
+    declared = typing.get_type_hints(cls, include_extras=True)
     keys = {}
     for name, param in inspect.signature(cls).parameters.items():
         key, hint = sc._yaml_key(name), hints[name]
@@ -113,11 +124,11 @@ def schema_keys(cls=sc.ScenarioConfig, section="(root)") -> dict:
         )
         if record is None:
             where = lifted.get(name, section) if cls is sc.ScenarioConfig else section
-            keys[(where, key)] = param.default
+            keys[(where, key)] = declared_rule(declared[name]) if rules else param.default
         else:
             path = key if section == "(root)" else f"{section}.{key}"
             listed = typing.get_origin(hint) is tuple
-            keys.update(schema_keys(record, path + ("[]" if listed else "")))
+            keys.update(schema_keys(record, path + ("[]" if listed else ""), rules))
     return keys
 
 
@@ -320,7 +331,7 @@ class TestParsing:
 
     def test_kind_and_mode_count_left_to_validation(self):
         cfg = sc.parse_config(base_data(scenario={"kind": "degenerat"}))
-        with pytest.raises(sc.ConfigError, match="unknown scenario kind 'degenerat'"):
+        with pytest.raises(sc.ConfigError, match=r"scenario\.kind must be one of .*, got 'degenerat'"):
             sc.validate_config(cfg)
         cfg = sc.parse_config(base_data(modes=[]))
         assert cfg.modes == ()
@@ -447,7 +458,9 @@ class TestRunScenario:
         assert data["runtime_s"] >= 0.0
         assert data["columns"] == res.csv_path.read_text().splitlines()[0].split(",")
         krylov = data["krylov"]
-        assert set(krylov) == {"steps", "matvecs", "max_order", "max_error", "spectral_bounds"}
+        assert set(krylov) == {
+            "steps", "matvecs", "max_order", "max_error", "max_renorm_drift", "spectral_bounds"
+        }
         assert all(isinstance(krylov[k], int) for k in ("steps", "matvecs", "max_order"))
         assert isinstance(krylov["max_error"], float)
         assert krylov["steps"] >= 1 and krylov["matvecs"] >= krylov["steps"]
@@ -481,6 +494,20 @@ class TestRunScenario:
         assert mf.summary["operator_mb"] is None
         assert set(mf.summary["memory"]) == set(memory)
         assert all(isinstance(v, float) and v > 0.0 for v in mf.summary["memory"].values())
+
+    def test_renormalization_drift_reads_back(self, tmp_path, store, monkeypatch):
+        # every record of every window comes back 1e-10 too long: the krylov
+        # block keeps that drift, which the renormalized final state hides
+        original = prop._chebyshev_window
+
+        def drifting(*args):
+            return [(psi * (1.0 + 1e-10), order, err) for psi, order, err in original(*args)]
+
+        monkeypatch.setattr(prop, "_chebyshev_window", drifting)
+        res = sc.run_scenario(tiny_degenerate(), matter_store=store, out_dir=tmp_path)
+        data = json.loads(res.json_path.read_text())
+        assert data["krylov"]["max_renorm_drift"] == pytest.approx(1e-10, rel=1e-3)
+        assert data["norm_drift"] < 1e-14
 
     def test_memory_estimate_counts_the_record_window(self, monkeypatch):
         cfg = tiny_degenerate()
@@ -934,8 +961,29 @@ DRIVEN_YAML = (ROOT / "tests" / "configs" / "current_drive_tiny.yaml").read_text
 
 # Values that parse but that the ring solve, the bath sampling or the drive
 # would reject only mid-run, so validation must: (preset, YAML path, value,
-# key the error names)
+# key the error names).  A config in place of the preset is built with
+# dataclasses.replace and never parsed.
 OUT_OF_RANGE = [
+    pytest.param("degenerate", ("modes", 0, "n_max"), 0, "modes[0].n_max", id="n-max"),
+    pytest.param("degenerate", ("matter", "n_levels"), 0, "matter.n_levels", id="n-levels"),
+    pytest.param("degenerate", ("propagation", "dt_fs"), -4.0, "propagation.dt_fs", id="dt"),
+    pytest.param(
+        "degenerate", ("propagation", "record_stride"), 0, "propagation.record_stride", id="stride"
+    ),
+    pytest.param(
+        "degenerate", ("propagation", "krylov_tol"), 0.0, "propagation.krylov_tol", id="tol"
+    ),
+    pytest.param("current_drive", ("drive", "tau_ps"), 0.0, "drive.tau_ps", id="tau"),
+    pytest.param("degenerate", ("initial", "kind"), "squeezed", "initial.kind", id="initial"),
+    pytest.param("degenerate", ("method",), {"kind": "exact"}, "method.kind", id="method"),
+    pytest.param("v0_sweep", ("sweep", "parameter"), "V1", "sweep.parameter", id="sweep"),
+    pytest.param(
+        tiny_degenerate(modes=(sc.ModeSpec(10.0, 3, 0.05), sc.ModeSpec(5.0, 3, -0.05))),
+        None,
+        None,
+        "modes[1].lambda",
+        id="unparsed",
+    ),
     pytest.param("degenerate", ("matter", "grid_points"), 126, "matter.grid_points", id="even-grid"),
     pytest.param("degenerate", ("matter", "grid_step_nm"), 0.0, "matter.grid_step_nm", id="step"),
     pytest.param("degenerate", ("matter", "omega0_meV"), -1.0, "matter.omega0_meV", id="omega0"),
@@ -1123,8 +1171,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("drive", "tau_ps", 0, "drive tau_ps must be positive"),
-            ("scenario", "kind", "current_drive", "unknown scenario kind"),
+            ("drive", "tau_ps", 0, "drive.tau_ps must be positive, got 0"),
+            ("scenario", "kind", "current_drive", "scenario.kind must be one of"),
             (None, "modes", [], "exactly 3 modes, got 0"),
             ("drive", "omega_meV", -24.0, "drive.omega_meV must be positive"),
             # calibration ranges the bisection would refuse only after the ring solve
@@ -1146,6 +1194,13 @@ class TestCli:
 
     @pytest.mark.parametrize("preset, path, value, key", OUT_OF_RANGE)
     def test_out_of_range_values_exit_code(self, tmp_path, capsys, preset, path, value, key):
+        if isinstance(preset, sc.ScenarioConfig):
+            # the parser never saw the value: validate_config refuses it alone
+            for call in (sc.validate_config, lambda cfg: sc.run_scenario(cfg, out_dir=tmp_path)):
+                with pytest.raises(sc.ConfigError) as refused:
+                    call(preset)
+                assert key in str(refused.value)
+            return
         config = tmp_path / "edited.yaml"
         config.write_text(yaml.safe_dump(edited_preset(preset, path, value)))
         assert cli.main(["validate-config", "--config", str(config)]) == 2
@@ -1198,9 +1253,16 @@ def test_every_preset_runs(name, tmp_path, store):
     if cfg.sweep is None:
         res = sc.run_scenario(cfg, matter_store=store, out_dir=tmp_path)
         assert res.summary["samples"] >= 2
+        results = [res]
     else:
         swept = sc.run_sweep(cfg, matter_store=store, out_dir=tmp_path, max_workers=1)
         assert [row["error"] for row in swept.rows] == [None, None]
+        results = swept.results
+    # the largest drift a record had before its renormalization
+    for res in results:
+        if res.summary["krylov"] is not None:
+            drift = res.summary["krylov"]["max_renorm_drift"]
+            assert isinstance(drift, float) and 0.0 <= drift < RENORM_TOL
 
 
 def fixed_dt_propagate(h, state, t_final, config, terms=(), observables=None, bounds=None):
@@ -1545,7 +1607,7 @@ def test_readme_config_table_matches_parser():
         for line in block.splitlines()
         if line.startswith("| ") and not line.startswith("| section ")
     ]
-    documented = {(section, key): default for section, key, _, default in rows}
+    documented = {(section, key): default for section, key, _, default, _ in rows}
     assert len(documented) == len(rows)
     schema = schema_keys()
     assert documented.keys() == schema.keys()
@@ -1555,7 +1617,11 @@ def test_readme_config_table_matches_parser():
             assert cell == "required", key
         else:
             assert yaml.safe_load(cell) == _plain(default), key
-    for section, key, unit, _ in rows:
+    # the range column: the words of the declared rule, or a dash
+    ranges = {(section, key): cell for section, key, _, _, cell in rows}
+    for key, rule in schema_keys(rules=True).items():
+        assert ranges[key] == (sc._rule_words(rule) if rule is not None else "—"), key
+    for section, key, unit, _, _ in rows:
         suffix = key.rsplit("_", 1)[-1]
         if suffix in ("meV", "nm", "ps", "fs", "deg"):
             assert unit == suffix, (section, key)
