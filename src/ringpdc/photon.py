@@ -130,8 +130,8 @@ class BathBasis:
 
     Configurations are tuples of occupied mode indices, sorted ascending:
     () for the vacuum, (i,) for one photon in mode i, (i, j) with i <= j for
-    two photons (i == j is double occupation).  size = 1 + M + (M^2 + M)/2
-    at sector 2.
+    two photons (i == j is double occupation); bath_basis_size gives the
+    size without enumerating.
     """
 
     n_modes: int
@@ -148,6 +148,11 @@ class BathBasis:
             return self._index[tuple(sorted(config))]
         except KeyError:
             raise KeyError(f"configuration {config} not in the restricted sector")
+
+
+def bath_basis_size(n_modes: int, sector: int = 2) -> int:
+    """enumerate_bath_basis(n_modes, sector).size without enumerating: 1 + M + (M^2 + M)/2."""
+    return 1 + n_modes * (sector >= 1) + n_modes * (n_modes + 1) // 2 * (sector >= 2)
 
 
 def enumerate_bath_basis(n_modes: int, sector: int = 2) -> BathBasis:

@@ -95,7 +95,7 @@ from .meanfield import (
 )
 from .observables import efficiency_eta, series_extrema, snapshot_columns
 from .photon import COHERENT_TAIL_TOL, BathSpec, FockMode, coherent_state, sample_bath
-from .photon import enumerate_bath_basis
+from .photon import bath_basis_size
 from .propagator import WINDOW_CAP, WORK_VECTORS, CoupledState, PropagatorConfig, ground_state
 from .propagator import propagate, spectral_bounds
 from .units import (
@@ -405,7 +405,7 @@ def memory_report(config: ScenarioConfig) -> dict:
     else:
         mode_dims = tuple(m.n_max + 1 for m in config.modes[_classical_modes(config) :])
     bath = config.bath
-    bath_dim = enumerate_bath_basis(bath.count, bath.sector).size if bath is not None else 1
+    bath_dim = bath_basis_size(bath.count, bath.sector) if bath is not None else 1
     dim = matter_dim * int(np.prod(mode_dims, dtype=np.int64)) * bath_dim
     nnz_per_col = matter_dim * (1 + 2 * len(mode_dims))
     if bath is not None:
@@ -577,7 +577,7 @@ def validate_config(config: ScenarioConfig) -> dict:
             raise ConfigError("the mean-field method needs a coherent initial state")
 
     if config.sweep is not None:
-        validate_sweep(config.sweep)
+        _check_monotone(config.sweep.values)
         _check_sweep_base(config, config.sweep.parameter)
 
     report = memory_report(config)
@@ -592,7 +592,18 @@ def validate_config(config: ScenarioConfig) -> dict:
 
 def validate_sweep(sweep: SweepSpec) -> None:
     _check_ranges(sweep, "sweep")
-    diffs = np.diff(sweep.values)
+    _check_monotone(sweep.values)
+
+
+def _refuse_sweep(config: ScenarioConfig) -> None:
+    """Send a sweep config to run_sweep, after naming any out-of-range field."""
+    if config.sweep is not None:
+        _check_ranges(config)
+        raise ConfigError("this config declares a sweep; use run_sweep")
+
+
+def _check_monotone(values) -> None:
+    diffs = np.diff(values)
     if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("sweep values must be strictly monotone")
 
@@ -979,9 +990,8 @@ def run_scenario(
 ) -> ScenarioResult:
     """Validate, solve, assemble, propagate, and write CSV + JSON outputs
     to out_dir (default: the config's output directory)."""
+    _refuse_sweep(config)
     report = validate_config(config)
-    if config.sweep is not None:
-        raise ConfigError("this config declares a sweep; use run_sweep")
     started = time.perf_counter()
     matter, tm = prepare_matter(config.matter, matter_store)
     matter_s = time.perf_counter() - started
@@ -1067,17 +1077,8 @@ def run_scenario(
             "calibrated": bool(config.drive.calibrate),
         }
 
-    result = ScenarioResult(
-        config=config,
-        names=list(names),
-        times_ps=times_ps,
-        rows=rows,
-        summary=summary,
-        csv_path=csv_path,
-        json_path=json_path,
-    )
     _write_json(json_path, summary)
-    return result
+    return ScenarioResult(config, list(names), times_ps, rows, summary, csv_path, json_path)
 
 
 # ---------------------------------------------------------------------------
@@ -1159,7 +1160,7 @@ def sweep_row_config(
     matter_store: dict | None = None,
 ) -> ScenarioConfig:
     """The exact per-row config a sweep runs, derivable independently."""
-    _check_ranges(SweepSpec(parameter, (value,)), "sweep")
+    validate_sweep(SweepSpec(parameter, (value,)))
     _check_sweep_base(base, parameter)
     value = float(value)
     cfg = replace(base, sweep=None)
@@ -1170,9 +1171,7 @@ def sweep_row_config(
     elif parameter == "xi1":
         modes = list(base.modes)
         modes[0] = replace(modes[0], n_max=max(modes[0].n_max, _min_coherent_fock(value)))
-        cfg = replace(
-            cfg, modes=tuple(modes), initial=replace(base.initial, xi1=value)
-        )
+        cfg = replace(cfg, modes=tuple(modes), initial=replace(base.initial, xi1=value))
     else:  # V0, the one declared parameter left
         mspec = replace(base.matter, v0_mev=value)
         matter, _ = prepare_matter(mspec, matter_store)
@@ -1260,14 +1259,8 @@ def run_sweep(
     _write_csv(table_path, _SWEEP_COLUMNS, table)
     summary = {"parameter": sweep.parameter, "values": list(sweep.values), "rows": rows}
     _write_json(json_path, summary)
-    return SweepResult(
-        parameter=sweep.parameter,
-        values=tuple(sweep.values),
-        rows=rows,
-        results=[res for res, _ in pairs],
-        table_path=table_path,
-        json_path=json_path,
-    )
+    results = [res for res, _ in pairs]
+    return SweepResult(sweep.parameter, tuple(sweep.values), rows, results, table_path, json_path)
 
 
 # ---------------------------------------------------------------------------
@@ -1292,8 +1285,7 @@ def compare_methods(
 ) -> ComparisonResult:
     """Run the same scenario per method, in turn and on one grid; tabulate
     signed deviations from the first method."""
-    if config.sweep is not None:
-        raise ConfigError("this config declares a sweep; use run_sweep")
+    _refuse_sweep(config)
     requested = list(dict.fromkeys(methods))
     if not requested:
         raise ConfigError("no methods requested")
@@ -1354,10 +1346,4 @@ def compare_methods(
     )
     _write_csv(table_path, header, table)
     _write_json(json_path, deviations)
-    return ComparisonResult(
-        reference=labels[ref_name],
-        runs=runs,
-        deviations=deviations,
-        table_path=table_path,
-        json_path=json_path,
-    )
+    return ComparisonResult(labels[ref_name], runs, deviations, table_path, json_path)

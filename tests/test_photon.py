@@ -13,6 +13,7 @@ from ringpdc.photon import (
     number_op,
     quadratures,
     coherent_state,
+    bath_basis_size,
     enumerate_bath_basis,
     bath_ladder,
     sample_bath,
@@ -123,6 +124,11 @@ def test_basis_sizes():
     assert enumerate_bath_basis(2, 2).size == 6
     assert enumerate_bath_basis(5, 1).size == 6
     assert enumerate_bath_basis(5, 0).size == 1
+
+
+@given(st.integers(min_value=0, max_value=25), st.sampled_from([0, 1, 2]))
+def test_closed_form_basis_size(m, sector):
+    assert bath_basis_size(m, sector) == enumerate_bath_basis(m, sector).size
 
 
 @given(st.integers(min_value=1, max_value=25))

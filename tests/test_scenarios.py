@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import typing
 from dataclasses import replace
 from pathlib import Path
@@ -423,10 +424,25 @@ class TestValidation:
         with pytest.raises(sc.MemoryBudgetError, match="matter 3 x modes 4 x 4"):
             sc.validate_config(tiny_degenerate())
 
-    def test_run_scenario_rejects_sweep_configs(self):
+    def test_run_scenario_rejects_sweep_configs(self, monkeypatch):
         cfg = tiny_degenerate(sweep=sc.SweepSpec("theta1", (0.0, 30.0)))
         with pytest.raises(sc.ConfigError, match="use run_sweep"):
             sc.run_scenario(cfg)
+        # the sweep refusal comes before the budget check
+        monkeypatch.setenv(sc.MEMORY_BUDGET_ENV, "0.001")
+        with pytest.raises(sc.ConfigError, match="use run_sweep"):
+            sc.run_scenario(cfg)
+
+    def test_huge_bath_refused_without_enumerating(self, tmp_path, capsys):
+        data = edited_preset("reduced_bath", ("bath", "windows", 0, "count"), 100_000)
+        path = tmp_path / "huge_bath.yaml"
+        path.write_text(yaml.safe_dump(data))
+        started = time.perf_counter()
+        with pytest.raises(sc.MemoryBudgetError, match="exceeds the budget"):
+            sc.validate_config(sc.load_config(path))
+        assert cli.main(["validate-config", "--config", str(path)]) == 4
+        assert time.perf_counter() - started < 1.0
+        assert "resource refusal" in capsys.readouterr().err
 
 
 class TestRunScenario:
