@@ -6,7 +6,8 @@ coordinate q_alpha = sqrt(1/2 omega_alpha) (a + a^dag) (effective atomic
 units, hbar = 1).  Bath modes are kept collectively: instead of a tensor
 product over 70 three-level modes, the bath Hilbert space is restricted to
 the span of the vacuum, all one-photon and all two-photon configurations,
-which is what makes the dissipative runs tractable.
+which is what makes the dissipative runs tractable.  sample_bath converts
+the windows' meV through the units constants, the one unit system.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.stats import poisson
 
-from .units import default_units, energy_to_eff
+from .units import energy_to_eff
 
 COHERENT_TAIL_TOL = 1e-6
 
@@ -192,13 +193,12 @@ def bath_ladder(basis: BathBasis, k: int) -> sp.csr_matrix:
 def sample_bath(spec: BathSpec) -> tuple[list[FockMode], BathBasis]:
     """Equally spaced bath modes per spectral window, all polarized along x,
     plus the restricted basis."""
-    u = default_units()
     modes = []
     for low, high, n in spec.windows:
         for omega_mev in np.linspace(low, high, n):
             modes.append(
                 FockMode(
-                    omega=energy_to_eff(float(omega_mev), u),
+                    omega=energy_to_eff(float(omega_mev)),
                     n_max=max(spec.sector, 1),
                     lam=spec.lam,
                     polarization=(1.0, 0.0),

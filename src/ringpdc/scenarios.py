@@ -23,10 +23,11 @@ run_sweep repeats the pipeline over one swept parameter, on a thread pool
 of at most one worker per row, and tabulates the extrema per row;
 compare_methods runs the same scenario under the full, few-level and
 mean-field methods in turn on a shared time grid and reports signed
-deviations.  Every run works in one unit system, UNITS (GaAs); the
-driven scenarios calibrate their pump amplitude here, on a pump-only
-reference run.  Outputs always go to files: each run, sweep and
-comparison writes one CSV and one JSON file through the same writers.
+deviations.  Every run converts through the one unit system, the GaAs
+constants HARTREE_EFF, BOHR_EFF and TIME_EFF of units; the driven
+scenarios calibrate their pump amplitude here, on a pump-only reference
+run.  Outputs always go to files: each run, sweep and comparison writes
+one CSV and one JSON file through the same writers.
 
 The config dataclasses are the schema: each YAML key is a field name
 (a _mev suffix spelled _meV, lam spelled lambda), so keys carry their unit
@@ -99,7 +100,6 @@ from .photon import bath_basis_size
 from .propagator import WINDOW_CAP, WORK_VECTORS, CoupledState, PropagatorConfig, ground_state
 from .propagator import propagate, spectral_bounds
 from .units import (
-    default_units,
     eff_to_ps,
     effective_coupling,
     energy_to_eff,
@@ -123,7 +123,6 @@ RESONANCE_RTOL = 5e-3
 
 MEMORY_BUDGET_ENV = "PDC_MEMORY_BUDGET_MB"
 DEFAULT_MEMORY_BUDGET_MB = 4096.0
-UNITS = default_units()
 # Drive calibration: substep of the reference runs, and how often the
 # amplitude may double before the target counts as out of reach.
 CALIBRATION_DT = 0.02
@@ -458,8 +457,8 @@ def _declared_hints(cls) -> dict:
 
 def _check_ranges(record, where: str = "") -> None:
     """Refuse the first field of a config record, nested records included,
-    that lies outside the rule declared on it; the message names the field
-    by its YAML key, as the parser does."""
+    that is a non-finite float or lies outside the rule declared on it; the
+    message names the field by its YAML key, as the parser does."""
     for name, hint in _declared_hints(type(record)).items():
         place, key = where or _SECTION_OF.get(name), _yaml_key(name)
         _check_value(getattr(record, name), hint, f"{place}.{key}" if place else key)
@@ -471,18 +470,22 @@ def _check_value(value, hint, where: str) -> None:
     origin, args = get_origin(hint), get_args(hint)
     if origin is Annotated:
         hint, rule = args
+        _check_value(value, hint, where)
         ok = value in rule if isinstance(rule, tuple) else _BOUNDS[rule][0](value)
         if not ok:
             raise ConfigError(f"{where} must be {_rule_words(rule)}, got {value!r}")
-        _check_value(value, hint, where)
     elif origin in (Union, UnionType):
         (hint,) = (a for a in args if a is not type(None))
         _check_value(value, hint, where)
     elif origin is tuple:
         for i, v in enumerate(value):
             _check_value(v, args[0], f"{where}[{i}]")
+    elif hint is float:
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
     elif hint not in _SCALARS:
-        _check_ranges(value, where)
+        # code may give a bath window as a plain tuple
+        _check_ranges(value if isinstance(value, hint) else hint(*value), where)
 
 
 def validate_config(config: ScenarioConfig) -> dict:
@@ -628,11 +631,11 @@ _MATTER_LOCK = threading.Lock()
 
 def prepare_matter(spec: MatterSpec, store: dict | None = None):
     """Solve (or fetch) the ring eigenbasis and its transition matrices."""
-    grid = GridSpec(points=spec.grid_points, step=length_to_eff(spec.grid_step_nm, UNITS))
+    grid = GridSpec(points=spec.grid_points, step=length_to_eff(spec.grid_step_nm))
     pot = RingPotentialParams(
-        omega0=energy_to_eff(spec.omega0_mev, UNITS),
-        d=length_to_eff(spec.d_nm, UNITS),
-        v0=energy_to_eff(spec.v0_mev, UNITS),
+        omega0=energy_to_eff(spec.omega0_mev),
+        d=length_to_eff(spec.d_nm),
+        v0=energy_to_eff(spec.v0_mev),
     )
     with _MATTER_LOCK:
         if store is not None and spec in store:
@@ -675,7 +678,7 @@ def _build_modes(config: ScenarioConfig) -> tuple[FockMode, ...]:
         )
     return tuple(
         FockMode(
-            omega=energy_to_eff(m.omega_mev, UNITS),
+            omega=energy_to_eff(m.omega_mev),
             n_max=m.n_max,
             lam=m.lam,
             polarization=tuple(0.0 if abs(c) <= POLARIZATION_TOL else float(c) for c in e),
@@ -696,8 +699,8 @@ def _matter_reflection(modes: Sequence[FockMode]) -> str | None:
 
 def _time_grid(config: ScenarioConfig) -> tuple[float, float]:
     """(dt, t_final) in effective units, t_final snapped to the grid."""
-    dt = time_to_eff(config.propagation.dt_fs, UNITS)
-    span = ps_to_eff(config.propagation.t_final_ps, UNITS)
+    dt = time_to_eff(config.propagation.dt_fs)
+    span = ps_to_eff(config.propagation.t_final_ps)
     return dt, max(1, int(round(span / dt))) * dt
 
 
@@ -770,9 +773,9 @@ def _resolved_drive(config: ScenarioConfig, matter, tm, modes, calibrate: bool) 
     drive = DriveSpec(
         kind="classical_field" if config.kind == "field_driven" else "classical_current",
         j0=d.j0,
-        t0=ps_to_eff(d.t0_ps, UNITS),
-        tau=ps_to_eff(d.tau_ps, UNITS),
-        omega1=energy_to_eff(omega_mev, UNITS),
+        t0=ps_to_eff(d.t0_ps),
+        tau=ps_to_eff(d.tau_ps),
+        omega1=energy_to_eff(omega_mev),
     )
     if calibrate:
         current = calibrate_current_drive(
@@ -780,7 +783,7 @@ def _resolved_drive(config: ScenarioConfig, matter, tm, modes, calibrate: bool) 
             tm,
             modes[0],
             replace(drive, kind="classical_current"),
-            t_check=ps_to_eff(d.t_check_ps, UNITS),
+            t_check=ps_to_eff(d.t_check_ps),
             target=d.target_n1,
             tol=d.tolerance,
         )
@@ -801,7 +804,7 @@ def calibrate_drive(config: ScenarioConfig, *, matter_store: dict | None = None)
         "target_n1": config.drive.target_n1,
         "t_check_ps": config.drive.t_check_ps,
         "tolerance": config.drive.tolerance,
-        "omega_meV": energy_to_mev(drive.omega1, UNITS),
+        "omega_meV": energy_to_mev(drive.omega1),
     }
 
 
@@ -1001,7 +1004,7 @@ def run_scenario(
     else:
         names, times, rows, info = _quantum_series(config, matter, tm)
 
-    times_ps = np.asarray([eff_to_ps(t, UNITS) for t in times])
+    times_ps = np.asarray([eff_to_ps(t) for t in times])
     columns = dict(zip(names, rows.T))
     extrema = series_extrema(times_ps, columns)
     try:
@@ -1021,7 +1024,7 @@ def run_scenario(
         "frequencies_meV": [m.omega_mev for m in config.modes],
         "lambdas": [m.lam for m in config.modes],
         "couplings_g": [
-            effective_coupling(m.lam, energy_to_eff(m.omega_mev, UNITS)) for m in config.modes
+            effective_coupling(m.lam, energy_to_eff(m.omega_mev)) for m in config.modes
         ],
         "theta_deg": [config.theta1_deg, config.theta2_deg, config.theta3_deg],
         "v0_meV": config.matter.v0_mev,
@@ -1073,7 +1076,7 @@ def run_scenario(
             "j0": drive.j0,
             "t0_ps": config.drive.t0_ps,
             "tau_ps": config.drive.tau_ps,
-            "omega_meV": energy_to_mev(drive.omega1, UNITS),
+            "omega_meV": energy_to_mev(drive.omega1),
             "calibrated": bool(config.drive.calibrate),
         }
 
@@ -1175,7 +1178,7 @@ def sweep_row_config(
     else:  # V0, the one declared parameter left
         mspec = replace(base.matter, v0_mev=value)
         matter, _ = prepare_matter(mspec, matter_store)
-        gap_mev = energy_to_mev(float(matter.energies[1] - matter.energies[0]), UNITS)
+        gap_mev = energy_to_mev(float(matter.energies[1] - matter.energies[0]))
         cfg = replace(
             cfg,
             matter=mspec,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ringpdc.units import default_units, energy_to_eff
+from ringpdc.units import BOHR_EFF, energy_to_eff
 from ringpdc.matter import (
     GridSpec,
     RingPotentialParams,
@@ -21,37 +21,32 @@ GRID_POINTS = 127
 
 
 @pytest.fixture(scope="session")
-def units():
-    return default_units()
-
-
-@pytest.fixture(scope="session")
-def paper_grid(units):
-    step = GRID_STEP_NM / units.bohr_eff
+def paper_grid():
+    step = GRID_STEP_NM / BOHR_EFF
     return GridSpec(points=GRID_POINTS, step=step)
 
 
-def make_ring_potential(units, v0_mev: float) -> RingPotentialParams:
+def make_ring_potential(v0_mev: float) -> RingPotentialParams:
     return RingPotentialParams(
-        omega0=energy_to_eff(10.0, units),
-        d=10.0 / units.bohr_eff,
-        v0=energy_to_eff(v0_mev, units),
+        omega0=energy_to_eff(10.0),
+        d=10.0 / BOHR_EFF,
+        v0=energy_to_eff(v0_mev),
     )
 
 
-def solve_ring_levels(units, grid: GridSpec, v0_mev: float, n_states: int):
-    pot = make_ring_potential(units, v0_mev)
+def solve_ring_levels(grid: GridSpec, v0_mev: float, n_states: int):
+    pot = make_ring_potential(v0_mev)
     h = build_ring_hamiltonian(grid, pot)
     return solve_eigenstates(h, n_states, grid)
 
 
 @pytest.fixture(scope="session")
-def ring200(units, paper_grid):
+def ring200(paper_grid):
     """The anharmonic ring at V0 = 200 meV, 12 levels; the workhorse basis."""
-    return solve_ring_levels(units, paper_grid, 200.0, 12)
+    return solve_ring_levels(paper_grid, 200.0, 12)
 
 
 @pytest.fixture(scope="session")
-def ring0(units, paper_grid):
+def ring0(paper_grid):
     """Pure harmonic confinement, first six oscillator shells (21 states)."""
-    return solve_ring_levels(units, paper_grid, 0.0, 21)
+    return solve_ring_levels(paper_grid, 0.0, 21)

@@ -23,12 +23,11 @@ from ringpdc.photon import (
 )
 from ringpdc import scenarios as sc
 from ringpdc.scenarios import degenerate_polarization_vectors, polarization_vectors
-from ringpdc.units import default_units, energy_to_eff
+from ringpdc.units import energy_to_eff
 
-U = default_units()
-W1 = energy_to_eff(24.65, U)
-W2 = energy_to_eff(1.36, U)
-W3 = energy_to_eff(23.29, U)
+W1 = energy_to_eff(24.65)
+W2 = energy_to_eff(1.36)
+W3 = energy_to_eff(23.29)
 
 
 @pytest.fixture(scope="module")

@@ -68,25 +68,25 @@ def test_potential_validation():
         RingPotentialParams(omega0=1.0, d=1.0, v0=-1.0)
 
 
-def test_n_states_range(paper_grid, units):
-    h = build_ring_hamiltonian(paper_grid, make_ring_potential(units, 0.0))
+def test_n_states_range(paper_grid):
+    h = build_ring_hamiltonian(paper_grid, make_ring_potential(0.0))
     with pytest.raises(ValueError):
         solve_eigenstates(h, 0, paper_grid)
     with pytest.raises(ValueError):
         solve_eigenstates(h, paper_grid.size + 1, paper_grid)
 
 
-def test_truncated_degenerate_level_is_rejected(paper_grid, units):
+def test_truncated_degenerate_level_is_rejected(paper_grid):
     # two states cut the first +-1 pair in half; the classifier must notice
-    h = build_ring_hamiltonian(paper_grid, make_ring_potential(units, 0.0))
+    h = build_ring_hamiltonian(paper_grid, make_ring_potential(0.0))
     with pytest.raises(RuntimeError, match="truncat"):
         solve_eigenstates(h, 2, paper_grid)
 
 
-def test_harmonic_ladder(ring0, units):
+def test_harmonic_ladder(ring0):
     # isotropic 2D oscillator: E_N = (N+1) hbar omega0, degeneracy N+1
     expected = [10.0 * (n + 1) for n in range(6) for _ in range(n + 1)]
-    got = [energy_to_mev(e, units) for e in ring0.energies]
+    got = [energy_to_mev(e) for e in ring0.energies]
     assert np.allclose(got, expected, rtol=2e-3)
 
 
@@ -104,9 +104,9 @@ def test_harmonic_shell_content(ring0):
         assert got == want, f"shell {j}: {got} != {want}"
 
 
-def test_harmonic_six_states(paper_grid, units):
-    basis = solve_ring_levels(units, paper_grid, 0.0, 6)
-    got = [energy_to_mev(e, units) for e in basis.energies]
+def test_harmonic_six_states(paper_grid):
+    basis = solve_ring_levels(paper_grid, 0.0, 6)
+    got = [energy_to_mev(e) for e in basis.energies]
     assert np.allclose(got, [10.0, 20.0, 20.0, 30.0, 30.0, 30.0], rtol=2e-3)
 
 
@@ -135,8 +135,8 @@ def test_ring200_labels(ring200):
     assert ring200.j_labels.tolist() == [1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7, 7]
 
 
-def test_ring200_level_gaps(ring200, units):
-    e = [energy_to_mev(x, units) for x in ring200.energies]
+def test_ring200_level_gaps(ring200):
+    e = [energy_to_mev(x) for x in ring200.energies]
     assert e[1] - e[0] == pytest.approx(1.413, rel=1e-2)  # pump gap phi1 -> phi2
     assert e[11] == pytest.approx(58.54, rel=1e-2)  # top retained state
     assert e[10] - e[9] == pytest.approx(1.36, rel=1e-2)  # phi6 -> phi7
@@ -264,10 +264,10 @@ def test_momentum_consistent_with_dipole(tm200, ring200):
                 assert abs(tm200.px[i, j] - pred) <= 0.02 * abs(pred)
 
 
-def test_dipole_monotone_in_anharmonicity(paper_grid, units):
+def test_dipole_monotone_in_anharmonicity(paper_grid):
     values = []
     for v0 in sorted(SWEEP_DIPOLES):
-        basis = classify_angular_momentum(solve_ring_levels(units, paper_grid, float(v0), 3))
+        basis = classify_angular_momentum(solve_ring_levels(paper_grid, float(v0), 3))
         tm = transition_matrices(basis)
         d = abs(tm.x_dip[0, 2])
         assert d == pytest.approx(SWEEP_DIPOLES[v0], rel=1e-2)
@@ -275,17 +275,17 @@ def test_dipole_monotone_in_anharmonicity(paper_grid, units):
     assert np.all(np.diff(values) > 0)
 
 
-def test_pump_gap_sweep(paper_grid, units):
+def test_pump_gap_sweep(paper_grid):
     for v0, gap_mev in SWEEP_GAPS_MEV.items():
-        basis = solve_ring_levels(units, paper_grid, float(v0), 3)
-        gap = energy_to_mev(basis.energies[2] - basis.energies[0], units)
+        basis = solve_ring_levels(paper_grid, float(v0), 3)
+        gap = energy_to_mev(basis.energies[2] - basis.energies[0])
         assert gap == pytest.approx(gap_mev, rel=1e-2)
 
 
 @pytest.mark.slow
-def test_grid_convergence(paper_grid, ring200, units):
+def test_grid_convergence(paper_grid, ring200):
     fine = GridSpec(points=2 * paper_grid.points - 1, step=paper_grid.step / 2)
-    basis = solve_ring_levels(units, fine, 200.0, 12)
+    basis = solve_ring_levels(fine, 200.0, 12)
     rel = np.abs(basis.energies - ring200.energies) / np.abs(basis.energies)
     assert rel.max() < 5e-4
 

@@ -18,6 +18,7 @@ from ringpdc.matter import (
     solve_ring,
     transition_matrices,
 )
+from ringpdc.units import BOHR_EFF
 
 from conftest import make_ring_potential
 
@@ -26,8 +27,8 @@ SMALL_STEP_NM = 2.2
 
 
 @pytest.fixture(scope="module")
-def small_grid(units):
-    step = SMALL_STEP_NM / units.bohr_eff
+def small_grid():
+    step = SMALL_STEP_NM / BOHR_EFF
     return GridSpec(points=SMALL_POINTS, step=step)
 
 
@@ -72,8 +73,8 @@ def lanczos_spy(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("v0_mev", [0.0, 150.0, 300.0])
-def test_sectors_match_full_grid_solve(small_grid, units, v0_mev, monkeypatch):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, v0_mev))
+def test_sectors_match_full_grid_solve(small_grid, v0_mev, monkeypatch):
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(v0_mev))
     # sectors of 21 x 21 points stay above the dense cutoff: the Lanczos path runs
     assert (SMALL_POINTS // 2) ** 2 > matter._DENSE_SECTOR_DIM
     got = solve_eigenstates(h, 10, small_grid)
@@ -84,9 +85,9 @@ def test_sectors_match_full_grid_solve(small_grid, units, v0_mev, monkeypatch):
 
 
 @pytest.mark.parametrize("v0_mev", [0.0, 150.0, 300.0])
-def test_sector_counts_grow_to_the_full_grid_solve(small_grid, units, v0_mev, monkeypatch):
+def test_sector_counts_grow_to_the_full_grid_solve(small_grid, v0_mev, monkeypatch):
     # one pair per sector at first: every sector must double its count
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, v0_mev))
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(v0_mev))
     with monkeypatch.context() as m:
         m.setattr(matter, "_sector_eigenpairs", full_grid_eigenpairs)
         want = solve_eigenstates(h, 10, small_grid)
@@ -98,8 +99,8 @@ def test_sector_counts_grow_to_the_full_grid_solve(small_grid, units, v0_mev, mo
     assert_same_solve(got, want, small_grid, v0_mev)
 
 
-def test_reruns_are_bit_identical(small_grid, units):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
+def test_reruns_are_bit_identical(small_grid):
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
     first = solve_eigenstates(h, 10, small_grid)
     second = solve_eigenstates(h, 10, small_grid)
     assert np.array_equal(first.energies, second.energies)
@@ -107,11 +108,11 @@ def test_reruns_are_bit_identical(small_grid, units):
 
 
 @pytest.mark.parametrize("n_states", [24, 81])
-def test_sectors_smaller_than_the_request(units, n_states):
+def test_sectors_smaller_than_the_request(n_states):
     # 9 points: sectors of 25, 20, 20 and 16 points, the odd ones below n_states
-    step = 10.0 / units.bohr_eff
+    step = 10.0 / BOHR_EFF
     grid = GridSpec(points=9, step=step)
-    h = build_ring_hamiltonian(grid, make_ring_potential(units, 200.0))
+    h = build_ring_hamiltonian(grid, make_ring_potential(200.0))
     vals, vecs = matter._sector_eigenpairs(h, n_states, grid)
     exact = np.linalg.eigvalsh(h.toarray())
     assert vals.shape == (n_states,) and vecs.shape == (grid.size, n_states)
@@ -121,8 +122,8 @@ def test_sectors_smaller_than_the_request(units, n_states):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-def test_asymmetric_potential_is_rejected(small_grid, units, axis):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
+def test_asymmetric_potential_is_rejected(small_grid, axis):
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
     tilt = small_grid.xy[axis]
     with pytest.raises(ValueError, match="reflection"):
         solve_eigenstates(h + sp.diags(1e-3 * tilt), 10, small_grid)
@@ -139,8 +140,8 @@ def sector_of(vec, grid):
     return tuple(parities)
 
 
-def test_mirror_sector_is_the_transposed_solve(small_grid, units):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
+def test_mirror_sector_is_the_transposed_solve(small_grid):
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
     # sectors of 21 x 21, 21 x 20 and 20 x 20 points take the banded Cholesky path
     assert 20 * 20 > matter._DENSE_SECTOR_DIM
     vals, vecs = matter._sector_eigenpairs(h, 16, small_grid)
@@ -156,23 +157,23 @@ def test_mirror_sector_is_the_transposed_solve(small_grid, units):
     assert np.array_equal(transposed, vecs[:, odd_even])
 
 
-def test_potential_without_the_mirror_is_rejected(small_grid, units):
+def test_potential_without_the_mirror_is_rejected(small_grid):
     # x^2 - y^2 is even under both reflections but odd under x <-> y
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
     x, y = small_grid.xy
     with pytest.raises(ValueError, match="reflection"):
         solve_eigenstates(h + sp.diags(1e-3 * (x**2 - y**2)), 10, small_grid)
 
 
-def test_indefinite_block_is_rejected(small_grid, units):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(units, 150.0))
+def test_indefinite_block_is_rejected(small_grid):
+    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
     with pytest.raises(ValueError, match="positive definite"):
         solve_eigenstates(h - 10.0 * sp.identity(small_grid.size), 10, small_grid)
 
 
-def test_cache_hit_rejects_a_cut_level(paper_grid, units):
+def test_cache_hit_rejects_a_cut_level(paper_grid):
     # |l| = [0, 1, 1, 2, 2, ...]: four states split the l = +-2 pair
-    pot = make_ring_potential(units, 200.0)
+    pot = make_ring_potential(200.0)
     with pytest.raises(RuntimeError, match="truncat"):
         solve_ring(paper_grid, pot, 4)
     sub = solve_ring(paper_grid, pot, 5)
@@ -198,25 +199,25 @@ def test_cache_hit_rejects_a_cut_level(paper_grid, units):
         (127, 0.7052, 200.0, 30, "in level 14: <L_z> = "),
     ],
 )
-def test_solve_ring_refuses_unresolved_levels(units, points, step_nm, v0_mev, n_states, match):
-    grid = GridSpec(points=points, step=step_nm / units.bohr_eff)
+def test_solve_ring_refuses_unresolved_levels(points, step_nm, v0_mev, n_states, match):
+    grid = GridSpec(points=points, step=step_nm / BOHR_EFF)
     with pytest.raises(RuntimeError, match="angular momentum classification failed") as refused:
-        solve_ring(grid, make_ring_potential(units, v0_mev), n_states)
+        solve_ring(grid, make_ring_potential(v0_mev), n_states)
     assert match in str(refused.value)
 
 
 @pytest.mark.parametrize(
     "v0_mev, n_levels", [(50.0 * i, 10) for i in range(7)] + [(200.0, 12)]
 )
-def test_shipped_rings_solve_each_sector_once(paper_grid, units, v0_mev, n_levels, monkeypatch):
+def test_shipped_rings_solve_each_sector_once(paper_grid, v0_mev, n_levels, monkeypatch):
     # every (V0, n_levels) of the presets and sweeps: the first counts suffice
     calls = lanczos_spy(monkeypatch)
-    basis = solve_ring(paper_grid, make_ring_potential(units, v0_mev), n_levels)
+    basis = solve_ring(paper_grid, make_ring_potential(v0_mev), n_levels)
     assert basis.n_states == n_levels
     assert len(calls) == 3 and all(k < n_levels for k in calls)
 
 
-def test_lz_is_applied_once_per_solve(small_grid, units, monkeypatch):
+def test_lz_is_applied_once_per_solve(small_grid, monkeypatch):
     applied = []
 
     def spy(grid, block):
@@ -225,7 +226,7 @@ def test_lz_is_applied_once_per_solve(small_grid, units, monkeypatch):
 
     lz_apply = matter._lz_apply
     monkeypatch.setattr(matter, "_lz_apply", spy)
-    basis = solve_ring(small_grid, make_ring_potential(units, 150.0), 10)
+    basis = solve_ring(small_grid, make_ring_potential(150.0), 10)
     assert applied == [(small_grid.size, 10)]
     applied.clear()
     matter.classify_angular_momentum(basis)
@@ -261,10 +262,10 @@ def test_gradient_is_the_full_grid_derivative(small_grid):
         assert np.array_equal(dx, dxm @ columns) and np.array_equal(dy, dym @ columns)
 
 
-def test_tiny_reference_grid_solves(units):
+def test_tiny_reference_grid_solves():
     # the grid of the tiny-grid series references
-    grid = GridSpec(points=31, step=2.8 / units.bohr_eff)
-    basis = solve_ring(grid, make_ring_potential(units, 200.0), 3)
+    grid = GridSpec(points=31, step=2.8 / BOHR_EFF)
+    basis = solve_ring(grid, make_ring_potential(200.0), 3)
     assert basis.l_labels.tolist() == [0, 1, 1]
     assert basis.j_labels.tolist() == [1, 2, 2]
 
@@ -275,7 +276,7 @@ def tm200(ring200):
 
 
 @pytest.mark.parametrize("axis, odd", [("x", "px"), ("y", "py")])
-def test_reflection_even_sector(ring200, tm200, units, axis, odd):
+def test_reflection_even_sector(ring200, tm200, axis, odd):
     kept, tm = reflection_even(ring200, tm200, axis)
     grid = ring200.grid
     # each singlet and one member of each +-l pair: 7 of the lowest 12
@@ -287,7 +288,7 @@ def test_reflection_even_sector(ring200, tm200, units, axis, odd):
     s = kept.states.conj() @ kept.states[:, flip].T * grid.weight
     assert np.abs(s - np.eye(7)).max() <= 1e-10
     # the kept states are eigenstates of the grid Hamiltonian
-    h = build_ring_hamiltonian(grid, make_ring_potential(units, 200.0))
+    h = build_ring_hamiltonian(grid, make_ring_potential(200.0))
     h_grid = kept.states.conj() @ (h @ kept.states.T) * grid.weight
     assert np.abs(h_grid - kept.h_matrix()).max() <= 1e-10
     # the ground state keeps index 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ringpdc.units import default_units, eff_to_ps, energy_to_eff, ps_to_eff
+from ringpdc.units import eff_to_ps, energy_to_eff, ps_to_eff
 from ringpdc.matter import transition_matrices
 from ringpdc.hamiltonian import (
     CoupledBasis,
@@ -38,11 +38,10 @@ from ringpdc.propagator import CoupledState, NonFiniteAmplitudes, PropagatorConf
 from ringpdc import scenarios as sc
 from ringpdc.scenarios import degenerate_polarization_vectors, polarization_vectors
 
-U = default_units()
-W1_DEG = energy_to_eff(1.413, U)
-W1 = energy_to_eff(24.65, U)
-W2 = energy_to_eff(1.36, U)
-W3 = energy_to_eff(23.29, U)
+W1_DEG = energy_to_eff(1.413)
+W1 = energy_to_eff(24.65)
+W2 = energy_to_eff(1.36)
+W3 = energy_to_eff(23.29)
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +270,7 @@ class TestConservation:
         for _ in range(n):
             st = ms_step(st, system, dt)
             drift = max(drift, abs(energy_functional(st, system) - e0))
-        elapsed_ps = eff_to_ps(n * dt, U)
+        elapsed_ps = eff_to_ps(n * dt)
         assert drift / abs(e0) < 1e-8 * max(elapsed_ps, 1.0)
         assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-10
 
@@ -390,7 +389,7 @@ class TestAgainstQuantum:
         m3, tm3 = matter3
         theta1 = math.radians(60.0)
         lam = 0.017
-        t5ps = ps_to_eff(5.0, U)
+        t5ps = ps_to_eff(5.0)
         dt = 0.02
 
         modes = (FockMode(W1_DEG, 2, lam), FockMode(0.5 * W1_DEG, 2, lam))
@@ -432,7 +431,7 @@ class TestAgainstQuantum:
         m4, tm4 = matter4
         evecs = polarization_vectors(math.pi / 2, math.pi / 2)
         lam = 0.014
-        t2ps = ps_to_eff(2.0, U)
+        t2ps = ps_to_eff(2.0)
         dt = 0.01
 
         for xi, n1 in ((2.0, 20), (3.0, 26), (4.0, 38)):

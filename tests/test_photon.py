@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringpdc.units import default_units, energy_to_mev
+from ringpdc.units import energy_to_mev
 from ringpdc.photon import (
     FockMode,
     BathSpec,
@@ -18,8 +18,6 @@ from ringpdc.photon import (
     bath_ladder,
     sample_bath,
 )
-
-U = default_units()
 
 
 def mode(omega=1.0, n_max=10, **kw):
@@ -179,7 +177,7 @@ def test_sample_bath_windows():
     modes, basis = sample_bath(spec)
     assert spec.count == len(modes) == 70
     assert basis.size == 2556
-    mevs = [energy_to_mev(m.omega, U) for m in modes]
+    mevs = [energy_to_mev(m.omega) for m in modes]
     assert mevs[0] == pytest.approx(0.113, rel=1e-12)
     assert mevs[19] == pytest.approx(4.521, rel=1e-12)
     assert mevs[20] == pytest.approx(11.303, rel=1e-12)

@@ -32,12 +32,11 @@ from ringpdc.propagator import (
     spectral_bounds,
 )
 from ringpdc.scenarios import degenerate_polarization_vectors, polarization_vectors
-from ringpdc.units import default_units, eff_to_ps, energy_to_eff
+from ringpdc.units import eff_to_ps, energy_to_eff
 
-U = default_units()
-W1 = energy_to_eff(24.65, U)
-W2 = energy_to_eff(1.36, U)
-W3 = energy_to_eff(23.29, U)
+W1 = energy_to_eff(24.65)
+W2 = energy_to_eff(1.36)
+W3 = energy_to_eff(23.29)
 
 
 @pytest.fixture(scope="module")
@@ -636,7 +635,7 @@ class TestDriftInvariants:
         e0 = np.vdot(psi0, h @ psi0).real
         state = propagate(h, CoupledState(psi0), 1000 * cfg.dt, cfg).final
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
-        elapsed_ps = eff_to_ps(1000 * 0.05, U)
+        elapsed_ps = eff_to_ps(1000 * 0.05)
         e1 = np.vdot(state.amplitudes, h @ state.amplitudes).real
         assert abs(e1 - e0) / abs(e0) < 1e-8 * max(elapsed_ps, 1.0)
 
@@ -647,7 +646,7 @@ class TestStepHalving:
         tm = transition_matrices(ring200)
         theta1 = math.pi / 3
         e1, e2 = degenerate_polarization_vectors(theta1)
-        w1 = energy_to_eff(1.413, U)
+        w1 = energy_to_eff(1.413)
         modes = [FockMode(w1, 20, 0.017, e1), FockMode(w1 / 2, 20, 0.017, e2)]
         basis = ham.CoupledBasis(12, (21, 21))
         h = ham.assemble_degenerate(basis, ring200, tm, modes)

@@ -419,6 +419,17 @@ class TestValidation:
         with pytest.raises(sc.ConfigError, match="coherent"):
             sc.validate_config(cfg)
 
+    def test_non_finite_floats_refused_as_the_parser_does(self):
+        # before the range rule a positive field declares, and before any joint rule
+        with pytest.raises(sc.ConfigError, match=r"^angles\.theta2_deg must be finite, got inf$"):
+            sc.validate_config(tiny_degenerate(theta2_deg=math.inf))
+        prop = sc.PropagationSpec(t_final_ps=0.4, dt_fs=math.nan)
+        with pytest.raises(sc.ConfigError, match=r"^propagation\.dt_fs must be finite, got nan$"):
+            sc.validate_config(tiny_degenerate(propagation=prop))
+        bath = sc.BathSpec(lam=0.01, windows=((1.0, math.inf, 3),))
+        with pytest.raises(sc.ConfigError, match=r"^bath\.windows\[0\]\.high_meV must be finite"):
+            sc.validate_config(tiny_degenerate(bath=bath))
+
     def test_memory_refusal_names_dimensions(self, monkeypatch):
         monkeypatch.setenv(sc.MEMORY_BUDGET_ENV, "0.001")
         with pytest.raises(sc.MemoryBudgetError, match="matter 3 x modes 4 x 4"):
@@ -1033,6 +1044,23 @@ OUT_OF_RANGE = [
         math.inf,
         "propagation.t_final_ps",
         id="inf-t-final",
+    ),
+    pytest.param(
+        tiny_degenerate(theta1_deg=math.nan), None, None, "angles.theta1_deg", id="unparsed-nan"
+    ),
+    pytest.param(
+        tiny_degenerate(initial=sc.InitialSpec(kind="coherent", xi1=math.nan)),
+        None,
+        None,
+        "initial.xi1",
+        id="unparsed-nan-xi1",
+    ),
+    pytest.param(
+        tiny_degenerate(sweep=sc.SweepSpec("theta1", (math.nan,))),
+        None,
+        None,
+        "sweep.values[0]",
+        id="unparsed-nan-sweep",
     ),
 ]
 
