@@ -11,28 +11,30 @@ finite-difference stencils; the wavefunction is clamped to zero at the box
 edge (hard wall), which the confining potential makes harmless for the
 low-lying states of interest.
 
-The grid is odd, centred and square, the stencils are symmetric, V(r) is
-even and the hard wall is symmetric, so H_el commutes with the reflections
-x -> -x and y -> -y and with the mirror x <-> y.  The eigensolve therefore
-splits into four (x-parity, y-parity) sectors: each sector block is exactly
-P^T H_el P for the orthonormal fold P = kron(P_x, P_y), whose even columns
-are the centre point and pairs (e_+k + e_-k)/sqrt(2) and whose odd columns
-are pairs (e_+k - e_-k)/sqrt(2).  The mirror maps the (even, odd) sector
-onto the (odd, even) one, so three quarter-size solves replace one
-full-grid solve and the fourth sector's states are grid transposes.  Each
-block is symmetric positive definite (the hard-wall kinetic term is, and
-V >= 0) with bandwidth (stencil reach) x (sector width) in row-major order, so
-shift-invert Lanczos about 0 runs on its banded Cholesky factor, asked only
-for the levels that sector can contribute.  A guard rejects a Hamiltonian
-without these symmetries.  A solve takes about 0.3 s on the paper's 127 x 127
-grid (2 CPUs), so there is no on-disk cache: solved bases are reused only in
+The grid is odd, centred and square, the stencils are symmetric, V depends
+on r^2 only and the hard wall is symmetric, so H_el commutes with the
+reflections x -> -x and y -> -y and with the mirror x <-> y by construction.
+The eigensolve therefore splits into four (x-parity, y-parity) sectors.  Each
+sector block is P^T H_el P for the orthonormal fold P = kron(P_x, P_y), whose
+even columns are the centre point and pairs (e_+k + e_-k)/sqrt(2) and whose
+odd columns are pairs (e_+k - e_-k)/sqrt(2); it is built directly, never
+from a full-grid matrix, as the Kronecker sum of the folded 1D stencils
+-1/2 P_a^T D2 P_a plus V on the folded points.  The mirror maps the (even,
+odd) sector onto the (odd, even) one, so three quarter-size solves replace
+one full-grid solve and the fourth sector's states are grid transposes.
+Each block is symmetric positive definite (the hard-wall kinetic term is,
+and V >= 0) with bandwidth (stencil reach) x (sector width) in row-major
+order, so shift-invert Lanczos about 0 runs on its banded Cholesky factor,
+asked only for the levels that sector can contribute.  A solve of 12 levels
+at V0 = 200 meV takes about 0.27 s on the paper's 127 x 127 grid (median of
+15, 2 CPUs), so there is no on-disk cache: solved bases are reused only in
 memory (scenarios.prepare_matter's store).
 
 The solver's states are real and each lies in one parity sector, so each is
 even or odd under both reflections and under the inversion (x, y) -> (-x, -y).
 A degenerate (+l, -l) pair comes back as its two real standing waves, cos(l
 phi)- and sin(l phi)-like, and the coupled builders use these states as they
-stand.  solve_eigenstates labels each state with its level j and |l|, and
+stand.  solve_ring labels each state with its level j and |l|, and
 refuses a basis whose degenerate clusters do not diagonalize L_z =
 -i (x d/dy - y d/dx) to integers, applying L_z once to all states.
 classify_angular_momentum gives the paper's phi_j^l view: each cluster
@@ -144,7 +146,7 @@ class MatterEigenbasis:
     states[k] is the k-th wavefunction flattened row-major over (ix, iy),
     normalized under the grid inner product sum(|psi|^2) * step^2 = 1.
     j_labels hold the 1-based energy-level index and l_labels the angular
-    momentum per state: |l| for the real standing waves of solve_eigenstates,
+    momentum per state: |l| for the real standing waves of solve_ring,
     the signed l of phi_{j}^{l} in the view of classify_angular_momentum.
 
     h_el is <phi_i|H|phi_j> in the stored basis, or None when that is exactly
@@ -191,22 +193,6 @@ def _deriv_matrix(n: int, h: float, kind: int) -> sp.csr_matrix:
     return sp.diags(diags, offsets, shape=(n, n), format="csr")
 
 
-def _on_both_axes(d: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """A 1D operator acting on x and on y of the flattened grid."""
-    eye = sp.identity(d.shape[0], format="csr")
-    return sp.kron(d, eye, format="csr"), sp.kron(eye, d, format="csr")
-
-
-def build_ring_hamiltonian(grid: GridSpec, pot: RingPotentialParams) -> sp.csr_matrix:
-    """Sparse real-symmetric H_el on the flattened grid."""
-    d2x, d2y = _on_both_axes(_deriv_matrix(grid.points, grid.step, kind=2))
-    kinetic = -0.5 * (d2x + d2y)
-    x, y = grid.xy
-    r2 = x**2 + y**2
-    v = 0.5 * pot.omega0**2 * r2 + pot.v0 * np.exp(-r2 / pot.d**2)
-    return (kinetic + sp.diags(v, format="csr")).tocsr()
-
-
 def _parity_folds(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Orthonormal (even, odd) folds of an odd, centred 1D grid of n points.
 
@@ -223,6 +209,33 @@ def _parity_folds(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return even, odd
 
 
+# (x, y) parities of the three solved sectors, indexing _parity_folds (0 even,
+# 1 odd); the mirror x <-> y gives the fourth, (odd, even), from (even, odd).
+_SECTORS = ((0, 0), (0, 1), (1, 1))
+
+
+def _sector_blocks(grid: GridSpec, pot: RingPotentialParams) -> list[sp.csr_matrix]:
+    """The blocks P^T H_el P of the _SECTORS, P = kron(P_x, P_y), built per
+    sector.  The kinetic part is the Kronecker sum of the folded 1D stencils
+    -1/2 P_a^T D2 P_a, symmetrized; V depends on r^2 only, so it is diagonal
+    on the folded points, fold column k standing k (even) or k + 1 (odd) steps
+    from the centre."""
+    n = grid.points
+    d2 = _deriv_matrix(n, grid.step, kind=2)
+    stencils, axes = [], []
+    for first, fold in enumerate(_parity_folds(n)):
+        t = fold.T @ d2 @ fold
+        stencils.append(-0.25 * (t + t.T))
+        axes.append(grid.step * np.arange(first, (n + 1) // 2))
+    blocks = []
+    for a, b in _SECTORS:
+        r2 = (axes[a][:, None] ** 2 + axes[b][None, :] ** 2).ravel()
+        v = 0.5 * pot.omega0**2 * r2 + pot.v0 * np.exp(-r2 / pot.d**2)
+        # row-major (ix, iy): kronsum(B, A) = kron(1_A, B) + kron(A, 1_B)
+        blocks.append(sp.kronsum(stencils[b], stencils[a], format="csr") + sp.diags(v))
+    return blocks
+
+
 def _reflection_index(grid: GridSpec, axis: str) -> np.ndarray:
     """Flattened-grid index map of the reflection axis -> -axis: (R psi) = psi[flip]."""
     idx = np.arange(grid.size).reshape(grid.points, grid.points)
@@ -231,20 +244,6 @@ def _reflection_index(grid: GridSpec, axis: str) -> np.ndarray:
     if axis == "y":
         return idx[:, ::-1].ravel()
     raise ValueError(f"reflection axis must be 'x' or 'y', got {axis!r}")
-
-
-def _check_reflection_symmetry(h: sp.csr_matrix, grid: GridSpec) -> None:
-    """Raise unless h commutes with the grid reflections x -> -x, y -> -y and
-    the mirror x <-> y."""
-    scale = abs(h).max()
-    maps = {f"{a} -> -{a}": _reflection_index(grid, a) for a in ("x", "y")}
-    maps["x <-> y"] = np.arange(grid.size).reshape(grid.points, grid.points).T.ravel()
-    for name, perm in maps.items():
-        if abs(h[perm][:, perm] - h).max() > 1e-12 * scale:
-            raise ValueError(
-                f"H does not commute with the grid reflection {name}; the parity-sector "
-                "eigensolve needs a potential even in x and y and symmetric under x <-> y"
-            )
 
 
 # Sectors up to this dimension, or with no room for ARPACK's k < dim - 1,
@@ -292,9 +291,9 @@ def _lowest_spd_eigenpairs(block: sp.csr_matrix, n_states: int) -> tuple[np.ndar
 
 
 def _sector_eigenpairs(
-    h: sp.csr_matrix, n_states: int, grid: GridSpec
+    grid: GridSpec, pot: RingPotentialParams, n_states: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_states eigenpairs of h (unit-norm columns on the full grid),
+    """Lowest n_states eigenpairs of H_el (unit-norm columns on the full grid),
     solved per (x-parity, y-parity) sector and merged by energy.  Three
     sectors are solved: the mirror x <-> y maps (even, odd) onto (odd, even).
 
@@ -303,10 +302,7 @@ def _sector_eigenpairs(
     lowest values, so one whose largest value lies above the merged
     n_states-th holds no more of them; any other is solved again with twice
     its count, up to n_states."""
-    _check_reflection_symmetry(h, grid)
-    even, odd = _parity_folds(grid.points)
-    folds = [sp.kron(px, py, format="csr") for px, py in ((even, even), (even, odd), (odd, odd))]
-    blocks = [0.5 * (b + b.T) for b in (fold.T @ h @ fold for fold in folds)]
+    blocks = _sector_blocks(grid, pot)
     counts = [_first_sector_count(n_states)] * 3
     pairs, todo = {}, [0, 1, 2]
     while todo:
@@ -320,24 +316,25 @@ def _sector_eigenpairs(
         todo = [s for s in range(3) if counts[s] < n_states and pairs[s][0].max() <= nth]
         for s in todo:
             counts[s] = min(2 * counts[s], n_states)
-    vecs = [fold @ pairs[s][1] for s, fold in enumerate(folds)]
+    folds = _parity_folds(grid.points)
+    vecs = [
+        sp.kron(folds[a], folds[b], format="csr") @ pairs[s][1] for s, (a, b) in enumerate(_SECTORS)
+    ]
     n, k = grid.points, vecs[1].shape[1]
     vecs.append(vecs[1].reshape(n, n, k).transpose(1, 0, 2).reshape(n * n, k))
     order = np.argsort(vals, kind="stable")[:n_states]
     return vals[order], np.hstack(vecs)[:, order]
 
 
-def solve_eigenstates(h: sp.csr_matrix, n_states: int, grid: GridSpec) -> MatterEigenbasis:
-    """Lowest n_states eigenpairs, grid-normalized.
+def solve_ring(grid: GridSpec, pot: RingPotentialParams, n_states: int) -> MatterEigenbasis:
+    """The ring's lowest n_states eigenpairs, grid-normalized and labelled.
 
-    h must commute with the grid reflections x -> -x and y -> -y and the
-    mirror x <-> y (ValueError otherwise).  The (even, even), (even, odd)
-    and (odd, odd) parity-sector blocks P^T h P are solved on their own by
-    shift-invert Lanczos about 0 on a banded Cholesky factor (dense eigh
-    when the sector is tiny), so h must be positive definite (ValueError
-    otherwise); the (odd, even) states are the grid transposes of the
-    (even, odd) ones.  The sector spectra are merged by energy, each
-    sector solved for only the levels it contributes (_sector_eigenpairs).
+    The (even, even), (even, odd) and (odd, odd) parity-sector blocks of
+    H_el (_sector_blocks) are solved on their own by shift-invert Lanczos
+    about 0 on a banded Cholesky factor (dense eigh when the sector is
+    tiny); the (odd, even) states are the grid transposes of the (even,
+    odd) ones.  The sector spectra are merged by energy, each sector solved
+    for only the levels it contributes (_sector_eigenpairs).
 
     The states are the solver's real eigenvectors, unrotated (h_el None).
     j_labels number the degenerate clusters (CLUSTER_TOL); l_labels hold
@@ -345,9 +342,9 @@ def solve_eigenstates(h: sp.csr_matrix, n_states: int, grid: GridSpec) -> Matter
     approximates, its exactly degenerate states mixing |l|.  Each cluster
     must diagonalize L_z to integers (RuntimeError otherwise, _lz_rotations).
     L_z is applied once, to all states; the labels and both checks read it."""
-    if n_states < 1 or n_states > h.shape[0]:
-        raise ValueError(f"n_states={n_states} out of range for dim {h.shape[0]}")
-    vals, vecs = _sector_eigenpairs(h, n_states, grid)
+    if n_states < 1 or n_states > grid.size:
+        raise ValueError(f"n_states={n_states} out of range for dim {grid.size}")
+    vals, vecs = _sector_eigenpairs(grid, pot, n_states)
     basis = MatterEigenbasis(
         energies=vals,
         states=(vecs / np.sqrt(grid.weight)).T.copy(),
@@ -547,7 +544,3 @@ def inversion_parities(basis: MatterEigenbasis) -> np.ndarray | None:
     reverses the flattened, centred grid: +1 or -1, or None as _parities."""
     return _parities(basis, slice(None, None, -1))
 
-
-def solve_ring(grid: GridSpec, pot: RingPotentialParams, n_states: int) -> MatterEigenbasis:
-    """Build and diagonalize the ring: its lowest n_states, labelled."""
-    return solve_eigenstates(build_ring_hamiltonian(grid, pot), n_states, grid)

@@ -285,14 +285,19 @@ def _value(raw, hint, where: str):
             raise ConfigError(f"{where} must be a list, got {raw!r}")
         return tuple(_value(v, args[0], f"{where}[{i}]") for i, v in enumerate(raw))
     if hint in _SCALARS:
-        # bool is an int subclass; an int is a valid float, nothing else converts
-        ok = (int, float) if hint is float else hint
-        if not isinstance(raw, ok) or (isinstance(raw, bool) and hint is not bool):
-            raise ConfigError(f"{where} must be {_SCALARS[hint]}, got {raw!r}")
-        if hint is float and not math.isfinite(raw):
-            raise ConfigError(f"{where} must be finite, got {raw!r}")
-        return hint(raw)
+        return _scalar(raw, hint, where)
     return hint(**_record(raw, hint, where))
+
+
+def _scalar(raw, hint, where: str):
+    """raw as the scalar type hint, the one rule of YAML and code-built configs."""
+    # bool is an int subclass; an int is a valid float, nothing else converts
+    ok = (int, float) if hint is float else hint
+    if not isinstance(raw, ok) or (isinstance(raw, bool) and hint is not bool):
+        raise ConfigError(f"{where} must be {_SCALARS[hint]}, got {raw!r}")
+    if hint is float and not math.isfinite(raw):
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    return hint(raw)
 
 
 def parse_config(data) -> ScenarioConfig:
@@ -457,8 +462,8 @@ def _declared_hints(cls) -> dict:
 
 def _check_ranges(record, where: str = "") -> None:
     """Refuse the first field of a config record, nested records included,
-    that is a non-finite float or lies outside the rule declared on it; the
-    message names the field by its YAML key, as the parser does."""
+    that is of the wrong type, a non-finite float or outside the rule declared
+    on it; the message names the field by its YAML key, as the parser does."""
     for name, hint in _declared_hints(type(record)).items():
         place, key = where or _SECTION_OF.get(name), _yaml_key(name)
         _check_value(getattr(record, name), hint, f"{place}.{key}" if place else key)
@@ -480,10 +485,9 @@ def _check_value(value, hint, where: str) -> None:
     elif origin is tuple:
         for i, v in enumerate(value):
             _check_value(v, args[0], f"{where}[{i}]")
-    elif hint is float:
-        if not math.isfinite(value):
-            raise ConfigError(f"{where} must be finite, got {value!r}")
-    elif hint not in _SCALARS:
+    elif hint in _SCALARS:
+        _scalar(value, hint, where)
+    else:
         # code may give a bath window as a plain tuple
         _check_ranges(value if isinstance(value, hint) else hint(*value), where)
 

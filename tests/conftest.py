@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference grid and solved ring bases.
+"""Shared fixtures: the reference grid and solved ring bases, and the
+full-grid ring Hamiltonian that the parity-sector solver is checked against.
 
 Eigen-solves are session-scoped because several test modules (and the
 acceptance suite) reuse the same 127x127 diagonalizations.
@@ -7,14 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ringpdc.units import BOHR_EFF, energy_to_eff
-from ringpdc.matter import (
-    GridSpec,
-    RingPotentialParams,
-    build_ring_hamiltonian,
-    solve_eigenstates,
-)
+from ringpdc.matter import GridSpec, RingPotentialParams, _deriv_matrix, solve_ring
 
 GRID_STEP_NM = 0.7052
 GRID_POINTS = 127
@@ -34,10 +31,19 @@ def make_ring_potential(v0_mev: float) -> RingPotentialParams:
     )
 
 
+def full_grid_hamiltonian(grid: GridSpec, pot: RingPotentialParams) -> sp.csr_matrix:
+    """H_el = -1/2 (d^2/dx^2 + d^2/dy^2) + V(x, y) on the whole flattened
+    (row-major (ix, iy)) grid, no symmetry used: the oracle of the solver."""
+    d2 = _deriv_matrix(grid.points, grid.step, kind=2)
+    eye = sp.identity(grid.points, format="csr")
+    x, y = grid.xy
+    r2 = x**2 + y**2
+    v = 0.5 * pot.omega0**2 * r2 + pot.v0 * np.exp(-r2 / pot.d**2)
+    return (-0.5 * (sp.kron(d2, eye) + sp.kron(eye, d2)) + sp.diags(v)).tocsr()
+
+
 def solve_ring_levels(grid: GridSpec, v0_mev: float, n_states: int):
-    pot = make_ring_potential(v0_mev)
-    h = build_ring_hamiltonian(grid, pot)
-    return solve_eigenstates(h, n_states, grid)
+    return solve_ring(grid, make_ring_potential(v0_mev), n_states)
 
 
 @pytest.fixture(scope="session")

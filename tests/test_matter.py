@@ -1,7 +1,7 @@
 """Ring eigenproblem: spectra, angular momentum labels, transition matrices.
 
 The paper writes the ring levels as phi_j^l, of definite angular momentum;
-solve_eigenstates returns real standing waves instead.  Here ring200 and ring0
+solve_ring returns real standing waves instead.  Here ring200 and ring0
 are the phi_j^l view of the solved bases (classify_angular_momentum), so these
 tests check the paper's representation.
 """
@@ -15,8 +15,7 @@ from ringpdc.matter import (
     GridSpec,
     RingPotentialParams,
     MatterEigenbasis,
-    build_ring_hamiltonian,
-    solve_eigenstates,
+    solve_ring,
     classify_angular_momentum,
     transition_matrices,
 )
@@ -69,18 +68,17 @@ def test_potential_validation():
 
 
 def test_n_states_range(paper_grid):
-    h = build_ring_hamiltonian(paper_grid, make_ring_potential(0.0))
+    pot = make_ring_potential(0.0)
     with pytest.raises(ValueError):
-        solve_eigenstates(h, 0, paper_grid)
+        solve_ring(paper_grid, pot, 0)
     with pytest.raises(ValueError):
-        solve_eigenstates(h, paper_grid.size + 1, paper_grid)
+        solve_ring(paper_grid, pot, paper_grid.size + 1)
 
 
 def test_truncated_degenerate_level_is_rejected(paper_grid):
     # two states cut the first +-1 pair in half; the classifier must notice
-    h = build_ring_hamiltonian(paper_grid, make_ring_potential(0.0))
     with pytest.raises(RuntimeError, match="truncat"):
-        solve_eigenstates(h, 2, paper_grid)
+        solve_ring(paper_grid, make_ring_potential(0.0), 2)
 
 
 def test_harmonic_ladder(ring0):

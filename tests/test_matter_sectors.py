@@ -1,8 +1,11 @@
-"""Parity-sector ring eigensolve against a full-grid oracle, its per-sector
-state counts, its x <-> y mirror and input guards, the single L_z pass and
-the truncation check of solve_ring, the derivative stencil built once per
-grid, and the reflection-even sector of a solved basis."""
+"""Parity-sector ring eigensolve against a full-grid oracle: its sector
+blocks, per-sector state counts, x <-> y mirror, positive-definiteness guard
+and peak memory, the single L_z pass and the truncation check of solve_ring,
+the derivative stencil built once per grid, and the reflection-even sector of
+a solved basis."""
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,17 +13,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from ringpdc import matter
-from ringpdc.matter import (
-    GridSpec,
-    build_ring_hamiltonian,
-    reflection_even,
-    solve_eigenstates,
-    solve_ring,
-    transition_matrices,
-)
+from ringpdc.matter import GridSpec, reflection_even, solve_ring, transition_matrices
 from ringpdc.units import BOHR_EFF
 
-from conftest import make_ring_potential
+from conftest import full_grid_hamiltonian, make_ring_potential
 
 SMALL_POINTS = 41
 SMALL_STEP_NM = 2.2
@@ -32,8 +28,9 @@ def small_grid():
     return GridSpec(points=SMALL_POINTS, step=step)
 
 
-def full_grid_eigenpairs(h, n_states, grid):
+def full_grid_eigenpairs(grid, pot, n_states):
     """One shift-invert Lanczos solve on the whole grid, no symmetry used."""
+    h = full_grid_hamiltonian(grid, pot)
     start = np.random.default_rng(0).standard_normal(h.shape[0])
     vals, vecs = eigsh(h.tocsc(), k=n_states, sigma=0.0, which="LM", v0=start)
     order = np.argsort(vals)
@@ -72,37 +69,52 @@ def lanczos_spy(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.mark.parametrize("v0_mev", [0.0, 150.0])
+def test_sector_blocks_are_the_folded_full_grid_hamiltonian(small_grid, v0_mev):
+    pot = make_ring_potential(v0_mev)
+    h = full_grid_hamiltonian(small_grid, pot)
+    scale = abs(h).max()
+    folds = matter._parity_folds(small_grid.points)
+    blocks = matter._sector_blocks(small_grid, pot)
+    assert len(blocks) == 3
+    for (a, b), block in zip(((0, 0), (0, 1), (1, 1)), blocks):
+        fold = sp.kron(folds[a], folds[b], format="csr")
+        assert block.shape == (fold.shape[1], fold.shape[1])
+        assert abs(block - fold.T @ h @ fold).max() <= 1e-15 * scale
+        assert (block != block.T).nnz == 0
+
+
 @pytest.mark.parametrize("v0_mev", [0.0, 150.0, 300.0])
 def test_sectors_match_full_grid_solve(small_grid, v0_mev, monkeypatch):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(v0_mev))
+    pot = make_ring_potential(v0_mev)
     # sectors of 21 x 21 points stay above the dense cutoff: the Lanczos path runs
     assert (SMALL_POINTS // 2) ** 2 > matter._DENSE_SECTOR_DIM
-    got = solve_eigenstates(h, 10, small_grid)
+    got = solve_ring(small_grid, pot, 10)
     with monkeypatch.context() as m:
         m.setattr(matter, "_sector_eigenpairs", full_grid_eigenpairs)
-        want = solve_eigenstates(h, 10, small_grid)
+        want = solve_ring(small_grid, pot, 10)
     assert_same_solve(got, want, small_grid, v0_mev)
 
 
 @pytest.mark.parametrize("v0_mev", [0.0, 150.0, 300.0])
 def test_sector_counts_grow_to_the_full_grid_solve(small_grid, v0_mev, monkeypatch):
     # one pair per sector at first: every sector must double its count
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(v0_mev))
+    pot = make_ring_potential(v0_mev)
     with monkeypatch.context() as m:
         m.setattr(matter, "_sector_eigenpairs", full_grid_eigenpairs)
-        want = solve_eigenstates(h, 10, small_grid)
+        want = solve_ring(small_grid, pot, 10)
     monkeypatch.setattr(matter, "_first_sector_count", lambda n_states: 1)
     calls = lanczos_spy(monkeypatch)
-    got = solve_eigenstates(h, 10, small_grid)
+    got = solve_ring(small_grid, pot, 10)
     assert calls[:3] == [1, 1, 1] and len(calls) > 6
     assert {2, 4} <= set(calls) <= {1, 2, 4, 8, 10}
     assert_same_solve(got, want, small_grid, v0_mev)
 
 
 def test_reruns_are_bit_identical(small_grid):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
-    first = solve_eigenstates(h, 10, small_grid)
-    second = solve_eigenstates(h, 10, small_grid)
+    pot = make_ring_potential(150.0)
+    first = solve_ring(small_grid, pot, 10)
+    second = solve_ring(small_grid, pot, 10)
     assert np.array_equal(first.energies, second.energies)
     assert np.array_equal(first.states, second.states)
 
@@ -112,21 +124,14 @@ def test_sectors_smaller_than_the_request(n_states):
     # 9 points: sectors of 25, 20, 20 and 16 points, the odd ones below n_states
     step = 10.0 / BOHR_EFF
     grid = GridSpec(points=9, step=step)
-    h = build_ring_hamiltonian(grid, make_ring_potential(200.0))
-    vals, vecs = matter._sector_eigenpairs(h, n_states, grid)
+    pot = make_ring_potential(200.0)
+    h = full_grid_hamiltonian(grid, pot)
+    vals, vecs = matter._sector_eigenpairs(grid, pot, n_states)
     exact = np.linalg.eigvalsh(h.toarray())
     assert vals.shape == (n_states,) and vecs.shape == (grid.size, n_states)
     assert np.abs(vals - exact[:n_states]).max() <= 1e-10
     assert np.abs(vecs.T @ vecs - np.eye(n_states)).max() <= 1e-12
     assert np.abs(h @ vecs - vecs * vals).max() <= 1e-10
-
-
-@pytest.mark.parametrize("axis", [0, 1])
-def test_asymmetric_potential_is_rejected(small_grid, axis):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
-    tilt = small_grid.xy[axis]
-    with pytest.raises(ValueError, match="reflection"):
-        solve_eigenstates(h + sp.diags(1e-3 * tilt), 10, small_grid)
 
 
 def sector_of(vec, grid):
@@ -141,10 +146,11 @@ def sector_of(vec, grid):
 
 
 def test_mirror_sector_is_the_transposed_solve(small_grid):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
+    pot = make_ring_potential(150.0)
+    h = full_grid_hamiltonian(small_grid, pot)
     # sectors of 21 x 21, 21 x 20 and 20 x 20 points take the banded Cholesky path
     assert 20 * 20 > matter._DENSE_SECTOR_DIM
-    vals, vecs = matter._sector_eigenpairs(h, 16, small_grid)
+    vals, vecs = matter._sector_eigenpairs(small_grid, pot, 16)
     assert np.abs(vecs.T @ vecs - np.eye(16)).max() <= 1e-12
     assert np.abs(h @ vecs - vecs * vals).max() <= 1e-10
     sectors = [sector_of(v, small_grid) for v in vecs.T]
@@ -157,18 +163,26 @@ def test_mirror_sector_is_the_transposed_solve(small_grid):
     assert np.array_equal(transposed, vecs[:, odd_even])
 
 
-def test_potential_without_the_mirror_is_rejected(small_grid):
-    # x^2 - y^2 is even under both reflections but odd under x <-> y
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
-    x, y = small_grid.xy
-    with pytest.raises(ValueError, match="reflection"):
-        solve_eigenstates(h + sp.diags(1e-3 * (x**2 - y**2)), 10, small_grid)
-
-
 def test_indefinite_block_is_rejected(small_grid):
-    h = build_ring_hamiltonian(small_grid, make_ring_potential(150.0))
+    block = matter._sector_blocks(small_grid, make_ring_potential(150.0))[0]
+    # 21 x 21 points: the banded Cholesky path, not the dense one
+    assert block.shape[0] > matter._DENSE_SECTOR_DIM
     with pytest.raises(ValueError, match="positive definite"):
-        solve_eigenstates(h - 10.0 * sp.identity(small_grid.size), 10, small_grid)
+        matter._lowest_spd_eigenpairs(block - 10.0 * sp.identity(block.shape[0]), 4)
+
+
+def test_paper_grid_solve_peak_memory(paper_grid):
+    # per-sector blocks and one banded factor at a time, no full-grid H: the
+    # 127 x 127 solve stays below the 16.6 MiB that building the full-grid H
+    # and folding it took
+    solve_ring(paper_grid, make_ring_potential(200.0), 12)
+    tracemalloc.start()
+    try:
+        solve_ring(paper_grid, make_ring_potential(200.0), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_cache_hit_rejects_a_cut_level(paper_grid):
@@ -255,7 +269,8 @@ def test_one_prepare_matter_builds_the_derivative_stencil_once(monkeypatch):
 def test_gradient_is_the_full_grid_derivative(small_grid):
     # kron(D, 1) and kron(1, D) on the flattened grid, to the last bit
     d = matter._deriv_matrix(small_grid.points, small_grid.step, kind=1)
-    dxm, dym = matter._on_both_axes(d)
+    eye = sp.identity(small_grid.points, format="csr")
+    dxm, dym = sp.kron(d, eye, format="csr"), sp.kron(eye, d, format="csr")
     block = np.random.default_rng(3).normal(size=(small_grid.size, 5))
     for columns in (block, np.asfortranarray(block), block[:, :1]):
         dx, dy = small_grid.gradient(columns)
@@ -288,7 +303,7 @@ def test_reflection_even_sector(ring200, tm200, axis, odd):
     s = kept.states.conj() @ kept.states[:, flip].T * grid.weight
     assert np.abs(s - np.eye(7)).max() <= 1e-10
     # the kept states are eigenstates of the grid Hamiltonian
-    h = build_ring_hamiltonian(grid, make_ring_potential(200.0))
+    h = full_grid_hamiltonian(grid, make_ring_potential(200.0))
     h_grid = kept.states.conj() @ (h @ kept.states.T) * grid.weight
     assert np.abs(h_grid - kept.h_matrix()).max() <= 1e-10
     # the ground state keeps index 0

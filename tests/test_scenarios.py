@@ -1062,6 +1062,28 @@ OUT_OF_RANGE = [
         "sweep.values[0]",
         id="unparsed-nan-sweep",
     ),
+    # a wrongly typed value given in code meets the parser's type rule too
+    pytest.param(
+        tiny_degenerate(theta1_deg="60"),
+        None,
+        None,
+        "angles.theta1_deg must be a number",
+        id="unparsed-str-angle",
+    ),
+    pytest.param(
+        tiny_degenerate(modes=(sc.ModeSpec("10", 3, 0.05), sc.ModeSpec(5.0, 3, 0.05))),
+        None,
+        None,
+        "modes[0].omega_meV must be a number",
+        id="unparsed-str-omega",
+    ),
+    pytest.param(
+        tiny_degenerate(matter=replace(TINY_MATTER, n_levels=12.5)),
+        None,
+        None,
+        "matter.n_levels must be an integer",
+        id="unparsed-float-levels",
+    ),
 ]
 
 
