@@ -45,10 +45,13 @@ coupling e_a . p (x) q_a is odd under both factors, and the diamagnetic and
 bath-quadratic terms are even.  So e . p connects only levels of opposite
 inversion parity, and H_el is diagonal in the solved levels; the builders
 drop the other matter entries, after checking that each is roundoff, and no
-entry of H couples the two sectors.  inversion_parity gives the sector at every index
-of the coupled layout.  Given a sector, the builders write only its rows and
-columns, in the layout's order: level i keeps the photon indices whose
-photon parity is the sector times the parity of level i.
+entry of H couples the two sectors.  inversion_parity gives the sector at
+every index of the coupled layout.  Given sectors, the builders write only
+their rows and columns, one sector after another, each in the layout's
+order: level i keeps the photon indices whose photon parity is the sector
+times the parity of level i.  Given both, the result is the whole H with
+its rows and columns permuted sector-major, each row's entries in the same
+order as in the whole H.
 
 H is real symmetric in the basis the builders use: the stored levels with
 each inversion-odd level multiplied by i.  The solved levels are real
@@ -284,7 +287,7 @@ def restrict_levels(
 def _kron_sum(
     basis: CoupledBasis,
     pairs: Sequence[tuple[np.ndarray, sp.csr_matrix]],
-    sides: np.ndarray | None = None,
+    sides: Sequence[Sequence[int]] = (),
 ) -> sp.csr_matrix:
     """sum_k M_k (x) P_k as one canonical float64 CSR, matter slowest.
 
@@ -296,13 +299,16 @@ def _kron_sum(
     each matter factor is checked for symmetry here, and the photon factors
     are real sums of embed products, whose factors embed has checked.
 
-    With `sides`, level i keeps only the photon indices whose photon parity
-    is sides[i] (the sector times the level's inversion parity), and block
-    (i, j) is the P_k restricted to the kept indices of levels i and j: the
-    result is the full sum's rows and columns on one inversion sector, in
-    the layout's order.  A stored photon-factor entry that joins a kept
-    index to a dropped one, in a block whose matter coefficient is nonzero,
-    is a ValueError naming the factor.
+    `sides` holds one entry per inversion sector to build, each one parity
+    per level: in that sector, level i keeps only the photon indices whose
+    photon parity is sides[i] (the sector times the level's inversion
+    parity), and block (i, j) is the P_k restricted to the kept indices of
+    levels i and j.  The sectors follow one another, each in the layout's
+    order, and no block joins two of them: the result is the full sum's
+    rows and columns on those sectors, each row's entries in the full sum's
+    order.  A stored photon-factor entry that joins a kept index to a
+    dropped one, in a block whose matter coefficient is nonzero, is a
+    ValueError naming the factor.  No sides builds the whole layout.
     """
     m = basis.matter_dim
     n = basis.dim // m
@@ -317,11 +323,12 @@ def _kron_sum(
         pk.sum_duplicates()  # sorted, unique indices, so every block is canonical
         photons.append(pk)
 
-    if sides is None:
+    # side[p] of slot p = (sector p // m, level p % m), slots in layout order
+    if not sides:
         side = [1] * m
         size = {1: n}
     else:
-        side = [int(s) for s in sides]
+        side = [int(s) for per_level in sides for s in per_level]
         parity = _photon_parity(basis)
         kept = {s: np.flatnonzero(parity == s) for s in (1, -1)}
         size = {s: kept[s].size for s in kept}
@@ -331,7 +338,7 @@ def _kron_sum(
 
     def restricted(k: int, a: int, b: int) -> sp.csr_matrix:
         """P_k on the photon rows of parity a and the columns of parity b."""
-        if sides is None:
+        if not sides:
             return photons[k]
         rows = photons[k][kept[a]]
         stray = np.flatnonzero(parity[rows.indices] != b)
@@ -344,33 +351,38 @@ def _kron_sum(
         return sp.csr_matrix((rows.data, rank[rows.indices], rows.indptr), (size[a], size[b]))
 
     terms = np.array(matters) != 0  # terms[k, i, j]: M_k[i, j] enters block (i, j)
+    # (k, row slot, column slot) of every block term, sector by sector
+    blocks = [
+        (k, p + i, p + j) for p in range(0, len(side), m) for k, i, j in zip(*np.nonzero(terms))
+    ]
     factors = {
-        key: restricted(*key)
-        for key in sorted({(k, side[i], side[j]) for k, i, j in zip(*np.nonzero(terms))})
+        key: restricted(*key) for key in sorted({(k, side[p], side[q]) for k, p, q in blocks})
     }
 
-    offset = [0, *itertools.accumulate(size[s] for s in side)]  # first row of each level
+    offset = [0, *itertools.accumulate(size[s] for s in side)]  # first row of each slot
     dim = offset[-1]
     counts = np.zeros(dim, dtype=np.int64)
-    for k, i, j in zip(*np.nonzero(terms)):
-        counts[offset[i] : offset[i + 1]] += np.diff(factors[k, side[i], side[j]].indptr)
+    for k, p, q in blocks:
+        counts[offset[p] : offset[p + 1]] += np.diff(factors[k, side[p], side[q]].indptr)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     index_dtype = np.int32 if max(indptr[-1], dim) < 2**31 else np.int64
     data = np.zeros(indptr[-1])
     indices = np.zeros(indptr[-1], dtype=index_dtype)
     free = indptr[:-1].copy()  # next open slot of each row
-    for i, j in itertools.product(range(m), repeat=2):
-        b = None
-        for k in np.flatnonzero(terms[:, i, j]):
-            term = matters[k][i, j] * factors[k, side[i], side[j]]
-            b = term if b is None else b + term
-        if b is None:
-            continue
-        rows = free[offset[i] : offset[i + 1]]
-        dest = np.repeat(rows - b.indptr[:-1], np.diff(b.indptr)) + np.arange(b.nnz)
-        data[dest] = b.data
-        indices[dest] = b.indices.astype(index_dtype, copy=False) + offset[j]
-        rows += np.diff(b.indptr)
+    for start in range(0, len(side), m):
+        for i, j in itertools.product(range(m), repeat=2):
+            p, q = start + i, start + j
+            b = None
+            for k in np.flatnonzero(terms[:, i, j]):
+                term = matters[k][i, j] * factors[k, side[p], side[q]]
+                b = term if b is None else b + term
+            if b is None:
+                continue
+            rows = free[offset[p] : offset[p + 1]]
+            dest = np.repeat(rows - b.indptr[:-1], np.diff(b.indptr)) + np.arange(b.nnz)
+            data[dest] = b.data
+            indices[dest] = b.indices.astype(index_dtype, copy=False) + offset[q]
+            rows += np.diff(b.indptr)
     h = sp.csr_matrix((data, indices, indptr.astype(index_dtype)), shape=(dim, dim))
     if not data.all():  # unused slots, or a zero a one-term block keeps
         h.eliminate_zeros()
@@ -383,10 +395,11 @@ def _assemble(
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
     bath_modes: Sequence[FockMode] = (),
-    sector: int | None = None,
+    sectors: Sequence[int] = (),
 ) -> sp.csr_matrix:
     """The system pairs, then the bath pairs when bath_modes are given, in one
-    _kron_sum; only the rows and columns of `sector` when it is +1 or -1."""
+    _kron_sum; only the rows and columns of the inversion `sectors` (+1, -1
+    or both, in the given order) when there are any."""
     if len(modes) != len(basis.mode_dims):
         raise ValueError("mode count does not match the coupled basis")
     for mode, d in zip(modes, basis.mode_dims):
@@ -420,8 +433,8 @@ def _assemble(
         # each block takes at most one bath pair, after the system pairs: every
         # entry adds the terms of the sum of the two builds, in its order
         pairs += _bath_pairs(basis, px, py, modes, bath_modes)
-    sides = None if sector is None else sector * inversion_parities(matter)
-    return _kron_sum(basis, pairs, sides)
+    levels = inversion_parities(matter) if sectors else None
+    return _kron_sum(basis, pairs, [s * levels for s in sectors])
 
 
 def assemble_system(
@@ -431,13 +444,13 @@ def assemble_system(
     modes: Sequence[FockMode],
     *,
     bath_modes: Sequence[FockMode] = (),
-    sector: int | None = None,
+    sectors: Sequence[int] = (),
 ) -> sp.csr_matrix:
     """Full pump + two signal modes, with the bath terms of bath_modes
-    (assemble_bath_terms); only the inversion sector `sector` when given."""
+    (assemble_bath_terms); only the inversion `sectors` when given."""
     if len(modes) != 3:
         raise ValueError("the three-mode system takes exactly three modes")
-    return _assemble(basis, matter, tm, modes, bath_modes, sector)
+    return _assemble(basis, matter, tm, modes, bath_modes, sectors)
 
 
 def assemble_degenerate(
@@ -447,13 +460,13 @@ def assemble_degenerate(
     modes: Sequence[FockMode],
     *,
     bath_modes: Sequence[FockMode] = (),
-    sector: int | None = None,
+    sectors: Sequence[int] = (),
 ) -> sp.csr_matrix:
-    """Pump plus one degenerate signal mode; bath_modes and sector as for
+    """Pump plus one degenerate signal mode; bath_modes and sectors as for
     assemble_system."""
     if len(modes) != 2:
         raise ValueError("the degenerate system takes exactly two modes")
-    return _assemble(basis, matter, tm, modes, bath_modes, sector)
+    return _assemble(basis, matter, tm, modes, bath_modes, sectors)
 
 
 def assemble_signal_pair(
@@ -475,17 +488,17 @@ def assemble_few_level(
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
     *,
-    sector: int | None = None,
+    sectors: Sequence[int] = (),
 ) -> tuple[sp.csr_matrix, CoupledBasis]:
     """Same assembly with matter truncated to the selected levels.
 
     Levels must come in complete degenerate pairs so the truncated basis
     stays closed under the ring's symmetry.  The basis is the whole layout
-    also when only the inversion sector `sector` is built.
+    also when only the inversion `sectors` are built.
     """
     sub_matter, sub_tm = restrict_levels(matter, tm, levels)
     basis = CoupledBasis(sub_matter.n_states, tuple(m.dim for m in modes))
-    return _assemble(basis, sub_matter, sub_tm, modes, sector=sector), basis
+    return _assemble(basis, sub_matter, sub_tm, modes, sectors=sectors), basis
 
 
 def _bath_pairs(

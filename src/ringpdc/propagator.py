@@ -47,12 +47,25 @@ interval widened by sum_k |c_k(t_mid)| ||op_k||_inf, which by Weyl's
 inequality contains the spectrum of H + sum_k c_k op_k.  propagate returns
 the final state, the record times, one record per observable, the time
 spent in the observers and the expansion telemetry.
+
+An undriven CSR h of at least SPLIT_ROWS rows that no stored entry crosses
+at some row (the builders lay out two inversion sectors that way, one after
+the other) is propagated as two row blocks, cut where the stored entries
+split most evenly, on a fixed pool of two threads.  Each block runs the
+recurrence on its own rows of shared full-length vectors: it reads only its
+own columns and writes only its own rows, so the threads meet once per
+window, and each row of every record is the same to the last bit as from
+one block.  Each record is still checked and renormalized over the whole
+vector, its norm summed in the order the caller gives.  A callable h, a
+driven run, or an h that is small or has no such cut runs as one block on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -90,6 +103,17 @@ WINDOW_CAP = 8
 # more per record than their own best ones, and coherent_pump keeps the two
 # records per window that its own ratio gives.
 MATVEC_COST = 10.0
+# Rows below which propagate keeps an undriven CSR h in one block on the
+# calling thread instead of splitting it at a row no entry crosses.
+# Measured on the benchmark workloads (2 CPUs, numpy 2.4, scipy 1.17,
+# OpenBLAS on its default two threads): the split takes a two-record
+# coherent_pump window (208 537 rows, a CSR beyond the cache) from 14.6 to
+# 8.2 s, but leaves degenerate's propagation (11 532 rows) at 0.21 s, the
+# observer's OpenBLAS products competing with the block threads, and on
+# v0_sweep (9 610 rows) it puts two block threads under each of the two
+# sweep workers: 1.38 s per sweep split against 1.22 s whole (medians of 5).
+# The floor lies between degenerate and coherent_pump.
+SPLIT_ROWS = 65_536
 
 
 class NonFiniteAmplitudes(RuntimeError):
@@ -138,8 +162,9 @@ class KrylovStats:
     """Work and accuracy of the expansions of one propagation: the number
     of expansions (steps) and of applications of H (matvecs), the largest
     order and dropped-tail bound used, the largest norm drift of a record
-    before its renormalization, and the interval [lo, hi] of the static
-    Hamiltonian."""
+    before its renormalization, the interval [lo, hi] of the static
+    Hamiltonian, and the rows of each block propagated on its own thread
+    ([n] when the state ran as one block)."""
 
     steps: int = 0
     matvecs: int = 0
@@ -147,6 +172,7 @@ class KrylovStats:
     max_error: float = 0.0
     max_renorm_drift: float = 0.0
     spectral_bounds: tuple[float, float] | None = None
+    blocks: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -163,6 +189,18 @@ class PropagationResult:
 
 # stored entries per chunk of rows in _abs_row_sums
 _ROW_CHUNK = 2**20
+# The two threads that run the row blocks of a split undriven propagation.
+_POOL = ThreadPoolExecutor(max_workers=2, thread_name_prefix="propagate")
+
+
+def _row_block(h: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo..hi of the CSR h, sharing its data and indices.  scipy's
+    constructor would copy a slice shorter than half of the array it views."""
+    start, stop = h.indptr[lo], h.indptr[hi]
+    rows = sp.csr_matrix((hi - lo, h.shape[1]), dtype=h.dtype)
+    rows.data, rows.indices = h.data[start:stop], h.indices[start:stop]
+    rows.indptr = h.indptr[lo : hi + 1] - start
+    return rows
 
 
 def _abs_row_sums(h: sp.spmatrix) -> np.ndarray:
@@ -173,13 +211,31 @@ def _abs_row_sums(h: sp.spmatrix) -> np.ndarray:
     bounds = np.unique(np.concatenate(([0], cuts, [h.shape[0]])))
     sums = np.empty(h.shape[0])
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        start, stop = h.indptr[lo], h.indptr[hi]
-        rows = sp.csr_matrix(
-            (np.abs(h.data[start:stop]), h.indices[start:stop], h.indptr[lo : hi + 1] - start),
-            (hi - lo, h.shape[1]),
-        )
+        rows = _row_block(h, lo, hi)
+        rows.data = np.abs(rows.data)
         sums[lo:hi] = rows @ ones
     return sums
+
+
+def _block_cut(h: sp.csr_matrix) -> int | None:
+    """The row r, 0 < r < n, such that no stored entry joins the rows and
+    columns below r to those from r on, whose rows below r hold the number
+    of stored entries nearest to half of them; None when no row is such."""
+    n = h.shape[0]
+    filled = np.flatnonzero(np.diff(h.indptr))
+    low, high = np.full(n, n), np.full(n, -1)  # column range of each row
+    if filled.size:
+        low[filled] = np.minimum.reduceat(h.indices, h.indptr[filled])
+        high[filled] = np.maximum.reduceat(h.indices, h.indptr[filled])
+    rows = np.arange(1, n)
+    # no entry of the rows above r reaches column r, none below reaches back
+    free = (np.maximum.accumulate(high)[:-1] < rows) & (
+        np.minimum.accumulate(low[::-1])[::-1][1:] >= rows
+    )
+    cuts = rows[free]
+    if not cuts.size:
+        return None
+    return int(cuts[np.argmin(np.abs(2 * h.indptr[cuts].astype(np.int64) - h.nnz))])
 
 
 def spectral_bounds(h: sp.spmatrix) -> tuple[float, float]:
@@ -221,7 +277,7 @@ def _chebyshev_coefficients(z: float, cutoff: float) -> tuple[np.ndarray, float]
 
 
 def _chebyshev_window(
-    apply_h: Callable[[np.ndarray], np.ndarray],
+    blocks: Sequence[tuple[int, int, Callable[[np.ndarray], np.ndarray]]],
     psi: np.ndarray,
     taus: Sequence[float],
     center: float,
@@ -231,40 +287,62 @@ def _chebyshev_window(
     """(exp(-i H tau) psi, order, tail bound) for each of taus, from one
     recurrence, for the real symmetric H with its spectrum in
     [center - radius, center + radius]; each dropped tail is below cutoff
-    times |psi|.  apply_h is applied to one float row at a time, twice per
-    order, up to the highest order of any tau."""
+    times |psi|.
+
+    blocks are (lo, hi, apply) with apply(v) the rows lo..hi of H @ v for a
+    float row v of the state's length; no entry of H may join two blocks.
+    Each block runs the recurrence on its own rows of shared full-length
+    vectors, applying its apply to one float row at a time, twice per order,
+    up to the highest order of any tau.  It reads and writes only its own
+    rows, so one block runs on the calling thread and two run on _POOL, one
+    each, and join once at the end.
+    """
     series = [_chebyshev_coefficients(radius * tau, cutoff) for tau in taus]
-    prev = np.stack((psi.real, psi.imag))  # phi_0: rows (real, imaginary)
-    sums = [coeffs[0] * prev for coeffs, _ in series]
+    phi = np.stack((psi.real, psi.imag))  # phi_0: rows (real, imaginary)
+    sums = [coeffs[0] * phi for coeffs, _ in series]
+    spare = np.zeros_like(phi)
     scratch = np.empty(psi.size)
-
-    def add_rotated(v: np.ndarray, scale: float, dest: np.ndarray) -> None:
-        # dest += scale (-i (H - center) v): the real row gains (H - center)
-        # times the imaginary row, the imaginary row loses it times the real one
-        for row, src, sign in ((0, 1, scale), (1, 0, -scale)):
-            product = apply_h(v[src])
-            if np.iscomplexobj(product):
-                raise ValueError(
-                    "H @ v returned complex values; propagate needs a real symmetric H"
-                )
-            dest[row] += np.multiply(product, sign, out=scratch)
-            dest[row] -= np.multiply(v[src], sign * center, out=scratch)
-
-    def accumulate(v: np.ndarray, k: int) -> None:
-        for (coeffs, _), out in zip(series, sums):
-            if k < len(coeffs):
-                for row in (0, 1):
-                    out[row] += np.multiply(v[row], coeffs[k], out=scratch)
-
     top = max(len(coeffs) for coeffs, _ in series) - 1
-    if top > 0:
-        cur = np.zeros_like(prev)
-        add_rotated(prev, 1.0 / radius, cur)
-        accumulate(cur, 1)
-        for k in range(2, top + 1):
-            add_rotated(cur, 2.0 / radius, prev)  # prev now holds phi_{k+1}
-            prev, cur = cur, prev
-            accumulate(cur, k)
+
+    def recur(lo: int, hi: int, apply: Callable[[np.ndarray], np.ndarray]) -> None:
+        own = slice(lo, hi)
+        tmp = scratch[own]
+
+        def add_rotated(v: np.ndarray, scale: float, dest: np.ndarray) -> None:
+            # dest += scale (-i (H - center) v): the real row gains (H - center)
+            # times the imaginary row, the imaginary row loses it times the real one
+            for row, src, sign in ((0, 1, scale), (1, 0, -scale)):
+                product = apply(v[src])
+                if np.iscomplexobj(product):
+                    raise ValueError(
+                        "H @ v returned complex values; propagate needs a real symmetric H"
+                    )
+                out = dest[row, own]
+                out += np.multiply(product, sign, out=tmp)
+                out -= np.multiply(v[src, own], sign * center, out=tmp)
+
+        def accumulate(v: np.ndarray, k: int) -> None:
+            for (coeffs, _), total in zip(series, sums):
+                if k < len(coeffs):
+                    for row in (0, 1):
+                        out = total[row, own]
+                        out += np.multiply(v[row, own], coeffs[k], out=tmp)
+
+        if top > 0:
+            prev, cur = phi, spare
+            add_rotated(prev, 1.0 / radius, cur)
+            accumulate(cur, 1)
+            for k in range(2, top + 1):
+                add_rotated(cur, 2.0 / radius, prev)  # prev now holds phi_{k+1}
+                prev, cur = cur, prev
+                accumulate(cur, k)
+
+    if len(blocks) == 1:
+        recur(*blocks[0])
+    else:
+        done, _ = wait([_POOL.submit(recur, *block) for block in blocks])
+        for future in done:
+            future.result()  # re-raise a block's error
     results = []
     for j, (tau, (coeffs, tail)) in enumerate(zip(taus, series)):
         result = np.empty(psi.size, dtype=complex)
@@ -288,12 +366,15 @@ def _window_size(z: float, cutoff: float) -> int:
     return min(WINDOW_CAP, max(1, best))
 
 
-def _checked_state(psi: np.ndarray, time: float) -> tuple[CoupledState, float]:
+def _checked_state(
+    psi: np.ndarray, time: float, norm_order: np.ndarray | None
+) -> tuple[CoupledState, float]:
     """The stepped state, renormalized for tiny drift, and that drift; aborts
-    on larger drift and (with NonFiniteAmplitudes) on NaN or Inf amplitudes."""
+    on larger drift and (with NonFiniteAmplitudes) on NaN or Inf amplitudes.
+    The norm sums the amplitudes in norm_order when given."""
     if not np.all(np.isfinite(psi.view(float))):
         raise NonFiniteAmplitudes("non-finite amplitudes after a step")
-    norm = np.linalg.norm(psi)
+    norm = np.linalg.norm(psi if norm_order is None else psi[norm_order])
     drift = abs(norm - 1.0)
     if drift >= RENORM_TOL:
         raise RuntimeError(
@@ -324,6 +405,7 @@ def propagate(
     terms: Sequence = (),
     observables: Mapping[str, Callable[[CoupledState], complex]] | None = None,
     bounds: tuple[float, float] | None = None,
+    norm_order: np.ndarray | None = None,
 ) -> PropagationResult:
     """Propagate to t_final through the record grid of `config`.
 
@@ -333,11 +415,15 @@ def propagate(
     refused (ValueError).  `bounds` is an interval (lo, hi) containing its
     spectrum; None takes spectral_bounds(h), which a callable h cannot give.
     Undriven runs (no `terms`) take one expansion per window of
-    consecutive record times (_window_size).
+    consecutive record times (_window_size), on two threads when h is a CSR
+    of at least SPLIT_ROWS rows with a row cut that no entry crosses.
     `terms` are (op, coeff) pairs added to h with coeff evaluated at each
     step midpoint; driven runs step by dt (one trailing short step if
     needed).  Each of `observables` is recorded at the start and at every
-    record time; without observables the records are empty.
+    record time; without observables the records are empty.  Each record
+    is renormalized by its norm, summed in `norm_order` (indices of the
+    state) when given: a state laid out sector-major that passes its whole
+    layout's order rounds as it would on the whole layout.
 
     A non-finite amplitude aborts with the time of the failed step and of
     the last good state.
@@ -352,12 +438,23 @@ def propagate(
             raise ValueError("a callable h needs its spectral bounds")
         bounds = spectral_bounds(h)
     apply_static = h if callable(h) else (lambda v: h @ v)
+    n = state.amplitudes.size
+    # an undriven CSR that no entry crosses at some row runs as two blocks
+    cut = None
+    if not terms and n >= SPLIT_ROWS and getattr(h, "format", None) == "csr":
+        cut = _block_cut(h)
+    if cut is None:
+        static_blocks = [(0, n, apply_static)]
+    else:
+        static_blocks = [(a, b, _row_block(h, a, b).__matmul__) for a, b in ((0, cut), (cut, n))]
     lo, hi = bounds
     center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
     norms = [float(_abs_row_sums(term[0]).max()) for term in terms]
     cutoff = config.krylov_tol * TAIL_MARGIN
     eps = 1e-9 * config.dt
-    stats = KrylovStats(spectral_bounds=(float(lo), float(hi)))
+    stats = KrylovStats(
+        spectral_bounds=(float(lo), float(hi)), blocks=[b - a for a, b, _ in static_blocks]
+    )
 
     observables = observables or {}
     times: list[float] = []
@@ -378,7 +475,7 @@ def propagate(
     done = 0
     while done < len(grid):
         stop = grid[done]
-        apply, width = apply_static, radius
+        blocks, width = static_blocks, radius
         if terms:
             # one step of at most dt toward the next record
             tau = min(stop - state.time, config.dt)
@@ -393,6 +490,8 @@ def propagate(
                         out = out + c * (op @ v)
                 return out
 
+            blocks = [(0, n, apply)]
+
             taus = [tau]
             targets = [stop if stop - (state.time + tau) <= eps else state.time + tau]
         else:
@@ -400,13 +499,13 @@ def propagate(
             taus = [t - state.time for t in targets]
         t_next = targets[0]
         try:
-            results = _chebyshev_window(apply, state.amplitudes, taus, center, width, cutoff)
+            results = _chebyshev_window(blocks, state.amplitudes, taus, center, width, cutoff)
             stats.steps += 1
             stats.matvecs += max(order for _, order, _ in results)
             for t_next, (psi, order, err) in zip(targets, results):
                 stats.max_order = max(stats.max_order, order)
                 stats.max_error = max(stats.max_error, err)
-                state, drift = _checked_state(psi, t_next)
+                state, drift = _checked_state(psi, t_next, norm_order)
                 stats.max_renorm_drift = max(stats.max_renorm_drift, drift)
                 if state.time == grid[done]:
                     snapshot(state)

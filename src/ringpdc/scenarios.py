@@ -11,13 +11,14 @@ output).  One observer (observables.snapshot_columns) records every CSV
 column and the Fock-edge population of each mode; the truncation drift of
 a mode is the largest edge population it reached.
 
-Two symmetries shrink what is propagated.  When every mode is polarized
-along one axis, a full run keeps only the reflection-even matter sector
-(matter.reflection_even).  An undriven run from a Fock start, full or
-few-level, builds and propagates only the sector of inversion times
-photon-number parity that the start occupies (the builders' `sector`); its
-observer sees the state scattered back into the whole layout, once per
-record.
+Two symmetries shrink or split what is propagated.  When every mode is
+polarized along one axis, a full run keeps only the reflection-even matter
+sector (matter.reflection_even).  An undriven run, full or few-level,
+builds only the sectors of inversion times photon-number parity that its
+start occupies (the builders' `sectors`), one after the other: a Fock start
+occupies one, a coherent start both, and on a large enough H the propagator
+runs each of the two on its own thread.  The observer sees the state
+scattered back into the whole layout, once per record.
 
 run_sweep repeats the pipeline over one swept parameter, on a thread pool
 of at most one worker per row, and tabulates the extrema per row;
@@ -882,24 +883,28 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
         psi0 = CoupledState(
             product_state(basis, matter_vec, _initial_photon_vectors(config, quantized)), 0.0
         )
-    # a Fock start (driven runs start from the ground state) lies wholly in one
-    # inversion sector, and only that sector is built; coherent and ground
-    # starts occupy both and skip the parity work
-    inversion = index = None
-    if config.initial.kind == "fock":
+    # an undriven start (driven runs start from the ground state) occupies one
+    # inversion sector (a Fock start) or both (a coherent start); only those
+    # are built, the even one first, and propagated (a large H with both on
+    # two threads); ground starts stay whole
+    sectors, index, norm_order = (), None, None
+    if psi0 is not None:
         parity = inversion_parity(basis, matter)
         if parity is not None:
-            occupied = np.unique(parity[psi0.amplitudes != 0])
-            if len(occupied) == 1:
-                inversion = int(occupied[0])
-                index = np.flatnonzero(parity == inversion)
-                psi0 = CoupledState(psi0.amplitudes[index], 0.0)
+            occupied = np.unique(parity[psi0.amplitudes != 0])[::-1]
+            sectors = tuple(int(s) for s in occupied)
+            index = np.concatenate([np.flatnonzero(parity == s) for s in sectors])
+            psi0 = CoupledState(psi0.amplitudes[index], 0.0)
+            if len(sectors) > 1:
+                # renormalize in the whole layout's order: the records then
+                # round as a whole-layout run's do
+                norm_order = np.argsort(index, kind="stable")
 
     if config.kind == "field_driven":
         h = assemble_signal_pair(basis, matter, tm, quantized)
     else:
         build = assemble_degenerate if config.kind == "degenerate" else assemble_system
-        h = build(basis, matter, tm, modes, bath_modes=bath_modes, sector=inversion)
+        h = build(basis, matter, tm, modes, bath_modes=bath_modes, sectors=sectors)
     if config.drive is not None:
         drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
         info["drive"] = drive
@@ -922,7 +927,14 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     # bounds from the CSR here: propagate may see h only as a callable
     bounds = spectral_bounds(h)
     result = propagate(
-        h, psi0, t_final, pconfig, terms=terms, observables={"row": observer}, bounds=bounds
+        h,
+        psi0,
+        t_final,
+        pconfig,
+        terms=terms,
+        observables={"row": observer},
+        bounds=bounds,
+        norm_order=norm_order,
     )
     info["timings"] = {
         "assemble_s": assembled - started,
@@ -940,7 +952,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     info["operator_mb"] = (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes) / 2**20
     info["symmetry"] = {
         "reflection": reflection,
-        "inversion": inversion,
+        "inversion": sectors[0] if len(sectors) == 1 else None,
         "matter_states": basis.matter_dim,
         "total_dim": h.shape[0],
     }
@@ -948,7 +960,8 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
 
 
 def _scattered(observer, index: np.ndarray, dim: int):
-    """observer of the full layout, fed a state propagated on `index` only."""
+    """observer of the full layout, fed a state propagated on the layout
+    indices `index`, in their order."""
 
     def call(state):
         amplitudes = np.zeros(dim, dtype=complex)

@@ -667,7 +667,7 @@ def sector_oracle(h, parity, sector):
 def sector_system(basis, modes, build):
     def case(mb, tm, bath):
         def sector_build(sector):
-            return build(basis, mb, tm, modes, sector=sector)
+            return build(basis, mb, tm, modes, sectors=(sector,))
 
         return build(basis, mb, tm, modes), sector_build, ham.inversion_parity(basis, mb)
 
@@ -681,7 +681,7 @@ def sector_few_level(mb, tm, bath):
     sub, _ = ham.restrict_levels(mb, tm, levels)
 
     def sector_build(sector):
-        return ham.assemble_few_level(levels, mb, tm, modes, sector=sector)[0]
+        return ham.assemble_few_level(levels, mb, tm, modes, sectors=(sector,))[0]
 
     return h, sector_build, ham.inversion_parity(basis, sub)
 
@@ -690,7 +690,9 @@ def sector_bath(mb, tm, bath):
     _, _, main, bath_modes, _, basis, h_main, h_bath = bath
 
     def sector_build(sector):
-        return ham.assemble_degenerate(basis, mb, tm, main, bath_modes=bath_modes, sector=sector)
+        return ham.assemble_degenerate(
+            basis, mb, tm, main, bath_modes=bath_modes, sectors=(sector,)
+        )
 
     return h_main + h_bath, sector_build, ham.inversion_parity(basis, mb)
 
@@ -720,9 +722,10 @@ def factor_pairs(draw):
     Matter factors are symmetric with zero entries; photon factors are
     symmetric and sparse, with stored zeros on part of their pattern; a drawn
     term may repeat an earlier photon factor with the negated matter factor.
-    When an inversion sector is drawn, every pair keeps or flips both the
-    level parity and the photon parity, `sides` is the sector times the level
-    parities, and the dense sum is sliced to the sector.
+    When inversion sectors are drawn (one, or both in either order), every
+    pair keeps or flips both the level parity and the photon parity, `sides`
+    holds each sector times the level parities, and the dense sum is sliced
+    to the sectors, one after the other.
     """
     m = draw(st.integers(1, 4))
     dims = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=2)))
@@ -732,7 +735,7 @@ def factor_pairs(draw):
     for d in dims:
         photon_parity = np.kron(photon_parity, (-1) ** np.arange(d))
     levels = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m)))
-    sector = draw(st.sampled_from([None, 1, -1]))
+    sectors = draw(st.sampled_from([(), (1,), (-1,), (1, -1), (-1, 1)]))
 
     def symmetric(size, draws):
         entries = draw(st.lists(draws, min_size=size**2, max_size=size**2))
@@ -744,7 +747,7 @@ def factor_pairs(draw):
         flip = draw(st.sampled_from([1, -1]))
         keeps_m = np.multiply.outer(levels, levels) == flip
         keeps_p = np.multiply.outer(photon_parity, photon_parity) == flip
-        if sector is None:
+        if not sectors:
             keeps_m = keeps_p = True
         mk = symmetric(m, FACTOR_VALUES) * keeps_m
         stored = symmetric(n, st.booleans()).astype(bool) & keeps_p
@@ -755,10 +758,11 @@ def factor_pairs(draw):
             earlier = pairs[draw(st.integers(0, len(pairs) - 1))]
             pairs.append((-earlier[0], earlier[1]))
     dense = sum(np.kron(mk, pk.toarray()) for mk, pk in pairs)
-    if sector is None:
-        return basis, pairs, None, dense
-    index = np.flatnonzero(np.kron(levels, photon_parity) == sector)
-    return basis, pairs, sector * levels, dense[np.ix_(index, index)]
+    parity = np.kron(levels, photon_parity)
+    if not sectors:
+        return basis, pairs, [], dense
+    index = np.concatenate([np.flatnonzero(parity == s) for s in sectors])
+    return basis, pairs, [s * levels for s in sectors], dense[np.ix_(index, index)]
 
 
 class TestFactorPairBuilder:
@@ -820,7 +824,7 @@ class TestFactorPairBuilder:
         tracemalloc.start()
         try:
             h = ham.assemble_system(
-                basis, ring200, tm_full, modes, bath_modes=bath_modes, sector=-1
+                basis, ring200, tm_full, modes, bath_modes=bath_modes, sectors=(-1,)
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -852,12 +856,37 @@ class TestSectorBuild:
         diagonal = sp.diags([1.0, 2.0, 3.0], format="csr")
 
         def build(energy, coupling):
-            return ham._kron_sum(basis, [(np.eye(2), energy), (swap, coupling)], [1, -1])
+            return ham._kron_sum(basis, [(np.eye(2), energy), (swap, coupling)], [[1, -1]])
 
         h = ham._kron_sum(basis, [(np.eye(2), diagonal), (swap, ladder)])
         parity = np.kron([1, -1], [1, -1, 1])
         oracle = sector_oracle(h, parity, 1)
         assert np.array_equal(build(diagonal, ladder).toarray(), oracle.toarray())
+        refused = "photon factor {} joins kept photon index {} to dropped index {}"
+        planted = diagonal.tolil()
+        planted[0, 1] = planted[1, 0] = 0.5
+        with pytest.raises(ValueError, match=refused.format(0, 1, 0)):
+            build(planted.tocsr(), ladder)
+        planted = ladder.tolil()
+        planted[0, 2] = planted[2, 0] = 0.5
+        with pytest.raises(ValueError, match=refused.format(1, 0, 2)):
+            build(diagonal, planted.tocsr())
+
+    def test_two_sectors_refuse_a_planted_cross_sector_entry(self):
+        # as above, with both sectors built one after the other
+        basis = ham.CoupledBasis(2, (3,))
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        ladder = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
+        diagonal = sp.diags([1.0, 2.0, 3.0], format="csr")
+
+        def build(energy, coupling):
+            pairs = [(np.eye(2), energy), (swap, coupling)]
+            return ham._kron_sum(basis, pairs, [[1, -1], [-1, 1]])
+
+        h = ham._kron_sum(basis, [(np.eye(2), diagonal), (swap, ladder)])
+        parity = np.kron([1, -1], [1, -1, 1])
+        index = np.concatenate([np.flatnonzero(parity == s) for s in (1, -1)])
+        assert np.array_equal(build(diagonal, ladder).toarray(), h.toarray()[np.ix_(index, index)])
         refused = "photon factor {} joins kept photon index {} to dropped index {}"
         planted = diagonal.tolil()
         planted[0, 1] = planted[1, 0] = 0.5

@@ -3,7 +3,10 @@ dense-exponential oracles, analytic oscillator motion, record-to-record
 stepping, midpoint handling of drives, drift invariants, ground states."""
 
 import math
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -201,7 +204,7 @@ class TestPropagate:
         )
         assert list(res.times) == [0.0]
         assert list(res.records["one"]) == [1.0]
-        assert res.krylov == KrylovStats(spectral_bounds=(0.7, 0.7))
+        assert res.krylov == KrylovStats(spectral_bounds=(0.7, 0.7), blocks=[1])
 
     @pytest.mark.parametrize("drive", [0.0, 0.2])
     def test_trailing_partial_step_lands_on_t_final(self, drive):
@@ -377,7 +380,9 @@ class TestRecordWindows:
         # uneven times, a short last one as at the end of a run
         taus = [0.1, 0.2, 0.3, 0.45, 0.6, 0.61]
         for cutoff in (1e-6, 1e-12):
-            window = prop._chebyshev_window(lambda v: hm @ v, psi, taus, center, radius, cutoff)
+            window = prop._chebyshev_window(
+                [(0, 64, lambda v: hm @ v)], psi, taus, center, radius, cutoff
+            )
             assert len(window) == len(taus)
             for tau, (out, order, tail) in zip(taus, window):
                 # each record keeps its own series and tail bound
@@ -453,6 +458,173 @@ class TestRecordWindows:
         assert prop._window_size(5000.0, 1e-15) == 1
 
 
+def two_blocks(sizes=(23, 17), seed=3):
+    """A real symmetric CSR with no entry between its first sizes[0] rows and
+    columns and the rest."""
+    parts = [random_symmetric(n, seed + k) for k, n in enumerate(sizes)]
+    return sp.block_diag(parts, format="csr")
+
+
+class TestRowBlocks:
+    """An undriven CSR that no entry crosses at some row propagates as two
+    row blocks, one per thread of the propagator's pool."""
+
+    def test_no_cut_in_a_coupled_chain(self):
+        off = np.ones(9)
+        chain = sp.diags([np.arange(10.0), off, off], [0, 1, -1], format="csr")
+        assert prop._block_cut(chain) is None
+        assert prop._block_cut(sp.csr_matrix(np.ones((1, 1)))) is None
+
+    def test_cut_nearest_half_the_entries(self):
+        # dense blocks of 4, 3 and 5 rows: cuts at 4 (16 of 50 entries below)
+        # and 7 (25 of 50)
+        h = sp.block_diag([np.ones((4, 4)), np.ones((3, 3)), np.ones((5, 5))], format="csr")
+        assert prop._block_cut(h) == 7
+        assert prop._block_cut(two_blocks()) == 23
+
+    def test_empty_rows(self):
+        # empty rows lie on either side of a cut; the first balanced cut wins
+        assert prop._block_cut(sp.csr_matrix(np.diag([1.0, 0.0, 0.0, 2.0]))) == 1
+        assert prop._block_cut(sp.csr_matrix((3, 3))) == 1
+        # the corner entries join the first row to the last across every cut
+        corners = np.zeros((4, 4))
+        corners[0, 0] = corners[0, 3] = corners[3, 0] = corners[3, 3] = 1.0
+        assert prop._block_cut(sp.csr_matrix(corners)) is None
+
+    @pytest.mark.parametrize("lo, hi", [(0, 3), (20, 30), (23, 40)])
+    def test_row_block_shares_the_arrays(self, lo, hi):
+        # (0, 3) holds under half the entries, where scipy's constructor copies
+        h = two_blocks()
+        rows = prop._row_block(h, lo, hi)
+        assert rows.shape == (hi - lo, 40)
+        assert np.shares_memory(rows.data, h.data)
+        assert np.shares_memory(rows.indices, h.indices)
+        v = np.random.default_rng(0).normal(size=40)
+        assert np.array_equal(rows @ v, (h @ v)[lo:hi])
+
+    def test_two_threads_match_one_block_bit_for_bit(self, monkeypatch):
+        h = two_blocks()
+        psi0 = np.random.default_rng(8).normal(size=40) * (1 + 0.5j)
+        psi0 /= np.linalg.norm(psi0)
+        cfg = PropagatorConfig(dt=0.05, record_stride=2)
+        obs = {"psi": lambda s: s.amplitudes.copy()}
+        bounds = spectral_bounds(h)
+        pool, submitted = prop._POOL, []
+
+        class Counting:
+            def submit(self, fn, lo, hi, apply):
+                submitted.append((lo, hi))
+                return pool.submit(fn, lo, hi, apply)
+
+        monkeypatch.setattr(prop, "_POOL", Counting())
+
+        def run(op):
+            state = CoupledState(psi0.copy())
+            return propagate(op, state, 1.3, cfg, observables=obs, bounds=bounds)
+
+        # below the floor, and as a callable, h runs as one block on this thread
+        assert run(h).krylov.blocks == [40]
+        whole = run(lambda v: h @ v)
+        assert whole.krylov.blocks == [40] and not submitted
+        monkeypatch.setattr(prop, "SPLIT_ROWS", 0)
+        split = run(h)
+        assert split.krylov.blocks == [23, 17]
+        assert submitted == [(0, 23), (23, 40)] * split.krylov.steps
+        # windows of several records each
+        assert 1 < split.krylov.steps < len(split.times) - 1
+        assert split.krylov == replace(whole.krylov, blocks=[23, 17])
+        assert np.array_equal(split.times, whole.times)
+        assert np.array_equal(split.records["psi"], whole.records["psi"])
+        assert np.array_equal(split.final.amplitudes, whole.final.amplitudes)
+        # a driven run stays one block
+        term = (sp.identity(40, format="csr"), lambda t: 0.1)
+        driven = propagate(h, CoupledState(psi0.copy()), 0.2, cfg, terms=[term])
+        assert driven.krylov.blocks == [40] and len(submitted) == 2 * split.krylov.steps
+
+    def test_concurrent_split_runs_share_the_pool(self, monkeypatch):
+        # three callers (as sweep rows would be) put six blocks on the pool's
+        # two threads, switching threads often: a write outside a block's
+        # own rows would show as a record that differs from one block's
+        monkeypatch.setattr(prop, "SPLIT_ROWS", 0)
+        h = two_blocks(sizes=(300, 200))
+        psi0 = np.random.default_rng(5).normal(size=500) * (1 - 0.3j)
+        psi0 /= np.linalg.norm(psi0)
+        cfg = PropagatorConfig(dt=0.02, record_stride=3)
+        obs = {"psi": lambda s: s.amplitudes.copy()}
+        bounds = spectral_bounds(h)
+        want = propagate(
+            lambda v: h @ v, CoupledState(psi0.copy()), 0.5, cfg, observables=obs, bounds=bounds
+        )
+        results = []
+
+        def run():
+            results.append(propagate(h, CoupledState(psi0.copy()), 0.5, cfg, observables=obs))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 3
+        for got in results:
+            assert got.krylov.blocks == [300, 200]
+            assert np.array_equal(got.records["psi"], want.records["psi"])
+
+    def test_sector_major_layout_with_norm_order_is_the_whole_run(self, monkeypatch):
+        # an interleaved two-sector H, and the same H laid out sector-major:
+        # each row keeps its entries in order, so with the norm summed in the
+        # interleaved order every record is the interleaved run's, bit for bit
+        monkeypatch.setattr(prop, "SPLIT_ROWS", 0)
+        n = 3000
+        rng = np.random.default_rng(11)
+        parity = rng.choice([1, -1], size=n)
+        h = sp.random(n, n, density=0.004, random_state=rng, format="csr")
+        h = (h + h.T).multiply(np.equal.outer(parity, parity)).tocsr()
+        h.setdiag(rng.normal(size=n))
+        h.eliminate_zeros()
+        index = np.concatenate([np.flatnonzero(parity == s) for s in (1, -1)])
+        psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi0 /= np.linalg.norm(psi0)
+        cfg = PropagatorConfig(dt=0.05, record_stride=2)
+        bounds = spectral_bounds(h)
+
+        def whole_layout(s):
+            amplitudes = np.zeros(n, dtype=complex)
+            amplitudes[index] = s.amplitudes
+            return amplitudes
+
+        whole = propagate(
+            h, CoupledState(psi0), 1.0, cfg, observables={"psi": lambda s: s.amplitudes.copy()}
+        )
+        major = propagate(
+            h[index][:, index].tocsr(),
+            CoupledState(psi0[index]),
+            1.0,
+            cfg,
+            observables={"psi": whole_layout},
+            bounds=bounds,
+            norm_order=np.argsort(index),
+        )
+        assert major.krylov.blocks == [int((parity == 1).sum()), int((parity == -1).sum())]
+        assert np.array_equal(major.records["psi"], whole.records["psi"])
+
+    def test_a_block_error_reaches_the_caller(self):
+        h = two_blocks()
+        lo, hi = spectral_bounds(h)
+        psi = np.full(40, 1 / math.sqrt(40), dtype=complex)
+        blocks = [
+            (0, 23, prop._row_block(h, 0, 23).__matmul__),
+            (23, 40, lambda v: 1j * (prop._row_block(h, 23, 40) @ v)),
+        ]
+        with pytest.raises(ValueError, match="complex"):
+            prop._chebyshev_window(blocks, psi, [0.3], 0.5 * (lo + hi), 0.5 * (hi - lo), 1e-12)
+
+
 def tilted_modes():
     """Three coupled modes whose polarizations leave no reflection symmetry."""
     return [
@@ -515,9 +687,10 @@ class TestChebyshevKernel:
         seen = []
         kernel = prop._chebyshev_window
 
-        def spy(apply_h, psi, taus, center, radius, cutoff):
+        def spy(blocks, psi, taus, center, radius, cutoff):
+            ((_, _, apply_h),) = blocks
             seen.append((apply_h, center, radius))
-            return kernel(apply_h, psi, taus, center, radius, cutoff)
+            return kernel(blocks, psi, taus, center, radius, cutoff)
 
         monkeypatch.setattr(prop, "_chebyshev_window", spy)
         psi0 = np.zeros(basis.dim, dtype=complex)
@@ -544,7 +717,7 @@ class TestChebyshevKernel:
         for tau in (0.01, 0.1, 1.0):
             for cutoff in (1e-3, 1e-6, 1e-9):
                 ((out, order, tail),) = prop._chebyshev_window(
-                    lambda v: hm @ v, psi, [tau], center, radius, cutoff
+                    [(0, 64, lambda v: hm @ v)], psi, [tau], center, radius, cutoff
                 )
                 error = np.linalg.norm(out - expm(-1j * tau * hm) @ psi)
                 assert tail <= cutoff and error <= tail, (tau, cutoff, order, tail, error)

@@ -486,8 +486,16 @@ class TestRunScenario:
         assert data["columns"] == res.csv_path.read_text().splitlines()[0].split(",")
         krylov = data["krylov"]
         assert set(krylov) == {
-            "steps", "matvecs", "max_order", "max_error", "max_renorm_drift", "spectral_bounds"
+            "steps",
+            "matvecs",
+            "max_order",
+            "max_error",
+            "max_renorm_drift",
+            "spectral_bounds",
+            "blocks",
         }
+        # the 24 rows of the Fock start's sector ran as one block, below the floor
+        assert krylov["blocks"] == [24]
         assert all(isinstance(krylov[k], int) for k in ("steps", "matvecs", "max_order"))
         assert isinstance(krylov["max_error"], float)
         assert krylov["steps"] >= 1 and krylov["matvecs"] >= krylov["steps"]
@@ -1331,9 +1339,11 @@ def test_every_preset_runs(name, tmp_path, store):
             assert isinstance(drift, float) and 0.0 <= drift < RENORM_TOL
 
 
-def fixed_dt_propagate(h, state, t_final, config, terms=(), observables=None, bounds=None):
+def fixed_dt_propagate(
+    h, state, t_final, config, terms=(), observables=None, bounds=None, norm_order=None
+):
     """Reference propagation: expm_multiply by dt (one short tail step),
-    recording every record_stride steps and at the end."""
+    recording every record_stride steps and at the end, unrenormalized."""
     assert not terms
     n_full = int(math.floor((t_final - state.time) / config.dt + 1e-9))
     remainder = t_final - state.time - n_full * config.dt
@@ -1392,6 +1402,10 @@ def assert_same_series(got, want, tol=1e-10):
     finite = ~np.isnan(want.rows)
     diff = np.abs(got.rows[finite] - want.rows[finite])
     assert (diff <= tol * np.maximum(1.0, np.abs(want.rows[finite]))).all(), diff.max()
+
+
+# the shipped tiny coherent degenerate config
+TINY_COHERENT_DEGENERATE = Path(__file__).resolve().parent / "configs" / "degenerate_tiny.yaml"
 
 
 def tiny_coherent(**over) -> sc.ScenarioConfig:
@@ -1583,7 +1597,55 @@ class TestInversionSector:
         assert reduced.summary["krylov"]["steps"] == full.summary["krylov"]["steps"] == expansions
         assert_same_series(reduced, full)
 
-    @pytest.mark.parametrize("make", [tiny_coherent, tiny_current], ids=["coherent", "ground"])
+    @pytest.mark.parametrize(
+        "make", [lambda: sc.load_config(TINY_COHERENT_DEGENERATE), tiny_coherent],
+        ids=["degenerate", "nondegenerate"],
+    )
+    def test_both_sectors_are_the_whole_csr_sector_major(self, tmp_path, monkeypatch, store, make):
+        # a coherent start occupies both sectors; their CSR is the whole one
+        # with rows and columns permuted by the scatter index, every row's
+        # entries in the same order and bit for bit
+        built = []
+        for name in ("assemble_degenerate", "assemble_system"):
+
+            def spy(basis, matter, tm, modes, *, bath_modes, sectors, _build=getattr(sc, name)):
+                h = _build(basis, matter, tm, modes, bath_modes=bath_modes, sectors=sectors)
+                whole = _build(basis, matter, tm, modes, bath_modes=bath_modes)
+                built.append((h, whole, ham.inversion_parity(basis, matter), sectors))
+                return h
+
+            monkeypatch.setattr(sc, name, spy)
+        sc.run_scenario(make(), matter_store=store, out_dir=tmp_path)
+        ((h, whole, parity, sectors),) = built
+        assert sectors == (1, -1)  # the even sector first
+        index = np.concatenate([np.flatnonzero(parity == s) for s in sectors])
+        where = np.empty_like(index)
+        where[index] = np.arange(index.size)  # sector-major place of each index
+        entries = np.concatenate([np.arange(*whole.indptr[i : i + 2]) for i in index])
+        assert h.nnz == whole.nnz == entries.size and h.has_canonical_format
+        assert np.array_equal(np.diff(h.indptr), np.diff(whole.indptr)[index])
+        assert np.array_equal(h.indices, where[whole.indices[entries]])
+        assert np.array_equal(h.data, whole.data[entries])
+
+    def test_coherent_start_propagates_both_sectors(self, tmp_path, monkeypatch, store):
+        res = sc.run_scenario(tiny_coherent(), matter_store=store, out_dir=tmp_path / "a")
+        whole = uninverted_run(tiny_coherent(), monkeypatch, store, tmp_path / "b")
+        sym, dims = res.summary["symmetry"], res.summary["dims"]
+        assert sym == whole.summary["symmetry"] and sym["inversion"] is None
+        assert sym["total_dim"] == sym["matter_states"] * dims["total"] // dims["matter"]
+        assert res.summary["operator_mb"] == whole.summary["operator_mb"]
+        assert res.summary["krylov"]["blocks"] == [sym["total_dim"]]  # below the floor
+        assert_same_series(res, whole)
+        # renormalized in the whole layout's order, the records round alike
+        assert res.csv_path.read_bytes() == whole.csv_path.read_bytes()
+        # on two threads, split at the sector boundary, the CSV keeps its bytes
+        monkeypatch.setattr(prop, "SPLIT_ROWS", 0)
+        split = sc.run_scenario(tiny_coherent(), matter_store=store, out_dir=tmp_path / "c")
+        blocks = split.summary["krylov"]["blocks"]
+        assert len(blocks) == 2 and sum(blocks) == sym["total_dim"]
+        assert split.csv_path.read_bytes() == res.csv_path.read_bytes()
+
+    @pytest.mark.parametrize("make", [tiny_current], ids=["ground"])
     def test_two_sector_starts_do_no_parity_work(self, tmp_path, monkeypatch, store, make):
         expected = sc.run_scenario(make(), matter_store=store, out_dir=tmp_path / "a")
 
