@@ -1,9 +1,11 @@
 """Coupled light-matter Hamiltonians on the eigenbasis x Fock tensor product.
 
-Every variant (full three-mode system, degenerate two-mode system, few-level
-truncations, system + sampled bath, and both pump schemes) is assembled from
-one primitive: a set of modes with polarization unit vectors e_alpha and
-couplings lambda_alpha entering
+One builder, assemble_system, makes the H of every variant: the full
+three-mode system, the degenerate two-mode system, few-level truncations
+(restrict_levels), system + sampled bath, and the signal pair of the field
+drive.  The quantized modes fill the basis slots in order, one per slot,
+each with its polarization unit vector e_alpha and coupling lambda_alpha
+entering
 
     H = H_el + sum_a w_a (n_a + 1/2)
         - (e/m) (sum_a lam_a q_a e_a) . p
@@ -29,8 +31,8 @@ checks every mode and bath factor it lifts for Hermiticity.  Matter factors
 enter only through _kron_sum, which checks each of them, sizes every row from
 the photon factors, then builds each block sum_k M_k[i, j] P_k once into one
 canonical float64 CSR.  Entries (i, j) and (j, i) add the same terms in the
-same order, so H is symmetric to the last bit by construction; the builders
-return the csr_matrix itself.
+same order, so H is symmetric to the last bit by construction;
+assemble_system returns the csr_matrix itself.
 
 The matter factor is the truncated ring eigenbasis (energies plus momentum
 matrices), or its reflection-even states when every mode shares one
@@ -43,17 +45,17 @@ Inversion (x, y) -> (-x, -y) times photon-number parity
 (-1)^(sum_a n_a + N_bath) commutes with every undriven H built here: each
 coupling e_a . p (x) q_a is odd under both factors, and the diamagnetic and
 bath-quadratic terms are even.  So e . p connects only levels of opposite
-inversion parity, and H_el is diagonal in the solved levels; the builders
-drop the other matter entries, after checking that each is roundoff, and no
+inversion parity, and H_el is diagonal in the solved levels; assemble_system
+drops the other matter entries, after checking that each is roundoff, and no
 entry of H couples the two sectors.  inversion_parity gives the sector at
-every index of the coupled layout.  Given sectors, the builders write only
-their rows and columns, one sector after another, each in the layout's
+every index of the coupled layout.  Given sectors, assemble_system writes
+only their rows and columns, one sector after another, each in the layout's
 order: level i keeps the photon indices whose photon parity is the sector
 times the parity of level i.  Given both, the result is the whole H with
 its rows and columns permuted sector-major, each row's entries in the same
 order as in the whole H.
 
-H is real symmetric in the basis the builders use: the stored levels with
+H is real symmetric in the basis assemble_system uses: the stored levels with
 each inversion-odd level multiplied by i.  The solved levels are real
 functions and the grid Hamiltonian is real, so H_el is diag(E).  p = -i grad
 is imaginary and antisymmetric between real functions, and it connects only
@@ -389,17 +391,25 @@ def _kron_sum(
     return h
 
 
-def _assemble(
+def assemble_system(
     basis: CoupledBasis,
     matter: MatterEigenbasis,
     tm: TransitionMatrices,
     modes: Sequence[FockMode],
+    *,
     bath_modes: Sequence[FockMode] = (),
     sectors: Sequence[int] = (),
 ) -> sp.csr_matrix:
-    """The system pairs, then the bath pairs when bath_modes are given, in one
-    _kron_sum; only the rows and columns of the inversion `sectors` (+1, -1
-    or both, in the given order) when there are any."""
+    """The coupled H of every scenario kind as one canonical float64 CSR.
+
+    The quantized modes fill the basis slots in order, one mode per slot:
+    pump and two signals, pump and the degenerate signal, the two signals
+    of the field drive (its pump is the drive term), or any of these on
+    truncated levels (restrict_levels).  The system pairs come first, then
+    the bath pairs when bath_modes are given, in one _kron_sum; only the
+    rows and columns of the inversion `sectors` (+1, -1 or both, in the
+    given order) when there are any.
+    """
     if len(modes) != len(basis.mode_dims):
         raise ValueError("mode count does not match the coupled basis")
     for mode, d in zip(modes, basis.mode_dims):
@@ -437,70 +447,6 @@ def _assemble(
     return _kron_sum(basis, pairs, [s * levels for s in sectors])
 
 
-def assemble_system(
-    basis: CoupledBasis,
-    matter: MatterEigenbasis,
-    tm: TransitionMatrices,
-    modes: Sequence[FockMode],
-    *,
-    bath_modes: Sequence[FockMode] = (),
-    sectors: Sequence[int] = (),
-) -> sp.csr_matrix:
-    """Full pump + two signal modes, with the bath terms of bath_modes
-    (assemble_bath_terms); only the inversion `sectors` when given."""
-    if len(modes) != 3:
-        raise ValueError("the three-mode system takes exactly three modes")
-    return _assemble(basis, matter, tm, modes, bath_modes, sectors)
-
-
-def assemble_degenerate(
-    basis: CoupledBasis,
-    matter: MatterEigenbasis,
-    tm: TransitionMatrices,
-    modes: Sequence[FockMode],
-    *,
-    bath_modes: Sequence[FockMode] = (),
-    sectors: Sequence[int] = (),
-) -> sp.csr_matrix:
-    """Pump plus one degenerate signal mode; bath_modes and sectors as for
-    assemble_system."""
-    if len(modes) != 2:
-        raise ValueError("the degenerate system takes exactly two modes")
-    return _assemble(basis, matter, tm, modes, bath_modes, sectors)
-
-
-def assemble_signal_pair(
-    basis: CoupledBasis,
-    matter: MatterEigenbasis,
-    tm: TransitionMatrices,
-    modes: Sequence[FockMode],
-) -> sp.csr_matrix:
-    """Signal modes 2 and 3 only; the static part of the classical-field pump
-    scheme, where mode 1 is replaced by an external field."""
-    if len(modes) != 2:
-        raise ValueError("the signal pair takes exactly two modes")
-    return _assemble(basis, matter, tm, modes)
-
-
-def assemble_few_level(
-    levels: Sequence[int],
-    matter: MatterEigenbasis,
-    tm: TransitionMatrices,
-    modes: Sequence[FockMode],
-    *,
-    sectors: Sequence[int] = (),
-) -> tuple[sp.csr_matrix, CoupledBasis]:
-    """Same assembly with matter truncated to the selected levels.
-
-    Levels must come in complete degenerate pairs so the truncated basis
-    stays closed under the ring's symmetry.  The basis is the whole layout
-    also when only the inversion `sectors` are built.
-    """
-    sub_matter, sub_tm = restrict_levels(matter, tm, levels)
-    basis = CoupledBasis(sub_matter.n_states, tuple(m.dim for m in modes))
-    return _assemble(basis, sub_matter, sub_tm, modes, sectors=sectors), basis
-
-
 def _bath_pairs(
     basis: CoupledBasis,
     px: np.ndarray,
@@ -508,7 +454,13 @@ def _bath_pairs(
     main_modes: Sequence[FockMode],
     bath_modes: Sequence[FockMode],
 ) -> list[tuple[np.ndarray, sp.csr_matrix]]:
-    """The factor pairs of assemble_bath_terms, on the real p_x and p_y."""
+    """The bath's factor pairs, on the real p_x and p_y: bath energy,
+    bath-matter bilinear, and all diamagnetic cross terms.
+
+    Bath operators act on the restricted few-photon sector; every ladder
+    product is assembled normal-ordered (annihilators first) so the sector
+    restriction is exact.
+    """
     bath = basis.bath
     if bath is None:
         raise ValueError("coupled basis has no bath sector")
@@ -556,24 +508,6 @@ def _bath_pairs(
 
     coupling = _momentum_projection(px, py, pol)
     return [(np.eye(basis.matter_dim), h_photon), (coupling, -embed(photon, bath_op=disp))]
-
-
-def assemble_bath_terms(
-    basis: CoupledBasis,
-    matter: MatterEigenbasis,
-    tm: TransitionMatrices,
-    main_modes: Sequence[FockMode],
-    bath_modes: Sequence[FockMode],
-) -> sp.csr_matrix:
-    """Bath energy, bath-matter bilinear, and all diamagnetic cross terms.
-
-    The part that assemble_system(..., bath_modes=...) adds to the system
-    terms.  Bath operators act on the restricted few-photon sector; every
-    ladder product is assembled normal-ordered (annihilators first) so the
-    sector restriction is exact.
-    """
-    _, px, py = _real_matter(matter, tm)
-    return _kron_sum(basis, _bath_pairs(basis, px, py, main_modes, bath_modes))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +589,7 @@ def drive_term(
         H_ext(t) = A1(t) [-e1.p + lam2 (e1.e2) q2 + lam3 (e1.e3) q3],
 
     with every e_a read from the modes' polarization and e1.p between the
-    real levels that the static builders use.  The diamagnetic c-number
+    real levels that assemble_system uses.  The diamagnetic c-number
     A1(t)^2 / 2 is left out: it only shifts the global phase.
     """
     mode1 = modes[0]

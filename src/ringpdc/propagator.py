@@ -13,10 +13,9 @@ follow the three-term recurrence
 one application of H each and without reorthogonalization, and the series
 sum_k a_k J_k(R tau) phi_k has real coefficients.  Every |T_k| <= 1 on the
 interval, so 2 sum_{k>K} |J_k(R tau)| bounds the error of stopping at order
-K; the series stops at the first K whose tail is below
-krylov_tol * TAIL_MARGIN.  The interval must be rigorous, or the series
-diverges: spectral_bounds gives the Gershgorin interval of a sparse
-symmetric matrix.
+K; the series stops at the first K whose tail is below TAIL_TOL.  The
+interval must be rigorous, or the series diverges: spectral_bounds gives
+the Gershgorin interval of a sparse symmetric matrix.
 
 H is real symmetric (the hamiltonian module builds it so), and the state is
 complex.  Each phi_k is kept as two contiguous float rows, its real part x
@@ -77,13 +76,13 @@ from scipy.special import jv
 NORM_TOL = 1e-10
 # Norm drift in one step beyond this aborts instead of silently renormalizing.
 RENORM_TOL = 1e-8
-# The dropped tail of one expansion is bounded by krylov_tol times this.  The
-# tails of successive expansions add up: at the default krylov_tol, a margin
-# of 1 let a 20-step run drift from a dense expm by 8.7e-10 and a bath run's
-# sector propagation from its full one by 3.3e-7 (both gated at 1e-10), and
-# 1e-3 left 1.5e-13 of population drift in 50 steps of a diagonal H, where an
-# exact step keeps populations to 1e-13.
-TAIL_MARGIN = 1e-5
+# The dropped tail of one expansion is bounded by this.  The tails of
+# successive expansions add up: a bound of 1e-10 let a 20-step run drift from
+# a dense expm by 8.7e-10 and a bath run's sector propagation from its full
+# one by 3.3e-7 (both gated at 1e-10), and 1e-13 left 1.5e-13 of population
+# drift in 50 steps of a diagonal H, where an exact step keeps populations to
+# 1e-13.
+TAIL_TOL = 1e-15
 # Complex vectors of the state's length (or pairs of float rows) alive at once
 # while one expansion runs, beside the sums of its window's records: the
 # state, its two recurrence vectors, one scratch row with the product H @ row,
@@ -136,23 +135,20 @@ class CoupledState:
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """dt and the expansion tolerance, in effective atomic units of time.
+    """dt, in effective atomic units of time, and the record stride.
 
     dt spaces the record grid (a record every record_stride dt).  Driven
     runs also step by dt, with the drive frozen at each step midpoint;
-    undriven runs take one expansion per window of records.  krylov_tol
-    bounds the dropped Chebyshev tail of each record (times TAIL_MARGIN).
+    undriven runs take one expansion per window of records.  TAIL_TOL
+    bounds the dropped Chebyshev tail of each record.
     """
 
     dt: float
-    krylov_tol: float = 1e-10
     record_stride: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.krylov_tol <= 0:
-            raise ValueError("krylov_tol must be positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
 
@@ -450,7 +446,6 @@ def propagate(
     lo, hi = bounds
     center, radius = 0.5 * (lo + hi), 0.5 * (hi - lo)
     norms = [float(_abs_row_sums(term[0]).max()) for term in terms]
-    cutoff = config.krylov_tol * TAIL_MARGIN
     eps = 1e-9 * config.dt
     stats = KrylovStats(
         spectral_bounds=(float(lo), float(hi)), blocks=[b - a for a, b, _ in static_blocks]
@@ -495,11 +490,11 @@ def propagate(
             taus = [tau]
             targets = [stop if stop - (state.time + tau) <= eps else state.time + tau]
         else:
-            targets = grid[done : done + _window_size(radius * (stop - state.time), cutoff)]
+            targets = grid[done : done + _window_size(radius * (stop - state.time), TAIL_TOL)]
             taus = [t - state.time for t in targets]
         t_next = targets[0]
         try:
-            results = _chebyshev_window(blocks, state.amplitudes, taus, center, width, cutoff)
+            results = _chebyshev_window(blocks, state.amplitudes, taus, center, width, TAIL_TOL)
             stats.steps += 1
             stats.matvecs += max(order for _, order, _ in results)
             for t_next, (psi, order, err) in zip(targets, results):

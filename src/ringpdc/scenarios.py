@@ -3,22 +3,24 @@
 This is the experiment layer.  A declarative config (YAML file or shipped
 preset) picks the scenario kind, matter parameters, mode table, initial
 state, method and propagation window; run_scenario turns it into solved
-matter, an assembled Hamiltonian, a propagated state and two output files:
-a CSV of photon-statistics columns and a JSON summary with the extrema,
-the conversion efficiency, a truncation-drift report and the wall time of
-each phase (matter, assembly, propagation with its observer share, CSV
-output).  One observer (observables.snapshot_columns) records every CSV
-column and the Fock-edge population of each mode; the truncation drift of
-a mode is the largest edge population it reached.
+matter, a Hamiltonian, a propagated state and two output files: a CSV of
+photon-statistics columns and a JSON summary with the extrema, the
+conversion efficiency, a truncation-drift report and the wall time of each
+phase (matter, assembly, propagation with its observer share, CSV output).
+Every kind builds its Hamiltonian in one call, hamiltonian.assemble_system
+on the quantized modes (the field drive's pump is classical).  One observer
+(observables.snapshot_columns) records every CSV column and the Fock-edge
+population of each mode; the truncation drift of a mode is the largest edge
+population it reached.
 
 Two symmetries shrink or split what is propagated.  When every mode is
 polarized along one axis, a full run keeps only the reflection-even matter
 sector (matter.reflection_even).  An undriven run, full or few-level,
 builds only the sectors of inversion times photon-number parity that its
-start occupies (the builders' `sectors`), one after the other: a Fock start
-occupies one, a coherent start both, and on a large enough H the propagator
-runs each of the two on its own thread.  The observer sees the state
-scattered back into the whole layout, once per record.
+start occupies (assemble_system's `sectors`), one after the other: a Fock
+start occupies one, a coherent start both, and on a large enough H the
+propagator runs each of the two on its own thread.  The observer sees the
+state scattered back into the whole layout, once per record.
 
 run_sweep repeats the pipeline over one swept parameter, on a thread pool
 of at most one worker per row, and tabulates the extrema per row;
@@ -69,11 +71,6 @@ from scipy.stats import poisson
 from .hamiltonian import (
     CoupledBasis,
     DriveSpec,
-    _assemble,
-    assemble_bath_terms,  # noqa: F401 - no run calls it; the benchmark tracer patches it by name
-    assemble_degenerate,
-    assemble_few_level,  # noqa: F401 - no run calls it; the benchmark tracer patches it by name
-    assemble_signal_pair,
     assemble_system,
     drive_term,
     inversion_parity,
@@ -109,6 +106,9 @@ from .units import (
     ps_to_eff,
     time_to_eff,
 )
+
+# the only reason for these names: perfbench/tracing.py:TRACED patches each one on this module
+assemble_degenerate = assemble_signal_pair = assemble_few_level = assemble_bath_terms = assemble_system
 
 SCENARIO_KINDS = (
     "nondegenerate_fock",
@@ -189,7 +189,6 @@ class PropagationSpec:
     t_final_ps: Annotated[float, "> 0"]
     dt_fs: Annotated[float, "> 0"]
     record_stride: Annotated[int, ">= 1"] = 1
-    krylov_tol: Annotated[float, "> 0"] = 1e-10
 
 
 @dataclass(frozen=True)
@@ -620,10 +619,11 @@ def _check_sweep_base(base: ScenarioConfig, parameter: str) -> None:
     """Refuse a parameter that no row of a sweep over `base` could run."""
     if parameter == "xi1" and base.initial.kind != "coherent":
         raise ConfigError("xi1 sweeps need a coherent initial state")
-    if parameter == "V0" and base.kind != "degenerate":
+    # only the two-mode geometry reads theta1, and only its mode table has a gap rule
+    does = {"theta1": "tilt the degenerate pump", "V0": "retune the mode table from the ring gap"}
+    if parameter in does and base.kind != "degenerate":
         raise ConfigError(
-            "V0 sweeps retune the mode table from the ring gap and are defined "
-            "for the degenerate scenario"
+            f"{parameter} sweeps {does[parameter]} and are defined for the degenerate scenario"
         )
 
 
@@ -730,7 +730,7 @@ def calibrate_current_drive(
     if not (0.0 < tol < target):
         raise ValueError("tolerance must be positive and below the target")
     basis = CoupledBasis(matter.n_states, (mode1.dim,))
-    h = _assemble(basis, matter, tm, [mode1])
+    h = assemble_system(basis, matter, tm, [mode1])
     _, psi0 = ground_state(h)
     names, observer = snapshot_columns(basis, [mode1.omega])
     column = names.index("n1")
@@ -900,11 +900,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
                 # round as a whole-layout run's do
                 norm_order = np.argsort(index, kind="stable")
 
-    if config.kind == "field_driven":
-        h = assemble_signal_pair(basis, matter, tm, quantized)
-    else:
-        build = assemble_degenerate if config.kind == "degenerate" else assemble_system
-        h = build(basis, matter, tm, modes, bath_modes=bath_modes, sectors=sectors)
+    h = assemble_system(basis, matter, tm, quantized, bath_modes=bath_modes, sectors=sectors)
     if config.drive is not None:
         drive = _resolved_drive(config, matter, tm, modes, config.drive.calibrate)
         info["drive"] = drive
@@ -923,7 +919,7 @@ def _quantum_series(config: ScenarioConfig, matter, tm):
     if index is not None:
         observer = _scattered(observer, index, basis.dim)
 
-    pconfig = PropagatorConfig(dt=dt, krylov_tol=p.krylov_tol, record_stride=p.record_stride)
+    pconfig = PropagatorConfig(dt=dt, record_stride=p.record_stride)
     # bounds from the CSR here: propagate may see h only as a callable
     bounds = spectral_bounds(h)
     result = propagate(

@@ -50,6 +50,20 @@ def default_modes(n_max=4, lam=0.02):
     ]
 
 
+def few_level(levels, matter, tm, modes, **kwargs):
+    """assemble_system on the selected levels, in their order, and its basis."""
+    sub, sub_tm = ham.restrict_levels(matter, tm, levels)
+    basis = ham.CoupledBasis(sub.n_states, tuple(m.dim for m in modes))
+    return ham.assemble_system(basis, sub, sub_tm, modes, **kwargs), basis
+
+
+def bath_terms(basis, matter, tm, main, bath_modes):
+    """The bath pairs alone, the part of assemble_system(..., bath_modes=...)
+    that the bath adds to the system pairs."""
+    _, px, py = ham._real_matter(matter, tm)
+    return ham._kron_sum(basis, ham._bath_pairs(basis, px, py, main, bath_modes))
+
+
 class TestCoupledBasis:
     def test_shape_and_dim(self):
         basis = ham.CoupledBasis(3, (5, 4))
@@ -215,7 +229,7 @@ class TestDecoupledSpectrum:
             FockMode(W3, 2, 0.0, (1.0, 0.0)),
         ]
         # polarization is irrelevant at lambda = 0
-        h, basis = ham.assemble_few_level([0, 1, 2], mb, tm, modes)
+        h, basis = few_level([0, 1, 2], mb, tm, modes)
         vals = np.linalg.eigvalsh(h.toarray())
         expect = sorted(
             mb.energies[i]
@@ -235,14 +249,13 @@ class TestFewLevel:
         modes = default_modes(n_max=2)
         basis = ham.CoupledBasis(12, (3, 3, 3))
         full = ham.assemble_system(basis, ring200, tm_full, modes)
-        sliced, _ = ham.assemble_few_level(range(12), ring200, tm_full, modes)
+        sliced, _ = few_level(range(12), ring200, tm_full, modes)
         diff = abs(full - sliced)
         assert (diff.max() if diff.nnz else 0.0) < 1e-10
 
     def test_incomplete_pair_rejected(self, ring200, tm_full):
-        modes = default_modes(n_max=2)
         with pytest.raises(ValueError, match="partner"):
-            ham.assemble_few_level([0, 1], ring200, tm_full, modes)
+            ham.restrict_levels(ring200, tm_full, [0, 1])
 
     def test_partial_harmonic_shell_rejected(self, ring0):
         # at V0 = 0 the levels 3, 4 and 5 form the j = 3 oscillator shell; its
@@ -256,14 +269,12 @@ class TestFewLevel:
         assert mb.n_states == 4
 
     def test_duplicate_levels_rejected(self, ring200, tm_full):
-        modes = default_modes(n_max=2)
         with pytest.raises(ValueError, match="duplicate"):
-            ham.assemble_few_level([0, 1, 1, 2], ring200, tm_full, modes)
+            ham.restrict_levels(ring200, tm_full, [0, 1, 1, 2])
 
     def test_out_of_range_rejected(self, ring200, tm_full):
-        modes = default_modes(n_max=2)
         with pytest.raises(ValueError, match="outside"):
-            ham.assemble_few_level([0, 1, 2, 40], ring200, tm_full, modes)
+            ham.restrict_levels(ring200, tm_full, [0, 1, 2, 40])
 
     def test_restrict_levels_slices_consistently(self, ring200, tm_full):
         mb, tm = ham.restrict_levels(ring200, tm_full, [0, 1, 2, 3, 4])
@@ -332,7 +343,7 @@ class TestGeometryFactors:
             e1, e2 = degenerate_polarization_vectors(theta1)
             modes = [FockMode(W2, 3, 0.017, e1), FockMode(W2 / 2, 3, 0.017, e2)]
             basis = ham.CoupledBasis(3, (4, 4))
-            h = ham.assemble_degenerate(basis, mb, tm, modes)
+            h = ham.assemble_system(basis, mb, tm, modes)
             bra = np.ravel_multi_index((0, 1, 1), basis.shape)
             ket = np.ravel_multi_index((0, 0, 0), basis.shape)
             element = abs(h[bra, ket])
@@ -342,13 +353,13 @@ class TestGeometryFactors:
                 assert element > 1e-7
 
     def test_mode_count_validation(self, matter3):
+        # one quantized mode per basis slot, whatever the scenario kind
         mb, tm = matter3
         modes = default_modes(n_max=2)
-        basis = ham.CoupledBasis(3, (3, 3))
-        with pytest.raises(ValueError, match="three modes"):
-            ham.assemble_system(basis, mb, tm, modes[:2])
-        with pytest.raises(ValueError, match="two modes"):
-            ham.assemble_degenerate(basis, mb, tm, modes)
+        with pytest.raises(ValueError, match="mode count"):
+            ham.assemble_system(ham.CoupledBasis(3, (3, 3, 3)), mb, tm, modes[:2])
+        with pytest.raises(ValueError, match="mode count"):
+            ham.assemble_system(ham.CoupledBasis(3, (3, 3)), mb, tm, modes)
 
 
 def dense_reference(matter_h, px, py, mode_specs, dims):
@@ -382,13 +393,13 @@ def dense_reference(matter_h, px, py, mode_specs, dims):
 
 def real_gauge(matter):
     """The diagonal phase i^(odd) that takes the stored levels to the real
-    levels the builders use: i on each inversion-odd level."""
+    levels assemble_system uses: i on each inversion-odd level."""
     return np.diag(np.where(inversion_parities(matter) < 0, 1j, 1.0))
 
 
 def in_real_gauge(ref, matter):
     """A dense H on (stored levels) x (the rest), moved onto the real levels
-    the builders use (matter slowest)."""
+    assemble_system uses (matter slowest)."""
     lift = np.kron(real_gauge(matter), np.eye(ref.shape[0] // matter.n_states))
     return lift.conj().T @ ref @ lift
 
@@ -400,7 +411,7 @@ class TestDenseOracle:
         e1, e2 = degenerate_polarization_vectors(theta1)
         modes = [FockMode(W2, 2, 0.017, e1), FockMode(W2 / 2, 2, 0.017, e2)]
         basis = ham.CoupledBasis(3, (3, 3))
-        h = ham.assemble_degenerate(basis, mb, tm, modes)
+        h = ham.assemble_system(basis, mb, tm, modes)
         ref = dense_reference(
             mb.h_matrix(),
             tm.px,
@@ -439,8 +450,8 @@ def bath_setup(matter3):
     spec = BathSpec(lam=0.007, windows=((1.0, 2.0, 2),))
     bath_modes, bath_basis = sample_bath(spec)
     basis = ham.CoupledBasis(3, (3, 3), bath=bath_basis)
-    h_main = ham.assemble_degenerate(basis, mb, tm, main)
-    h_bath = ham.assemble_bath_terms(basis, mb, tm, main, bath_modes)
+    h_main = ham.assemble_system(basis, mb, tm, main)
+    h_bath = bath_terms(basis, mb, tm, main, bath_modes)
     return mb, tm, main, bath_modes, bath_basis, basis, h_main, h_bath
 
 
@@ -472,7 +483,7 @@ class TestBathAssembly:
 
     def test_one_builder_call_is_the_sum_of_the_two(self, bath_setup):
         mb, tm, main, bath_modes, _, basis, h_main, h_bath = bath_setup
-        h = ham.assemble_degenerate(basis, mb, tm, main, bath_modes=bath_modes)
+        h = ham.assemble_system(basis, mb, tm, main, bath_modes=bath_modes)
         total = h_main + h_bath
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(h, part), getattr(total, part)), part
@@ -485,7 +496,7 @@ class TestBathAssembly:
         spec = BathSpec(lam=0.0, windows=((1.0, 2.0, 3),))
         bath_modes, bath_basis = sample_bath(spec)
         basis = ham.CoupledBasis(3, (3, 3), bath=bath_basis)
-        h_bath = ham.assemble_bath_terms(basis, mb, tm, main, bath_modes)
+        h_bath = bath_terms(basis, mb, tm, main, bath_modes)
         # only the diagonal bath energy survives
         diag = h_bath.diagonal()
         off = h_bath - sp.diags(diag)
@@ -494,19 +505,19 @@ class TestBathAssembly:
     def test_bath_mode_count_mismatch(self, bath_setup):
         mb, tm, main, bath_modes, bath_basis, basis, _, _ = bath_setup
         with pytest.raises(ValueError, match="bath mode list"):
-            ham.assemble_bath_terms(basis, mb, tm, main, bath_modes[:1])
+            ham.assemble_system(basis, mb, tm, main, bath_modes=bath_modes[:1])
 
     def test_mixed_bath_polarizations_rejected(self, bath_setup):
         mb, tm, main, bath_modes, bath_basis, basis, _, _ = bath_setup
         tilted = [bath_modes[0], replace(bath_modes[1], polarization=(0.0, 1.0))]
         with pytest.raises(ValueError, match="one polarization"):
-            ham.assemble_bath_terms(basis, mb, tm, main, tilted)
+            ham.assemble_system(basis, mb, tm, main, bath_modes=tilted)
 
-    def test_basis_without_bath_rejected(self, matter3):
-        mb, tm = matter3
+    def test_basis_without_bath_rejected(self, bath_setup):
+        mb, tm, main, bath_modes, _, _, _, _ = bath_setup
         basis = ham.CoupledBasis(3, (3, 3))
         with pytest.raises(ValueError, match="no bath"):
-            ham.assemble_bath_terms(basis, mb, tm, [], [])
+            ham.assemble_system(basis, mb, tm, main, bath_modes=bath_modes)
 
 
 def degenerate_modes(theta1=math.pi / 6):
@@ -530,19 +541,19 @@ def drive_patterns(mb, tm, kind):
     return [ham.drive_term(basis, mb, tm, modes, drive, np.linspace(0.0, 12.0, 401)).op]
 
 
-# each builder returns the sparse matrices it assembles
+# each build returns the sparse matrices it assembles
 HERMITIAN_BUILDS = {
     "system": lambda mb, tm, bath: [
         ham.assemble_system(ham.CoupledBasis(3, (3, 3, 3)), mb, tm, default_modes(n_max=2))
     ],
     "degenerate": lambda mb, tm, bath: [
-        ham.assemble_degenerate(ham.CoupledBasis(3, (3, 3)), mb, tm, degenerate_modes())
+        ham.assemble_system(ham.CoupledBasis(3, (3, 3)), mb, tm, degenerate_modes())
     ],
     "signal_pair": lambda mb, tm, bath: [
-        ham.assemble_signal_pair(ham.CoupledBasis(3, (3, 3)), mb, tm, signal_modes())
+        ham.assemble_system(ham.CoupledBasis(3, (3, 3)), mb, tm, signal_modes())
     ],
     "few_level": lambda mb, tm, bath: [
-        ham.assemble_few_level([0, 1, 2], mb, tm, default_modes(n_max=2))[0]
+        few_level([0, 1, 2], mb, tm, default_modes(n_max=2))[0]
     ],
     # h_main + h_bath of the bath_setup fixture
     "system_plus_bath": lambda mb, tm, bath: [bath[-2] + bath[-1]],
@@ -596,7 +607,7 @@ def running_sum(basis, matter, tm, modes):
 
 
 def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
-    """assemble_bath_terms as a running sum of Kronecker products."""
+    """bath_terms as a running sum of Kronecker products."""
     bath = basis.bath
     eye = sp.identity(bath.size, format="csr")
     (pol,) = {mode.polarization for mode in bath_modes}
@@ -623,7 +634,7 @@ def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
 def few_level_pair(mb, tm):
     # level 0 last: the builder must follow the configured order
     modes = default_modes(n_max=2)
-    h, basis = ham.assemble_few_level([1, 2, 0], mb, tm, modes)
+    h, basis = few_level([1, 2, 0], mb, tm, modes)
     sub, sub_tm = ham.restrict_levels(mb, tm, [1, 2, 0])
     return h, running_sum(basis, sub, sub_tm, modes)
 
@@ -647,10 +658,10 @@ BUILDER_CASES = {
         ham.CoupledBasis(3, (3, 3, 3)), default_modes(n_max=2), ham.assemble_system
     ),
     "degenerate": system_pair(
-        ham.CoupledBasis(3, (3, 3)), degenerate_modes(), ham.assemble_degenerate
+        ham.CoupledBasis(3, (3, 3)), degenerate_modes(), ham.assemble_system
     ),
     "signal_pair": system_pair(
-        ham.CoupledBasis(3, (3, 3)), signal_modes(), ham.assemble_signal_pair
+        ham.CoupledBasis(3, (3, 3)), signal_modes(), ham.assemble_system
     ),
     "few_level": lambda mb, tm, bath: few_level_pair(mb, tm),
     "system_plus_bath": lambda mb, tm, bath: bath_pair(mb, tm, bath),
@@ -677,11 +688,11 @@ def sector_system(basis, modes, build):
 def sector_few_level(mb, tm, bath):
     # level 0 last, as in few_level_pair
     levels, modes = [1, 2, 0], default_modes(n_max=2)
-    h, basis = ham.assemble_few_level(levels, mb, tm, modes)
+    h, basis = few_level(levels, mb, tm, modes)
     sub, _ = ham.restrict_levels(mb, tm, levels)
 
     def sector_build(sector):
-        return ham.assemble_few_level(levels, mb, tm, modes, sectors=(sector,))[0]
+        return few_level(levels, mb, tm, modes, sectors=(sector,))[0]
 
     return h, sector_build, ham.inversion_parity(basis, sub)
 
@@ -690,9 +701,7 @@ def sector_bath(mb, tm, bath):
     _, _, main, bath_modes, _, basis, h_main, h_bath = bath
 
     def sector_build(sector):
-        return ham.assemble_degenerate(
-            basis, mb, tm, main, bath_modes=bath_modes, sectors=(sector,)
-        )
+        return ham.assemble_system(basis, mb, tm, main, bath_modes=bath_modes, sectors=(sector,))
 
     return h_main + h_bath, sector_build, ham.inversion_parity(basis, mb)
 
@@ -703,7 +712,7 @@ SECTOR_CASES = {
         ham.CoupledBasis(3, (3, 3, 3)), default_modes(n_max=2), ham.assemble_system
     ),
     "degenerate": sector_system(
-        ham.CoupledBasis(3, (3, 3)), degenerate_modes(), ham.assemble_degenerate
+        ham.CoupledBasis(3, (3, 3)), degenerate_modes(), ham.assemble_system
     ),
     "few_level": sector_few_level,
     "system_plus_bath": sector_bath,
@@ -979,7 +988,7 @@ class TestInversionParity:
 
 
 class TestRealGauge:
-    """The real levels behind every builder: the solved standing waves, i on
+    """The real levels behind every build: the solved standing waves, i on
     the inversion-odd levels."""
 
     @pytest.mark.parametrize("levels", [[0, 1, 2], [1, 2, 0], list(range(12))])
@@ -989,7 +998,7 @@ class TestRealGauge:
         assert np.array_equal(u.conj().T @ u, np.eye(len(levels)))
         ground = levels.index(0)
         assert u[ground, ground] == 1.0
-        # on the grid each level is real, and the builders' factors are the
+        # on the grid each level is real, and assemble_system's factors are the
         # stored matrices moved by the phase
         assert mb.states.dtype == np.float64
         h_el, px, py = ham._real_matter(mb, tm)
@@ -1028,7 +1037,7 @@ class TestRealGauge:
         mb, tm = reflection_even(ring200, tm_full, "x")
         modes = [FockMode(W2, 2, 0.017, (0.0, 1.0)), FockMode(W2 / 2, 2, 0.017, (0.0, -1.0))]
         basis = ham.CoupledBasis(mb.n_states, (3, 3))
-        h = ham.assemble_degenerate(basis, mb, tm, modes)
+        h = ham.assemble_system(basis, mb, tm, modes)
         assert h.dtype == np.float64
         defect = (h - h.T).tocsr()
         defect.eliminate_zeros()
@@ -1049,7 +1058,7 @@ class TestSignalPair:
         _, e2, e3 = polarization_vectors(math.pi / 2, math.pi / 2)
         modes = [FockMode(W2, 2, 0.020, e2), FockMode(W3, 2, 0.020, e3)]
         basis = ham.CoupledBasis(3, (3, 3))
-        h = ham.assemble_signal_pair(basis, mb, tm, modes)
+        h = ham.assemble_system(basis, mb, tm, modes)
         ref = dense_reference(
             mb.h_matrix(),
             tm.px,
@@ -1167,7 +1176,7 @@ class TestFieldDrive:
         d = ham.DriveSpec(kind="classical_field", j0=0.4, t0=2.0, tau=0.9, omega1=W1)
         term = ham.drive_term(basis, mb, tm, [mode1, *signal], d, t_grid)
         q1 = ham.classical_pump_field(d, mode1, t_grid)
-        # p_x between the real levels the static builders use
+        # p_x between the real levels assemble_system uses
         u = real_gauge(mb)
         px = u.conj().T @ tm.px @ u
         for t_probe in (3.0, 7.5):

@@ -12,7 +12,6 @@ from ringpdc.units import eff_to_ps, energy_to_eff, ps_to_eff
 from ringpdc.matter import transition_matrices
 from ringpdc.hamiltonian import (
     CoupledBasis,
-    assemble_degenerate,
     assemble_system,
     embed,
     product_state,
@@ -406,7 +405,7 @@ class TestAgainstQuantum:
             FockMode(0.5 * W1_DEG, 12, lam, (float(e2[0]), float(e2[1]))),
         )
         cb = CoupledBasis(3, (501, 13))
-        op = assemble_degenerate(cb, m3, tm3, qmodes)
+        op = assemble_system(cb, m3, tm3, qmodes)
         vac = np.zeros(13, dtype=complex)
         vac[0] = 1.0
         psi0 = product_state(cb, ground3(), [coherent_state(20.0, 500), vac])
