@@ -78,6 +78,7 @@ class TestConfig:
             {"dt": 0.0},
             {"dt": -0.1},
             {"dt": 0.1, "record_stride": 0},
+            {"dt": 0.1, "record_stride": -2},
         ],
     )
     def test_validation(self, kwargs):
