@@ -82,7 +82,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import cumulative_trapezoid
 
 from .matter import MatterEigenbasis, TransitionMatrices, inversion_parities, select_states
 from .photon import BathBasis, FockMode, bath_ladder, number_op, quadratures
@@ -211,8 +210,9 @@ def inversion_parity(basis: CoupledBasis, matter: MatterEigenbasis) -> np.ndarra
     return np.kron(sign, _photon_parity(basis))
 
 
-def _momentum_projection(px: np.ndarray, py: np.ndarray, e: tuple[float, float]) -> np.ndarray:
-    return e[0] * px + e[1] * py
+def _dot(e: tuple[float, float], x, y):
+    """e . (x, y), x first: e . p on the p_x, p_y arrays, or e_a . e_b."""
+    return e[0] * x + e[1] * y
 
 
 def _real_matter(
@@ -428,15 +428,13 @@ def assemble_system(
             continue
         q = quads[slot]
         h_photon = h_photon + 0.5 * mode.lam**2 * embed(photon, mode_ops={slot: (q @ q).tocsr()})
-        proj = _momentum_projection(px, py, mode.polarization)
+        proj = _dot(mode.polarization, px, py)
         couplings.append((proj, -mode.lam * embed(photon, mode_ops={slot: q})))
-    for a in range(len(modes)):
-        for b in range(a + 1, len(modes)):
-            ea, eb = modes[a].polarization, modes[b].polarization
-            coeff = modes[a].lam * modes[b].lam * (ea[0] * eb[0] + ea[1] * eb[1])
-            if coeff == 0.0:
-                continue
-            h_photon = h_photon + coeff * embed(photon, mode_ops={a: quads[a], b: quads[b]})
+    for (a, ma), (b, mb) in itertools.combinations(enumerate(modes), 2):
+        coeff = ma.lam * mb.lam * _dot(ma.polarization, *mb.polarization)
+        if coeff == 0.0:
+            continue
+        h_photon = h_photon + coeff * embed(photon, mode_ops={a: quads[a], b: quads[b]})
     eye = sp.identity(photon.dim, format="csr")
     pairs = [(np.eye(basis.matter_dim), h_photon), (h_el, eye), *couplings]
     if bath_modes:
@@ -491,7 +489,7 @@ def _bath_pairs(
 
     # diamagnetic main x bath cross terms: lam_a (e_a . e_B) q_a (x) A_B
     for slot, mode in enumerate(main_modes):
-        dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
+        dot = _dot(mode.polarization, *pol)
         if mode.lam == 0.0 or dot == 0.0:
             continue
         q, _ = quadratures(mode)
@@ -503,10 +501,10 @@ def _bath_pairs(
     coll = sum(c * low for c, low in zip(weights, lowering))
     prod = coll @ coll + coll.T @ coll + coll.T @ coll + coll.T @ coll.T
     prod = prod + sum(c * c for c in weights) * eye
-    bath_quad = 0.5 * (pol[0] * pol[0] + pol[1] * pol[1]) * prod
+    bath_quad = 0.5 * _dot(pol, *pol) * prod
     h_photon = h_photon + embed(photon, bath_op=bath_quad)
 
-    coupling = _momentum_projection(px, py, pol)
+    coupling = _dot(pol, px, py)
     return [(np.eye(basis.matter_dim), h_photon), (coupling, -embed(photon, bath_op=disp))]
 
 
@@ -566,8 +564,9 @@ def classical_pump_field(
         raise ValueError("t_grid must be increasing with at least two samples")
     w = mode1.omega
     j = np.array([drive.current(tk) for tk in t])
-    cos_int = cumulative_trapezoid(np.cos(w * t) * j, t, initial=0.0)
-    sin_int = cumulative_trapezoid(np.sin(w * t) * j, t, initial=0.0)
+    y = np.array([np.cos(w * t), np.sin(w * t)]) * j
+    area = np.diff(t) * (y[:, 1:] + y[:, :-1]) / 2.0
+    cos_int, sin_int = np.hstack((np.zeros((2, 1)), np.cumsum(area, axis=1)))
     return -(mode1.lam / w) * (np.sin(w * t) * cos_int - np.cos(w * t) * sin_int)
 
 
@@ -608,13 +607,13 @@ def drive_term(
     _, px, py = _real_matter(matter, tm)
     field = sp.csr_matrix((photon.dim, photon.dim))
     for slot, mode in enumerate(modes[1:]):
-        dot = e1[0] * mode.polarization[0] + e1[1] * mode.polarization[1]
+        dot = _dot(e1, *mode.polarization)
         if mode.lam == 0.0 or dot == 0.0:
             continue
         q, _ = quadratures(mode)
         field = field + (mode.lam * dot) * embed(photon, mode_ops={slot: q})
     pairs = [
-        (-_momentum_projection(px, py, e1), sp.identity(photon.dim, format="csr")),
+        (-_dot(e1, px, py), sp.identity(photon.dim, format="csr")),
         (eye, field),
     ]
     a1 = mode1.lam * classical_pump_field(drive, mode1, t_grid)

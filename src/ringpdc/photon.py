@@ -18,7 +18,7 @@ from typing import Annotated, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .units import energy_to_eff
 
@@ -78,7 +78,7 @@ def coherent_state(xi: complex, n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     mean = abs(xi) ** 2
-    tail = float(poisson.sf(n_max, mean)) if mean > 0 else 0.0
+    tail = float(pdtrc(n_max, mean)) if mean > 0 else 0.0
     if tail > COHERENT_TAIL_TOL:
         raise ValueError(
             f"coherent state |xi|^2 = {mean:g} keeps Poisson tail {tail:.2e} "

@@ -529,9 +529,10 @@ def ground_state(h) -> tuple[float, np.ndarray]:
         raise ValueError("ground_state needs a real symmetric H")
     if h.shape[0] == 1:
         return float(h[0, 0]), np.ones(1, dtype=complex)
-    # a fixed random start vector: ARPACK's own draw changes from call to
-    # call, and a flat vector can be orthogonal to a symmetric ground state
-    v0 = np.random.default_rng(0).standard_normal(h.shape[0])
+    # a fixed start, the basis vector of the smallest diagonal entry (matter
+    # ground level times photon vacuum): in the ground state's sector and
+    # near it, so Lanczos needs a fraction of a random start's applications
+    v0 = np.eye(1, h.shape[0], int(np.argmin(h.diagonal())))[0]
     try:
         vals, vecs = eigsh(h, k=1, which="SA", v0=v0)
     except Exception as exc:

@@ -66,7 +66,7 @@ from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .hamiltonian import (
     CoupledBasis,
@@ -361,7 +361,7 @@ def _min_coherent_fock(xi: float) -> int:
     """Smallest n_max whose discarded Poisson tail passes the coherent guard."""
     mean = float(xi) ** 2
     n = max(1, math.ceil(mean))
-    while float(poisson.sf(n, mean)) > COHERENT_TAIL_TOL:
+    while float(pdtrc(n, mean)) > COHERENT_TAIL_TOL:
         n += 1
     return n
 

@@ -23,7 +23,7 @@ from ringpdc.photon import (
 )
 from ringpdc import scenarios as sc
 from ringpdc.scenarios import degenerate_polarization_vectors, polarization_vectors
-from ringpdc.units import energy_to_eff
+from ringpdc.units import energy_to_eff, ps_to_eff, time_to_eff
 
 W1 = energy_to_eff(24.65)
 W2 = energy_to_eff(1.36)
@@ -594,7 +594,7 @@ def running_sum(basis, matter, tm, modes):
         if mode.lam == 0.0:
             continue
         q = quads[slot]
-        proj = ham._momentum_projection(px, py, mode.polarization)
+        proj = ham._dot(mode.polarization, px, py)
         total = total - mode.lam * lifted(basis, proj, mode_ops={slot: q})
         total = total + 0.5 * mode.lam**2 * ham.embed(basis, mode_ops={slot: (q @ q).tocsr()})
     for a in range(len(modes)):
@@ -618,7 +618,7 @@ def running_bath_sum(basis, matter, tm, main_modes, bath_modes):
     weights = [mode.lam / math.sqrt(2.0 * mode.omega) for mode in bath_modes]
     disp = sum(c * (low + low.T) for c, low in zip(weights, lowering))
     _, px, py = ham._real_matter(matter, tm)
-    proj = ham._momentum_projection(px, py, pol)
+    proj = ham._dot(pol, px, py)
     total = total - lifted(basis, proj, bath_op=disp)
     for slot, mode in enumerate(main_modes):
         dot = mode.polarization[0] * pol[0] + mode.polarization[1] * pol[1]
@@ -1143,6 +1143,24 @@ class TestClassicalPumpField:
             / (2 * W1)
         )
         assert np.abs(q - analytic).max() < 1e-7
+
+    @pytest.mark.parametrize("grid", ["run", "non_uniform"])
+    def test_is_scipy_cumulative_trapezoid_to_the_bit(self, grid):
+        from scipy.integrate import cumulative_trapezoid
+
+        mode1 = FockMode(W1, 2, 0.02, (1.0, 0.0))
+        d = ham.DriveSpec(kind="classical_field", j0=0.4, t0=2.0, tau=0.9, omega1=W1)
+        if grid == "run":  # the tiny field-driven run's: 0.3 ps in 4 fs steps
+            dt = time_to_eff(4.0)
+            t = np.arange(0.0, ps_to_eff(0.3) + 2.0 * dt, dt)
+        else:
+            t = np.sort(np.random.default_rng(0).uniform(0.0, 6.0, 500))
+        w = mode1.omega
+        j = np.array([d.current(tk) for tk in t])
+        cos_int = cumulative_trapezoid(np.cos(w * t) * j, t, initial=0.0)
+        sin_int = cumulative_trapezoid(np.sin(w * t) * j, t, initial=0.0)
+        want = -(mode1.lam / w) * (np.sin(w * t) * cos_int - np.cos(w * t) * sin_int)
+        assert np.array_equal(ham.classical_pump_field(d, mode1, t), want)
 
     def test_kind_and_grid_validation(self):
         mode1 = FockMode(W1, 2, 0.02, (1.0, 0.0))

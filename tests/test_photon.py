@@ -16,6 +16,7 @@ from ringpdc.photon import (
     bath_basis_size,
     enumerate_bath_basis,
     bath_ladder,
+    pdtrc,
     sample_bath,
 )
 
@@ -106,6 +107,15 @@ def test_coherent_truncation_guard():
     with pytest.raises(ValueError, match="tail"):
         coherent_state(4.0, 20)
     coherent_state(4.0, 40)  # heavy amplitude fine with enough levels
+
+
+def test_coherent_tail_is_scipy_stats_poisson_sf():
+    # the guard's tail, scipy.special.pdtrc, is poisson.sf to the bit
+    from scipy.stats import poisson
+
+    n = np.arange(80)[:, None]
+    means = np.linspace(0.01, 40.0, 300)
+    assert np.array_equal(pdtrc(n, means), poisson.sf(n, means))
 
 
 @given(st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=0.0, max_value=2 * np.pi))

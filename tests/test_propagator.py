@@ -757,6 +757,23 @@ class TestGroundState:
         )
         assert abs(abs(np.vdot(product, vec)) - 1.0) < 1e-9
 
+    def test_starts_from_the_smallest_diagonal_entry(self, coupled_pair, monkeypatch):
+        _, systems = coupled_pair
+        _, _, h = systems[0.02]
+        starts, eigsh = [], prop.eigsh
+
+        def spy(a, **kwargs):
+            starts.append(kwargs["v0"])
+            return eigsh(a, **kwargs)
+
+        monkeypatch.setattr(prop, "eigsh", spy)
+        energy, _ = ground_state(h)
+        (v0,) = starts
+        want = np.zeros(h.shape[0])
+        want[np.argmin(h.diagonal())] = 1.0
+        assert np.array_equal(v0, want)
+        assert abs(energy - eigvalsh(h.toarray())[0]) < 1e-12
+
     def test_residual_contract(self, coupled_pair):
         _, systems = coupled_pair
         _, _, h = systems[0.02]

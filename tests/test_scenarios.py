@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from ringpdc import cli
 from ringpdc import hamiltonian as ham
 from ringpdc import propagator as prop
 from ringpdc import scenarios as sc
-from ringpdc.photon import BathWindow
+from ringpdc.photon import BathWindow, coherent_state
 from ringpdc.propagator import RENORM_TOL, TAIL_TOL, CoupledState, PropagationResult
 from ringpdc.propagator import ground_state
 
@@ -452,6 +453,20 @@ class TestValidation:
         assert cli.main(["validate-config", "--config", str(path)]) == 4
         assert time.perf_counter() - started < 1.0
         assert "resource refusal" in capsys.readouterr().err
+
+    def test_min_coherent_fock_is_the_poisson_tail_bound(self):
+        # the first truncation whose scipy.stats Poisson tail passes the
+        # guard, and the first that coherent_state accepts
+        from scipy.stats import poisson
+
+        for xi in np.linspace(0.1, 6.3, 32):
+            n_max = sc._min_coherent_fock(xi)
+            tol = sc.COHERENT_TAIL_TOL
+            assert n_max == next(n for n in range(1, 200) if poisson.sf(n, xi**2) <= tol)
+            coherent_state(xi, n_max)
+            if n_max > 1:
+                with pytest.raises(ValueError, match="tail"):
+                    coherent_state(xi, n_max - 1)
 
 
 class TestRunScenario:
@@ -1303,6 +1318,20 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 2
+
+    def test_import_leaves_out_scipy_stats_and_integrate(self):
+        # a fresh interpreter: this process may hold both modules already
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import sys, ringpdc.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 def smoke_config(name: str) -> sc.ScenarioConfig:
